@@ -19,7 +19,7 @@ from neseek._kernels import HAS_NUMBA, rk4_run
 from neseek.game import cost_from_targets
 from neseek.graph import CommGraph
 from neseek.plant import AgentPlant, Exosystem
-from neseek.synthesis import assemble_closed_loop, build_strategy_digraph
+from neseek.synthesis import assemble_closed_loop, build_strategy
 
 N_STEPS = 100_000
 DT = 1.0e-3
@@ -50,7 +50,7 @@ def build_closed_loop():
         exos.append(Exosystem(S=S, w0=np.array([1.0, 0.0])))
 
     controllers = [
-        build_strategy_digraph(plants[i], game.costs[i], exos[i])
+        build_strategy(plants[i], game.costs[i], exos[i], "digraph")
         for i in range(5)
     ]
     return assemble_closed_loop(game, plants, exos, controllers, "digraph")

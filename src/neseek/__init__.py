@@ -65,15 +65,14 @@ from .sim import (
     write_csv,
 )
 from .synthesis import (
+    STRATEGIES,
     ClosedLoopSystem,
-    ControllerDigraph,
-    ControllerGeneral,
+    Controller,
     RegulatorSolution,
     SynthesisWeights,
     assemble_closed_loop,
     augmented_stabilizer,
-    build_strategy_digraph,
-    build_strategy_general,
+    build_strategy,
     certify_stability,
     largest_stable_scale,
     observer_gain,

@@ -39,8 +39,7 @@ from .sim import SimConfig, Trajectory, convergence_metrics, simulate, write_csv
 from .svgplot import line_plot
 from .synthesis import (
     assemble_closed_loop,
-    build_strategy_digraph,
-    build_strategy_general,
+    build_strategy,
     certify_stability,
     solve_regulator,
 )
@@ -50,6 +49,9 @@ EXIT_UNEXPECTED = 1
 EXIT_SCENARIO = 2
 EXIT_STALE = 3
 EXIT_SYNTH = 4
+
+# bound on the regulator residuals, relative to their scales
+REGULATOR_REL_TOL = 1e-8
 
 
 def _exit_assumption(k):
@@ -179,9 +181,8 @@ def cmd_ne(path, stream=None):
 
 
 def _build_controllers(scn, strategy):
-    build = build_strategy_digraph if strategy == "digraph" else build_strategy_general
     return [
-        build(plant, cost, exo, weights=scn.weights)
+        build_strategy(plant, cost, exo, strategy, weights=scn.weights)
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
     ]
 
@@ -222,6 +223,17 @@ def cmd_synth(path, out, strategy=None, stream=None):
         )
         return EXIT_SYNTH
     reg = solve_regulator(cl)
+    for name, residual, scale in (
+        ("residual_dyn", reg.residual_dyn, reg.scale_dyn),
+        ("residual_err", reg.residual_err, reg.scale_err),
+    ):
+        if not residual <= REGULATOR_REL_TOL * scale:
+            print(
+                f"error: regulator certificate fails: {name}={residual!r} "
+                f"exceeds {REGULATOR_REL_TOL:g} * scale={scale!r}",
+                file=sys.stderr,
+            )
+            return EXIT_SYNTH
     certificates = {
         "abscissa": abscissa,
         "residual_dyn": reg.residual_dyn,

@@ -151,7 +151,7 @@ def solve_ne(pg):
     y_star = linalg.solve_linear(pg.Rbar, -pg.Qbar)
     residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
     scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
-    if residual > 1e-10 * scale:
+    if not residual <= 1e-10 * scale:
         raise SingularMatrixError(
             f"NE residual {residual:.3e} exceeds 1e-10 scaled bound"
         )

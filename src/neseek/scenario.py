@@ -16,7 +16,7 @@ from .errors import ScenarioError
 from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
-from .synthesis import ControllerDigraph, ControllerGeneral, SynthesisWeights
+from .synthesis import STRATEGIES, Controller, SynthesisWeights
 
 __all__ = [
     "Scenario",
@@ -31,10 +31,21 @@ __all__ = [
 
 SIM_DEFAULTS = {"dt": 1e-3, "t_end": 100.0, "record_stride": 100}
 
-CONTROLLER_FORMAT = "neseek-controllers-v1"
+CONTROLLER_FORMAT = "neseek-controllers-v2"
+# v1 files also store matrices derivable from the gains; reading ignores them
+READABLE_FORMATS = ("neseek-controllers-v1", CONTROLLER_FORMAT)
 
-_DIGRAPH_FIELDS = ("M1", "M2", "K", "A", "B", "C", "L", "G1", "G2", "K1", "K2", "Rw")
-_GENERAL_FIELDS = ("A", "B", "C", "L", "G1", "G2", "K1", "K2", "Rw")
+CONTROLLER_FIELDS = ("A", "B", "C", "L", "G1", "G2", "K1", "K2", "Rw")
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite_number(v, where):
+    if not _is_number(v) or not np.isfinite(v):
+        raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
+    return float(v)
 
 
 def _mat_to_json(M):
@@ -55,21 +66,25 @@ def _mat_from_json(obj, where):
         )
     r, c = obj["shape"]
     data = obj["data"]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
+    if not all(_is_number(v) for v in data):
         raise ScenarioError(f"{where}: matrix data must be numbers")
     if len(data) != r * c:
         raise ScenarioError(
             f"{where}: shape {r}x{c} needs {r * c} entries, got {len(data)}"
         )
-    return np.asarray(data, dtype=float).reshape(r, c)
+    M = np.asarray(data, dtype=float).reshape(r, c)
+    if not np.isfinite(M).all():
+        raise ScenarioError(f"{where}: matrix data must be finite")
+    return M
 
 
 def _vec_from_json(obj, where):
-    if not isinstance(obj, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
+    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
         raise ScenarioError(f"{where}: expected a list of numbers")
-    return np.asarray(obj, dtype=float)
+    v = np.asarray(obj, dtype=float)
+    if not np.isfinite(v).all():
+        raise ScenarioError(f"{where}: entries must be finite")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +129,7 @@ def parse_scenario(doc):
         raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
 
     strategy = _require(doc, "strategy", "scenario")
-    if strategy not in ("digraph", "general"):
+    if strategy not in STRATEGIES:
         raise ScenarioError(
             f"strategy: must be 'digraph' or 'general', got {strategy!r}"
         )
@@ -199,7 +214,7 @@ def parse_scenario(doc):
                     LocalCost(
                         R_ii=_mat_from_json(_require(bd, "R_ii", where), where + ".R_ii"),
                         Q_ii=_vec_from_json(_require(bd, "Q_ii", where), where + ".Q_ii"),
-                        q_i=float(bd.get("q_i", 0.0)),
+                        q_i=_finite_number(bd.get("q_i", 0.0), where + ".q_i"),
                         R_ij={
                             int(j): _mat_from_json(m, f"{where}.R_ij[{j}]")
                             for j, m in bd.get("R_ij", {}).items()
@@ -223,22 +238,36 @@ def parse_scenario(doc):
                 f"cost dimension {cost.p}"
             )
 
-    sim = dict(SIM_DEFAULTS)
     sim_doc = doc.get("sim", {})
+    if not isinstance(sim_doc, dict):
+        raise ScenarioError("sim: expected an object")
     extra = set(sim_doc) - set(SIM_DEFAULTS)
     if extra:
         raise ScenarioError(f"sim: unknown field(s) {sorted(extra)}")
-    sim.update(sim_doc)
-    sim["dt"] = float(sim["dt"])
-    sim["t_end"] = float(sim["t_end"])
-    sim["record_stride"] = int(sim["record_stride"])
+    sim = {**SIM_DEFAULTS, **sim_doc}
+    sim["dt"] = _finite_number(sim["dt"], "sim.dt")
+    sim["t_end"] = _finite_number(sim["t_end"], "sim.t_end")
+    if not sim["dt"] > 0:
+        raise ScenarioError(f"sim.dt: must be positive, got {sim['dt']!r}")
+    if not sim["t_end"] >= 0:
+        raise ScenarioError(f"sim.t_end: must not be negative, got {sim['t_end']!r}")
+    stride = sim["record_stride"]
+    if not (_is_number(stride) and float(stride).is_integer() and stride >= 1):
+        raise ScenarioError(
+            f"sim.record_stride: expected a positive integer, got {stride!r}"
+        )
+    sim["record_stride"] = int(stride)
 
     weight_doc = doc.get("synthesis", {})
+    if not isinstance(weight_doc, dict):
+        raise ScenarioError("synthesis: expected an object")
     valid = set(asdict(SynthesisWeights()))
     extra = set(weight_doc) - valid
     if extra:
         raise ScenarioError(f"synthesis: unknown field(s) {sorted(extra)}")
-    weights = SynthesisWeights(**{k: float(v) for k, v in weight_doc.items()})
+    weights = SynthesisWeights(**{
+        k: _finite_number(v, f"synthesis.{k}") for k, v in weight_doc.items()
+    })
 
     scn = Scenario(
         name=str(doc.get("name", "")),
@@ -329,12 +358,10 @@ def scenario_hash(s):
 
 def save_controllers(path, scenario, strategy, controllers, weights, certificates):
     """Write synthesized gains with their certificates and scenario digest."""
-    agents = []
-    fields = _DIGRAPH_FIELDS if strategy == "digraph" else _GENERAL_FIELDS
-    for c in controllers:
-        entry = {name: _mat_to_json(getattr(c, name)) for name in fields}
-        entry["s"] = int(c.s)
-        agents.append(entry)
+    agents = [
+        {name: _mat_to_json(getattr(c, name)) for name in CONTROLLER_FIELDS}
+        for c in controllers
+    ]
     doc = {
         "format": CONTROLLER_FORMAT,
         "strategy": strategy,
@@ -361,20 +388,17 @@ def load_controllers(path):
         ) from err
     except OSError as err:
         raise ScenarioError(f"{path}: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != CONTROLLER_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") not in READABLE_FORMATS:
         raise ScenarioError(f"{path}: not a {CONTROLLER_FORMAT} file")
     strategy = doc.get("strategy")
-    if strategy not in ("digraph", "general"):
+    if strategy not in STRATEGIES:
         raise ScenarioError(f"{path}: bad strategy {strategy!r}")
-    cls = ControllerDigraph if strategy == "digraph" else ControllerGeneral
-    fields = _DIGRAPH_FIELDS if strategy == "digraph" else _GENERAL_FIELDS
     controllers = []
     for i, entry in enumerate(doc.get("agents", []), start=1):
         where = f"{path}: agents[{i}]"
         kw = {name: _mat_from_json(_require(entry, name, where), f"{where}.{name}")
-              for name in fields}
-        kw["s"] = int(_require(entry, "s", where))
-        controllers.append(cls(**kw))
+              for name in CONTROLLER_FIELDS}
+        controllers.append(Controller(**kw, strategy=strategy))
     return {
         "strategy": strategy,
         "scenario_sha256": str(doc.get("scenario_sha256", "")),

@@ -16,7 +16,6 @@ from .errors import DimensionError, DivergenceError, DomainError, FirewallViolat
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
 from .plant import extend_exosystem
-from .synthesis import ControllerDigraph
 
 __all__ = [
     "SimConfig",
@@ -112,13 +111,7 @@ def simulate(cl, cfg, z0=None, v0=None):
     times = _kernels.record_steps(cfg.n_steps, cfg.record_stride) * cfg.dt
 
     x = tuple(Z[:, sl] for sl in cl.x_slices)
-    if cl.strategy == "digraph":
-        ctrl = tuple(Z[:, sl] for sl in cl.ctrl_slices)
-    else:
-        ctrl = tuple(
-            np.hstack([Z[:, xi_sl], Z[:, zeta_sl]])
-            for xi_sl, zeta_sl in cl.ctrl_slices
-        )
+    ctrl = tuple(Z[:, sl] for sl in cl.ctrl_slices)
     y_full = Z @ cl.C_out.T
     e_full = Z @ cl.C_c.T + V @ cl.Q_c.T
     y = tuple(y_full[:, sl] for sl in cl.out_slices)
@@ -171,26 +164,17 @@ def _error_from_view(cost, y_i, view):
     return e_i
 
 
-def _deriv_digraph(plant_mats, c, cost, x_i, eta_i, v_i, view, y_i):
+def _deriv(plant_mats, c, cost, x_i, st_i, v_i, view, y_i):
     A, B, _, P = plant_mats
     q = P.shape[1]
+    xi_i, zeta_i = st_i[:c.n], st_i[c.n:]
     e_i = _error_from_view(cost, y_i, view)
-    u_i = c.K @ eta_i
-    dx = A @ x_i + B @ u_i + P @ v_i[:q]
-    deta = c.M1 @ eta_i + c.M2 @ e_i
-    return dx, deta
-
-
-def _deriv_general(plant_mats, c, cost, x_i, st_i, v_i, view, y_i):
-    A, B, _, P = plant_mats
-    q = P.shape[1]
-    n = c.n
-    xi_i, zeta_i = st_i[:n], st_i[n:]
-    e_i = _error_from_view(cost, y_i, view)
-    # ehat has no affine term: it estimates only the output-dependent part
-    ehat_i = (cost.R_ii + cost.R_ii.T) @ (c.C @ xi_i)
-    for j in sorted(cost.R_ij):
-        ehat_i = ehat_i + cost.R_ij[j] @ view.observer_output(j)
+    # ehat has no affine term: it estimates only the output-dependent part;
+    # only the general strategy reads neighbors' observer outputs
+    ehat_i = c.Rw @ (c.C @ xi_i)
+    if c.strategy == "general":
+        for j in sorted(cost.R_ij):
+            ehat_i = ehat_i + cost.R_ij[j] @ view.observer_output(j)
     u_i = c.K1 @ xi_i + c.K2 @ zeta_i
     dx = A @ x_i + B @ u_i + P @ v_i[:q]
     dxi = c.A @ xi_i + c.B @ u_i - c.L @ (ehat_i - e_i)
@@ -207,17 +191,17 @@ def simulate_distributed(game, plants, exos, controllers, cfg, x0=None, w0=None)
     the assembled stacked system within 1e-9 per sample.
     """
     N = game.graph.agent_count
-    digraph_mode = isinstance(controllers[0], ControllerDigraph)
-    deriv = _deriv_digraph if digraph_mode else _deriv_general
+    strategies = {c.strategy for c in controllers}
+    if len(strategies) != 1:
+        raise DimensionError(f"controllers mix strategies {sorted(strategies)}")
+    observer_mode = strategies == {"general"}
 
     x0 = [p.x0 for p in plants] if x0 is None else [np.asarray(v, float) for v in x0]
     w0 = [e.w0 for e in exos] if w0 is None else [np.asarray(v, float) for v in w0]
 
     plant_mats = [(p.A_mu, p.B_mu, p.C_mu, p.P_mu) for p in plants]
     nbr_sets = [neighbors(game.graph, i) for i in range(1, N + 1)]
-    ctrl_dims = [
-        c.eta_dim if digraph_mode else c.n + c.zeta_dim for c in controllers
-    ]
+    ctrl_dims = [c.ctrl_dim for c in controllers]
 
     # exact per-agent exogenous steppers on the extended blocks
     exts = [extend_exosystem(e) for e in exos]
@@ -231,14 +215,14 @@ def simulate_distributed(game, plants, exos, controllers, cfg, x0=None, w0=None)
     def stage_rates(xs, sts, vs):
         ys = [pm[2] @ xi for pm, xi in zip(plant_mats, xs)]
         cxis = None
-        if not digraph_mode:
+        if observer_mode:
             cxis = [c.C @ s[: c.n] for c, s in zip(controllers, sts)]
         rates = []
         for i in range(N):
             view = NeighborView(i + 1, nbr_sets[i], ys, cxis)
             rates.append(
-                deriv(plant_mats[i], controllers[i], game.costs[i], xs[i],
-                      sts[i], vs[i], view, ys[i])
+                _deriv(plant_mats[i], controllers[i], game.costs[i], xs[i],
+                       sts[i], vs[i], view, ys[i])
             )
         return rates
 

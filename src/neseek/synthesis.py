@@ -1,21 +1,25 @@
-"""Gain synthesis, the two distributed strategies, and closed-loop certificates.
+"""Gain synthesis, the per-agent controller, and closed-loop certificates.
 
-Strategy "digraph" (acyclic topologies) runs each agent's controller on
-the regulated error alone:
+Both distributed strategies run the same per-agent controller: a plant
+observer xi_i and a p-copy internal model zeta_i,
 
-    etadot_i = M1_i eta_i + M2_i e_i,    u_i = K_i eta_i
-
-Strategy "general" (connected topologies) runs a plant observer xi_i and
-an internal-model state zeta_i, exchanging C_i xi_i with neighbors:
-
-    xidot_i  = A_i xi_i + B_i u_i - L_i (ehat_i - e_i)
+    xidot_i   = A_i xi_i + B_i u_i - L_i (ehat_i - e_i)
     zetadot_i = G1_i zeta_i + G2_i e_i
-    u_i      = K1_i xi_i + K2_i zeta_i
+    u_i       = K1_i xi_i + K2_i zeta_i
 
-Both are assembled here into the stacked closed loop
+with the same gains L_i, (G1_i, G2_i), (K1_i, K2_i).  They differ in
+one coupling only, the error estimate ehat_i:
+
+    digraph (acyclic topologies):   ehat_i = Rw_i C_i xi_i
+    general (connected topologies): ehat_i = Rw_i C_i xi_i
+                                             + sum_j R_ij C_j xi_j
+
+so in the stacked loop the general strategy adds exactly the blocks
+A_c[xi_i, xi_j] = -L_i R_ij C_j for each neighbor j and is otherwise
+identical.  The stacked closed loop is
 zdot = A_c(mu) z + P_c(mu) v, e = C_c(mu) z + Q_c v, vdot = Shat v,
-on which stability, regulator-equation, and steady-state certificates
-are computed.
+with z agent-major ([x_i; xi_i; zeta_i] per agent); stability,
+regulator-equation, and steady-state certificates are computed on it.
 """
 
 from dataclasses import dataclass, field
@@ -25,27 +29,32 @@ import scipy.linalg
 
 from . import linalg
 from .errors import AssumptionError, DimensionError, SynthesisError
-from .game import assemble_pseudo_gradient
 from .graph import check_acyclic, check_connected, neighbors
 from .internal_model import build_p_copy
-from .plant import check_assumption_3, extend_exosystem, _regulation_pencil_rank_ok
+from .plant import (
+    _real_embedded_rank,
+    _regulation_pencil_rank_ok,
+    check_assumption_3,
+    extend_exosystem,
+)
 
 __all__ = [
+    "STRATEGIES",
     "SynthesisWeights",
-    "ControllerDigraph",
-    "ControllerGeneral",
+    "Controller",
     "ClosedLoopSystem",
     "RegulatorSolution",
     "observer_gain",
     "augmented_stabilizer",
-    "build_strategy_digraph",
-    "build_strategy_general",
+    "build_strategy",
     "assemble_closed_loop",
     "certify_stability",
     "solve_regulator",
     "steady_state",
     "largest_stable_scale",
 ]
+
+STRATEGIES = ("digraph", "general")
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,13 @@ class SynthesisWeights:
 
 
 @dataclass(frozen=True)
-class ControllerDigraph:
-    """Error-feedback strategy matrices plus the gains they were built from."""
+class Controller:
+    """One agent's gains, shared by both strategies, plus the strategy tag.
 
-    M1: np.ndarray
-    M2: np.ndarray
-    K: np.ndarray
+    The controller state is [xi; zeta]: an observer copy of the plant
+    (size n) followed by the p-copy internal model (size p*s).
+    """
+
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -80,7 +90,7 @@ class ControllerDigraph:
     K1: np.ndarray
     K2: np.ndarray
     Rw: np.ndarray
-    s: int
+    strategy: str
 
     @property
     def n(self):
@@ -95,40 +105,16 @@ class ControllerDigraph:
         return self.B.shape[1]
 
     @property
-    def eta_dim(self):
-        return self.M1.shape[0]
-
-
-@dataclass(frozen=True)
-class ControllerGeneral:
-    """Observer + internal-model strategy data (xi and zeta states)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    L: np.ndarray
-    G1: np.ndarray
-    G2: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
-    Rw: np.ndarray
-    s: int
+    def s(self):
+        return self.G1.shape[0] // self.p
 
     @property
-    def n(self):
-        return self.A.shape[0]
+    def K(self):
+        return np.hstack([self.K1, self.K2])
 
     @property
-    def p(self):
-        return self.C.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def zeta_dim(self):
-        return self.G1.shape[0]
+    def ctrl_dim(self):
+        return self.n + self.G1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,8 @@ class ClosedLoopSystem:
     """Stacked closed loop with per-agent index bookkeeping.
 
     ``x_slices`` locate each agent's plant state inside z; ``ctrl_slices``
-    its controller state; ``v_slices`` its extended exogenous block.
+    its controller state [xi_i; zeta_i], which directly follows x_i;
+    ``v_slices`` its extended exogenous block.
     ``C_out`` maps z to the stacked output y (perturbed C when the loop
     was assembled perturbed).
     """
@@ -207,14 +194,9 @@ def observer_gain(A, Cw, q_scale=1.0, r_scale=1.0):
         if lam.real < 0:
             continue
         pencil = np.vstack([A - lam * np.eye(n), Cw.astype(complex)])
-        if lam.imag == 0:
-            pencil = pencil.real
-            if linalg.rank(pencil) != n:
-                raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {lam}")
-        else:
-            embedded = np.block([[pencil.real, -pencil.imag], [pencil.imag, pencil.real]])
-            if linalg.rank(embedded) != 2 * n:
-                raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {lam}")
+        rank, factor = _real_embedded_rank(pencil)
+        if rank != factor * n:
+            raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {lam}")
     K_dual = linalg.solve_care(A.T, Cw.T, _weight(n, q_scale), _weight(Cw.shape[0], r_scale))
     L = -K_dual.T
     ok, abscissa = linalg.is_hurwitz(A - L @ Cw)
@@ -262,7 +244,14 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
     return K1, K2
 
 
-def _synthesize_parts(plant, cost, exo, weights):
+def build_strategy(plant, cost, exo, strategy, weights=None):
+    """Per-agent controller for ``strategy`` ("digraph" or "general").
+
+    Both strategies use the same observer gain, p-copy internal model
+    and augmented stabilizer; only the tag differs.
+    """
+    if strategy not in STRATEGIES:
+        raise DimensionError(f"unknown strategy kind {strategy!r}")
     weights = weights or SynthesisWeights()
     result = check_assumption_3(plant)
     if not result["stabilizable"]:
@@ -275,38 +264,15 @@ def _synthesize_parts(plant, cost, exo, weights):
             f"cost output dimension {Rw.shape[0]} != plant output dimension {plant.p}"
         )
     Cw = Rw @ plant.C
-    ext = extend_exosystem(exo)
-    im = build_p_copy(ext.S_tilde, plant.p)
+    im = build_p_copy(extend_exosystem(exo).S_tilde, plant.p)
     L = observer_gain(plant.A, Cw, weights.observer_q, weights.observer_r)
     K1, K2 = augmented_stabilizer(
         plant.A, plant.B, Cw, im,
         weights.stabilizer_q_state, weights.stabilizer_q_im, weights.stabilizer_r,
     )
-    return Rw, Cw, im, L, K1, K2
-
-
-def build_strategy_digraph(plant, cost, exo, weights=None):
-    """Error-feedback controller for acyclic topologies."""
-    Rw, Cw, im, L, K1, K2 = _synthesize_parts(plant, cost, exo, weights)
-    n, v = plant.n, im.G1.shape[0]
-    M1 = np.block([
-        [plant.A + plant.B @ K1 - L @ Cw, plant.B @ K2],
-        [np.zeros((v, n)), im.G1],
-    ])
-    M2 = np.vstack([L, im.G2])
-    K = np.hstack([K1, K2])
-    return ControllerDigraph(
-        M1=M1, M2=M2, K=K, A=plant.A, B=plant.B, C=plant.C,
-        L=L, G1=im.G1, G2=im.G2, K1=K1, K2=K2, Rw=Rw, s=im.s,
-    )
-
-
-def build_strategy_general(plant, cost, exo, weights=None):
-    """Observer + internal-model controller for connected topologies."""
-    Rw, Cw, im, L, K1, K2 = _synthesize_parts(plant, cost, exo, weights)
-    return ControllerGeneral(
-        A=plant.A, B=plant.B, C=plant.C,
-        L=L, G1=im.G1, G2=im.G2, K1=K1, K2=K2, Rw=Rw, s=im.s,
+    return Controller(
+        A=plant.A, B=plant.B, C=plant.C, L=L, G1=im.G1, G2=im.G2,
+        K1=K1, K2=K2, Rw=Rw, strategy=strategy,
     )
 
 
@@ -324,14 +290,15 @@ def _plant_matrices(plant, perturbed):
     return plant.A, plant.B, plant.C, plant.P
 
 
-def _assemble_digraph(game, plants, exos, controllers, perturbed):
-    N = game.graph.agent_count
-    dims = [2 * c.n + c.G1.shape[0] for c in controllers]
-    z_off = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    v_dims = [e.q + 1 for e in exos]
-    v_off = np.concatenate([[0], np.cumsum(v_dims)]).astype(int)
-    out_off = game.offsets
+def _offsets(dims):
+    return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
+
+def _assemble(game, plants, exos, controllers, strategy_kind, perturbed):
+    """Agent-major stacking: agent i owns z-block [x_i; xi_i; zeta_i]."""
+    z_off = _offsets([p.n + c.ctrl_dim for p, c in zip(plants, controllers)])
+    v_off = _offsets([e.q + 1 for e in exos])
+    out_off = game.offsets
     dz, dv, dp = z_off[-1], v_off[-1], out_off[-1]
     A_c = np.zeros((dz, dz))
     P_c = np.zeros((dz, dv))
@@ -340,135 +307,62 @@ def _assemble_digraph(game, plants, exos, controllers, perturbed):
     S_hat = np.zeros((dv, dv))
     C_out = np.zeros((dp, dz))
     v0 = np.zeros(dv)
+    meas = [_plant_matrices(p, perturbed) for p in plants]
+    x_sl = [slice(o, o + p.n) for o, p in zip(z_off, plants)]
+    xi_sl = [slice(s.stop, s.stop + c.n) for s, c in zip(x_sl, controllers)]
+    zeta_sl = [slice(s.stop, z_off[i + 1]) for i, s in enumerate(xi_sl)]
 
-    x_slices, ctrl_slices, v_slices, out_slices = [], [], [], []
-    for i in range(1, N + 1):
-        c = controllers[i - 1]
-        plant = plants[i - 1]
-        A, B, Cm, P = _plant_matrices(plant, perturbed)
-        n, v = c.n, c.G1.shape[0]
-        o = z_off[i - 1]
-        x_sl = slice(o, o + n)
-        e1 = slice(o + n, o + 2 * n)
-        e2 = slice(o + 2 * n, o + 2 * n + v)
-        ctrl_sl = slice(o + n, o + 2 * n + v)
-        o_sl = slice(out_off[i - 1], out_off[i])
-        vi = slice(v_off[i - 1], v_off[i])
-        x_slices.append(x_sl)
-        ctrl_slices.append(ctrl_sl)
-        v_slices.append(vi)
-        out_slices.append(o_sl)
+    for i, (c, cost, exo) in enumerate(zip(controllers, game.costs, exos)):
+        A, B, Cm, P = meas[i]
+        x, xi, zeta = x_sl[i], xi_sl[i], zeta_sl[i]
+        out, vi = slice(out_off[i], out_off[i + 1]), slice(v_off[i], v_off[i + 1])
+        # e_i reads the (perturbed) plant outputs; the controller's own
+        # blocks use the nominal matrices it was designed for
+        couplings = [(i, cost.R_ii + cost.R_ii.T)] + [
+            (j - 1, cost.R_ij[j]) for j in neighbors(game.graph, i + 1)
+        ]
+        for k, R in couplings:
+            RC = R @ meas[k][2]
+            A_c[xi, x_sl[k]] = c.L @ RC
+            A_c[zeta, x_sl[k]] = c.G2 @ RC
+            C_c[out, x_sl[k]] = RC
+            if strategy_kind == "general" and k != i:
+                # the one strategy-dependent block: ehat_i reads C_k xi_k
+                A_c[xi, xi_sl[k]] = -c.L @ (R @ controllers[k].C)
+        A_c[x, x] = A
+        A_c[x, xi] = B @ c.K1
+        A_c[x, zeta] = B @ c.K2
+        A_c[xi, xi] = c.A + c.B @ c.K1 - c.L @ (c.Rw @ c.C)
+        A_c[xi, zeta] = c.B @ c.K2
+        A_c[zeta, zeta] = c.G1
+        C_out[out, x] = Cm
 
-        Cw_meas = c.Rw @ Cm          # measurement path: perturbed C
-        Cw_nom = c.Rw @ c.C          # controller internals: nominal C
-
-        A_c[x_sl, x_sl] = A
-        A_c[x_sl, e1] = B @ c.K1
-        A_c[x_sl, e2] = B @ c.K2
-        A_c[e1, x_sl] = c.L @ Cw_meas
-        A_c[e1, e1] = c.A + c.B @ c.K1 - c.L @ Cw_nom
-        A_c[e1, e2] = c.B @ c.K2
-        A_c[e2, x_sl] = c.G2 @ Cw_meas
-        A_c[e2, e2] = c.G1
-
-        cost = game.costs[i - 1]
-        for j in neighbors(game.graph, i):
-            cj = controllers[j - 1]
-            _, _, Cj, _ = _plant_matrices(plants[j - 1], perturbed)
-            xj = slice(z_off[j - 1], z_off[j - 1] + cj.n)
-            R_ij = cost.R_ij[j]
-            A_c[e1, xj] = c.L @ R_ij @ Cj
-            A_c[e2, xj] = c.G2 @ R_ij @ Cj
-            C_c[o_sl, xj] = R_ij @ Cj
-        C_c[o_sl, x_sl] = Cw_meas
-        C_out[o_sl, x_sl] = Cm
-
-        Qt = _q_tilde(cost, exos[i - 1].q)
-        P_tilde = np.hstack([P, np.zeros((n, 1))])
-        P_c[x_sl, vi] = P_tilde
-        P_c[e1, vi] = c.L @ Qt
-        P_c[e2, vi] = c.G2 @ Qt
-        Q_c[o_sl, vi] = Qt
-
-        ext = extend_exosystem(exos[i - 1])
+        Qt = _q_tilde(cost, exo.q)
+        P_c[x, vi.start:vi.stop - 1] = P
+        P_c[xi, vi] = c.L @ Qt
+        P_c[zeta, vi] = c.G2 @ Qt
+        Q_c[out, vi] = Qt
+        ext = extend_exosystem(exo)
         S_hat[vi, vi] = ext.S_tilde
         v0[vi] = ext.v0
 
-    return A_c, P_c, C_c, Q_c, S_hat, v0, C_out, x_slices, ctrl_slices, v_slices, out_slices
-
-
-def _assemble_general(game, plants, exos, controllers, perturbed):
-    N = game.graph.agent_count
-    bd = scipy.linalg.block_diag
-    mats = [_plant_matrices(p, perturbed) for p in plants]
-    A_mu = bd(*[m[0] for m in mats])
-    B_mu = bd(*[m[1] for m in mats])
-    C_mu = bd(*[m[2] for m in mats])
-
-    A_nom = bd(*[c.A for c in controllers])
-    B_nom = bd(*[c.B for c in controllers])
-    C_nom = bd(*[c.C for c in controllers])
-    L = bd(*[c.L for c in controllers])
-    G1 = bd(*[c.G1 for c in controllers])
-    G2 = bd(*[c.G2 for c in controllers])
-    K1 = bd(*[c.K1 for c in controllers])
-    K2 = bd(*[c.K2 for c in controllers])
-
-    Rbar = assemble_pseudo_gradient(game).Rbar
-    RC_mu = Rbar @ C_mu
-    RC_nom = Rbar @ C_nom
-
-    n_tot = A_mu.shape[0]
-    z_tot = G1.shape[0]
-    A_c = np.block([
-        [A_mu, B_mu @ K1, B_mu @ K2],
-        [L @ RC_mu, A_nom + B_nom @ K1 - L @ RC_nom, B_nom @ K2],
-        [G2 @ RC_mu, np.zeros((z_tot, n_tot)), G1],
-    ])
-
-    v_dims = [e.q + 1 for e in exos]
-    v_off = np.concatenate([[0], np.cumsum(v_dims)]).astype(int)
-    out_off = game.offsets
-    dv, dp = v_off[-1], out_off[-1]
-
-    Q_c = np.zeros((dp, dv))
-    P_bar = np.zeros((n_tot, dv))
-    S_hat = np.zeros((dv, dv))
-    v0 = np.zeros(dv)
-    n_off = np.concatenate([[0], np.cumsum([p.n for p in plants])]).astype(int)
-    for i in range(1, N + 1):
-        vi = slice(v_off[i - 1], v_off[i])
-        Qt = _q_tilde(game.costs[i - 1], exos[i - 1].q)
-        Q_c[out_off[i - 1]:out_off[i], vi] = Qt
-        P_bar[n_off[i - 1]:n_off[i], v_off[i - 1]:v_off[i - 1] + exos[i - 1].q] = mats[i - 1][3]
-        ext = extend_exosystem(exos[i - 1])
-        S_hat[vi, vi] = ext.S_tilde
-        v0[vi] = ext.v0
-
-    P_c = np.vstack([P_bar, L @ Q_c, G2 @ Q_c])
-    C_c = np.hstack([RC_mu, np.zeros((dp, n_tot)), np.zeros((dp, z_tot))])
-    C_out = np.hstack([C_mu, np.zeros((dp, n_tot)), np.zeros((dp, z_tot))])
-
-    x_slices = [slice(n_off[i], n_off[i + 1]) for i in range(N)]
-    xi_off = n_tot + n_off
-    z_off = np.concatenate([[0], np.cumsum([c.G1.shape[0] for c in controllers])]).astype(int)
-    ctrl_slices = [
-        (slice(xi_off[i], xi_off[i + 1]),
-         slice(2 * n_tot + z_off[i], 2 * n_tot + z_off[i + 1]))
-        for i in range(N)
-    ]
-    v_slices = [slice(v_off[i], v_off[i + 1]) for i in range(N)]
-    out_slices = [slice(out_off[i], out_off[i + 1]) for i in range(N)]
-    return A_c, P_c, C_c, Q_c, S_hat, v0, C_out, x_slices, ctrl_slices, v_slices, out_slices
+    N = len(plants)
+    return dict(
+        A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
+        x_slices=tuple(x_sl),
+        ctrl_slices=tuple(slice(s.stop, z_off[i + 1]) for i, s in enumerate(x_sl)),
+        v_slices=tuple(slice(v_off[i], v_off[i + 1]) for i in range(N)),
+        out_slices=tuple(slice(out_off[i], out_off[i + 1]) for i in range(N)),
+    )
 
 
 def assemble_closed_loop(game, plants, exos, controllers, strategy_kind, perturbed=False):
     """Stack plant + controller dynamics into one LTI closed loop.
 
-    ``strategy_kind`` is ``"digraph"`` or ``"general"``; the matching
-    graph assumption (5 or 6) is gated here.  With ``perturbed=True``
-    plant blocks use the perturbed matrices; controller blocks always
-    use nominals.
+    ``strategy_kind`` is ``"digraph"`` or ``"general"`` and must match
+    every controller's tag; the matching graph assumption (5 or 6) is
+    gated here.  With ``perturbed=True`` plant blocks use the perturbed
+    matrices; controller blocks always use nominals.
     """
     N = game.graph.agent_count
     if not (len(plants) == len(exos) == len(controllers) == N):
@@ -484,20 +378,16 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind, perturb
                 5, "communication digraph has a cycle: " + "->".join(map(str, witness))
             )
         topo_order = tuple(witness)
-        expected = ControllerDigraph
-        assemble = _assemble_digraph
     elif strategy_kind == "general":
         if check_connected(game.graph) == "disconnected":
             raise AssumptionError(6, "communication graph is disconnected")
-        expected = ControllerGeneral
-        assemble = _assemble_general
     else:
         raise DimensionError(f"unknown strategy kind {strategy_kind!r}")
 
     for i, c in enumerate(controllers, start=1):
-        if not isinstance(c, expected):
+        if c.strategy != strategy_kind:
             raise DimensionError(
-                f"agent {i}: controller type {type(c).__name__} does not match "
+                f"agent {i}: controller strategy {c.strategy!r} does not match "
                 f"strategy {strategy_kind!r}"
             )
 
@@ -508,14 +398,9 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind, perturb
                 f"exosystem dimension is {exo.q}"
             )
 
-    parts = assemble(game, plants, exos, controllers, perturbed)
-    (A_c, P_c, C_c, Q_c, S_hat, v0, C_out,
-     x_slices, ctrl_slices, v_slices, out_slices) = parts
     return ClosedLoopSystem(
         strategy=strategy_kind,
-        A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
-        x_slices=tuple(x_slices), ctrl_slices=tuple(ctrl_slices),
-        v_slices=tuple(v_slices), out_slices=tuple(out_slices),
+        **_assemble(game, plants, exos, controllers, strategy_kind, perturbed),
         topo_order=topo_order, perturbed=perturbed,
         game=game, plants=tuple(plants), exos=tuple(exos),
         controllers=tuple(controllers),
@@ -576,14 +461,10 @@ def steady_state(reg, cl, v):
     x_ss = np.concatenate([z_ss[sl] for sl in cl.x_slices])
     y_ss = cl.C_out @ z_ss
 
-    u_parts = []
-    for i, c in enumerate(cl.controllers):
-        if cl.strategy == "digraph":
-            u_parts.append(c.K @ z_ss[cl.ctrl_slices[i]])
-        else:
-            xi_sl, zeta_sl = cl.ctrl_slices[i]
-            u_parts.append(c.K1 @ z_ss[xi_sl] + c.K2 @ z_ss[zeta_sl])
-    return x_ss, np.concatenate(u_parts), y_ss
+    u_ss = np.concatenate([
+        c.K @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
+    ])
+    return x_ss, u_ss, y_ss
 
 
 def largest_stable_scale(cl, scales, draws=20, seed=0):

@@ -13,8 +13,7 @@ from neseek.plant import AgentPlant, Exosystem
 from neseek.synthesis import (
     SynthesisWeights,
     assemble_closed_loop,
-    build_strategy_digraph,
-    build_strategy_general,
+    build_strategy,
     solve_regulator,
 )
 
@@ -102,16 +101,10 @@ def _build(strategy):
     plants = sensor_plants()
     exos = sensor_exos()
     weights = GENERAL_WEIGHTS if strategy == "general" else SynthesisWeights()
-    if strategy == "digraph":
-        controllers = [
-            build_strategy_digraph(plants[i], game.costs[i], exos[i], weights)
-            for i in range(5)
-        ]
-    else:
-        controllers = [
-            build_strategy_general(plants[i], game.costs[i], exos[i], weights)
-            for i in range(5)
-        ]
+    controllers = [
+        build_strategy(plants[i], game.costs[i], exos[i], strategy, weights)
+        for i in range(5)
+    ]
     cl = assemble_closed_loop(game, plants, exos, controllers, strategy)
     pg = assemble_pseudo_gradient(game)
     return SimpleNamespace(

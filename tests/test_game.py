@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError
+from neseek.errors import DimensionError, SingularMatrixError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -141,6 +141,14 @@ def test_solve_ne_residual_bound():
         bound = 1e-10 * (np.linalg.norm(pg.Rbar) * np.linalg.norm(y)
                          + np.linalg.norm(pg.Qbar))
         assert res <= bound
+
+
+def test_solve_ne_rejects_nan_residual():
+    from neseek.game import PseudoGradientData
+
+    pg = PseudoGradientData(Rbar=np.eye(2), Qbar=np.array([np.nan, 1.0]))
+    with pytest.raises(SingularMatrixError):
+        solve_ne(pg)
 
 
 def test_partial_gradient_isolated():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import sensor_scenario_doc
+import neseek.cli
 from neseek.cli import main
 from neseek.errors import ScenarioError
 from neseek.scenario import (
+    CONTROLLER_FIELDS,
     CONTROLLER_FORMAT,
     load_controllers,
     load_scenario,
@@ -212,12 +215,63 @@ def test_controller_roundtrip(tmp_path, sensor_digraph, sensor_general):
         assert bundle["certificates"]["abscissa"] == -0.5
         for c0, c1 in zip(s.controllers, bundle["controllers"]):
             assert type(c0) is type(c1)
-            for name in ("A", "B", "C", "L", "G1", "G2", "K1", "K2", "Rw"):
+            assert c1.strategy == s.strategy
+            for name in CONTROLLER_FIELDS:
                 assert np.array_equal(getattr(c0, name), getattr(c1, name))
-            if s.strategy == "digraph":
-                for name in ("M1", "M2", "K"):
-                    assert np.array_equal(getattr(c0, name),
-                                          getattr(c1, name))
+            # derived quantities come back from the stored gains
+            assert np.array_equal(c0.K, c1.K)
+            assert (c0.s, c0.ctrl_dim) == (c1.s, c1.ctrl_dim)
+        # one field list for both strategies, nothing derived stored
+        doc = json.loads(path.read_text())
+        for entry in doc["agents"]:
+            assert set(entry) == set(CONTROLLER_FIELDS)
+
+
+def v1_bundle(doc):
+    """Re-tag a v2 bundle as v1, adding the derived M1, M2, K and s."""
+    doc = copy.deepcopy(doc)
+    doc["format"] = "neseek-controllers-v1"
+    for entry in doc["agents"]:
+        g = {k: np.asarray(v["data"]).reshape(v["shape"])
+             for k, v in entry.items()}
+        n, v = g["A"].shape[0], g["G1"].shape[0]
+        M1 = np.block([
+            [g["A"] + g["B"] @ g["K1"] - g["L"] @ (g["Rw"] @ g["C"]),
+             g["B"] @ g["K2"]],
+            [np.zeros((v, n)), g["G1"]],
+        ])
+        M1[0, 0] += 1.0  # deliberately edited: readers must ignore it
+        entry["M1"] = mat(M1)
+        entry["M2"] = mat(np.vstack([g["L"], g["G2"]]))
+        entry["K"] = mat(np.hstack([g["K1"], g["K2"]]))
+        entry["s"] = v // g["C"].shape[0]
+    return doc
+
+
+def test_controller_v1_bundle_still_loads(tmp_path, capsys, warm_kernel):
+    for strategy in ("digraph", "general"):
+        path = write_doc(tmp_path, sensor_scenario_doc(strategy),
+                         f"{strategy}.json")
+        v2 = tmp_path / f"{strategy}-v2.json"
+        assert main(["synth", path, "--out", str(v2)]) == 0
+        v1 = tmp_path / f"{strategy}-v1.json"
+        v1.write_text(json.dumps(v1_bundle(json.loads(v2.read_text()))))
+        new, old = load_controllers(v2), load_controllers(v1)
+        assert old["strategy"] == new["strategy"] == strategy
+        assert old["scenario_sha256"] == new["scenario_sha256"]
+        for c_new, c_old in zip(new["controllers"], old["controllers"]):
+            assert c_old.strategy == c_new.strategy
+            for name in CONTROLLER_FIELDS:
+                assert np.array_equal(getattr(c_old, name),
+                                      getattr(c_new, name))
+        csvs = []
+        for bundle in (v2, v1):
+            out = tmp_path / f"{bundle.stem}.csv"
+            assert main(["sim", path, "--controllers", str(bundle),
+                         "--out", str(out), "--t-end", "1.0"]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+    capsys.readouterr()
 
 
 def test_controller_file_format_gate(tmp_path):
@@ -371,6 +425,73 @@ def test_cli_synth_and_determinism(tmp_path, capsys):
     assert doc["certificates"]["abscissa"] < 0.0
     scn = load_scenario(path)
     assert doc["scenario_sha256"] == scenario_hash(scn)
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+MALFORMED = [
+    # (case, document path to overwrite, value, offending path in stderr)
+    ("infinite target", ("cost", "targets", 0, 0), float("inf"),
+     "cost.targets[1]"),
+    ("nan matrix entry", ("agents", 1, "A", "data", 0), float("nan"),
+     "agents[2].A"),
+    ("infinite initial state", ("agents", 0, "x0", 0), float("-inf"),
+     "agents[1].x0"),
+    ("nan exosystem state", ("exosystems", 2, "w0", 1), float("nan"),
+     "exosystems[3].w0"),
+    ("non-numeric dt", ("sim", "dt"), "x", "sim.dt"),
+    ("negative dt", ("sim", "dt"), -1, "sim.dt"),
+    ("zero dt", ("sim", "dt"), 0, "sim.dt"),
+    ("infinite dt", ("sim", "dt"), float("inf"), "sim.dt"),
+    ("non-numeric t_end", ("sim", "t_end"), "10", "sim.t_end"),
+    ("nan t_end", ("sim", "t_end"), float("nan"), "sim.t_end"),
+    ("fractional record_stride", ("sim", "record_stride"), 2.5,
+     "sim.record_stride"),
+    ("zero record_stride", ("sim", "record_stride"), 0, "sim.record_stride"),
+    ("boolean record_stride", ("sim", "record_stride"), True,
+     "sim.record_stride"),
+    ("non-numeric weight", ("synthesis", "observer_q"), "x",
+     "synthesis.observer_q"),
+    ("infinite weight", ("synthesis", "stabilizer_r"), float("inf"),
+     "synthesis.stabilizer_r"),
+]
+
+
+@pytest.mark.parametrize("case, path, value, where", MALFORMED,
+                         ids=[m[0] for m in MALFORMED])
+def test_cli_malformed_scenario_exits_2(case, path, value, where, tmp_path,
+                                        capsys):
+    doc = sensor_scenario_doc(
+        "general", sim={"dt": 1e-3, "t_end": 1.0, "record_stride": 10}
+    )
+    _set(doc, path, value)
+    scenario = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "c.json"
+    for argv in (["check", scenario], ["ne", scenario],
+                 ["synth", scenario, "--out", str(ctrl)]):
+        assert main(argv) == 2, (case, argv[0])
+        assert where in capsys.readouterr().err, (case, argv[0])
+    assert not ctrl.exists()
+
+
+def test_cli_synth_gates_regulator_residuals(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
+    real = neseek.cli.solve_regulator
+    for name in ("residual_dyn", "residual_err"):
+        for bad in (float("nan"), 1.0):
+            monkeypatch.setattr(
+                neseek.cli, "solve_regulator",
+                lambda cl: dataclasses.replace(real(cl), **{name: bad}),
+            )
+            out = tmp_path / "c.json"
+            assert main(["synth", path, "--out", str(out)]) == 4
+            assert name in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_cli_synth_unstable_default_weights(tmp_path, capsys):

@@ -43,7 +43,7 @@ def toy_loop(a):
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
-        ctrl_slices=((slice(1, 1), slice(1, 1)),),
+        ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
         game=game,
@@ -199,9 +199,9 @@ def test_distributed_single_agent_matches_stacked():
     )
     exo = Exosystem(S=np.array([[0.0, OMEGA], [-OMEGA, 0.0]]),
                     w0=np.array([1.0, 0.0]))
-    from neseek.synthesis import build_strategy_digraph
+    from neseek.synthesis import build_strategy
 
-    c = build_strategy_digraph(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)

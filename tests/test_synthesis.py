@@ -10,7 +10,7 @@ from neseek.errors import (
     SynthesisError,
 )
 from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
-from neseek.graph import CommGraph
+from neseek.graph import CommGraph, neighbors
 from neseek.internal_model import InternalModel, build_p_copy, verify_internal_model
 from neseek.linalg import eigenvalues, is_hurwitz
 from neseek.plant import AgentPlant, Exosystem, extend_exosystem, sample_perturbation
@@ -19,8 +19,7 @@ from neseek.synthesis import (
     SynthesisWeights,
     assemble_closed_loop,
     augmented_stabilizer,
-    build_strategy_digraph,
-    build_strategy_general,
+    build_strategy,
     certify_stability,
     largest_stable_scale,
     observer_gain,
@@ -121,77 +120,88 @@ def test_augmented_stabilizer_no_control_authority():
 
 def test_digraph_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_strategy_digraph(plant, game.costs[0], exo)
-    # eta stacks the n-dimensional observer part and the p*s internal
-    # model: 2 + 1*3 for one axis.
-    assert c.eta_dim == 5
-    assert c.M1.shape == (5, 5)
-    assert c.M2.shape == (5, 1)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    # The controller state stacks the n-dimensional observer part and
+    # the p*s internal model: 2 + 1*3 for one axis.
+    assert c.ctrl_dim == 5
+    assert c.s == 3
+    assert c.L.shape == (2, 1)
+    assert c.G2.shape == (3, 1)
     assert c.K.shape == (1, 5)
 
 
 def test_digraph_template_fidelity():
+    # The error-feedback template eta' = M1 eta + M2 e, u = K eta is no
+    # longer stored; its blocks must appear in the assembled loop.
     game, plant, exo = isolated_setup()
-    c = build_strategy_digraph(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     n = plant.n
+    x, eta = cl.x_slices[0], cl.ctrl_slices[0]
+    M1 = cl.A_c[eta, eta]
     upper_left = c.A + c.B @ c.K1 - c.L @ (Rw @ c.C)
-    assert np.array_equal(c.M1[:n, :n], upper_left)
-    assert np.array_equal(c.M1[:n, n:], c.B @ c.K2)
-    assert np.array_equal(c.M1[n:, :n], np.zeros((c.eta_dim - n, n)))
-    assert np.array_equal(c.M1[n:, n:], c.G1)
-    assert np.array_equal(c.M2[:n], c.L)
-    assert np.array_equal(c.M2[n:], c.G2)
+    assert np.array_equal(M1[:n, :n], upper_left)
+    assert np.array_equal(M1[:n, n:], c.B @ c.K2)
+    assert np.array_equal(M1[n:, :n], np.zeros((c.ctrl_dim - n, n)))
+    assert np.array_equal(M1[n:, n:], c.G1)
+    # eta reads e = Rw C x through M2 = [L; G2]
+    M2 = np.vstack([c.L, c.G2])
+    assert np.array_equal(cl.A_c[eta, x], M2 @ (Rw @ plant.C))
+    assert np.array_equal(cl.A_c[x, eta], plant.B @ c.K)
     assert np.array_equal(c.K, np.hstack([c.K1, c.K2]))
     assert np.array_equal(c.Rw, Rw)
 
 
 def test_digraph_internal_model_embedded():
     game, plant, exo = isolated_setup()
-    c = build_strategy_digraph(plant, game.costs[0], exo)
-    n = plant.n
-    im = InternalModel(G1=c.M1[n:, n:], G2=c.M2[n:], s=c.s, p=plant.p)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
+    zeta = slice(cl.ctrl_slices[0].start + plant.n, cl.ctrl_slices[0].stop)
+    im = InternalModel(G1=cl.A_c[zeta, zeta], G2=c.G2, s=c.s, p=plant.p)
     S_tilde = extend_exosystem(exo).S_tilde
     assert verify_internal_model(im, S_tilde)
 
 
 def test_digraph_disturbance_free_form():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy_digraph(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
     # S-tilde = [0]: the internal model collapses to the integrator pair.
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
-    assert c.eta_dim == 3
+    assert c.ctrl_dim == 3
 
 
 def test_general_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_strategy_general(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "general")
     assert c.K1.shape == (1, 2)
     assert c.K2.shape == (1, 3)
-    assert c.zeta_dim == 3
+    assert c.G1.shape == (3, 3)
+    assert c.ctrl_dim == 5
 
 
 def test_general_disturbance_free_integrator_law():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy_general(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "general")
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
 
 
 def test_strategies_share_gains():
     game, plant, exo = isolated_setup()
-    a = build_strategy_digraph(plant, game.costs[0], exo)
-    b = build_strategy_general(plant, game.costs[0], exo)
+    a = build_strategy(plant, game.costs[0], exo, "digraph")
+    b = build_strategy(plant, game.costs[0], exo, "general")
     for attr in ("L", "G1", "G2", "K1", "K2", "Rw"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr))
+    assert (a.strategy, b.strategy) == ("digraph", "general")
 
 
 def test_weights_override_changes_gains():
     game, plant, exo = isolated_setup()
-    base = build_strategy_digraph(plant, game.costs[0], exo)
-    heavy = build_strategy_digraph(
-        plant, game.costs[0], exo, SynthesisWeights(observer_q=100.0)
+    base = build_strategy(plant, game.costs[0], exo, "digraph")
+    heavy = build_strategy(
+        plant, game.costs[0], exo, "digraph", SynthesisWeights(observer_q=100.0)
     )
     assert not np.array_equal(base.L, heavy.L)
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
@@ -203,7 +213,7 @@ def test_cost_plant_dimension_mismatch():
     game, plant, exo = isolated_setup(target=(-1.0, 0.0))
     # Cost built for a 2-dimensional output, plant measures 1.
     with pytest.raises(DimensionError):
-        build_strategy_digraph(plant, game.costs[0], exo)
+        build_strategy(plant, game.costs[0], exo, "digraph")
 
 
 def test_assemble_rejects_cycle():
@@ -212,7 +222,7 @@ def test_assemble_rejects_cycle():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_strategy_digraph(plants[i], game.costs[i], exos[i])
+        build_strategy(plants[i], game.costs[i], exos[i], "digraph")
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -226,7 +236,7 @@ def test_assemble_rejects_disconnected():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_strategy_general(plants[i], game.costs[i], exos[i])
+        build_strategy(plants[i], game.costs[i], exos[i], "general")
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -236,16 +246,19 @@ def test_assemble_rejects_disconnected():
 
 def test_assemble_rejects_wrong_controller_kind():
     game, plant, exo = isolated_setup()
-    c = build_strategy_general(plant, game.costs[0], exo)
-    with pytest.raises(DimensionError):
+    c = build_strategy(plant, game.costs[0], exo, "general")
+    with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
+    assert "strategy" in str(err.value)
+    with pytest.raises(DimensionError):
+        build_strategy(plant, game.costs[0], exo, "centralized")
 
 
 def test_assemble_rejects_disturbance_dimension_mismatch():
     game, plant, exo = isolated_setup()
     narrow = AgentPlant(A=plant.A, B=plant.B, C=plant.C,
                         P=np.array([[0.0], [1.0]]))
-    c = build_strategy_digraph(narrow, game.costs[0], exo)
+    c = build_strategy(narrow, game.costs[0], exo, "digraph")
     with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (narrow,), (exo,), (c,), "digraph")
     assert "disturbance" in str(err.value)
@@ -257,7 +270,7 @@ def test_single_agent_block_matches_stacked(sensor_digraph):
     s = sensor_digraph
     g1 = CommGraph(1, directed=True, edges=[])
     game1 = cost_from_targets([np.array([-1.0, 0.0])], g1)
-    c1 = build_strategy_digraph(s.plants[0], game1.costs[0], s.exos[0])
+    c1 = build_strategy(s.plants[0], game1.costs[0], s.exos[0], "digraph")
     cl1 = assemble_closed_loop(game1, (s.plants[0],), (s.exos[0],),
                                (c1,), "digraph")
     k = cl1.dim_z
@@ -281,7 +294,7 @@ def test_dag_relabel_zero_pattern():
         plants = [axis_plant() for _ in range(n_agents)]
         exos = [axis_exo() for _ in range(n_agents)]
         controllers = [
-            build_strategy_digraph(plants[i], game.costs[i], exos[i])
+            build_strategy(plants[i], game.costs[i], exos[i], "digraph")
             for i in range(n_agents)
         ]
         cl = assemble_closed_loop(game, plants, exos, controllers, "digraph")
@@ -299,6 +312,29 @@ def test_dag_relabel_zero_pattern():
                 assert np.array_equal(sub, np.zeros_like(sub))
 
 
+def test_strategies_differ_only_in_observer_coupling(sensor_digraph):
+    # The sensor DAG is weakly connected, so both strategies assemble on
+    # it from the same gains: the general law adds exactly the blocks
+    # xi_i <- xi_j = -L_i R_ij C_j and leaves everything else alone.
+    s = sensor_digraph
+    general = [dataclasses.replace(c, strategy="general")
+               for c in s.controllers]
+    cl_g = assemble_closed_loop(s.game, s.plants, s.exos, general, "general")
+    cl_d = s.cl
+    for name in ("P_c", "C_c", "Q_c", "S_hat", "C_out", "v0", "x_slices",
+                 "ctrl_slices", "v_slices", "out_slices"):
+        assert np.array_equal(getattr(cl_g, name), getattr(cl_d, name))
+    xi = [slice(sl.start, sl.start + c.n)
+          for sl, c in zip(cl_d.ctrl_slices, s.controllers)]
+    expected = np.zeros_like(cl_d.A_c)
+    for i, c in enumerate(s.controllers, start=1):
+        for j in neighbors(s.game.graph, i):
+            R_ij = s.game.costs[i - 1].R_ij[j]
+            expected[xi[i - 1], xi[j - 1]] = -c.L @ (R_ij @ s.plants[j - 1].C)
+    assert np.any(expected)
+    assert np.array_equal(cl_g.A_c - cl_d.A_c, expected)
+
+
 def test_certify_sensor_loops(sensor_digraph, sensor_general):
     for s in (sensor_digraph, sensor_general):
         ok, abscissa = certify_stability(s.cl)
@@ -308,7 +344,7 @@ def test_certify_sensor_loops(sensor_digraph, sensor_general):
 
 def test_certify_spectral_split():
     game, plant, exo = isolated_setup()
-    c = build_strategy_digraph(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     observer_part = eigenvalues(plant.A - c.L @ (Rw @ plant.C))
@@ -325,13 +361,13 @@ def test_certify_spectral_split():
 
 def test_certify_zeroed_gain_unstable():
     game, plant, exo = isolated_setup(disturbed=False)
-    for build, kind in ((build_strategy_general, "general"),
-                        (build_strategy_digraph, "digraph")):
-        c = build(plant, game.costs[0], exo)
-        fields = {"K1": np.zeros_like(c.K1), "K2": np.zeros_like(c.K2)}
-        if kind == "digraph":
-            fields["K"] = np.zeros_like(c.K)
-        dead = dataclasses.replace(c, **fields)
+    for kind in ("general", "digraph"):
+        c = build_strategy(plant, game.costs[0], exo, kind)
+        # K = [K1 K2] is derived, so zeroing K1 and K2 zeroes it too
+        dead = dataclasses.replace(
+            c, K1=np.zeros_like(c.K1), K2=np.zeros_like(c.K2)
+        )
+        assert not dead.K.any()
         cl = assemble_closed_loop(game, (plant,), (exo,), (dead,), kind)
         ok, _ = certify_stability(cl)
         assert not ok
@@ -358,7 +394,7 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
-        ctrl_slices=((slice(0, 1), slice(1, 1)),),
+        ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
     )
@@ -399,7 +435,7 @@ def test_steady_state_matches_ne(sensor_digraph, sensor_general):
 
 def test_steady_state_isolated_reaches_target():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy_digraph(plant, game.costs[0], exo)
+    c = build_strategy(plant, game.costs[0], exo, "digraph")
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     reg = solve_regulator(cl)
     x_ss, u_ss, y_ss = steady_state(reg, cl, cl.v0)
