@@ -10,6 +10,7 @@ Exit status contract:
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -265,9 +266,35 @@ def _empty_trajectory(scn):
     )
 
 
+def _bad_override(t_end, dt, perturb_scale):
+    """Message naming the first sim override outside its domain, or None."""
+    if dt is not None and not (0 < dt < math.inf):
+        return f"--dt must be positive and finite, got {dt!r}"
+    if t_end is not None and not (0 <= t_end < math.inf):
+        return f"--t-end must be non-negative and finite, got {t_end!r}"
+    if perturb_scale is not None and not (0 <= perturb_scale < math.inf):
+        return f"--perturb-scale must be non-negative and finite, got {perturb_scale!r}"
+    return None
+
+
+def _bundle_mismatch(scn, controllers):
+    """Message naming the first controller that cannot drive its plant, or None."""
+    if len(controllers) != scn.agent_count:
+        return f"bundle has {len(controllers)} agents, scenario has {scn.agent_count}"
+    for i, (c, plant) in enumerate(zip(controllers, scn.plants), start=1):
+        got, want = (c.n, c.m, c.p), (plant.n, plant.m, plant.p)
+        if got != want:
+            return f"agents[{i}]: controller has (n, m, p) = {got}, plant has {want}"
+    return None
+
+
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             perturb_scale=None, seed=0, stream=None):
     stream = sys.stdout if stream is None else stream
+    bad = _bad_override(t_end, dt, perturb_scale)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return EXIT_SCENARIO
     try:
         scn = load_scenario(path)
         bundle = load_controllers(controllers_path)
@@ -286,8 +313,15 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
 
     strategy = bundle["strategy"]
     controllers = bundle["controllers"]
+    bad = _bundle_mismatch(scn, controllers)
+    if bad:
+        print(f"error: {controllers_path}: {bad}", file=sys.stderr)
+        return EXIT_SCENARIO
     dt = scn.sim["dt"] if dt is None else float(dt)
     t_end = scn.sim["t_end"] if t_end is None else float(t_end)
+    if 0 < t_end < dt:
+        print(f"error: t_end {t_end!r} is shorter than dt {dt!r}", file=sys.stderr)
+        return EXIT_SCENARIO
 
     plants = scn.plants
     perturbed = False

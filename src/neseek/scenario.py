@@ -60,6 +60,8 @@ def _mat_from_json(obj, where):
         or set(obj) != {"shape", "data"}
         or not isinstance(obj["shape"], list)
         or len(obj["shape"]) != 2
+        or not all(type(d) is int and d >= 0 for d in obj["shape"])
+        or not isinstance(obj["data"], list)
     ):
         raise ScenarioError(
             f"{where}: matrices need the form {{'shape': [r, c], 'data': [...]}}"
@@ -116,6 +118,17 @@ def _require(doc, key, where):
     if key not in doc:
         raise ScenarioError(f"{where}: missing required field {key!r}")
     return doc[key]
+
+
+def _parse_weights(weight_doc, where):
+    if not isinstance(weight_doc, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    extra = set(weight_doc) - set(asdict(SynthesisWeights()))
+    if extra:
+        raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
+    return SynthesisWeights(**{
+        k: _finite_number(v, f"{where}.{k}") for k, v in weight_doc.items()
+    })
 
 
 def parse_scenario(doc):
@@ -258,16 +271,7 @@ def parse_scenario(doc):
         )
     sim["record_stride"] = int(stride)
 
-    weight_doc = doc.get("synthesis", {})
-    if not isinstance(weight_doc, dict):
-        raise ScenarioError("synthesis: expected an object")
-    valid = set(asdict(SynthesisWeights()))
-    extra = set(weight_doc) - valid
-    if extra:
-        raise ScenarioError(f"synthesis: unknown field(s) {sorted(extra)}")
-    weights = SynthesisWeights(**{
-        k: _finite_number(v, f"synthesis.{k}") for k, v in weight_doc.items()
-    })
+    weights = _parse_weights(doc.get("synthesis", {}), "synthesis")
 
     scn = Scenario(
         name=str(doc.get("name", "")),
@@ -376,6 +380,17 @@ def save_controllers(path, scenario, strategy, controllers, weights, certificate
     return doc
 
 
+def _check_controller_shapes(kw, where):
+    """Every gain's shape must agree with n, m, p and the internal-model size."""
+    n, m, p, v = kw["A"].shape[0], kw["B"].shape[1], kw["C"].shape[0], kw["G1"].shape[0]
+    expected = {"A": (n, n), "B": (n, m), "C": (p, n), "L": (n, p), "G1": (v, v),
+                "G2": (v, p), "K1": (m, n), "K2": (m, v), "Rw": (p, p)}
+    for name in CONTROLLER_FIELDS:
+        got, want = kw[name].shape, expected[name]
+        if got != want:
+            raise ScenarioError(f"{where}.{name}: shape {got}, other fields imply {want}")
+
+
 def load_controllers(path):
     """Read a controller file back into controller objects + metadata."""
     try:
@@ -393,16 +408,20 @@ def load_controllers(path):
     strategy = doc.get("strategy")
     if strategy not in STRATEGIES:
         raise ScenarioError(f"{path}: bad strategy {strategy!r}")
+    agents = doc.get("agents", [])
+    if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
+        raise ScenarioError(f"{path}: agents: expected a list of objects")
     controllers = []
-    for i, entry in enumerate(doc.get("agents", []), start=1):
+    for i, entry in enumerate(agents, start=1):
         where = f"{path}: agents[{i}]"
         kw = {name: _mat_from_json(_require(entry, name, where), f"{where}.{name}")
               for name in CONTROLLER_FIELDS}
+        _check_controller_shapes(kw, where)
         controllers.append(Controller(**kw, strategy=strategy))
     return {
         "strategy": strategy,
         "scenario_sha256": str(doc.get("scenario_sha256", "")),
-        "synthesis": SynthesisWeights(**doc.get("synthesis", {})),
+        "synthesis": _parse_weights(doc.get("synthesis", {}), f"{path}: synthesis"),
         "certificates": dict(doc.get("certificates", {})),
         "controllers": tuple(controllers),
     }

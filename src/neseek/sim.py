@@ -1,9 +1,10 @@
-"""Closed-loop trajectories: stacked fast path and per-agent firewalled path.
+"""Closed-loop trajectories: the stacked propagator and the per-agent reference loop.
 
-Both integrators use the same classic fourth-order stages with the
-exogenous vector advanced by its exact matrix exponential, so the two
-code paths implement identical arithmetic and may be compared sample by
-sample as a consistency oracle.
+Both paths take classic RK4 steps with the exogenous vector advanced by
+its exact matrix exponential.  The stacked path applies one RK4 step as
+a precomputed matrix on [z; v], and its powers between recorded samples;
+the distributed path runs the same stages agent by agent behind neighbor
+read gates and is the reference loop the stacked path is compared with.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from .errors import DimensionError, DivergenceError, DomainError, FirewallViolation
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
@@ -85,11 +85,38 @@ def _exo_steppers(S_hat, dt):
     return E_half, E_half @ E_half
 
 
+def record_steps(n_steps, stride):
+    """Step indices recorded: 0, stride, 2*stride, ..., n_steps."""
+    steps = np.arange(0, n_steps + 1, stride)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps
+
+
+def _rk4_map(A_c, P_c, E_half, E_full, dt):
+    """One RK4 step of zdot = A_c z + P_c v as a matrix on [z; v].
+
+    Each stage k_j is written as a linear map of [z; v], with v at the
+    half and full step given exactly by E_half and E_full; the v-block
+    of the result is E_full and its lower-left block is zero.
+    """
+    dz, dv = P_c.shape
+    ident = np.eye(dz, dz + dv)  # [I 0] picks z out of [z; v]
+    k1 = np.hstack([A_c, P_c])
+    P_half = np.hstack([np.zeros((dz, dz)), P_c @ E_half])
+    k2 = A_c @ (ident + 0.5 * dt * k1) + P_half
+    k3 = A_c @ (ident + 0.5 * dt * k2) + P_half
+    k4 = A_c @ (ident + dt * k3) + np.hstack([np.zeros((dz, dz)), P_c @ E_full])
+    top = ident + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.block([[top], [np.zeros((dv, dz)), E_full]])
+
+
 def simulate(cl, cfg, z0=None, v0=None):
     """Integrate the stacked closed loop; v is advanced exactly.
 
-    Raises DivergenceError (with the first bad time) if the state goes
-    non-finite, which is how an unstable assembly surfaces.
+    Samples follow one another by powers of the RK4 step map.  Raises
+    DivergenceError at the first step whose state is non-finite, which
+    is how an unstable assembly surfaces.
     """
     z0 = cl.initial_state() if z0 is None else np.asarray(z0, dtype=float)
     v0 = cl.v0 if v0 is None else np.asarray(v0, dtype=float)
@@ -98,17 +125,30 @@ def simulate(cl, cfg, z0=None, v0=None):
             f"z0/v0 must have dims {cl.dim_z}/{cl.dim_v}, "
             f"got {z0.shape}/{v0.shape}"
         )
-    E_half, E_full = _exo_steppers(cl.S_hat, cfg.dt)
-    Z, V, bad = _kernels.rk4_run(
-        cl.A_c, cl.P_c, E_half, E_full, z0, v0,
-        cfg.dt, cfg.n_steps, cfg.record_stride,
-    )
-    if bad:
-        raise DivergenceError(
-            f"state became non-finite at t = {bad * cfg.dt:.6g}",
-            t_bad=bad * cfg.dt,
-        )
-    times = _kernels.record_steps(cfg.n_steps, cfg.record_stride) * cfg.dt
+    dz = cl.dim_z
+    M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
+    steps = record_steps(cfg.n_steps, cfg.record_stride)
+    jumps = np.diff(steps).tolist()
+    X = np.empty((len(steps), dz + cl.dim_v))
+    X[0] = np.concatenate([z0, v0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
+        for r, n in enumerate(jumps, start=1):
+            X[r] = powers[n] @ X[r - 1]
+            if np.isfinite(X[r, :dz]).all():
+                continue
+            # the state or only M^n overflowed: replay one step at a time
+            x = X[r - 1]
+            for k in range(int(steps[r - 1]) + 1, int(steps[r]) + 1):
+                x = M @ x
+                if not np.isfinite(x[:dz]).all():
+                    raise DivergenceError(
+                        f"state became non-finite at t = {k * cfg.dt:.6g}",
+                        t_bad=k * cfg.dt,
+                    )
+            X[r] = x
+    Z, V = X[:, :dz], X[:, dz:]
+    times = steps * cfg.dt
 
     x = tuple(Z[:, sl] for sl in cl.x_slices)
     ctrl = tuple(Z[:, sl] for sl in cl.ctrl_slices)
@@ -226,7 +266,7 @@ def simulate_distributed(game, plants, exos, controllers, cfg, x0=None, w0=None)
             )
         return rates
 
-    steps = _kernels.record_steps(cfg.n_steps, cfg.record_stride)
+    steps = record_steps(cfg.n_steps, cfg.record_stride)
     times = steps * cfg.dt
     rec_x = [np.empty((len(steps), len(x[i]))) for i in range(N)]
     rec_st = [np.empty((len(steps), ctrl_dims[i])) for i in range(N)]

@@ -142,12 +142,3 @@ def scenario_paths(tmp_path_factory):
         p.write_text(json.dumps(sensor_scenario_doc(strategy), indent=1))
         paths[strategy] = p
     return paths
-
-
-@pytest.fixture(scope="session")
-def warm_kernel(sensor_digraph):
-    """Trigger JIT compilation once so timed tests measure steady state."""
-    from neseek.sim import SimConfig, simulate
-
-    simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.05))
-    return True

@@ -93,7 +93,7 @@ def test_criterion_03_synthesis_certificates():
            f"{'; '.join(details)}, {elapsed:.3f} s")
 
 
-def test_criterion_04_regulation_under_disturbance(warm_kernel):
+def test_criterion_04_regulation_under_disturbance():
     t0 = time.perf_counter()
     cfg = SimConfig(dt=1e-3, t_end=100.0, record_stride=100)
     worst_e = 0.0
@@ -116,7 +116,7 @@ def test_criterion_04_regulation_under_disturbance(warm_kernel):
            f"disturbance floor {w_floor:.3f}, {elapsed:.1f} s")
 
 
-def test_criterion_05_robust_convergence_sampling(warm_kernel):
+def test_criterion_05_robust_convergence_sampling():
     t0 = time.perf_counter()
     scale = 0.02
     cfg = SimConfig(dt=1e-3, t_end=100.0, record_stride=100)
@@ -211,7 +211,7 @@ def test_criterion_08_rank_invariance_suite():
            f"{checked} scaled pencils held rank, {elapsed:.2f} s")
 
 
-def test_criterion_09_distributed_matches_stacked(warm_kernel):
+def test_criterion_09_distributed_matches_stacked():
     t0 = time.perf_counter()
     cfg = SimConfig(dt=1e-3, t_end=10.0, record_stride=100)
     worst = 0.0

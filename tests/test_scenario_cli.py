@@ -248,7 +248,7 @@ def v1_bundle(doc):
     return doc
 
 
-def test_controller_v1_bundle_still_loads(tmp_path, capsys, warm_kernel):
+def test_controller_v1_bundle_still_loads(tmp_path, capsys):
     for strategy in ("digraph", "general"):
         path = write_doc(tmp_path, sensor_scenario_doc(strategy),
                          f"{strategy}.json")
@@ -518,7 +518,7 @@ def test_cli_synth_gate_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_sim_pipeline(tmp_path, capsys, warm_kernel):
+def test_cli_sim_pipeline(tmp_path, capsys):
     path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
     ctrl = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(ctrl)]) == 0
@@ -540,7 +540,7 @@ def test_cli_sim_pipeline(tmp_path, capsys, warm_kernel):
     ET.fromstring(errors_svg.read_text())
 
 
-def test_cli_sim_determinism(tmp_path, capsys, warm_kernel):
+def test_cli_sim_determinism(tmp_path, capsys):
     path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
     ctrl = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(ctrl)]) == 0
@@ -580,7 +580,7 @@ def test_cli_sim_zero_horizon(tmp_path, capsys):
     assert lines[0].startswith("t, y_1_1")
 
 
-def test_cli_sim_perturbed(tmp_path, capsys, warm_kernel):
+def test_cli_sim_perturbed(tmp_path, capsys):
     path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
     ctrl = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(ctrl)]) == 0
@@ -590,3 +590,87 @@ def test_cli_sim_perturbed(tmp_path, capsys, warm_kernel):
     captured = capsys.readouterr()
     assert rc == 0
     assert "abscissa" in captured.err
+
+
+@pytest.fixture(scope="module")
+def sensor_bundle(tmp_path_factory):
+    """A short-horizon digraph scenario and its synthesized bundle."""
+    root = tmp_path_factory.mktemp("bundle")
+    doc = sensor_scenario_doc(
+        "digraph", sim={"dt": 1e-3, "t_end": 1.0, "record_stride": 100}
+    )
+    scenario = write_doc(root, doc)
+    ctrl = root / "ctrl.json"
+    assert main(["synth", scenario, "--out", str(ctrl)]) == 0
+    return scenario, json.loads(ctrl.read_text())
+
+
+def consistent_agent(n, m, p, v):
+    """Controller entry whose fields agree with each other but not the plant."""
+    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "L": (n, p),
+              "G1": (v, v), "G2": (v, p), "K1": (m, n), "K2": (m, v),
+              "Rw": (p, p)}
+    return {k: mat(np.zeros(shape)) for k, shape in shapes.items()}
+
+
+def _edit_bundle(path, value):
+    def edit(doc):
+        _set(doc, path, value)
+    return edit
+
+
+BAD_SIM_INPUTS = [
+    # (case, extra sim argv, bundle edit, text expected in stderr)
+    ("nan t-end", ["--t-end", "nan"], None, "--t-end"),
+    ("infinite t-end", ["--t-end", "inf"], None, "--t-end"),
+    ("negative t-end", ["--t-end", "-1"], None, "--t-end"),
+    ("zero dt", ["--dt", "0"], None, "--dt"),
+    ("negative dt", ["--dt", "-1"], None, "--dt"),
+    ("nan dt", ["--dt", "nan"], None, "--dt"),
+    ("infinite dt", ["--dt", "inf"], None, "--dt"),
+    ("t-end shorter than dt", ["--t-end", "0.0005"], None, "shorter than dt"),
+    ("dt longer than t-end", ["--dt", "2"], None, "shorter than dt"),
+    ("nan perturb-scale", ["--perturb-scale", "nan"], None,
+     "--perturb-scale"),
+    ("infinite perturb-scale", ["--perturb-scale", "inf"], None,
+     "--perturb-scale"),
+    ("negative perturb-scale", ["--perturb-scale", "-0.1"], None,
+     "--perturb-scale"),
+    ("unknown synthesis key", [],
+     _edit_bundle(("synthesis", "observer_gain"), 2.0), "synthesis"),
+    ("non-finite synthesis weight", [],
+     _edit_bundle(("synthesis", "observer_q"), "x"), "synthesis.observer_q"),
+    ("1x1 K1", [], _edit_bundle(("agents", 0, "K1"), mat([[1.0]])),
+     "agents[1].K1"),
+    ("short Rw", [], _edit_bundle(("agents", 2, "Rw"), mat(np.eye(1))),
+     "agents[3].Rw"),
+    ("fractional matrix shape", [],
+     _edit_bundle(("agents", 0, "Rw"), {"shape": [0.5, 2], "data": [1.0]}),
+     "agents[1].Rw"),
+    ("matrix data not a list", [],
+     _edit_bundle(("agents", 0, "L"), {"shape": [1, 1], "data": 1.0}),
+     "agents[1].L"),
+    ("agents not a list", [], _edit_bundle(("agents",), {}), "agents"),
+    ("four agents for five", [],
+     lambda doc: doc["agents"].pop(), "4 agents"),
+    ("controller for another plant", [],
+     _edit_bundle(("agents", 1), consistent_agent(3, 2, 2, 6)), "agents[2]"),
+]
+
+
+@pytest.mark.parametrize("case, extra, edit, where", BAD_SIM_INPUTS,
+                         ids=[b[0] for b in BAD_SIM_INPUTS])
+def test_cli_sim_bad_inputs_exit_2(case, extra, edit, where, sensor_bundle,
+                                   tmp_path, capsys):
+    scenario, bundle = sensor_bundle
+    bundle = copy.deepcopy(bundle)
+    if edit is not None:
+        edit(bundle)
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out = tmp_path / "run.csv"
+    rc = main(["sim", scenario, "--controllers", str(ctrl),
+               "--out", str(out)] + extra)
+    assert rc == 2, case
+    assert where in capsys.readouterr().err, case
+    assert not out.exists()

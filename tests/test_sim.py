@@ -1,13 +1,11 @@
 import csv
-import os
-import subprocess
-import sys
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from neseek import _kernels
 from neseek.errors import DivergenceError, DomainError, FirewallViolation
 from neseek.game import cost_from_targets
 from neseek.graph import CommGraph
@@ -137,41 +135,75 @@ def test_disturbance_persists(sensor_digraph):
     assert np.min(norms) >= 0.9 * np.linalg.norm(sensor_digraph.exos[0].w0)
 
 
+def stacked_state(tr, cl):
+    """Recorded z, rebuilt from the per-agent plant and controller series."""
+    Z = np.empty((len(tr.times), cl.dim_z))
+    for sl, arr in zip(cl.x_slices + cl.ctrl_slices, tr.x + tr.ctrl):
+        Z[:, sl] = arr
+    return Z
+
+
+def reference_rk4(cl, dt, n_steps, stride):
+    """Per-step RK4 loop on the stacked loop, recording like simulate()."""
+    E_half = scipy.linalg.expm(cl.S_hat * (dt / 2.0))
+    E_full = E_half @ E_half
+    A, P = cl.A_c, cl.P_c
+    z, v = cl.initial_state(), cl.v0
+    rows = [z]
+    for k in range(1, n_steps + 1):
+        vh, vf = E_half @ v, E_full @ v
+        k1 = A @ z + P @ v
+        k2 = A @ (z + 0.5 * dt * k1) + P @ vh
+        k3 = A @ (z + 0.5 * dt * k2) + P @ vh
+        k4 = A @ (z + dt * k3) + P @ vf
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = vf
+        if k % stride == 0 or k == n_steps:
+            rows.append(z)
+    return np.array(rows)
+
+
 def test_constant_channel_stays_one(sensor_digraph):
     cl = sensor_digraph.cl
-    E_half = scipy.linalg.expm(cl.S_hat * (1e-3 / 2.0))
-    _, V, bad = _kernels.rk4_run(
-        cl.A_c, cl.P_c, E_half, E_half @ E_half,
-        cl.initial_state(), cl.v0, 1e-3, 2000, 50,
-    )
-    assert bad == 0
-    for sl in cl.v_slices:
-        ones = V[:, sl][:, -1]
-        assert np.array_equal(ones, np.ones_like(ones))
+    # widen each agent's recorded w to its whole extended block [w; 1]
+    wide = dataclasses.replace(cl, exos=tuple(
+        SimpleNamespace(q=sl.stop - sl.start) for sl in cl.v_slices
+    ))
+    # 2000 steps at stride 70 also applies a final partial stride
+    tr = simulate(wide, SimConfig(dt=1e-3, t_end=2.0, record_stride=70))
+    assert tr.times[-1] == pytest.approx(2.0)
+    for w in tr.w:
+        assert np.array_equal(w[:, -1], np.ones(len(tr.times)))
 
 
-def test_kernel_paths_agree(sensor_digraph):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
+@pytest.mark.parametrize("stride", [100, 300])  # 300 ends on a partial stride
+def test_propagator_matches_reference_loop(stride, sensor_digraph):
     cl = sensor_digraph.cl
-    E_half = scipy.linalg.expm(cl.S_hat * (1e-3 / 2.0))
-    args = (cl.A_c, cl.P_c, E_half, E_half @ E_half,
-            cl.initial_state(), cl.v0, 1e-3, 5000, 100)
-    Z_nb, V_nb, bad_nb = _kernels.rk4_run(*args, use_numba=True)
-    Z_np, V_np, bad_np = _kernels.rk4_run(*args, use_numba=False)
-    assert bad_nb == bad_np == 0
-    assert np.array_equal(Z_nb, Z_np)
-    assert np.array_equal(V_nb, V_np)
+    tr = simulate(cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=stride))
+    Z_ref = reference_rk4(cl, 1e-3, 5000, stride)
+    assert Z_ref.shape == (len(tr.times), cl.dim_z)
+    assert np.max(np.abs(stacked_state(tr, cl) - Z_ref)) <= 1e-10
 
 
-def test_disable_flag_selects_numpy_kernel():
-    env = dict(os.environ, NESEEK_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from neseek._kernels import kernel_name; print(kernel_name())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_record_stride_invariance(sensor_digraph):
+    t_bad = []
+    for stride in (1, 7, 1000):
+        with pytest.raises(DivergenceError) as err:
+            simulate(toy_loop(100.0),
+                     SimConfig(dt=1e-3, t_end=10.0, record_stride=stride),
+                     z0=np.array([1.0]))
+        t_bad.append(err.value.t_bad)
+    assert t_bad[0] == t_bad[1] == t_bad[2]
+    assert 7.0 < t_bad[0] < 7.2
+
+    cl = sensor_digraph.cl
+    every = simulate(cl, SimConfig(dt=1e-2, t_end=3.0, record_stride=1))
+    third = simulate(cl, SimConfig(dt=1e-2, t_end=3.0, record_stride=3))
+    assert np.array_equal(third.times, every.times[::3])
+    assert np.max(np.abs(stacked_state(third, cl)
+                         - stacked_state(every, cl)[::3])) <= 1e-12
+    assert np.max(np.abs(np.hstack(third.w) - np.hstack(every.w)[::3])) \
+        <= 1e-12
 
 
 def test_neighbor_view_firewall():
