@@ -133,35 +133,25 @@ def run_checks(scn, strategy):
     return rows, sorted(failures)
 
 
-def cmd_check(path, stream=None):
-    stream = sys.stdout if stream is None else stream
-    try:
-        scn = load_scenario(path)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+def cmd_check(path):
+    scn = load_scenario(path)
     rows, failures = run_checks(scn, scn.strategy)
     width = max(len(r[0]) for r in rows)
-    print(f"scenario: {scn.name or path} (strategy {scn.strategy})", file=stream)
+    print(f"scenario: {scn.name or path} (strategy {scn.strategy})")
     for label, status, detail in rows:
         line = f"  {label:<{width}}  {status:<4}"
         if detail:
             line += f"  {detail}"
-        print(line, file=stream)
+        print(line)
     if failures:
-        print(f"failed assumptions: {failures}", file=stream)
+        print(f"failed assumptions: {failures}")
         return _exit_assumption(failures[0])
-    print("all applicable assumptions hold", file=stream)
+    print("all applicable assumptions hold")
     return EXIT_OK
 
 
-def cmd_ne(path, stream=None):
-    stream = sys.stdout if stream is None else stream
-    try:
-        scn = load_scenario(path)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+def cmd_ne(path):
+    scn = load_scenario(path)
     pg = assemble_pseudo_gradient(scn.game)
     ok, lam_min = check_assumption_1(pg)
     if not ok:
@@ -173,11 +163,11 @@ def cmd_ne(path, stream=None):
         return _exit_assumption(1)
     y_star = solve_ne(pg)
     residual = float(np.linalg.norm(pg.Rbar @ y_star + pg.Qbar))
-    print(f"lambda_min = {lam_min!r}", file=stream)
+    print(f"lambda_min = {lam_min!r}")
     for i in range(1, scn.agent_count + 1):
         block = scn.game.block(y_star, i)
-        print(f"y*_{i} = [{', '.join(repr(float(v)) for v in block)}]", file=stream)
-    print(f"residual = {residual!r}", file=stream)
+        print(f"y*_{i} = [{', '.join(repr(float(v)) for v in block)}]")
+    print(f"residual = {residual!r}")
     return EXIT_OK
 
 
@@ -188,13 +178,8 @@ def _build_controllers(scn, strategy):
     ]
 
 
-def cmd_synth(path, out, strategy=None, stream=None):
-    stream = sys.stdout if stream is None else stream
-    try:
-        scn = load_scenario(path)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+def cmd_synth(path, out, strategy=None):
+    scn = load_scenario(path)
     strategy = strategy or scn.strategy
     _, failures = run_checks(scn, strategy)
     if failures:
@@ -204,17 +189,8 @@ def cmd_synth(path, out, strategy=None, stream=None):
             file=sys.stderr,
         )
         return _exit_assumption(failures[0])
-    try:
-        controllers = _build_controllers(scn, strategy)
-        cl = assemble_closed_loop(
-            scn.game, scn.plants, scn.exos, controllers, strategy
-        )
-    except SynthesisError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SYNTH
-    except AssumptionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_assumption(err.number)
+    controllers = _build_controllers(scn, strategy)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
     ok, abscissa = certify_stability(cl)
     if not ok:
         print(
@@ -245,10 +221,9 @@ def cmd_synth(path, out, strategy=None, stream=None):
     save_controllers(out, scn, strategy, controllers, scn.weights, certificates)
     print(
         f"synthesized {len(controllers)} {strategy} controllers: "
-        f"abscissa={abscissa!r}, residual_err={reg.residual_err!r}",
-        file=stream,
+        f"abscissa={abscissa!r}, residual_err={reg.residual_err!r}"
     )
-    print(f"wrote {out}", file=stream)
+    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -289,27 +264,20 @@ def _bundle_mismatch(scn, controllers):
 
 
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
-            perturb_scale=None, seed=0, stream=None):
-    stream = sys.stdout if stream is None else stream
+            perturb_scale=None, seed=0):
     bad = _bad_override(t_end, dt, perturb_scale)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_SCENARIO
-    try:
-        scn = load_scenario(path)
-        bundle = load_controllers(controllers_path)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
+    scn = load_scenario(path)
+    bundle = load_controllers(controllers_path)
     want = scenario_hash(scn)
     got = bundle["scenario_sha256"]
     if got != want:
-        print(
-            f"error: {controllers_path} was synthesized for a different "
-            f"scenario (hash {got[:12]}.. != {want[:12]}..); re-run synth",
-            file=sys.stderr,
+        raise StaleControllerError(
+            f"{controllers_path} was synthesized for a different "
+            f"scenario (hash {got[:12]}.. != {want[:12]}..); re-run synth"
         )
-        return EXIT_STALE
 
     strategy = bundle["strategy"]
     controllers = bundle["controllers"]
@@ -333,14 +301,13 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
         )
         perturbed = True
 
-    try:
-        cl = assemble_closed_loop(
-            scn.game, plants, scn.exos, controllers, strategy,
-            perturbed=perturbed,
-        )
-    except AssumptionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_assumption(err.number)
+    cl = assemble_closed_loop(
+        scn.game, plants, scn.exos, controllers, strategy, perturbed=perturbed,
+    )
+    if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
+        print(f"error: {controllers_path}: gains overflow the assembled "
+              "closed loop (non-finite entries)", file=sys.stderr)
+        return EXIT_SCENARIO
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)
@@ -351,15 +318,8 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
         print(f"wrote {out} (header only, zero horizon)", file=sys.stderr)
         return EXIT_OK
 
-    cfg = SimConfig(
-        dt=dt, t_end=t_end, record_stride=scn.sim["record_stride"],
-        perturb_scale=perturb_scale,
-    )
-    try:
-        tr = simulate(cl, cfg)
-    except NeseekError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+    cfg = SimConfig(dt=dt, t_end=t_end, record_stride=scn.sim["record_stride"])
+    tr = simulate(cl, cfg)
     write_csv(tr, out)
 
     metrics = convergence_metrics(tr, tol=1e-3)

@@ -99,12 +99,13 @@ def solve_linear(A, b):
 
 
 def solve_sylvester(A, B, C):
-    """Solve ``X B - A X = C`` by dense Kronecker vectorization.
+    """Solve ``X B - A X = C`` by the Bartels-Stewart method.
 
     ``A`` is n x n, ``B`` is m x m, ``C`` and the solution are n x m.
     Solvability requires spec(A) and spec(B) disjoint; here the caller
     guarantees it (A Hurwitz, B with no eigenvalue in the open left
-    half-plane).
+    half-plane).  The solve is ``scipy.linalg.solve_sylvester`` on
+    ``(-A) X + X B = C`` (Bartels & Stewart 1972, CACM 15(9)).
 
     Raises
     ------
@@ -129,20 +130,17 @@ def solve_sylvester(A, B, C):
                 "the Sylvester equation has no unique solution"
             )
 
-    # vec is column-major so that vec(XB - AX) = (B' kron I - I kron A) vec(X)
-    M = np.kron(B.T, np.eye(n)) - np.kron(np.eye(m), A)
-    x = solve_linear(M, C.flatten(order="F"))
-    return x.reshape((n, m), order="F")
+    return scipy.linalg.solve_sylvester(-A, B, C)
 
 
 def solve_care(A, B, Qw, Rw):
     """Stabilizing state-feedback gain from the continuous Riccati equation.
 
     Computes the stabilizing solution P of
-    ``A'P + PA - P B Rw^{-1} B' P + Qw = 0`` by the Hamiltonian
-    invariant-subspace method (ordered real Schur form) and returns
-    ``K = -Rw^{-1} B' P``.  ``A + B K`` is certified Hurwitz before
-    returning.
+    ``A'P + PA - P B Rw^{-1} B' P + Qw = 0`` with
+    ``scipy.linalg.solve_continuous_are`` (Laub's Schur method, 1979,
+    IEEE TAC 24(6)) and returns ``K = -Rw^{-1} B' P``.  ``A + B K`` is
+    certified Hurwitz before returning.
 
     Parameters
     ----------
@@ -154,8 +152,9 @@ def solve_care(A, B, Qw, Rw):
     Raises
     ------
     SynthesisError
-        If the Hamiltonian has eigenvalues on the imaginary axis within
-        tolerance, or the computed gain fails the Hurwitz certificate.
+        If the library solver finds no stabilizing solution (for example
+        Hamiltonian eigenvalues on the imaginary axis), or the computed
+        gain fails the Hurwitz certificate.
     """
     A = _as_square(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -168,30 +167,11 @@ def solve_care(A, B, Qw, Rw):
             f"Qw {Qw.shape}, Rw {Rw.shape}"
         )
 
-    Rinv = np.linalg.inv(Rw)
-    H = np.block([[A, -B @ Rinv @ B.T], [-Qw, -A.T]])
-
-    eig_h = np.linalg.eigvals(H)
-    axis_tol = 1e-9 * max(1.0, np.linalg.norm(H, 2))
-    if np.min(np.abs(eig_h.real)) <= axis_tol:
-        raise SynthesisError(
-            "Hamiltonian has eigenvalues on the imaginary axis; "
-            "no stabilizing Riccati solution exists for this data"
-        )
-
-    T, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
-    if sdim != n:
-        raise SynthesisError(
-            f"stable Hamiltonian subspace has dimension {sdim}, expected {n}"
-        )
-    U11 = Z[:n, :n]
-    U21 = Z[n:, :n]
     try:
-        P = np.linalg.solve(U11.T, U21.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError(f"singular invariant-subspace basis: {exc}") from exc
-    P = 0.5 * (P + P.T)
-    K = -Rinv @ B.T @ P
+        P = scipy.linalg.solve_continuous_are(A, B, Qw, Rw)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SynthesisError(f"no stabilizing Riccati solution: {exc}") from exc
+    K = -np.linalg.solve(Rw, B.T @ P)
 
     ok, abscissa = is_hurwitz(A + B @ K)
     if not ok:

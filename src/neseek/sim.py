@@ -33,7 +33,6 @@ class SimConfig:
     dt: float
     t_end: float
     record_stride: int = 1
-    perturb_scale: float = None
 
     def __post_init__(self):
         if not self.dt > 0:

@@ -140,6 +140,28 @@ def test_solve_sylvester_residual_bound():
         assert res <= bound
 
 
+def _kronecker_sylvester(A, B, C):
+    """Reference solve of X B - A X = C as one dense vectorized system."""
+    n, m = A.shape[0], B.shape[0]
+    # column-major vec: vec(X B - A X) = (B' kron I - I kron A) vec(X)
+    M = np.kron(B.T, np.eye(n)) - np.kron(np.eye(m), A)
+    x = np.linalg.solve(M, C.flatten(order="F"))
+    return x.reshape((n, m), order="F")
+
+
+def test_solve_sylvester_matches_kronecker_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 6))
+        A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+        B = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+        C = rng.standard_normal((n, m))
+        X = solve_sylvester(A, B, C)
+        X_ref = _kronecker_sylvester(A, B, C)
+        assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+
 def test_solve_care_scalar_integrator():
     K = solve_care(np.array([[0.0]]), np.array([[1.0]]),
                    np.array([[1.0]]), np.array([[1.0]]))

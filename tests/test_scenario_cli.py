@@ -619,6 +619,14 @@ def _edit_bundle(path, value):
     return edit
 
 
+def _overflowing_gain(doc):
+    """Finite but huge observer gain: the assembled loop overflows."""
+    data = doc["agents"][0]["L"]["data"]
+    doc["agents"][0]["L"]["data"] = [
+        1e308 if k % 2 else -1e308 for k in range(len(data))
+    ]
+
+
 BAD_SIM_INPUTS = [
     # (case, extra sim argv, bundle edit, text expected in stderr)
     ("nan t-end", ["--t-end", "nan"], None, "--t-end"),
@@ -655,6 +663,7 @@ BAD_SIM_INPUTS = [
      lambda doc: doc["agents"].pop(), "4 agents"),
     ("controller for another plant", [],
      _edit_bundle(("agents", 1), consistent_agent(3, 2, 2, 6)), "agents[2]"),
+    ("gains overflow the loop", [], _overflowing_gain, "ctrl.json"),
 ]
 
 

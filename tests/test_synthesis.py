@@ -27,6 +27,15 @@ from neseek.synthesis import (
     steady_state,
 )
 
+from conftest import (
+    GENERAL_WEIGHTS,
+    SENSOR_A,
+    SENSOR_B,
+    SENSOR_C,
+    SENSOR_P,
+    SENSOR_S,
+)
+
 OMEGA = np.pi / 10.0
 ROT = np.array([[0.0, OMEGA], [-OMEGA, 0.0]])
 
@@ -466,3 +475,48 @@ def test_largest_stable_scale(sensor_digraph):
     cl = sensor_digraph.cl
     assert largest_stable_scale(cl, [0.01, 0.02], draws=5, seed=3) == 0.02
     assert largest_stable_scale(cl, [100.0], draws=3, seed=3) is None
+
+
+@pytest.fixture(scope="module")
+def chain20():
+    """20 sensor agents on the chain DAG i -> i+1, i -> i+2."""
+    n = 20
+    edges = ([(i, i + 1) for i in range(1, n)]
+             + [(i, i + 2) for i in range(1, n - 1)])
+    rng = np.random.default_rng(20)
+    targets = [rng.uniform(-2.0, 2.0, size=2) for _ in range(n)]
+    plants = tuple(
+        AgentPlant(A=SENSOR_A, B=SENSOR_B, C=SENSOR_C, P=SENSOR_P,
+                   x0=np.concatenate([rng.uniform(-2.0, 2.0, size=2),
+                                      np.zeros(2)]))
+        for _ in range(n)
+    )
+    exos = tuple(Exosystem(S=SENSOR_S, w0=np.array([1.0, 0.0]))
+                 for _ in range(n))
+    return n, edges, targets, plants, exos
+
+
+@pytest.mark.parametrize("strategy", ["digraph", "general"])
+def test_chain20_certifies(chain20, strategy):
+    # 20 agents give dz = 280 and dv = 60; a dense vectorized regulator
+    # system of size (dz dv)^2 would take 2.26 GB.
+    n, edges, targets, plants, exos = chain20
+    if strategy == "general":
+        edges = sorted(set(edges) | {(b, a) for a, b in edges})
+    graph = CommGraph(n, directed=strategy == "digraph", edges=edges)
+    game = cost_from_targets(targets, graph)
+    weights = GENERAL_WEIGHTS if strategy == "general" else SynthesisWeights()
+    controllers = [
+        build_strategy(plants[i], game.costs[i], exos[i], strategy, weights)
+        for i in range(n)
+    ]
+    cl = assemble_closed_loop(game, plants, exos, controllers, strategy)
+    assert cl.A_c.shape == (280, 280) and cl.S_hat.shape == (60, 60)
+    ok, _ = certify_stability(cl)
+    assert ok
+    reg = solve_regulator(cl)
+    assert reg.residual_dyn <= 1e-8 * reg.scale_dyn
+    assert reg.residual_err <= 1e-8 * reg.scale_err
+    _, _, y_ss = steady_state(reg, cl, cl.v0)
+    y_star = solve_ne(assemble_pseudo_gradient(game))
+    assert np.max(np.abs(y_ss - y_star)) <= 1e-6
