@@ -1,4 +1,4 @@
-"""Dense real-matrix kernels used by every other module.
+"""Dense matrix kernels used by every other module.
 
 Spectra, ranks, linear / Sylvester / Riccati solves, and minimal
 polynomials.  All functions take and return plain ``numpy.ndarray``
@@ -64,11 +64,12 @@ def is_hurwitz(M, margin=0.0):
 
 
 def rank(M, tol="auto"):
-    """Numerical rank: number of singular values exceeding ``tol``.
+    """Numerical rank of a real or complex matrix.
 
-    ``tol="auto"`` uses max(rows, cols) * eps * largest singular value.
+    Counts the singular values exceeding ``tol``; ``tol="auto"`` uses
+    max(rows, cols) * eps * largest singular value.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)

@@ -28,7 +28,9 @@ __all__ = [
     "sample_perturbation",
 ]
 
-_A2_TOL = 1e-9
+# spectral tolerance: the A2 threshold, the PBH cut Re lam >= -tol, and
+# the distance below which two eigenvalues count as one
+_EIG_TOL = 1e-9
 
 
 def _mat(value, shape, name):
@@ -183,23 +185,36 @@ def check_assumption_2(exo):
     if exo.q == 0:
         return True, []
     eigs = linalg.eigenvalues(exo.S)
-    offending = [lam for lam in eigs if lam.real < -_A2_TOL]
+    offending = [lam for lam in eigs if lam.real < -_EIG_TOL]
     return not offending, offending
 
 
-def _unstable_eigs(A):
-    return [lam for lam in linalg.eigenvalues(A) if lam.real >= -_A2_TOL]
+def _real_if_real(lam):
+    return lam.real if lam.imag == 0 else lam
 
 
-def _real_embedded_rank(pencil):
-    """Rank of a complex matrix via its real 2x-size embedding."""
-    if np.iscomplexobj(pencil) and not pencil.imag.any():
-        pencil = pencil.real
-    if np.iscomplexobj(pencil):
-        re, im = pencil.real, pencil.imag
-        embedded = np.block([[re, -im], [im, re]])
-        return linalg.rank(embedded), 2
-    return linalg.rank(pencil), 1
+def _unique(lams):
+    """Values of ``lams`` as complex, dropping repeats within tolerance."""
+    unique = []
+    for lam in lams:
+        if not any(abs(lam - u) <= _EIG_TOL for u in unique):
+            unique.append(complex(lam))
+    return unique
+
+
+def _pbh_witnesses(A, M, stack):
+    """Eigenvalues lam of A with Re lam >= -tol failing the PBH test.
+
+    The test is rank stack([A - lam I, M]) = n: ``np.hstack`` with
+    M = B tests stabilizability, ``np.vstack`` with M = C detectability.
+    Real eigenvalues are tested in real arithmetic.
+    """
+    n = A.shape[0]
+    return [
+        lam for lam in linalg.eigenvalues(A)
+        if lam.real >= -_EIG_TOL
+        and linalg.rank(stack([A - _real_if_real(lam) * np.eye(n), M])) < n
+    ]
 
 
 def check_assumption_3(plant):
@@ -208,18 +223,8 @@ def check_assumption_3(plant):
     Returns a dict with keys ``stabilizable``, ``detectable``,
     ``witnesses`` (the failing eigenvalues per property).
     """
-    n = plant.n
-    bad_stab = []
-    bad_det = []
-    for lam in _unstable_eigs(plant.A):
-        pencil = np.hstack([plant.A - lam * np.eye(n), plant.B.astype(complex)])
-        r, factor = _real_embedded_rank(pencil)
-        if r != factor * n:
-            bad_stab.append(lam)
-        pencil = np.vstack([plant.A - lam * np.eye(n), plant.C.astype(complex)])
-        r, factor = _real_embedded_rank(pencil)
-        if r != factor * n:
-            bad_det.append(lam)
+    bad_stab = _pbh_witnesses(plant.A, plant.B, np.hstack)
+    bad_det = _pbh_witnesses(plant.A, plant.C, np.vstack)
     return {
         "stabilizable": not bad_stab,
         "detectable": not bad_det,
@@ -232,24 +237,14 @@ def _regulation_pencil_rank_ok(A, B, C, lam):
     n, m = B.shape
     p = C.shape[0]
     pencil = np.block([
-        [A - lam * np.eye(n), B.astype(complex)],
-        [C.astype(complex), np.zeros((p, m), dtype=complex)],
+        [A - _real_if_real(lam) * np.eye(n), B],
+        [C, np.zeros((p, m))],
     ])
-    if lam.imag == 0:
-        pencil = pencil.real
-    r, factor = _real_embedded_rank(pencil)
-    return r == factor * (n + p)
+    return linalg.rank(pencil) == n + p
 
 
 def _spec_with_zero(exo):
-    lams = list(linalg.eigenvalues(exo.S)) if exo.q else []
-    lams.append(0.0 + 0.0j)
-    # deduplicate within tolerance to avoid re-testing conjugate repeats
-    unique = []
-    for lam in lams:
-        if not any(abs(lam - u) <= 1e-12 for u in unique):
-            unique.append(complex(lam))
-    return unique
+    return _unique(list(linalg.eigenvalues(exo.S)) + [0.0])
 
 
 def check_assumption_4(plant, exo):

@@ -32,10 +32,11 @@ from .errors import AssumptionError, DimensionError, SynthesisError
 from .graph import check_acyclic, check_connected, neighbors
 from .internal_model import build_p_copy
 from .plant import (
-    _real_embedded_rank,
+    _pbh_witnesses,
     _regulation_pencil_rank_ok,
-    check_assumption_3,
+    _unique,
     extend_exosystem,
+    sample_perturbation,
 )
 
 __all__ = [
@@ -124,8 +125,7 @@ class ClosedLoopSystem:
     ``x_slices`` locate each agent's plant state inside z; ``ctrl_slices``
     its controller state [xi_i; zeta_i], which directly follows x_i;
     ``v_slices`` its extended exogenous block.
-    ``C_out`` maps z to the stacked output y (perturbed C when the loop
-    was assembled perturbed).
+    ``C_out`` maps z to the stacked output y through each plant's C_mu.
     """
 
     strategy: str
@@ -141,7 +141,6 @@ class ClosedLoopSystem:
     v_slices: tuple
     out_slices: tuple
     topo_order: tuple = None
-    perturbed: bool = False
     game: object = field(default=None, repr=False)
     plants: tuple = field(default=None, repr=False)
     exos: tuple = field(default=None, repr=False)
@@ -183,26 +182,19 @@ def _weight(base_dim, scale):
 def observer_gain(A, Cw, q_scale=1.0, r_scale=1.0):
     """Output-injection gain L with A - L Cw certified Hurwitz.
 
-    Solves the dual CARE on (A', Cw'), so detectability of (A, Cw) is
-    what's required; it is checked first and a failing PBH eigenvalue is
-    named in the error.
+    Solves the dual CARE on (A', Cw'), whose Hurwitz certificate on
+    A' - Cw' L' is the observer's.  Detectability of (A, Cw) is what's
+    required; it is checked first and a failing PBH eigenvalue is named
+    in the error.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Cw = np.atleast_2d(np.asarray(Cw, dtype=float))
     n = A.shape[0]
-    for lam in linalg.eigenvalues(A):
-        if lam.real < 0:
-            continue
-        pencil = np.vstack([A - lam * np.eye(n), Cw.astype(complex)])
-        rank, factor = _real_embedded_rank(pencil)
-        if rank != factor * n:
-            raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {lam}")
+    bad = _pbh_witnesses(A, Cw, np.vstack)
+    if bad:
+        raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {bad[0]}")
     K_dual = linalg.solve_care(A.T, Cw.T, _weight(n, q_scale), _weight(Cw.shape[0], r_scale))
-    L = -K_dual.T
-    ok, abscissa = linalg.is_hurwitz(A - L @ Cw)
-    if not ok:
-        raise SynthesisError(f"observer not stabilizing (abscissa {abscissa:.3e})")
-    return L
+    return -K_dual.T
 
 
 def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
@@ -210,7 +202,8 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
 
     The design pair is ([A 0; G2 Cw G1], [B; 0]); its stabilizability
     needs the transmission-zero-free condition at every eigenvalue of
-    G1, which is re-verified here before solving the CARE.
+    G1, which is re-verified here before solving the CARE.  The CARE
+    certifies the augmented loop Hurwitz.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -218,15 +211,10 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
     n, m = B.shape
     v = im.G1.shape[0]
 
-    checked = []
-    failures = []
-    for lam in linalg.eigenvalues(im.G1):
-        lam = complex(lam)
-        if any(abs(lam - u) <= 1e-9 for u in checked):
-            continue
-        checked.append(lam)
-        if not _regulation_pencil_rank_ok(A, B, Cw, lam):
-            failures.append(lam)
+    failures = [
+        lam for lam in _unique(linalg.eigenvalues(im.G1))
+        if not _regulation_pencil_rank_ok(A, B, Cw, lam)
+    ]
     if failures:
         raise SynthesisError(
             "rank condition fails at internal-model eigenvalue(s) "
@@ -237,11 +225,7 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
     B_aug = np.vstack([B, np.zeros((v, m))])
     Qw = scipy.linalg.block_diag(_weight(n, q_state), _weight(v, q_im))
     K = linalg.solve_care(A_aug, B_aug, Qw, _weight(m, r_scale))
-    K1, K2 = K[:, :n], K[:, n:]
-    ok, abscissa = linalg.is_hurwitz(A_aug + B_aug @ K)
-    if not ok:
-        raise SynthesisError(f"augmented matrix not Hurwitz (abscissa {abscissa:.3e})")
-    return K1, K2
+    return K[:, :n], K[:, n:]
 
 
 def build_strategy(plant, cost, exo, strategy, weights=None):
@@ -253,11 +237,9 @@ def build_strategy(plant, cost, exo, strategy, weights=None):
     if strategy not in STRATEGIES:
         raise DimensionError(f"unknown strategy kind {strategy!r}")
     weights = weights or SynthesisWeights()
-    result = check_assumption_3(plant)
-    if not result["stabilizable"]:
-        raise SynthesisError(
-            f"(A, B) not stabilizable at {result['witnesses']['stabilizable']}"
-        )
+    bad = _pbh_witnesses(plant.A, plant.B, np.hstack)
+    if bad:
+        raise SynthesisError(f"(A, B) not stabilizable at {bad}")
     Rw = cost.R_ii + cost.R_ii.T
     if Rw.shape[0] != plant.p:
         raise DimensionError(
@@ -284,17 +266,11 @@ def _q_tilde(cost, q):
     return Qt
 
 
-def _plant_matrices(plant, perturbed):
-    if perturbed:
-        return plant.A_mu, plant.B_mu, plant.C_mu, plant.P_mu
-    return plant.A, plant.B, plant.C, plant.P
-
-
 def _offsets(dims):
     return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
 
-def _assemble(game, plants, exos, controllers, strategy_kind, perturbed):
+def _assemble(game, plants, exos, controllers, strategy_kind):
     """Agent-major stacking: agent i owns z-block [x_i; xi_i; zeta_i]."""
     z_off = _offsets([p.n + c.ctrl_dim for p, c in zip(plants, controllers)])
     v_off = _offsets([e.q + 1 for e in exos])
@@ -307,7 +283,7 @@ def _assemble(game, plants, exos, controllers, strategy_kind, perturbed):
     S_hat = np.zeros((dv, dv))
     C_out = np.zeros((dp, dz))
     v0 = np.zeros(dv)
-    meas = [_plant_matrices(p, perturbed) for p in plants]
+    meas = [(p.A_mu, p.B_mu, p.C_mu, p.P_mu) for p in plants]
     x_sl = [slice(o, o + p.n) for o, p in zip(z_off, plants)]
     xi_sl = [slice(s.stop, s.stop + c.n) for s, c in zip(x_sl, controllers)]
     zeta_sl = [slice(s.stop, z_off[i + 1]) for i, s in enumerate(xi_sl)]
@@ -316,7 +292,7 @@ def _assemble(game, plants, exos, controllers, strategy_kind, perturbed):
         A, B, Cm, P = meas[i]
         x, xi, zeta = x_sl[i], xi_sl[i], zeta_sl[i]
         out, vi = slice(out_off[i], out_off[i + 1]), slice(v_off[i], v_off[i + 1])
-        # e_i reads the (perturbed) plant outputs; the controller's own
+        # e_i reads the actual plant outputs; the controller's own
         # blocks use the nominal matrices it was designed for
         couplings = [(i, cost.R_ii + cost.R_ii.T)] + [
             (j - 1, cost.R_ij[j]) for j in neighbors(game.graph, i + 1)
@@ -356,13 +332,14 @@ def _assemble(game, plants, exos, controllers, strategy_kind, perturbed):
     )
 
 
-def assemble_closed_loop(game, plants, exos, controllers, strategy_kind, perturbed=False):
+def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     """Stack plant + controller dynamics into one LTI closed loop.
 
     ``strategy_kind`` is ``"digraph"`` or ``"general"`` and must match
     every controller's tag; the matching graph assumption (5 or 6) is
-    gated here.  With ``perturbed=True`` plant blocks use the perturbed
-    matrices; controller blocks always use nominals.
+    gated here.  Plant blocks use each plant's actual matrices
+    ``A_mu, B_mu, C_mu, P_mu`` (nominal plus its stated perturbation);
+    controller blocks use the nominal matrices the controller stores.
     """
     N = game.graph.agent_count
     if not (len(plants) == len(exos) == len(controllers) == N):
@@ -400,29 +377,16 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind, perturb
 
     return ClosedLoopSystem(
         strategy=strategy_kind,
-        **_assemble(game, plants, exos, controllers, strategy_kind, perturbed),
-        topo_order=topo_order, perturbed=perturbed,
+        **_assemble(game, plants, exos, controllers, strategy_kind),
+        topo_order=topo_order,
         game=game, plants=tuple(plants), exos=tuple(exos),
         controllers=tuple(controllers),
     )
 
 
-def certify_stability(cl, perturbations=None):
-    """Hurwitz certificate of A_c, optionally under plant perturbations.
-
-    ``perturbations`` is a per-agent list of dicts with any of the keys
-    dA, dB, dC, dP; the loop is reassembled with them applied to the
-    plant blocks only.
-    """
-    if perturbations is None:
-        return linalg.is_hurwitz(cl.A_c)
-    plants = tuple(
-        p.with_perturbation(**d) for p, d in zip(cl.plants, perturbations)
-    )
-    perturbed_cl = assemble_closed_loop(
-        cl.game, plants, cl.exos, cl.controllers, cl.strategy, perturbed=True
-    )
-    return linalg.is_hurwitz(perturbed_cl.A_c)
+def certify_stability(cl):
+    """Hurwitz certificate of A_c: (verdict, spectral abscissa)."""
+    return linalg.is_hurwitz(cl.A_c)
 
 
 def solve_regulator(cl):
@@ -471,21 +435,24 @@ def largest_stable_scale(cl, scales, draws=20, seed=0):
     """Largest sampled perturbation scale keeping A_c(mu) Hurwitz.
 
     Samples ``draws`` entrywise-uniform perturbation sets per scale
-    (all four plant matrices) and returns the largest scale where every
-    draw stays Hurwitz, or None if none does.
+    (all four plant matrices, replacing any stated perturbation),
+    assembles each sampled loop with ``cl``'s controllers, and returns
+    the largest scale where every draw stays Hurwitz, or None if none
+    does.
     """
-    from .plant import sample_perturbation
+    def sampled_loop_hurwitz(scale, rng):
+        plants = tuple(
+            p.with_perturbation(**sample_perturbation(p, scale, rng))
+            for p in cl.plants
+        )
+        sampled = assemble_closed_loop(
+            cl.game, plants, cl.exos, cl.controllers, cl.strategy
+        )
+        return certify_stability(sampled)[0]
 
     best = None
     for scale in sorted(scales):
         rng = np.random.default_rng(seed)
-        ok_all = True
-        for _ in range(draws):
-            perts = [sample_perturbation(p, scale, rng) for p in cl.plants]
-            ok, _ = certify_stability(cl, perts)
-            if not ok:
-                ok_all = False
-                break
-        if ok_all:
+        if all(sampled_loop_hurwitz(scale, rng) for _ in range(draws)):
             best = scale
     return best

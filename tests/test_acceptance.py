@@ -131,8 +131,7 @@ def test_criterion_05_robust_convergence_sampling():
                 p.with_perturbation(**d) for p, d in zip(b.plants, perts)
             )
             cl_mu = assemble_closed_loop(
-                b.game, plants_mu, b.exos, b.controllers, strategy,
-                perturbed=True,
+                b.game, plants_mu, b.exos, b.controllers, strategy
             )
             hurwitz, _ = certify_stability(cl_mu)
             if not hurwitz:

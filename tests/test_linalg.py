@@ -93,6 +93,32 @@ def test_rank_invariances():
         assert rank(D @ M) == r
 
 
+def _embedded_rank(M):
+    """Rank of a complex matrix through its real 2x-size embedding."""
+    re, im = M.real, M.imag
+    return rank(np.block([[re, -im], [im, re]])) // 2
+
+
+def test_rank_complex_matches_real_embedding():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 9))
+        r = int(rng.integers(0, min(n, m) + 1))
+        left = rng.standard_normal((n, r))
+        right = rng.standard_normal((r, m))
+        if rng.random() < 0.75:
+            left = left + 1j * rng.standard_normal((n, r))
+            right = right + 1j * rng.standard_normal((r, m))
+        else:
+            # complex dtype, zero imaginary part
+            left = left.astype(complex)
+        M = left @ right
+        assert np.iscomplexobj(M)
+        assert rank(M) == r
+        assert _embedded_rank(M) == r
+
+
 def test_solve_linear_exact():
     x = solve_linear([[4.0, -2.0], [-2.0, 4.0]], (2.0, 6.0))
     assert np.allclose(x, [5.0 / 3.0, 7.0 / 3.0], atol=1e-12)

@@ -21,6 +21,7 @@ from neseek.scenario import (
     scenario_hash,
     scenario_to_dict,
 )
+from neseek.sim import SimConfig, simulate_distributed
 from neseek.svgplot import line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
@@ -590,6 +591,48 @@ def test_cli_sim_perturbed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "abscissa" in captured.err
+
+
+def test_cli_synth_certifies_stated_perturbation(tmp_path, capsys):
+    # agent 1's stated dA turns its velocity damping into growth; the
+    # nominal loop is Hurwitz, the loop with the stated plant is not
+    doc = sensor_scenario_doc("digraph")
+    doc["agents"][0]["dA"] = mat(np.diag([0.0, 0.0, 3.0, 3.0]))
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 0
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == 4
+    assert "not Hurwitz" in capsys.readouterr().err
+    assert not ctrl.exists()
+
+
+def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
+    doc = sensor_scenario_doc(
+        "general", sim={"dt": 1e-3, "t_end": 2.0, "record_stride": 50}
+    )
+    rng = np.random.default_rng(23)
+    for agent in doc["agents"]:
+        for key, shape in (("dA", (4, 4)), ("dB", (4, 2)),
+                           ("dC", (2, 4)), ("dP", (4, 2))):
+            agent[key] = mat(0.02 * rng.uniform(-1.0, 1.0, size=shape))
+    path = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    out = tmp_path / "traj.csv"
+    assert main(["synth", path, "--out", str(ctrl)]) == 0
+    assert main(["sim", path, "--controllers", str(ctrl),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    scn = load_scenario(path)
+    assert all(p.dA.any() and p.dC.any() for p in scn.plants)
+    ref = simulate_distributed(
+        scn.game, scn.plants, scn.exos, load_controllers(ctrl)["controllers"],
+        SimConfig(**scn.sim),
+    )
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    y = rows[:, 1:1 + ref.y_stacked().shape[1]]
+    assert np.allclose(rows[:, 0], ref.times, atol=1e-12)
+    assert np.max(np.abs(y - ref.y_stacked())) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -269,7 +269,7 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
         for p in s.plants
     )
     cl = assemble_closed_loop(s.game, bumped, s.exos, s.controllers,
-                              "general", perturbed=True)
+                              "general")
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
     tr_dist = simulate_distributed(s.game, bumped, s.exos, s.controllers,

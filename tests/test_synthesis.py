@@ -13,7 +13,13 @@ from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
 from neseek.graph import CommGraph, neighbors
 from neseek.internal_model import InternalModel, build_p_copy, verify_internal_model
 from neseek.linalg import eigenvalues, is_hurwitz
-from neseek.plant import AgentPlant, Exosystem, extend_exosystem, sample_perturbation
+from neseek.plant import (
+    AgentPlant,
+    Exosystem,
+    check_assumption_3,
+    extend_exosystem,
+    sample_perturbation,
+)
 from neseek.synthesis import (
     ClosedLoopSystem,
     SynthesisWeights,
@@ -89,6 +95,17 @@ def test_observer_gain_undetectable():
     with pytest.raises(SynthesisError) as err:
         observer_gain(np.eye(2), np.zeros((1, 2)))
     assert "1" in str(err.value)
+
+
+def test_observer_gain_agrees_with_assumption_3():
+    # eigenvalues +-1j come out with real part about -1e-16; A3 treats
+    # them as marginal and so must the observer design
+    A = np.array([[-1.0, 2.0], [-1.0, 1.0]])
+    Cw = np.zeros((1, 2))
+    res = check_assumption_3(AgentPlant(A=A, B=np.eye(2), C=Cw))
+    assert not res["detectable"]
+    with pytest.raises(SynthesisError, match="not detectable"):
+        observer_gain(A, Cw)
 
 
 def test_augmented_stabilizer_scalar_integrator():
@@ -385,8 +402,12 @@ def test_certify_zeroed_gain_unstable():
 def test_certify_small_perturbation_stays_stable(sensor_digraph):
     rng = np.random.default_rng(97)
     s = sensor_digraph
-    perturbations = [sample_perturbation(p, 1e-6, rng) for p in s.plants]
-    ok, abscissa = certify_stability(s.cl, perturbations)
+    plants = tuple(
+        p.with_perturbation(**sample_perturbation(p, 1e-6, rng))
+        for p in s.plants
+    )
+    cl = assemble_closed_loop(s.game, plants, s.exos, s.controllers, "digraph")
+    ok, abscissa = certify_stability(cl)
     assert ok
     _, nominal = certify_stability(s.cl)
     assert abs(abscissa - nominal) < 1e-3
