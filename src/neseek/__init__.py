@@ -72,7 +72,7 @@ from .synthesis import (
     SynthesisWeights,
     assemble_closed_loop,
     augmented_stabilizer,
-    build_strategy,
+    build_controller,
     certify_stability,
     largest_stable_scale,
     observer_gain,

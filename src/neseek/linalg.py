@@ -50,8 +50,8 @@ def eigenvalues(M):
     return np.linalg.eigvals(M)
 
 
-def is_hurwitz(M, margin=0.0):
-    """Check whether all eigenvalues of ``M`` lie left of ``-margin``.
+def is_hurwitz(M):
+    """Check whether all eigenvalues of ``M`` lie in the open left half-plane.
 
     Returns
     -------
@@ -60,21 +60,20 @@ def is_hurwitz(M, margin=0.0):
     """
     M = _as_square(M)
     abscissa = float(np.max(eigenvalues(M).real)) if M.size else -np.inf
-    return abscissa < -margin, abscissa
+    return abscissa < 0.0, abscissa
 
 
-def rank(M, tol="auto"):
+def rank(M):
     """Numerical rank of a real or complex matrix.
 
-    Counts the singular values exceeding ``tol``; ``tol="auto"`` uses
-    max(rows, cols) * eps * largest singular value.
+    Counts the singular values exceeding max(rows, cols) * eps * the
+    largest singular value.
     """
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if tol == "auto":
-        tol = max(M.shape) * np.finfo(float).eps * s[0]
+    tol = max(M.shape) * np.finfo(float).eps * s[0]
     return int(np.count_nonzero(s > tol))
 
 
@@ -182,11 +181,11 @@ def solve_care(A, B, Qw, Rw):
     return K
 
 
-def minimal_polynomial(M, tol=1e-8):
+def minimal_polynomial(M):
     """Monic minimal polynomial of ``M`` by Krylov least squares.
 
     Searches degrees d = 1..n for the smallest d with monic coefficients
-    c such that ``||M^d + c_{d-1} M^{d-1} + ... + c_0 I|| <= tol * ||M||^d``.
+    c such that ``||M^d + c_{d-1} M^{d-1} + ... + c_0 I|| <= 1e-8 * ||M||^d``.
     Degree n always succeeds (Cayley-Hamilton).
 
     Returns
@@ -209,6 +208,6 @@ def minimal_polynomial(M, tol=1e-8):
         rhs = -powers[d].ravel()
         c, *_ = np.linalg.lstsq(V, rhs, rcond=None)
         residual = np.linalg.norm(V @ c + powers[d].ravel())
-        if residual <= tol * norm_m**d:
+        if residual <= 1e-8 * norm_m**d:
             break
     return np.append(c, 1.0)

@@ -8,15 +8,15 @@ different data.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, StaleControllerError
 from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
-from .synthesis import STRATEGIES, Controller, SynthesisWeights
+from .synthesis import STRATEGIES, Controller, SynthesisWeights, _gain_mismatch
 
 __all__ = [
     "Scenario",
@@ -31,11 +31,15 @@ __all__ = [
 
 SIM_DEFAULTS = {"dt": 1e-3, "t_end": 100.0, "record_stride": 100}
 
-CONTROLLER_FORMAT = "neseek-controllers-v2"
-# v1 files also store matrices derivable from the gains; reading ignores them
-READABLE_FORMATS = ("neseek-controllers-v1", CONTROLLER_FORMAT)
+CONTROLLER_FORMAT = "neseek-controllers-v3"
+# v1 and v2 files also store the plant copy A, B, C, Rw and the synthesis
+# weights (v1 also M1, M2, K, s), all derivable from the scenario and the
+# gains; reading ignores them
+READABLE_FORMATS = (
+    "neseek-controllers-v1", "neseek-controllers-v2", CONTROLLER_FORMAT
+)
 
-CONTROLLER_FIELDS = ("A", "B", "C", "L", "G1", "G2", "K1", "K2", "Rw")
+CONTROLLER_FIELDS = tuple(f.name for f in fields(Controller))
 
 
 def _is_number(v):
@@ -114,21 +118,16 @@ class Scenario:
         return isinstance(other, Scenario) and self.raw == other.raw
 
 
+def _object(doc, where):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected an object, got {doc!r}")
+    return doc
+
+
 def _require(doc, key, where):
-    if key not in doc:
+    if key not in _object(doc, where):
         raise ScenarioError(f"{where}: missing required field {key!r}")
     return doc[key]
-
-
-def _parse_weights(weight_doc, where):
-    if not isinstance(weight_doc, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    extra = set(weight_doc) - set(asdict(SynthesisWeights()))
-    if extra:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
-    return SynthesisWeights(**{
-        k: _finite_number(v, f"{where}.{k}") for k, v in weight_doc.items()
-    })
 
 
 def parse_scenario(doc):
@@ -182,7 +181,8 @@ def parse_scenario(doc):
     plants = []
     for i, ad in enumerate(agents_doc, start=1):
         where = f"agents[{i}]"
-        extra = set(ad) - {"A", "B", "C", "P", "x0", "dA", "dB", "dC", "dP"}
+        extra = set(_object(ad, where)) - {"A", "B", "C", "P", "x0",
+                                           "dA", "dB", "dC", "dP"}
         if extra:
             raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
         kw = {}
@@ -251,9 +251,7 @@ def parse_scenario(doc):
                 f"cost dimension {cost.p}"
             )
 
-    sim_doc = doc.get("sim", {})
-    if not isinstance(sim_doc, dict):
-        raise ScenarioError("sim: expected an object")
+    sim_doc = _object(doc.get("sim", {}), "sim")
     extra = set(sim_doc) - set(SIM_DEFAULTS)
     if extra:
         raise ScenarioError(f"sim: unknown field(s) {sorted(extra)}")
@@ -271,7 +269,13 @@ def parse_scenario(doc):
         )
     sim["record_stride"] = int(stride)
 
-    weights = _parse_weights(doc.get("synthesis", {}), "synthesis")
+    weight_doc = _object(doc.get("synthesis", {}), "synthesis")
+    extra = set(weight_doc) - set(asdict(SynthesisWeights()))
+    if extra:
+        raise ScenarioError(f"synthesis: unknown field(s) {sorted(extra)}")
+    weights = SynthesisWeights(**{
+        k: _finite_number(v, f"synthesis.{k}") for k, v in weight_doc.items()
+    })
 
     scn = Scenario(
         name=str(doc.get("name", "")),
@@ -331,10 +335,10 @@ def scenario_to_dict(s):
     }
 
 
-def load_scenario(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise ScenarioError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
@@ -342,7 +346,10 @@ def load_scenario(path):
         ) from err
     except OSError as err:
         raise ScenarioError(f"{path}: {err}") from err
-    return parse_scenario(doc)
+
+
+def load_scenario(path):
+    return parse_scenario(_read_json(path))
 
 
 def _canonical_dump(doc):
@@ -360,7 +367,7 @@ def scenario_hash(s):
     return hashlib.sha256(_canonical_dump(s.raw).encode()).hexdigest()
 
 
-def save_controllers(path, scenario, strategy, controllers, weights, certificates):
+def save_controllers(path, scenario, strategy, controllers, certificates):
     """Write synthesized gains with their certificates and scenario digest."""
     agents = [
         {name: _mat_to_json(getattr(c, name)) for name in CONTROLLER_FIELDS}
@@ -370,7 +377,6 @@ def save_controllers(path, scenario, strategy, controllers, weights, certificate
         "format": CONTROLLER_FORMAT,
         "strategy": strategy,
         "scenario_sha256": scenario_hash(scenario),
-        "synthesis": asdict(weights),
         "certificates": {k: float(v) for k, v in certificates.items()},
         "agents": agents,
     }
@@ -380,29 +386,14 @@ def save_controllers(path, scenario, strategy, controllers, weights, certificate
     return doc
 
 
-def _check_controller_shapes(kw, where):
-    """Every gain's shape must agree with n, m, p and the internal-model size."""
-    n, m, p, v = kw["A"].shape[0], kw["B"].shape[1], kw["C"].shape[0], kw["G1"].shape[0]
-    expected = {"A": (n, n), "B": (n, m), "C": (p, n), "L": (n, p), "G1": (v, v),
-                "G2": (v, p), "K1": (m, n), "K2": (m, v), "Rw": (p, p)}
-    for name in CONTROLLER_FIELDS:
-        got, want = kw[name].shape, expected[name]
-        if got != want:
-            raise ScenarioError(f"{where}.{name}: shape {got}, other fields imply {want}")
+def load_controllers(path, scenario):
+    """Read a controller file and check that it fits ``scenario``.
 
-
-def load_controllers(path):
-    """Read a controller file back into controller objects + metadata."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ScenarioError(
-            f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
-            f"{err.msg}"
-        ) from err
-    except OSError as err:
-        raise ScenarioError(f"{path}: {err}") from err
+    In order: the file must parse (ScenarioError), carry this scenario's
+    digest (StaleControllerError), hold one controller per agent, and
+    every gain's shape must fit its agent's plant (ScenarioError).
+    """
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") not in READABLE_FORMATS:
         raise ScenarioError(f"{path}: not a {CONTROLLER_FORMAT} file")
     strategy = doc.get("strategy")
@@ -411,17 +402,32 @@ def load_controllers(path):
     agents = doc.get("agents", [])
     if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
         raise ScenarioError(f"{path}: agents: expected a list of objects")
+    cert_doc = _object(doc.get("certificates", {}), f"{path}: certificates")
+    certificates = {
+        k: _finite_number(v, f"{path}: certificates.{k}") for k, v in cert_doc.items()
+    }
     controllers = []
     for i, entry in enumerate(agents, start=1):
         where = f"{path}: agents[{i}]"
-        kw = {name: _mat_from_json(_require(entry, name, where), f"{where}.{name}")
-              for name in CONTROLLER_FIELDS}
-        _check_controller_shapes(kw, where)
-        controllers.append(Controller(**kw, strategy=strategy))
-    return {
-        "strategy": strategy,
-        "scenario_sha256": str(doc.get("scenario_sha256", "")),
-        "synthesis": _parse_weights(doc.get("synthesis", {}), f"{path}: synthesis"),
-        "certificates": dict(doc.get("certificates", {})),
-        "controllers": tuple(controllers),
-    }
+        controllers.append(Controller(**{
+            name: _mat_from_json(_require(entry, name, where), f"{where}.{name}")
+            for name in CONTROLLER_FIELDS
+        }))
+
+    want, got = scenario_hash(scenario), str(doc.get("scenario_sha256", ""))
+    if got != want:
+        raise StaleControllerError(
+            f"{path} was synthesized for a different "
+            f"scenario (hash {got[:12]}.. != {want[:12]}..); re-run synth"
+        )
+    if len(controllers) != scenario.agent_count:
+        raise ScenarioError(
+            f"{path}: bundle has {len(controllers)} agents, "
+            f"scenario has {scenario.agent_count}"
+        )
+    for i, (c, plant) in enumerate(zip(controllers, scenario.plants), start=1):
+        bad = _gain_mismatch(c, plant)
+        if bad:
+            raise ScenarioError(f"{path}: agents[{i}].{bad}")
+    return {"strategy": strategy, "certificates": certificates,
+            "controllers": tuple(controllers)}

@@ -16,6 +16,7 @@ from .errors import DimensionError, DivergenceError, DomainError, FirewallViolat
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
 from .plant import extend_exosystem
+from .synthesis import STRATEGIES
 
 __all__ = [
     "SimConfig",
@@ -196,49 +197,53 @@ class NeighborView:
         return self._cxi[j - 1]
 
 
-def _error_from_view(cost, y_i, view):
-    e_i = (cost.R_ii + cost.R_ii.T) @ y_i + cost.Q_ii
+def _error_from_view(cost, Rw, y_i, view):
+    e_i = Rw @ y_i + cost.Q_ii
     for j in sorted(cost.R_ij):
         e_i = e_i + cost.R_ij[j] @ view.output(j)
     return e_i
 
 
-def _deriv(plant_mats, c, cost, x_i, st_i, v_i, view, y_i):
+def _deriv(plant_mats, nominal, c, cost, x_i, st_i, v_i, view, y_i, observer_mode):
     A, B, _, P = plant_mats
+    A_n, B_n, C_n, Rw = nominal
     q = P.shape[1]
     xi_i, zeta_i = st_i[:c.n], st_i[c.n:]
-    e_i = _error_from_view(cost, y_i, view)
+    e_i = _error_from_view(cost, Rw, y_i, view)
     # ehat has no affine term: it estimates only the output-dependent part;
     # only the general strategy reads neighbors' observer outputs
-    ehat_i = c.Rw @ (c.C @ xi_i)
-    if c.strategy == "general":
+    ehat_i = Rw @ (C_n @ xi_i)
+    if observer_mode:
         for j in sorted(cost.R_ij):
             ehat_i = ehat_i + cost.R_ij[j] @ view.observer_output(j)
     u_i = c.K1 @ xi_i + c.K2 @ zeta_i
     dx = A @ x_i + B @ u_i + P @ v_i[:q]
-    dxi = c.A @ xi_i + c.B @ u_i - c.L @ (ehat_i - e_i)
+    dxi = A_n @ xi_i + B_n @ u_i - c.L @ (ehat_i - e_i)
     dzeta = c.G1 @ zeta_i + c.G2 @ e_i
     return dx, np.concatenate([dxi, dzeta])
 
 
-def simulate_distributed(game, plants, exos, controllers, cfg, x0=None, w0=None):
+def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
+                         x0=None, w0=None):
     """Integrate agent-by-agent behind NeighborView read gates.
 
     Each stage first broadcasts every agent's y_i (and C_i xi_i for the
-    observer strategy), then evaluates each agent's derivative from its
+    general strategy), then evaluates each agent's derivative from its
     own states plus gated neighbor reads only.  Matches simulate() on
     the assembled stacked system within 1e-9 per sample.
     """
+    if strategy not in STRATEGIES:
+        raise DimensionError(f"unknown strategy kind {strategy!r}")
+    observer_mode = strategy == "general"
     N = game.graph.agent_count
-    strategies = {c.strategy for c in controllers}
-    if len(strategies) != 1:
-        raise DimensionError(f"controllers mix strategies {sorted(strategies)}")
-    observer_mode = strategies == {"general"}
 
     x0 = [p.x0 for p in plants] if x0 is None else [np.asarray(v, float) for v in x0]
     w0 = [e.w0 for e in exos] if w0 is None else [np.asarray(v, float) for v in w0]
 
     plant_mats = [(p.A_mu, p.B_mu, p.C_mu, p.P_mu) for p in plants]
+    # the observer's plant copy and error weight, read once per agent
+    nominal = [(p.A, p.B, p.C, cost.R_ii + cost.R_ii.T)
+               for p, cost in zip(plants, game.costs)]
     nbr_sets = [neighbors(game.graph, i) for i in range(1, N + 1)]
     ctrl_dims = [c.ctrl_dim for c in controllers]
 
@@ -255,13 +260,14 @@ def simulate_distributed(game, plants, exos, controllers, cfg, x0=None, w0=None)
         ys = [pm[2] @ xi for pm, xi in zip(plant_mats, xs)]
         cxis = None
         if observer_mode:
-            cxis = [c.C @ s[: c.n] for c, s in zip(controllers, sts)]
+            cxis = [nom[2] @ s[: c.n]
+                    for nom, c, s in zip(nominal, controllers, sts)]
         rates = []
         for i in range(N):
             view = NeighborView(i + 1, nbr_sets[i], ys, cxis)
             rates.append(
-                _deriv(plant_mats[i], controllers[i], game.costs[i], xs[i],
-                       sts[i], vs[i], view, ys[i])
+                _deriv(plant_mats[i], nominal[i], controllers[i], game.costs[i],
+                       xs[i], sts[i], vs[i], view, ys[i], observer_mode)
             )
         return rates
 
@@ -349,21 +355,14 @@ def convergence_metrics(tr, tol):
     }
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def write_csv(tr, path):
     """One row per recorded sample; floats printed in round-trip form."""
     cols = ["t"]
     for name, series in (("y", tr.y), ("e", tr.e), ("w", tr.w)):
         for i, arr in enumerate(series, start=1):
             cols.extend(f"{name}_{i}_{k + 1}" for k in range(arr.shape[1]))
+    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
     with open(path, "w") as fh:
         fh.write(", ".join(cols) + "\n")
-        for row in range(len(tr.times)):
-            vals = [_fmt(tr.times[row])]
-            for series in (tr.y, tr.e, tr.w):
-                for arr in series:
-                    vals.extend(_fmt(v) for v in arr[row])
-            fh.write(", ".join(vals) + "\n")
+        # row by row: a list of every value at once would raise peak memory
+        fh.writelines(", ".join(map(repr, row.tolist())) + "\n" for row in table)

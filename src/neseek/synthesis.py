@@ -47,7 +47,7 @@ __all__ = [
     "RegulatorSolution",
     "observer_gain",
     "augmented_stabilizer",
-    "build_strategy",
+    "build_controller",
     "assemble_closed_loop",
     "certify_stability",
     "solve_regulator",
@@ -76,34 +76,32 @@ class SynthesisWeights:
 
 @dataclass(frozen=True)
 class Controller:
-    """One agent's gains, shared by both strategies, plus the strategy tag.
+    """One agent's gains, shared by both strategies.
 
     The controller state is [xi; zeta]: an observer copy of the plant
-    (size n) followed by the p-copy internal model (size p*s).
+    (size n) followed by the p-copy internal model (size p*s).  The
+    observer's plant copy is the agent's nominal (A, B, C), its error
+    weight Rw = R_ii + R_ii' comes from the cost, and the strategy from
+    the closed loop, so none of them is stored here.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
     L: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
     K1: np.ndarray
     K2: np.ndarray
-    Rw: np.ndarray
-    strategy: str
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.L.shape[0]
 
     @property
     def p(self):
-        return self.C.shape[0]
+        return self.L.shape[1]
 
     @property
     def m(self):
-        return self.B.shape[1]
+        return self.K1.shape[0]
 
     @property
     def s(self):
@@ -228,14 +226,12 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
     return K[:, :n], K[:, n:]
 
 
-def build_strategy(plant, cost, exo, strategy, weights=None):
-    """Per-agent controller for ``strategy`` ("digraph" or "general").
+def build_controller(plant, cost, exo, weights=None):
+    """Per-agent gains, the same for both strategies.
 
-    Both strategies use the same observer gain, p-copy internal model
-    and augmented stabilizer; only the tag differs.
+    The observer gain, p-copy internal model and augmented stabilizer
+    are designed on the nominal plant with Rw = R_ii + R_ii'.
     """
-    if strategy not in STRATEGIES:
-        raise DimensionError(f"unknown strategy kind {strategy!r}")
     weights = weights or SynthesisWeights()
     bad = _pbh_witnesses(plant.A, plant.B, np.hstack)
     if bad:
@@ -252,10 +248,7 @@ def build_strategy(plant, cost, exo, strategy, weights=None):
         plant.A, plant.B, Cw, im,
         weights.stabilizer_q_state, weights.stabilizer_q_im, weights.stabilizer_r,
     )
-    return Controller(
-        A=plant.A, B=plant.B, C=plant.C, L=L, G1=im.G1, G2=im.G2,
-        K1=K1, K2=K2, Rw=Rw, strategy=strategy,
-    )
+    return Controller(L=L, G1=im.G1, G2=im.G2, K1=K1, K2=K2)
 
 
 def _q_tilde(cost, q):
@@ -268,6 +261,17 @@ def _q_tilde(cost, q):
 
 def _offsets(dims):
     return np.concatenate([[0], np.cumsum(dims)]).astype(int)
+
+
+def _gain_mismatch(c, plant):
+    """The first gain whose shape does not fit ``plant``, as a message, or None."""
+    n, m, p, v = plant.n, plant.m, plant.p, c.G1.shape[0]
+    for name, want in (("L", (n, p)), ("G1", (v, v)), ("G2", (v, p)),
+                       ("K1", (m, n)), ("K2", (m, v))):
+        got = getattr(c, name).shape
+        if got != want:
+            return f"{name}: shape {got}, plant implies {want}"
+    return None
 
 
 def _assemble(game, plants, exos, controllers, strategy_kind):
@@ -283,38 +287,37 @@ def _assemble(game, plants, exos, controllers, strategy_kind):
     S_hat = np.zeros((dv, dv))
     C_out = np.zeros((dp, dz))
     v0 = np.zeros(dv)
-    meas = [(p.A_mu, p.B_mu, p.C_mu, p.P_mu) for p in plants]
     x_sl = [slice(o, o + p.n) for o, p in zip(z_off, plants)]
-    xi_sl = [slice(s.stop, s.stop + c.n) for s, c in zip(x_sl, controllers)]
+    xi_sl = [slice(s.stop, s.stop + p.n) for s, p in zip(x_sl, plants)]
     zeta_sl = [slice(s.stop, z_off[i + 1]) for i, s in enumerate(xi_sl)]
 
-    for i, (c, cost, exo) in enumerate(zip(controllers, game.costs, exos)):
-        A, B, Cm, P = meas[i]
+    for i, (c, plant, cost, exo) in enumerate(zip(controllers, plants, game.costs, exos)):
         x, xi, zeta = x_sl[i], xi_sl[i], zeta_sl[i]
         out, vi = slice(out_off[i], out_off[i + 1]), slice(v_off[i], v_off[i + 1])
-        # e_i reads the actual plant outputs; the controller's own
-        # blocks use the nominal matrices it was designed for
+        # e_i reads the actual plant outputs; the observer blocks use
+        # the nominal matrices the gains were designed for
         couplings = [(i, cost.R_ii + cost.R_ii.T)] + [
             (j - 1, cost.R_ij[j]) for j in neighbors(game.graph, i + 1)
         ]
         for k, R in couplings:
-            RC = R @ meas[k][2]
+            RC = R @ plants[k].C_mu
             A_c[xi, x_sl[k]] = c.L @ RC
             A_c[zeta, x_sl[k]] = c.G2 @ RC
             C_c[out, x_sl[k]] = RC
             if strategy_kind == "general" and k != i:
                 # the one strategy-dependent block: ehat_i reads C_k xi_k
-                A_c[xi, xi_sl[k]] = -c.L @ (R @ controllers[k].C)
-        A_c[x, x] = A
-        A_c[x, xi] = B @ c.K1
-        A_c[x, zeta] = B @ c.K2
-        A_c[xi, xi] = c.A + c.B @ c.K1 - c.L @ (c.Rw @ c.C)
-        A_c[xi, zeta] = c.B @ c.K2
+                A_c[xi, xi_sl[k]] = -c.L @ (R @ plants[k].C)
+        Rw = couplings[0][1]
+        A_c[x, x] = plant.A_mu
+        A_c[x, xi] = plant.B_mu @ c.K1
+        A_c[x, zeta] = plant.B_mu @ c.K2
+        A_c[xi, xi] = plant.A + plant.B @ c.K1 - c.L @ (Rw @ plant.C)
+        A_c[xi, zeta] = plant.B @ c.K2
         A_c[zeta, zeta] = c.G1
-        C_out[out, x] = Cm
+        C_out[out, x] = plant.C_mu
 
         Qt = _q_tilde(cost, exo.q)
-        P_c[x, vi.start:vi.stop - 1] = P
+        P_c[x, vi.start:vi.stop - 1] = plant.P_mu
         P_c[xi, vi] = c.L @ Qt
         P_c[zeta, vi] = c.G2 @ Qt
         Q_c[out, vi] = Qt
@@ -335,11 +338,11 @@ def _assemble(game, plants, exos, controllers, strategy_kind):
 def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     """Stack plant + controller dynamics into one LTI closed loop.
 
-    ``strategy_kind`` is ``"digraph"`` or ``"general"`` and must match
-    every controller's tag; the matching graph assumption (5 or 6) is
-    gated here.  Plant blocks use each plant's actual matrices
-    ``A_mu, B_mu, C_mu, P_mu`` (nominal plus its stated perturbation);
-    controller blocks use the nominal matrices the controller stores.
+    ``strategy_kind`` is ``"digraph"`` or ``"general"``; the matching
+    graph assumption (5 or 6) is gated here, and every controller's
+    gains must fit its plant.  Plant blocks use each plant's actual
+    matrices ``A_mu, B_mu, C_mu, P_mu`` (nominal plus its stated
+    perturbation); observer blocks use the nominal ``A, B, C``.
     """
     N = game.graph.agent_count
     if not (len(plants) == len(exos) == len(controllers) == N):
@@ -361,12 +364,10 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     else:
         raise DimensionError(f"unknown strategy kind {strategy_kind!r}")
 
-    for i, c in enumerate(controllers, start=1):
-        if c.strategy != strategy_kind:
-            raise DimensionError(
-                f"agent {i}: controller strategy {c.strategy!r} does not match "
-                f"strategy {strategy_kind!r}"
-            )
+    for i, (c, plant) in enumerate(zip(controllers, plants), start=1):
+        bad = _gain_mismatch(c, plant)
+        if bad:
+            raise DimensionError(f"agent {i}: controller gain {bad}")
 
     for i, (plant, exo) in enumerate(zip(plants, exos), start=1):
         if plant.q != exo.q:

@@ -13,7 +13,7 @@ from neseek.plant import AgentPlant, Exosystem
 from neseek.synthesis import (
     SynthesisWeights,
     assemble_closed_loop,
-    build_strategy,
+    build_controller,
     solve_regulator,
 )
 
@@ -102,7 +102,7 @@ def _build(strategy):
     exos = sensor_exos()
     weights = GENERAL_WEIGHTS if strategy == "general" else SynthesisWeights()
     controllers = [
-        build_strategy(plants[i], game.costs[i], exos[i], strategy, weights)
+        build_controller(plants[i], game.costs[i], exos[i], weights)
         for i in range(5)
     ]
     cl = assemble_closed_loop(game, plants, exos, controllers, strategy)

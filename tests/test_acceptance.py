@@ -218,7 +218,7 @@ def test_criterion_09_distributed_matches_stacked():
         b = _build(strategy)
         tr_s = simulate(b.cl, cfg)
         tr_d = simulate_distributed(
-            b.game, b.plants, b.exos, b.controllers, cfg
+            b.game, b.plants, b.exos, b.controllers, strategy, cfg
         )
         for field in ("x", "y", "e", "w"):
             for a, c in zip(getattr(tr_s, field), getattr(tr_d, field)):

@@ -54,15 +54,9 @@ def test_eigenvalues_rejects_nonsquare():
         eigenvalues(np.zeros((2, 3)))
 
 
-def test_is_hurwitz_with_margin():
-    ok, abscissa = is_hurwitz([[0.0, 1.0], [-2.0, -3.0]], margin=0.5)
+def test_is_hurwitz_stable():
+    ok, abscissa = is_hurwitz([[0.0, 1.0], [-2.0, -3.0]])
     assert ok
-    assert abs(abscissa - (-1.0)) <= 1e-12
-
-
-def test_is_hurwitz_margin_exceeds_abscissa():
-    ok, abscissa = is_hurwitz([[0.0, 1.0], [-2.0, -3.0]], margin=1.5)
-    assert not ok
     assert abs(abscissa - (-1.0)) <= 1e-12
 
 

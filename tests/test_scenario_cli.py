@@ -9,7 +9,7 @@ import pytest
 from conftest import sensor_scenario_doc
 import neseek.cli
 from neseek.cli import main
-from neseek.errors import ScenarioError
+from neseek.errors import ScenarioError, StaleControllerError
 from neseek.scenario import (
     CONTROLLER_FIELDS,
     CONTROLLER_FORMAT,
@@ -201,36 +201,49 @@ def test_json_syntax_error_reports_position(tmp_path):
 
 
 def test_controller_roundtrip(tmp_path, sensor_digraph, sensor_general):
+    assert CONTROLLER_FIELDS == ("L", "G1", "G2", "K1", "K2")
     for s in (sensor_digraph, sensor_general):
         scn = parse_scenario(sensor_scenario_doc(s.strategy))
         path = tmp_path / f"{s.strategy}.json"
         certificates = {"abscissa": -0.5, "residual_dyn": 0.0,
                         "residual_err": 0.0, "scale_dyn": 1.0,
                         "scale_err": 1.0}
-        save_controllers(path, scn, s.strategy, s.controllers, s.weights,
-                         certificates)
-        bundle = load_controllers(path)
+        save_controllers(path, scn, s.strategy, s.controllers, certificates)
+        bundle = load_controllers(path, scn)
         assert bundle["strategy"] == s.strategy
-        assert bundle["scenario_sha256"] == scenario_hash(scn)
-        assert bundle["synthesis"] == s.weights
-        assert bundle["certificates"]["abscissa"] == -0.5
+        assert bundle["certificates"] == certificates
         for c0, c1 in zip(s.controllers, bundle["controllers"]):
             assert type(c0) is type(c1)
-            assert c1.strategy == s.strategy
             for name in CONTROLLER_FIELDS:
                 assert np.array_equal(getattr(c0, name), getattr(c1, name))
             # derived quantities come back from the stored gains
             assert np.array_equal(c0.K, c1.K)
-            assert (c0.s, c0.ctrl_dim) == (c1.s, c1.ctrl_dim)
-        # one field list for both strategies, nothing derived stored
+            assert (c0.n, c0.m, c0.p, c0.s, c0.ctrl_dim) == \
+                (c1.n, c1.m, c1.p, c1.s, c1.ctrl_dim)
+        # the gains and nothing the scenario already determines
         doc = json.loads(path.read_text())
+        assert set(doc) == {"format", "strategy", "scenario_sha256",
+                            "certificates", "agents"}
+        assert doc["format"] == CONTROLLER_FORMAT == "neseek-controllers-v3"
+        assert doc["scenario_sha256"] == scenario_hash(scn)
         for entry in doc["agents"]:
             assert set(entry) == set(CONTROLLER_FIELDS)
 
 
-def v1_bundle(doc):
-    """Re-tag a v2 bundle as v1, adding the derived M1, M2, K and s."""
+def v2_bundle(doc, scn):
+    """Re-tag a v3 bundle as v2: add the plant copy, Rw and the weights."""
     doc = copy.deepcopy(doc)
+    doc["format"] = "neseek-controllers-v2"
+    doc["synthesis"] = dataclasses.asdict(scn.weights)
+    for entry, plant, cost in zip(doc["agents"], scn.plants, scn.game.costs):
+        entry.update(A=mat(plant.A), B=mat(plant.B), C=mat(plant.C),
+                     Rw=mat(cost.R_ii + cost.R_ii.T))
+    return doc
+
+
+def v1_bundle(doc, scn):
+    """Re-tag a v3 bundle as v1: the v2 fields plus M1, M2, K and s."""
+    doc = v2_bundle(doc, scn)
     doc["format"] = "neseek-controllers-v1"
     for entry in doc["agents"]:
         g = {k: np.asarray(v["data"]).reshape(v["shape"])
@@ -253,34 +266,69 @@ def test_controller_v1_bundle_still_loads(tmp_path, capsys):
     for strategy in ("digraph", "general"):
         path = write_doc(tmp_path, sensor_scenario_doc(strategy),
                          f"{strategy}.json")
-        v2 = tmp_path / f"{strategy}-v2.json"
-        assert main(["synth", path, "--out", str(v2)]) == 0
-        v1 = tmp_path / f"{strategy}-v1.json"
-        v1.write_text(json.dumps(v1_bundle(json.loads(v2.read_text()))))
-        new, old = load_controllers(v2), load_controllers(v1)
-        assert old["strategy"] == new["strategy"] == strategy
-        assert old["scenario_sha256"] == new["scenario_sha256"]
-        for c_new, c_old in zip(new["controllers"], old["controllers"]):
-            assert c_old.strategy == c_new.strategy
-            for name in CONTROLLER_FIELDS:
-                assert np.array_equal(getattr(c_old, name),
-                                      getattr(c_new, name))
+        scn = load_scenario(path)
+        v3 = tmp_path / f"{strategy}-v3.json"
+        assert main(["synth", path, "--out", str(v3)]) == 0
+        bundles = [v3]
+        for tag, convert in (("v2", v2_bundle), ("v1", v1_bundle)):
+            bundles.append(tmp_path / f"{strategy}-{tag}.json")
+            bundles[-1].write_text(
+                json.dumps(convert(json.loads(v3.read_text()), scn)))
+        new = load_controllers(v3, scn)
+        for old in (load_controllers(b, scn) for b in bundles[1:]):
+            assert old["strategy"] == new["strategy"] == strategy
+            assert old["certificates"] == new["certificates"]
+            for c_new, c_old in zip(new["controllers"], old["controllers"]):
+                for name in CONTROLLER_FIELDS:
+                    assert np.array_equal(getattr(c_old, name),
+                                          getattr(c_new, name))
         csvs = []
-        for bundle in (v2, v1):
+        for bundle in bundles:
             out = tmp_path / f"{bundle.stem}.csv"
             assert main(["sim", path, "--controllers", str(bundle),
                          "--out", str(out), "--t-end", "1.0"]) == 0
             csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1]
+        assert csvs[0] == csvs[1] == csvs[2]
     capsys.readouterr()
 
 
 def test_controller_file_format_gate(tmp_path):
+    scn = parse_scenario(sensor_scenario_doc("digraph"))
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"format": "something-else", "agents": []}))
-    with pytest.raises(ScenarioError) as err:
-        load_controllers(p)
-    assert CONTROLLER_FORMAT in str(err.value)
+    for fmt in ("something-else", "neseek-controllers-v4"):
+        p.write_text(json.dumps({"format": fmt, "agents": []}))
+        with pytest.raises(ScenarioError) as err:
+            load_controllers(p, scn)
+        assert CONTROLLER_FORMAT in str(err.value)
+
+
+def test_load_controllers_check_order(tmp_path, sensor_bundle):
+    # parse errors first (exit 2), then the scenario digest (exit 3),
+    # then the agent count and each gain against its plant (exit 2)
+    path, good = sensor_bundle
+    scn = load_scenario(path)
+    p = tmp_path / "c.json"
+
+    def load(edit):
+        doc = copy.deepcopy(good)
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        load_controllers(p, scn)
+
+    def stale(doc):
+        doc["scenario_sha256"] = "0" * 64
+
+    with pytest.raises(ScenarioError, match="certificates"):
+        load(lambda d: (stale(d), d.update(certificates=5)))
+    with pytest.raises(StaleControllerError):
+        load(lambda d: (stale(d), d["agents"].pop()))
+    with pytest.raises(StaleControllerError):
+        load(lambda d: (stale(d), _set(d, ("agents", 0, "K1"), mat([[1.0]]))))
+    with pytest.raises(ScenarioError, match="4 agents"):
+        load(lambda d: (d["agents"].pop(), _set(d, ("agents", 0, "K1"),
+                                                mat([[1.0]]))))
+    with pytest.raises(ScenarioError, match=r"agents\[1\]\.K1"):
+        load(lambda d: _set(d, ("agents", 0, "K1"), mat([[1.0]])))
 
 
 def test_svg_well_formed(tmp_path):
@@ -460,6 +508,9 @@ MALFORMED = [
      "synthesis.observer_q"),
     ("infinite weight", ("synthesis", "stabilizer_r"), float("inf"),
      "synthesis.stabilizer_r"),
+    ("non-object agent", ("agents", 1), 5, "agents[2]"),
+    ("string agent", ("agents", 0), "A", "agents[1]"),
+    ("non-object exosystem", ("exosystems", 2), 5, "exosystems[3]"),
 ]
 
 
@@ -626,7 +677,8 @@ def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
     scn = load_scenario(path)
     assert all(p.dA.any() and p.dC.any() for p in scn.plants)
     ref = simulate_distributed(
-        scn.game, scn.plants, scn.exos, load_controllers(ctrl)["controllers"],
+        scn.game, scn.plants, scn.exos,
+        load_controllers(ctrl, scn)["controllers"], "general",
         SimConfig(**scn.sim),
     )
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
@@ -649,10 +701,9 @@ def sensor_bundle(tmp_path_factory):
 
 
 def consistent_agent(n, m, p, v):
-    """Controller entry whose fields agree with each other but not the plant."""
-    shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "L": (n, p),
-              "G1": (v, v), "G2": (v, p), "K1": (m, n), "K2": (m, v),
-              "Rw": (p, p)}
+    """Controller entry whose gains agree with each other but not the plant."""
+    shapes = {"L": (n, p), "G1": (v, v), "G2": (v, p), "K1": (m, n),
+              "K2": (m, v)}
     return {k: mat(np.zeros(shape)) for k, shape in shapes.items()}
 
 
@@ -687,17 +738,20 @@ BAD_SIM_INPUTS = [
      "--perturb-scale"),
     ("negative perturb-scale", ["--perturb-scale", "-0.1"], None,
      "--perturb-scale"),
-    ("unknown synthesis key", [],
-     _edit_bundle(("synthesis", "observer_gain"), 2.0), "synthesis"),
-    ("non-finite synthesis weight", [],
-     _edit_bundle(("synthesis", "observer_q"), "x"), "synthesis.observer_q"),
+    ("number as certificates", [], _edit_bundle(("certificates",), 5),
+     "certificates"),
+    ("string as certificates", [], _edit_bundle(("certificates",), "ab"),
+     "certificates"),
+    ("nan certificate", [],
+     _edit_bundle(("certificates", "residual_err"), float("nan")),
+     "certificates.residual_err"),
     ("1x1 K1", [], _edit_bundle(("agents", 0, "K1"), mat([[1.0]])),
      "agents[1].K1"),
-    ("short Rw", [], _edit_bundle(("agents", 2, "Rw"), mat(np.eye(1))),
-     "agents[3].Rw"),
+    ("short G2", [], _edit_bundle(("agents", 2, "G2"), mat(np.eye(1))),
+     "agents[3].G2"),
     ("fractional matrix shape", [],
-     _edit_bundle(("agents", 0, "Rw"), {"shape": [0.5, 2], "data": [1.0]}),
-     "agents[1].Rw"),
+     _edit_bundle(("agents", 0, "L"), {"shape": [0.5, 2], "data": [1.0]}),
+     "agents[1].L"),
     ("matrix data not a list", [],
      _edit_bundle(("agents", 0, "L"), {"shape": [1, 1], "data": 1.0}),
      "agents[1].L"),
@@ -705,7 +759,7 @@ BAD_SIM_INPUTS = [
     ("four agents for five", [],
      lambda doc: doc["agents"].pop(), "4 agents"),
     ("controller for another plant", [],
-     _edit_bundle(("agents", 1), consistent_agent(3, 2, 2, 6)), "agents[2]"),
+     _edit_bundle(("agents", 1), consistent_agent(3, 2, 2, 6)), "agents[2].L"),
     ("gains overflow the loop", [], _overflowing_gain, "ctrl.json"),
 ]
 

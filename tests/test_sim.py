@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from neseek.errors import DivergenceError, DomainError, FirewallViolation
+from neseek.errors import (
+    DimensionError,
+    DivergenceError,
+    DomainError,
+    FirewallViolation,
+)
 from neseek.game import cost_from_targets
 from neseek.graph import CommGraph
 from neseek.plant import AgentPlant, Exosystem, sample_perturbation
@@ -231,19 +236,27 @@ def test_distributed_single_agent_matches_stacked():
     )
     exo = Exosystem(S=np.array([[0.0, OMEGA], [-OMEGA, 0.0]]),
                     w0=np.array([1.0, 0.0]))
-    from neseek.synthesis import build_strategy
+    from neseek.synthesis import build_controller
 
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(game, (plant,), (exo,), (c,), cfg)
+    tr_dist = simulate_distributed(game, (plant,), (exo,), (c,), "digraph", cfg)
     # Same arithmetic, different loop organization: agreement to within
     # a few ulp of accumulated reordering.
     assert np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked())) \
         <= 1e-12
     assert np.max(np.abs(tr_dist.e_stacked() - tr_stacked.e_stacked())) \
         <= 1e-12
+
+
+def test_distributed_rejects_unknown_strategy(sensor_digraph):
+    s = sensor_digraph
+    with pytest.raises(DimensionError) as err:
+        simulate_distributed(s.game, s.plants, s.exos, s.controllers,
+                             "centralized", SimConfig(dt=1e-3, t_end=1e-3))
+    assert "centralized" in str(err.value)
 
 
 @pytest.mark.parametrize("strategy", ["digraph", "general"])
@@ -253,7 +266,7 @@ def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=100)
     tr_stacked = simulate(s.cl, cfg)
     tr_dist = simulate_distributed(s.game, s.plants, s.exos,
-                                   s.controllers, cfg)
+                                   s.controllers, strategy, cfg)
     dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
     de = np.max(np.abs(tr_dist.e_stacked() - tr_stacked.e_stacked()))
     assert dy <= 1e-9
@@ -273,7 +286,7 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
     tr_dist = simulate_distributed(s.game, bumped, s.exos, s.controllers,
-                                   cfg)
+                                   "general", cfg)
     dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
     assert dy <= 1e-9
 
@@ -329,3 +342,15 @@ def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
     assert np.array_equal(got[:, 1:11], tr.y_stacked())
     assert np.array_equal(got[:, 11:21], tr.e_stacked())
     assert np.array_equal(got[:, 21:31], np.hstack(tr.w))
+    # every field is the repr of its float, in column order
+    want = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
+    for line, values in zip(text[1:], want):
+        assert line.split(", ") == [repr(float(v)) for v in values]
+    # a zero-row trajectory writes the header alone
+    empty = dataclasses.replace(
+        tr, times=tr.times[:0], x=tuple(a[:0] for a in tr.x),
+        ctrl=tuple(a[:0] for a in tr.ctrl), y=tuple(a[:0] for a in tr.y),
+        e=tuple(a[:0] for a in tr.e), w=tuple(a[:0] for a in tr.w),
+    )
+    write_csv(empty, path)
+    assert path.read_text().splitlines() == text[:1]

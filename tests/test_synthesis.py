@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from neseek.errors import (
     AssumptionError,
@@ -21,11 +22,13 @@ from neseek.plant import (
     sample_perturbation,
 )
 from neseek.synthesis import (
+    STRATEGIES,
     ClosedLoopSystem,
+    Controller,
     SynthesisWeights,
     assemble_closed_loop,
     augmented_stabilizer,
-    build_strategy,
+    build_controller,
     certify_stability,
     largest_stable_scale,
     observer_gain,
@@ -146,7 +149,7 @@ def test_augmented_stabilizer_no_control_authority():
 
 def test_digraph_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     # The controller state stacks the n-dimensional observer part and
     # the p*s internal model: 2 + 1*3 for one axis.
     assert c.ctrl_dim == 5
@@ -160,15 +163,17 @@ def test_digraph_template_fidelity():
     # The error-feedback template eta' = M1 eta + M2 e, u = K eta is no
     # longer stored; its blocks must appear in the assembled loop.
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    # The observer's plant copy is the nominal plant and Rw comes from
+    # the cost; neither is stored in the controller.
+    c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     n = plant.n
     x, eta = cl.x_slices[0], cl.ctrl_slices[0]
     M1 = cl.A_c[eta, eta]
-    upper_left = c.A + c.B @ c.K1 - c.L @ (Rw @ c.C)
+    upper_left = plant.A + plant.B @ c.K1 - c.L @ (Rw @ plant.C)
     assert np.array_equal(M1[:n, :n], upper_left)
-    assert np.array_equal(M1[:n, n:], c.B @ c.K2)
+    assert np.array_equal(M1[:n, n:], plant.B @ c.K2)
     assert np.array_equal(M1[n:, :n], np.zeros((c.ctrl_dim - n, n)))
     assert np.array_equal(M1[n:, n:], c.G1)
     # eta reads e = Rw C x through M2 = [L; G2]
@@ -176,12 +181,11 @@ def test_digraph_template_fidelity():
     assert np.array_equal(cl.A_c[eta, x], M2 @ (Rw @ plant.C))
     assert np.array_equal(cl.A_c[x, eta], plant.B @ c.K)
     assert np.array_equal(c.K, np.hstack([c.K1, c.K2]))
-    assert np.array_equal(c.Rw, Rw)
 
 
 def test_digraph_internal_model_embedded():
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     zeta = slice(cl.ctrl_slices[0].start + plant.n, cl.ctrl_slices[0].stop)
     im = InternalModel(G1=cl.A_c[zeta, zeta], G2=c.G2, s=c.s, p=plant.p)
@@ -191,7 +195,7 @@ def test_digraph_internal_model_embedded():
 
 def test_digraph_disturbance_free_form():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     # S-tilde = [0]: the internal model collapses to the integrator pair.
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
@@ -200,7 +204,7 @@ def test_digraph_disturbance_free_form():
 
 def test_general_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "general")
+    c = build_controller(plant, game.costs[0], exo)
     assert c.K1.shape == (1, 2)
     assert c.K2.shape == (1, 3)
     assert c.G1.shape == (3, 3)
@@ -209,25 +213,31 @@ def test_general_controller_dimensions():
 
 def test_general_disturbance_free_integrator_law():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy(plant, game.costs[0], exo, "general")
+    c = build_controller(plant, game.costs[0], exo)
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
 
 
 def test_strategies_share_gains():
+    # A controller is exactly its five gains; one result assembles under
+    # both strategies, which the closed loop records.
     game, plant, exo = isolated_setup()
-    a = build_strategy(plant, game.costs[0], exo, "digraph")
-    b = build_strategy(plant, game.costs[0], exo, "general")
-    for attr in ("L", "G1", "G2", "K1", "K2", "Rw"):
-        assert np.array_equal(getattr(a, attr), getattr(b, attr))
-    assert (a.strategy, b.strategy) == ("digraph", "general")
+    c = build_controller(plant, game.costs[0], exo)
+    assert [f.name for f in dataclasses.fields(Controller)] == \
+        ["L", "G1", "G2", "K1", "K2"]
+    for kind in STRATEGIES:
+        cl = assemble_closed_loop(game, (plant,), (exo,), (c,), kind)
+        assert cl.strategy == kind
+        assert cl.controllers[0] is c
+        ok, _ = certify_stability(cl)
+        assert ok
 
 
 def test_weights_override_changes_gains():
     game, plant, exo = isolated_setup()
-    base = build_strategy(plant, game.costs[0], exo, "digraph")
-    heavy = build_strategy(
-        plant, game.costs[0], exo, "digraph", SynthesisWeights(observer_q=100.0)
+    base = build_controller(plant, game.costs[0], exo)
+    heavy = build_controller(
+        plant, game.costs[0], exo, SynthesisWeights(observer_q=100.0)
     )
     assert not np.array_equal(base.L, heavy.L)
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
@@ -239,7 +249,7 @@ def test_cost_plant_dimension_mismatch():
     game, plant, exo = isolated_setup(target=(-1.0, 0.0))
     # Cost built for a 2-dimensional output, plant measures 1.
     with pytest.raises(DimensionError):
-        build_strategy(plant, game.costs[0], exo, "digraph")
+        build_controller(plant, game.costs[0], exo)
 
 
 def test_assemble_rejects_cycle():
@@ -248,7 +258,7 @@ def test_assemble_rejects_cycle():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_strategy(plants[i], game.costs[i], exos[i], "digraph")
+        build_controller(plants[i], game.costs[i], exos[i])
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -262,7 +272,7 @@ def test_assemble_rejects_disconnected():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_strategy(plants[i], game.costs[i], exos[i], "general")
+        build_controller(plants[i], game.costs[i], exos[i])
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -272,19 +282,30 @@ def test_assemble_rejects_disconnected():
 
 def test_assemble_rejects_wrong_controller_kind():
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "general")
+    c = build_controller(plant, game.costs[0], exo)
     with pytest.raises(DimensionError) as err:
-        assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
-    assert "strategy" in str(err.value)
-    with pytest.raises(DimensionError):
-        build_strategy(plant, game.costs[0], exo, "centralized")
+        assemble_closed_loop(game, (plant,), (exo,), (c,), "centralized")
+    assert "centralized" in str(err.value)
+    # gains designed for a three-state plant: the observer would have
+    # the wrong size, so assembly names the agent and the first gain
+    wider = AgentPlant(
+        A=scipy.linalg.block_diag(plant.A, [[-1.0]]),
+        B=np.vstack([plant.B, [[1.0]]]),
+        C=np.hstack([plant.C, [[0.0]]]),
+        P=np.vstack([plant.P, [[0.0, 0.0]]]),
+    )
+    other = build_controller(wider, game.costs[0], exo)
+    assert other.n == 3
+    with pytest.raises(DimensionError) as err:
+        assemble_closed_loop(game, (plant,), (exo,), (other,), "digraph")
+    assert "agent 1" in str(err.value) and "L" in str(err.value)
 
 
 def test_assemble_rejects_disturbance_dimension_mismatch():
     game, plant, exo = isolated_setup()
     narrow = AgentPlant(A=plant.A, B=plant.B, C=plant.C,
                         P=np.array([[0.0], [1.0]]))
-    c = build_strategy(narrow, game.costs[0], exo, "digraph")
+    c = build_controller(narrow, game.costs[0], exo)
     with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (narrow,), (exo,), (c,), "digraph")
     assert "disturbance" in str(err.value)
@@ -296,7 +317,7 @@ def test_single_agent_block_matches_stacked(sensor_digraph):
     s = sensor_digraph
     g1 = CommGraph(1, directed=True, edges=[])
     game1 = cost_from_targets([np.array([-1.0, 0.0])], g1)
-    c1 = build_strategy(s.plants[0], game1.costs[0], s.exos[0], "digraph")
+    c1 = build_controller(s.plants[0], game1.costs[0], s.exos[0])
     cl1 = assemble_closed_loop(game1, (s.plants[0],), (s.exos[0],),
                                (c1,), "digraph")
     k = cl1.dim_z
@@ -320,7 +341,7 @@ def test_dag_relabel_zero_pattern():
         plants = [axis_plant() for _ in range(n_agents)]
         exos = [axis_exo() for _ in range(n_agents)]
         controllers = [
-            build_strategy(plants[i], game.costs[i], exos[i], "digraph")
+            build_controller(plants[i], game.costs[i], exos[i])
             for i in range(n_agents)
         ]
         cl = assemble_closed_loop(game, plants, exos, controllers, "digraph")
@@ -343,9 +364,8 @@ def test_strategies_differ_only_in_observer_coupling(sensor_digraph):
     # it from the same gains: the general law adds exactly the blocks
     # xi_i <- xi_j = -L_i R_ij C_j and leaves everything else alone.
     s = sensor_digraph
-    general = [dataclasses.replace(c, strategy="general")
-               for c in s.controllers]
-    cl_g = assemble_closed_loop(s.game, s.plants, s.exos, general, "general")
+    cl_g = assemble_closed_loop(s.game, s.plants, s.exos, s.controllers,
+                                "general")
     cl_d = s.cl
     for name in ("P_c", "C_c", "Q_c", "S_hat", "C_out", "v0", "x_slices",
                  "ctrl_slices", "v_slices", "out_slices"):
@@ -370,7 +390,7 @@ def test_certify_sensor_loops(sensor_digraph, sensor_general):
 
 def test_certify_spectral_split():
     game, plant, exo = isolated_setup()
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     observer_part = eigenvalues(plant.A - c.L @ (Rw @ plant.C))
@@ -387,8 +407,8 @@ def test_certify_spectral_split():
 
 def test_certify_zeroed_gain_unstable():
     game, plant, exo = isolated_setup(disturbed=False)
+    c = build_controller(plant, game.costs[0], exo)
     for kind in ("general", "digraph"):
-        c = build_strategy(plant, game.costs[0], exo, kind)
         # K = [K1 K2] is derived, so zeroing K1 and K2 zeroes it too
         dead = dataclasses.replace(
             c, K1=np.zeros_like(c.K1), K2=np.zeros_like(c.K2)
@@ -465,7 +485,7 @@ def test_steady_state_matches_ne(sensor_digraph, sensor_general):
 
 def test_steady_state_isolated_reaches_target():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_strategy(plant, game.costs[0], exo, "digraph")
+    c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     reg = solve_regulator(cl)
     x_ss, u_ss, y_ss = steady_state(reg, cl, cl.v0)
@@ -528,7 +548,7 @@ def test_chain20_certifies(chain20, strategy):
     game = cost_from_targets(targets, graph)
     weights = GENERAL_WEIGHTS if strategy == "general" else SynthesisWeights()
     controllers = [
-        build_strategy(plants[i], game.costs[i], exos[i], strategy, weights)
+        build_controller(plants[i], game.costs[i], exos[i], weights)
         for i in range(n)
     ]
     cl = assemble_closed_loop(game, plants, exos, controllers, strategy)
