@@ -53,7 +53,7 @@ class LocalCost:
         if Q.shape != (p,):
             raise DimensionError(f"Q_ii must have {p} entries, got {Q.shape}")
         sym_min = np.min(np.linalg.eigvalsh(0.5 * (R + R.T)))
-        if sym_min <= 0:
+        if not sym_min > 0:
             raise DomainError(
                 f"R_ii must have positive-definite symmetric part (min eig {sym_min:.3e})"
             )

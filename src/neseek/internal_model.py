@@ -39,7 +39,7 @@ def companion_pair(minpoly):
     coeffs = np.asarray(minpoly, dtype=float).reshape(-1)
     if coeffs.size < 2:
         raise DimensionError("polynomial must have degree >= 1")
-    if abs(coeffs[-1] - 1.0) > 1e-12:
+    if not abs(coeffs[-1] - 1.0) <= 1e-12:
         raise DomainError(f"polynomial must be monic, leading coefficient {coeffs[-1]}")
     s = coeffs.size - 1
     beta = np.zeros((s, s))

@@ -6,7 +6,6 @@ values and raise the typed errors from :mod:`neseek.errors`.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -130,6 +129,7 @@ def solve_sylvester(A, B, C):
                 "the Sylvester equation has no unique solution"
             )
 
+    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
     return scipy.linalg.solve_sylvester(-A, B, C)
 
 
@@ -167,6 +167,7 @@ def solve_care(A, B, Qw, Rw):
             f"Qw {Qw.shape}, Rw {Rw.shape}"
         )
 
+    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
     try:
         P = scipy.linalg.solve_continuous_are(A, B, Qw, Rw)
     except (np.linalg.LinAlgError, ValueError) as exc:

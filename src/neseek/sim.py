@@ -10,7 +10,6 @@ read gates and is the reference loop the stacked path is compared with.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DivergenceError, DomainError, FirewallViolation
 from .game import assemble_pseudo_gradient, solve_ne
@@ -38,10 +37,10 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise DomainError(f"t_end {self.t_end} must be at least dt {self.dt}")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
-            raise DomainError(f"record_stride must be a positive integer")
+        if not (self.dt <= self.t_end < np.inf):
+            raise DomainError(f"t_end {self.t_end} must be finite and >= dt {self.dt}")
+        if not (1 <= self.record_stride < np.inf) or self.record_stride % 1:
+            raise DomainError(f"record_stride {self.record_stride} is not a positive integer")
 
     @property
     def n_steps(self):
@@ -81,6 +80,7 @@ class Trajectory:
 
 
 def _exo_steppers(S_hat, dt):
+    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
     E_half = scipy.linalg.expm(np.asarray(S_hat, dtype=float) * (dt / 2.0))
     return E_half, E_half @ E_half
 

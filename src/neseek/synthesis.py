@@ -25,7 +25,6 @@ regulator-equation, and steady-state certificates are computed on it.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import AssumptionError, DimensionError, SynthesisError
@@ -221,7 +220,8 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
 
     A_aug = np.block([[A, np.zeros((n, v))], [im.G2 @ Cw, im.G1]])
     B_aug = np.vstack([B, np.zeros((v, m))])
-    Qw = scipy.linalg.block_diag(_weight(n, q_state), _weight(v, q_im))
+    Qw = np.block([[_weight(n, q_state), np.zeros((n, v))],
+                   [np.zeros((v, n)), _weight(v, q_im)]])
     K = linalg.solve_care(A_aug, B_aug, Qw, _weight(m, r_scale))
     return K[:, :n], K[:, n:]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError, SingularMatrixError
+from neseek.errors import DimensionError, DomainError, SingularMatrixError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -13,6 +13,7 @@ from neseek.game import (
     solve_ne,
 )
 from neseek.graph import CommGraph
+from neseek.internal_model import companion_pair
 
 
 def two_agent_game(r=(1.0, 3.0)):
@@ -280,3 +281,17 @@ def test_cost_from_targets_matches_quadratic_expansion():
                       for j in nbrs)
             )
             assert evaluate_cost(game, i, y) == pytest.approx(direct)
+
+
+NAN_GATES = [
+    ("R_ii with NaN symmetric part",
+     lambda: LocalCost(R_ii=np.array([[np.nan]]), Q_ii=np.array([0.0]))),
+    ("NaN leading coefficient",
+     lambda: companion_pair([0.0, 1.0, np.nan])),
+]
+
+
+@pytest.mark.parametrize("case, build", NAN_GATES, ids=[c for c, _ in NAN_GATES])
+def test_nan_fails_validation_gates(case, build):
+    with pytest.raises(DomainError):
+        build()

@@ -67,6 +67,11 @@ def test_sim_config_validation():
         SimConfig(dt=1e-3, t_end=1.0, record_stride=0)
     with pytest.raises(DomainError):
         SimConfig(dt=1e-3, t_end=1.0, record_stride=1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            SimConfig(dt=0.1, t_end=bad)
+        with pytest.raises(DomainError):
+            SimConfig(dt=0.1, t_end=1.0, record_stride=bad)
 
 
 def test_scalar_decay_matches_exponential():
