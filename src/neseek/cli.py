@@ -40,6 +40,7 @@ from .scenario import (  # noqa: F401
 from .sim import SimConfig, Trajectory, convergence_metrics, simulate, write_csv
 from .svgplot import line_plot
 from .synthesis import (
+    STRATEGIES,
     assemble_closed_loop,
     build_controller,
     certify_stability,
@@ -238,7 +239,7 @@ def _empty_trajectory(scn):
     )
 
 
-def _bad_override(t_end, dt, perturb_scale):
+def _bad_override(t_end, dt, perturb_scale, seed):
     """Message naming the first sim override outside its domain, or None."""
     if dt is not None and not (0 < dt < math.inf):
         return f"--dt must be positive and finite, got {dt!r}"
@@ -246,12 +247,14 @@ def _bad_override(t_end, dt, perturb_scale):
         return f"--t-end must be non-negative and finite, got {t_end!r}"
     if perturb_scale is not None and not (0 <= perturb_scale < math.inf):
         return f"--perturb-scale must be non-negative and finite, got {perturb_scale!r}"
+    if seed < 0:
+        return f"--seed must be non-negative, got {seed!r}"
     return None
 
 
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             perturb_scale=None, seed=0):
-    bad = _bad_override(t_end, dt, perturb_scale)
+    bad = _bad_override(t_end, dt, perturb_scale, seed)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -347,7 +350,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize controllers + certificates")
     p.add_argument("scenario")
-    p.add_argument("--strategy", choices=["digraph", "general"], default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sim", help="simulate a synthesized closed loop")

@@ -47,8 +47,8 @@ class LocalCost:
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.R_ii, dtype=float))
         p = R.shape[0]
-        if R.shape != (p, p):
-            raise DimensionError(f"R_ii must be square, got {R.shape}")
+        if R.shape != (p, p) or not p:
+            raise DimensionError(f"R_ii must be square and non-empty, got {R.shape}")
         Q = np.asarray(self.Q_ii, dtype=float).reshape(-1)
         if Q.shape != (p,):
             raise DimensionError(f"Q_ii must have {p} entries, got {Q.shape}")
@@ -76,7 +76,11 @@ class LocalCost:
 
 @dataclass(frozen=True)
 class NetworkGame:
-    """A graph plus one LocalCost per agent."""
+    """A graph plus one LocalCost per agent.
+
+    Agent i's couplings are keyed by its neighbors j, with R_ij of shape
+    p_i x p_j and Q_ij of shape p_j x p_j.
+    """
 
     graph: CommGraph
     costs: tuple
@@ -94,6 +98,14 @@ class NetworkGame:
                     f"agent {i}: coupling keys {sorted(cost.R_ij)} must equal "
                     f"neighbor set {sorted(nbrs)}"
                 )
+            for j in sorted(nbrs):
+                p_j = costs[j - 1].p
+                for name, M, shape in (("R", cost.R_ij[j], (cost.p, p_j)),
+                                       ("Q", cost.Q_ij[j], (p_j, p_j))):
+                    if M.shape != shape:
+                        raise DimensionError(
+                            f"{name}_{i}{j} must be {shape[0]}x{shape[1]}, got {M.shape}"
+                        )
         object.__setattr__(self, "costs", costs)
 
     @property
@@ -128,10 +140,6 @@ def assemble_pseudo_gradient(game):
         Rbar[rows, rows] = cost.R_ii + cost.R_ii.T
         Qbar[rows] = cost.Q_ii
         for j, R_ij in cost.R_ij.items():
-            if R_ij.shape != (cost.p, game.costs[j - 1].p):
-                raise DimensionError(
-                    f"R_{i}{j} must be {cost.p}x{game.costs[j - 1].p}, got {R_ij.shape}"
-                )
             Rbar[rows, off[j - 1]:off[j]] = R_ij
     return PseudoGradientData(Rbar=Rbar, Qbar=Qbar)
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     NonUniqueSolutionError,
     SingularMatrixError,
     SynthesisError,
@@ -29,6 +30,12 @@ def _as_square(M, name="M"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
+    return _finite(M, name)
+
+
+def _finite(M, name):
+    if not np.isfinite(M).all():
+        raise DomainError(f"{name} has non-finite entries")
     return M
 
 
@@ -68,7 +75,7 @@ def rank(M):
     Counts the singular values exceeding max(rows, cols) * eps * the
     largest singular value.
     """
-    M = np.atleast_2d(np.asarray(M))
+    M = _finite(np.atleast_2d(np.asarray(M)), "M")
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)

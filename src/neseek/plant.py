@@ -163,10 +163,6 @@ class ExtendedExosystem:
     S_tilde: np.ndarray
     v0: np.ndarray
 
-    @property
-    def dim(self):
-        return self.S_tilde.shape[0]
-
 
 def extend_exosystem(exo):
     """Append the constant channel: S_tilde = blockdiag(S, 0), v0 = (w0, 1)."""

@@ -1,18 +1,22 @@
 """Scenario and controller files: JSON interchange, validation, hashing.
 
 Matrices travel as {"shape": [rows, cols], "data": [row-major floats]};
-vectors as plain lists.  A scenario's content digest is embedded in
-controller files so a simulation refuses gains synthesized for
-different data.
+vectors as plain lists.  Every JSON object is read by ``_read`` from a
+table with one reader per field, so each object kind rejects a missing
+or unknown field the same way and names its path.  A scenario's content
+digest is embedded in controller files so a simulation refuses gains
+synthesized for different data.
 """
 
 import hashlib
 import json
+import re
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ScenarioError, StaleControllerError
+from .errors import DimensionError, DomainError, ScenarioError, StaleControllerError
 from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
@@ -32,65 +36,182 @@ __all__ = [
 SIM_DEFAULTS = {"dt": 1e-3, "t_end": 100.0, "record_stride": 100}
 
 CONTROLLER_FORMAT = "neseek-controllers-v3"
-# v1 and v2 files also store the plant copy A, B, C, Rw and the synthesis
-# weights (v1 also M1, M2, K, s), all derivable from the scenario and the
-# gains; reading ignores them
 READABLE_FORMATS = (
     "neseek-controllers-v1", "neseek-controllers-v2", CONTROLLER_FORMAT
 )
 
 CONTROLLER_FIELDS = tuple(f.name for f in fields(Controller))
+CERTIFICATES = ("abscissa", "residual_dyn", "residual_err", "scale_dyn", "scale_err")
+
+
+def _read(doc, where, readers, required=()):
+    """Read the object ``doc`` at path ``where`` (empty at the top level).
+
+    Rejects a non-object, a missing ``required`` field and any field not
+    in ``readers``, then returns {field: reader(value, path)} in table
+    order.  A reader of None marks a legacy field that is ignored.
+    """
+    label = where or "top level"
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{label}: expected an object, got {doc!r}")
+    for key in required:
+        if key not in doc:
+            raise ScenarioError(f"{label}: missing required field {key!r}")
+    unknown = sorted(set(doc) - set(readers))
+    if unknown:
+        raise ScenarioError(f"{label}: unknown field(s) {unknown}")
+    return {
+        key: read(doc[key], f"{where}.{key}" if where else key)
+        for key, read in readers.items() if read is not None and key in doc
+    }
+
+
+def _build(make, where, **kw):
+    """``make(**kw)``, with a shape or domain error reported at ``where``."""
+    try:
+        return make(**kw)
+    except (DimensionError, DomainError) as err:
+        raise ScenarioError(f"{where}: {err}") from err
+
+
+def _record(readers, required=(), make=dict):
+    """Reader of one object kind: ``make`` applied to its read fields."""
+    return lambda doc, where: _build(make, where, **_read(doc, where, readers, required))
+
+
+def _list_of(read):
+    def read_list(doc, where):
+        if not isinstance(doc, list):
+            raise ScenarioError(f"{where}: expected a list")
+        return [read(v, f"{where}[{i}]") for i, v in enumerate(doc, start=1)]
+    return read_list
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; booleans and ints beyond float range are not."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _finite_number(v, where):
-    if not _is_number(v) or not np.isfinite(v):
+def _is_whole(v):
+    return _is_number(v) and float(v).is_integer()
+
+
+def _number(v, where):
+    if not _is_number(v):
         raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _valid(read, ok, rule):
+    """``read``, then reject a value for which ``ok`` is false."""
+    def read_valid(v, where):
+        v = read(v, where)
+        if not ok(v):
+            raise ScenarioError(f"{where}: must {rule}, got {v!r}")
+        return v
+    return read_valid
+
+
+def _stride(v, where):
+    if not (_is_whole(v) and v >= 1):
+        raise ScenarioError(f"{where}: expected a positive integer, got {v!r}")
+    return int(v)
+
+
+def _instance(kind, noun):
+    def read(v, where):
+        if not isinstance(v, kind):
+            raise ScenarioError(f"{where}: expected {noun}, got {v!r}")
+        return v
+    return read
+
+
+_boolean, _string = _instance(bool, "true or false"), _instance(str, "a string")
+_strategy = _valid(_string, lambda v: v in STRATEGIES,
+                   "be " + " or ".join(map(repr, STRATEGIES)))
+
+
+def _pair(v, where):
+    """[source, sink] agent numbers of an edge, or [rows, cols] of a matrix."""
+    if not (isinstance(v, list) and len(v) == 2
+            and all(_is_whole(k) and k >= 0 for k in v)):
+        raise ScenarioError(
+            f"{where}: expected a pair of non-negative integers, got {v!r}"
+        )
+    return int(v[0]), int(v[1])
+
+
+def _vector(v, where):
+    if not (isinstance(v, list) and all(map(_is_number, v))):
+        raise ScenarioError(f"{where}: expected a list of finite numbers")
+    return np.asarray(v, dtype=float)
+
+
+def _matrix(doc, where):
+    m = _read(doc, where, {"shape": _pair, "data": _vector}, ("shape", "data"))
+    (r, c), data = m["shape"], m["data"]
+    if data.size != r * c:
+        raise ScenarioError(
+            f"{where}: shape {r}x{c} needs {r * c} entries, got {data.size}"
+        )
+    return data.reshape(r, c)
+
+
+def _coupling(doc, where):
+    """Matrices keyed by neighbor agent number j, written as str(j) writes it."""
+    if not (isinstance(doc, dict) and all(
+            isinstance(j, str) and re.fullmatch("[1-9][0-9]{0,17}", j) for j in doc)):
+        raise ScenarioError(f"{where}: expected an object keyed by agent numbers")
+    return {int(j): _matrix(m, f"{where}[{j}]") for j, m in doc.items()}
+
+
+# one table per object kind
+SCENARIO = {
+    "name": _string,
+    "strategy": _strategy,
+    "graph": _record({"directed": _boolean, "edges": _list_of(_pair)},
+                     ("directed", "edges")),
+    "agents": _list_of(_record(
+        {**dict.fromkeys(("A", "B", "C", "P", "dA", "dB", "dC", "dP"), _matrix),
+         "x0": _vector},
+        ("A", "B", "C"))),
+    "exosystems": _list_of(_record({"S": _matrix, "w0": _vector},
+                                   ("S", "w0"), Exosystem)),
+    "cost": _record({
+        "targets": _list_of(_vector),
+        "blocks": _list_of(_record(
+            {"R_ii": _matrix, "Q_ii": _vector, "q_i": _number,
+             "R_ij": _coupling, "Q_ij": _coupling},
+            ("R_ii", "Q_ii"), LocalCost)),
+    }),
+    "sim": _record({"dt": _valid(_number, lambda v: v > 0, "be positive"),
+                    "t_end": _valid(_number, lambda v: v >= 0, "not be negative"),
+                    "record_stride": _stride}),
+    "synthesis": _record(dict.fromkeys(asdict(SynthesisWeights()), _number),
+                         make=SynthesisWeights),
+}
+
+# v1 and v2 bundles also store the plant copy A, B, C, Rw and the
+# synthesis weights (v1 also M1, M2, K, s), all derivable from the
+# scenario and the gains; reading ignores them
+BUNDLE = {
+    "format": _string,
+    "strategy": _strategy,
+    "scenario_sha256": _string,
+    "certificates": _record(dict.fromkeys(CERTIFICATES, _number), CERTIFICATES),
+    "agents": _list_of(_record(
+        {**dict.fromkeys(CONTROLLER_FIELDS, _matrix),
+         **dict.fromkeys(("A", "B", "C", "Rw", "M1", "M2", "K", "s"))},
+        CONTROLLER_FIELDS, Controller)),
+    "synthesis": None,
+}
 
 
 def _mat_to_json(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return {"shape": [int(M.shape[0]), int(M.shape[1])],
             "data": [float(x) for x in M.ravel()]}
-
-
-def _mat_from_json(obj, where):
-    if (
-        not isinstance(obj, dict)
-        or set(obj) != {"shape", "data"}
-        or not isinstance(obj["shape"], list)
-        or len(obj["shape"]) != 2
-        or not all(type(d) is int and d >= 0 for d in obj["shape"])
-        or not isinstance(obj["data"], list)
-    ):
-        raise ScenarioError(
-            f"{where}: matrices need the form {{'shape': [r, c], 'data': [...]}}"
-        )
-    r, c = obj["shape"]
-    data = obj["data"]
-    if not all(_is_number(v) for v in data):
-        raise ScenarioError(f"{where}: matrix data must be numbers")
-    if len(data) != r * c:
-        raise ScenarioError(
-            f"{where}: shape {r}x{c} needs {r * c} entries, got {len(data)}"
-        )
-    M = np.asarray(data, dtype=float).reshape(r, c)
-    if not np.isfinite(M).all():
-        raise ScenarioError(f"{where}: matrix data must be finite")
-    return M
-
-
-def _vec_from_json(obj, where):
-    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
-        raise ScenarioError(f"{where}: expected a list of numbers")
-    v = np.asarray(obj, dtype=float)
-    if not np.isfinite(v).all():
-        raise ScenarioError(f"{where}: entries must be finite")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,173 +239,51 @@ class Scenario:
         return isinstance(other, Scenario) and self.raw == other.raw
 
 
-def _object(doc, where):
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{where}: expected an object, got {doc!r}")
-    return doc
-
-
-def _require(doc, key, where):
-    if key not in _object(doc, where):
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return doc[key]
-
-
 def parse_scenario(doc):
     """Validate a scenario document and build the domain objects."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    known = {"name", "strategy", "graph", "agents", "exosystems", "cost",
-             "sim", "synthesis"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario field(s): {sorted(unknown)}")
-
-    strategy = _require(doc, "strategy", "scenario")
-    if strategy not in STRATEGIES:
-        raise ScenarioError(
-            f"strategy: must be 'digraph' or 'general', got {strategy!r}"
-        )
-
-    agents_doc = _require(doc, "agents", "scenario")
-    exos_doc = _require(doc, "exosystems", "scenario")
-    if not isinstance(agents_doc, list) or not agents_doc:
+    top = _read(doc, "", SCENARIO,
+                ("strategy", "graph", "agents", "exosystems", "cost"))
+    agents, exos = top["agents"], top["exosystems"]
+    if not agents:
         raise ScenarioError("agents: expected a non-empty list")
-    if not isinstance(exos_doc, list) or len(exos_doc) != len(agents_doc):
-        raise ScenarioError(
-            f"exosystems: expected one entry per agent ({len(agents_doc)})"
-        )
-    N = len(agents_doc)
-
-    graph_doc = _require(doc, "graph", "scenario")
-    try:
-        edges = [tuple(e) for e in graph_doc["edges"]]
-        graph = CommGraph(N, directed=bool(graph_doc["directed"]), edges=edges)
-    except ScenarioError:
-        raise
-    except Exception as err:
-        raise ScenarioError(f"graph: {err}") from err
-
-    exos = []
-    for i, ed in enumerate(exos_doc, start=1):
-        where = f"exosystems[{i}]"
-        S = _mat_from_json(_require(ed, "S", where), where + ".S")
-        w0 = _vec_from_json(_require(ed, "w0", where), where + ".w0")
-        extra = set(ed) - {"S", "w0"}
-        if extra:
-            raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
-        try:
-            exos.append(Exosystem(S=S, w0=w0))
-        except Exception as err:
-            raise ScenarioError(f"{where}: {err}") from err
+    if len(exos) != len(agents):
+        raise ScenarioError(f"exosystems: expected one entry per agent ({len(agents)})")
+    graph = _build(CommGraph, "graph", agent_count=len(agents), **top["graph"])
 
     plants = []
-    for i, ad in enumerate(agents_doc, start=1):
-        where = f"agents[{i}]"
-        extra = set(_object(ad, where)) - {"A", "B", "C", "P", "x0",
-                                           "dA", "dB", "dC", "dP"}
-        if extra:
-            raise ScenarioError(f"{where}: unknown field(s) {sorted(extra)}")
-        kw = {}
-        for key in ("A", "B", "C"):
-            kw[key] = _mat_from_json(_require(ad, key, where), f"{where}.{key}")
-        n = kw["A"].shape[0]
-        q = exos[i - 1].q
-        if "P" in ad:
-            kw["P"] = _mat_from_json(ad["P"], f"{where}.P")
-        else:
-            kw["P"] = np.zeros((n, q))
-        for key in ("dA", "dB", "dC", "dP"):
-            if key in ad:
-                kw[key] = _mat_from_json(ad[key], f"{where}.{key}")
-        if "x0" in ad:
-            kw["x0"] = _vec_from_json(ad["x0"], f"{where}.x0")
-        try:
-            plant = AgentPlant(**kw)
-        except Exception as err:
-            raise ScenarioError(f"{where}: {err}") from err
-        if plant.q != q:
-            raise ScenarioError(
-                f"{where}.P: {plant.q} disturbance columns but exosystem has {q}"
-            )
+    for i, (kw, exo) in enumerate(zip(agents, exos), start=1):
+        kw.setdefault("P", np.zeros((kw["A"].shape[0], exo.q)))
+        plant = _build(AgentPlant, f"agents[{i}]", **kw)
+        if plant.q != exo.q:
+            raise ScenarioError(f"agents[{i}].P: {plant.q} disturbance columns "
+                                f"but exosystem has {exo.q}")
         plants.append(plant)
 
-    cost_doc = _require(doc, "cost", "scenario")
-    if not isinstance(cost_doc, dict) or len(set(cost_doc) & {"targets", "blocks"}) != 1:
+    cost = top["cost"]
+    if len(cost) != 1:
         raise ScenarioError("cost: needs exactly one of 'targets' or 'blocks'")
-    try:
-        if "targets" in cost_doc:
-            targets = [
-                _vec_from_json(t, f"cost.targets[{i + 1}]")
-                for i, t in enumerate(cost_doc["targets"])
-            ]
-            game = cost_from_targets(targets, graph)
-        else:
-            costs = []
-            for i, bd in enumerate(cost_doc["blocks"], start=1):
-                where = f"cost.blocks[{i}]"
-                costs.append(
-                    LocalCost(
-                        R_ii=_mat_from_json(_require(bd, "R_ii", where), where + ".R_ii"),
-                        Q_ii=_vec_from_json(_require(bd, "Q_ii", where), where + ".Q_ii"),
-                        q_i=_finite_number(bd.get("q_i", 0.0), where + ".q_i"),
-                        R_ij={
-                            int(j): _mat_from_json(m, f"{where}.R_ij[{j}]")
-                            for j, m in bd.get("R_ij", {}).items()
-                        },
-                        Q_ij={
-                            int(j): _mat_from_json(m, f"{where}.Q_ij[{j}]")
-                            for j, m in bd.get("Q_ij", {}).items()
-                        },
-                    )
-                )
-            game = NetworkGame(graph=graph, costs=tuple(costs))
-    except ScenarioError:
-        raise
-    except Exception as err:
-        raise ScenarioError(f"cost: {err}") from err
-
-    for i, (plant, cost) in enumerate(zip(plants, game.costs), start=1):
-        if plant.p != cost.p:
+    if "targets" in cost:
+        costs = _build(cost_from_targets, "cost", targets=cost["targets"],
+                       graph=graph).costs
+    else:
+        costs = cost["blocks"]
+    # before the game is built, which checks the coupling shapes
+    for i, (plant, c) in enumerate(zip(plants, costs), start=1):
+        if plant.p != c.p:
             raise ScenarioError(
                 f"agents[{i}]: output dimension {plant.p} does not match "
-                f"cost dimension {cost.p}"
+                f"cost dimension {c.p}"
             )
-
-    sim_doc = _object(doc.get("sim", {}), "sim")
-    extra = set(sim_doc) - set(SIM_DEFAULTS)
-    if extra:
-        raise ScenarioError(f"sim: unknown field(s) {sorted(extra)}")
-    sim = {**SIM_DEFAULTS, **sim_doc}
-    sim["dt"] = _finite_number(sim["dt"], "sim.dt")
-    sim["t_end"] = _finite_number(sim["t_end"], "sim.t_end")
-    if not sim["dt"] > 0:
-        raise ScenarioError(f"sim.dt: must be positive, got {sim['dt']!r}")
-    if not sim["t_end"] >= 0:
-        raise ScenarioError(f"sim.t_end: must not be negative, got {sim['t_end']!r}")
-    stride = sim["record_stride"]
-    if not (_is_number(stride) and float(stride).is_integer() and stride >= 1):
-        raise ScenarioError(
-            f"sim.record_stride: expected a positive integer, got {stride!r}"
-        )
-    sim["record_stride"] = int(stride)
-
-    weight_doc = _object(doc.get("synthesis", {}), "synthesis")
-    extra = set(weight_doc) - set(asdict(SynthesisWeights()))
-    if extra:
-        raise ScenarioError(f"synthesis: unknown field(s) {sorted(extra)}")
-    weights = SynthesisWeights(**{
-        k: _finite_number(v, f"synthesis.{k}") for k, v in weight_doc.items()
-    })
+    game = _build(NetworkGame, "cost", graph=graph, costs=costs)
 
     scn = Scenario(
-        name=str(doc.get("name", "")),
-        strategy=strategy,
+        name=top.get("name", ""),
+        strategy=top["strategy"],
         game=game,
         plants=tuple(plants),
         exos=tuple(exos),
-        sim=sim,
-        weights=weights,
+        sim={**SIM_DEFAULTS, **top.get("sim", {})},
+        weights=top.get("synthesis", SynthesisWeights()),
         raw={},
     )
     object.__setattr__(scn, "raw", scenario_to_dict(scn))
@@ -344,6 +343,8 @@ def _read_json(path):
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}"
         ) from err
+    except ValueError as err:  # e.g. an integer literal past Python's digit limit
+        raise ScenarioError(f"{path}: invalid JSON: {err}") from err
     except OSError as err:
         raise ScenarioError(f"{path}: {err}") from err
 
@@ -396,25 +397,14 @@ def load_controllers(path, scenario):
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") not in READABLE_FORMATS:
         raise ScenarioError(f"{path}: not a {CONTROLLER_FORMAT} file")
-    strategy = doc.get("strategy")
-    if strategy not in STRATEGIES:
-        raise ScenarioError(f"{path}: bad strategy {strategy!r}")
-    agents = doc.get("agents", [])
-    if not isinstance(agents, list) or not all(isinstance(a, dict) for a in agents):
-        raise ScenarioError(f"{path}: agents: expected a list of objects")
-    cert_doc = _object(doc.get("certificates", {}), f"{path}: certificates")
-    certificates = {
-        k: _finite_number(v, f"{path}: certificates.{k}") for k, v in cert_doc.items()
-    }
-    controllers = []
-    for i, entry in enumerate(agents, start=1):
-        where = f"{path}: agents[{i}]"
-        controllers.append(Controller(**{
-            name: _mat_from_json(_require(entry, name, where), f"{where}.{name}")
-            for name in CONTROLLER_FIELDS
-        }))
+    try:
+        bundle = _read(doc, "", BUNDLE, ("format", "strategy", "scenario_sha256",
+                                         "certificates", "agents"))
+    except ScenarioError as err:
+        raise ScenarioError(f"{path}: {err}") from err
+    controllers = bundle["agents"]
 
-    want, got = scenario_hash(scenario), str(doc.get("scenario_sha256", ""))
+    want, got = scenario_hash(scenario), bundle["scenario_sha256"]
     if got != want:
         raise StaleControllerError(
             f"{path} was synthesized for a different "
@@ -429,5 +419,5 @@ def load_controllers(path, scenario):
         bad = _gain_mismatch(c, plant)
         if bad:
             raise ScenarioError(f"{path}: agents[{i}].{bad}")
-    return {"strategy": strategy, "certificates": certificates,
+    return {"strategy": bundle["strategy"], "certificates": bundle["certificates"],
             "controllers": tuple(controllers)}

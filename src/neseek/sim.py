@@ -68,10 +68,6 @@ class Trajectory:
                         f"{name}[{i}] has {arr.shape[0]} samples, times has {K}"
                     )
 
-    @property
-    def agent_count(self):
-        return len(self.x)
-
     def y_stacked(self):
         return np.hstack(self.y)
 

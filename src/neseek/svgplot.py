@@ -1,7 +1,7 @@
 """Minimal standalone SVG line plots (fixed 800x500, no external assets).
 
-Convergence curves span many decades, so the y axis is logarithmic by
-default with values clipped at 1e-16.  These figures are inspection
+Convergence curves span many decades, so the y axis is logarithmic,
+with values clipped at 1e-16.  These figures are inspection
 aids, not a plotting library.
 """
 
@@ -39,7 +39,7 @@ def _fmt_tick(v):
     return f"{v:g}"
 
 
-def line_plot(times, series, labels, title, y_label, path=None, log_y=True):
+def line_plot(times, series, labels, title, y_label, path=None):
     """Render one plot with a polyline per series; returns the SVG text.
 
     ``series`` is a list of 1-D arrays over the shared ``times`` axis.
@@ -51,17 +51,10 @@ def line_plot(times, series, labels, title, y_label, path=None, log_y=True):
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
-    if log_y:
-        ys = [np.log10(np.maximum(np.abs(s), _FLOOR)) for s in series]
-    else:
-        ys = series
-    y_lo = min(float(np.min(y)) for y in ys)
-    y_hi = max(float(np.max(y)) for y in ys)
-    if log_y:
-        y_lo, y_hi = np.floor(y_lo), np.ceil(y_hi)
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
-    elif y_hi <= y_lo:
+    ys = [np.log10(np.maximum(np.abs(s), _FLOOR)) for s in series]
+    y_lo = np.floor(min(float(np.min(y)) for y in ys))
+    y_hi = np.ceil(max(float(np.max(y)) for y in ys))
+    if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 
     pw = WIDTH - MARGIN_L - MARGIN_R
@@ -81,14 +74,8 @@ def line_plot(times, series, labels, title, y_label, path=None, log_y=True):
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    if log_y:
-        step = max(1, int(round((y_hi - y_lo) / 6)))
-        y_ticks = np.arange(y_lo, y_hi + 0.5, step)
-        y_names = [f"1e{int(v)}" for v in y_ticks]
-    else:
-        y_ticks = _linear_ticks(y_lo, y_hi)
-        y_names = [_fmt_tick(v) for v in y_ticks]
-    for v, name in zip(y_ticks, y_names):
+    step = max(1, int(round((y_hi - y_lo) / 6)))
+    for v in np.arange(y_lo, y_hi + 0.5, step):
         yy = py(v)
         parts.append(
             f'<line x1="{MARGIN_L}" y1="{yy:.2f}" x2="{WIDTH - MARGIN_R}" '
@@ -96,7 +83,7 @@ def line_plot(times, series, labels, title, y_label, path=None, log_y=True):
         )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{yy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{name}</text>'
+            f'font-family="sans-serif" font-size="11">1e{int(v)}</text>'
         )
     for t in _linear_ticks(x_lo, x_hi, 8):
         xx = px(t)

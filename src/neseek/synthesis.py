@@ -151,10 +151,6 @@ class ClosedLoopSystem:
     def dim_v(self):
         return self.S_hat.shape[0]
 
-    @property
-    def agent_count(self):
-        return len(self.x_slices)
-
     def initial_state(self):
         """Plant states from x0, controller states zero."""
         z0 = np.zeros(self.dim_z)

@@ -3,6 +3,7 @@ import pytest
 
 from neseek.errors import (
     DimensionError,
+    DomainError,
     NonUniqueSolutionError,
     SingularMatrixError,
     SynthesisError,
@@ -259,3 +260,20 @@ def test_minimal_polynomial_divides_characteristic():
         assert np.linalg.norm(val) <= 1e-8 * max(1.0, np.linalg.norm(M)) ** (
             len(c) - 1
         )
+
+
+NAN = np.array([[np.nan]])
+NAN_INPUTS = [
+    ("eigenvalues", lambda: eigenvalues(NAN)),
+    ("is_hurwitz", lambda: is_hurwitz(NAN)),
+    ("rank", lambda: rank(NAN)),
+    ("solve_linear", lambda: solve_linear(NAN, np.ones(1))),
+    ("solve_sylvester", lambda: solve_sylvester(NAN, np.eye(1), np.ones((1, 1)))),
+    ("minimal_polynomial", lambda: minimal_polynomial(NAN)),
+]
+
+
+@pytest.mark.parametrize("case, call", NAN_INPUTS, ids=[c for c, _ in NAN_INPUTS])
+def test_nan_input_raises_domain_error(case, call):
+    with pytest.raises(DomainError, match="non-finite"):
+        call()
