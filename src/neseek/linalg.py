@@ -1,8 +1,10 @@
 """Dense matrix kernels used by every other module.
 
-Spectra, ranks, linear / Sylvester / Riccati solves, and minimal
-polynomials.  All functions take and return plain ``numpy.ndarray``
-values and raise the typed errors from :mod:`neseek.errors`.
+Spectra, ranks, linear / Sylvester / Riccati solves, the matrix
+exponential, and minimal polynomials.  All functions take and return
+plain ``numpy.ndarray`` values and raise the typed errors from
+:mod:`neseek.errors`.  Only the Sylvester and Riccati solves use SciPy,
+and they import it where they call it.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "solve_linear",
     "solve_sylvester",
     "solve_care",
+    "expm",
     "minimal_polynomial",
 ]
 
@@ -136,7 +139,7 @@ def solve_sylvester(A, B, C):
                 "the Sylvester equation has no unique solution"
             )
 
-    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
+    import scipy.linalg  # deferred: of the commands, only `synth` loads SciPy
     return scipy.linalg.solve_sylvester(-A, B, C)
 
 
@@ -174,7 +177,7 @@ def solve_care(A, B, Qw, Rw):
             f"Qw {Qw.shape}, Rw {Rw.shape}"
         )
 
-    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
+    import scipy.linalg  # deferred: of the commands, only `synth` loads SciPy
     try:
         P = scipy.linalg.solve_continuous_are(A, B, Qw, Rw)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -187,6 +190,25 @@ def solve_care(A, B, Qw, Rw):
             f"computed gain does not stabilize (abscissa {abscissa:.3e})"
         )
     return K
+
+
+def expm(M):
+    """Matrix exponential by scaling and squaring.
+
+    Picks s with ``||M / 2^s||_1 <= 1/2``, sums the Taylor series of
+    ``exp(M / 2^s)`` to degree 18 (truncation below 0.5^19 / 19!, about
+    1.6e-23 relative) and squares s times (Moler & Van Loan 2003, SIAM
+    Rev. 45(1); Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
+    """
+    M = _as_square(M)
+    s = max(0, int(np.frexp(2.0 * np.abs(M).sum(axis=0).max(initial=0.0))[1]))
+    X, I = M / 2.0**s, np.eye(M.shape[0])
+    E = I
+    for k in range(18, 0, -1):  # Horner: I + X (I + X/2 (... (I + X/18)))
+        E = I + (X @ E) / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def minimal_polynomial(M):

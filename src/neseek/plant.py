@@ -33,14 +33,6 @@ __all__ = [
 _EIG_TOL = 1e-9
 
 
-def _mat(value, shape, name):
-    M = np.asarray(value, dtype=float)
-    M = M.reshape(shape) if M.size == int(np.prod(shape)) else M
-    if M.shape != shape:
-        raise DimensionError(f"{name} must have shape {shape}, got {M.shape}")
-    return M
-
-
 @dataclass(frozen=True)
 class AgentPlant:
     """Nominal matrices plus explicit perturbations (default zero)."""
@@ -78,7 +70,9 @@ class AgentPlant:
         object.__setattr__(self, "P", P)
         for name, nominal in (("dA", A), ("dB", B), ("dC", C), ("dP", P)):
             d = getattr(self, name)
-            d = np.zeros_like(nominal) if d is None else _mat(d, nominal.shape, name)
+            d = np.zeros_like(nominal) if d is None else np.asarray(d, dtype=float)
+            if d.shape != nominal.shape:
+                raise DimensionError(f"{name} must have shape {nominal.shape}, got {d.shape}")
             object.__setattr__(self, name, d)
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape != (n,):

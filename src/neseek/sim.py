@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError, DomainError, FirewallViolation
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
+from .linalg import expm
 from .plant import extend_exosystem
 from .synthesis import STRATEGIES
 
@@ -76,8 +77,7 @@ class Trajectory:
 
 
 def _exo_steppers(S_hat, dt):
-    import scipy.linalg  # deferred: `check`, `ne` and `import neseek` never load SciPy
-    E_half = scipy.linalg.expm(np.asarray(S_hat, dtype=float) * (dt / 2.0))
+    E_half = expm(S_hat * (dt / 2.0))
     return E_half, E_half @ E_half
 
 

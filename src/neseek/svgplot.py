@@ -110,9 +110,10 @@ def line_plot(times, series, labels, title, y_label, path=None):
         f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.0f})">{y_label}</text>'
     )
 
+    xs = px(times).tolist()
     for k, y in enumerate(ys):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(times, y))
+        pts = " ".join(["%.2f,%.2f" % pair for pair in zip(xs, py(y).tolist())])
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

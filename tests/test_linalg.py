@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from neseek.errors import (
     DimensionError,
@@ -10,6 +11,7 @@ from neseek.errors import (
 )
 from neseek.linalg import (
     eigenvalues,
+    expm,
     is_hurwitz,
     minimal_polynomial,
     rank,
@@ -262,6 +264,35 @@ def test_minimal_polynomial_divides_characteristic():
         )
 
 
+@pytest.mark.parametrize("norm_cap, tol", [(0.5, 1e-14), (30.0, 1e-11)])
+def test_expm_matches_scipy(norm_cap, tol):
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 31))
+        M = rng.standard_normal((n, n))
+        M *= rng.uniform(0.0, norm_cap) / np.linalg.norm(M, 1)
+        ref = scipy.linalg.expm(M)
+        assert np.linalg.norm(expm(M) - ref, 1) <= tol * np.linalg.norm(ref, 1)
+
+
+@pytest.mark.parametrize("h", [1e-4, 0.1, 1.0, 7.5, 50.0])
+def test_expm_rotation_generator(h):
+    theta = 1.3
+    R = expm(theta * h * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    c, s = np.cos(theta * h), np.sin(theta * h)
+    assert np.allclose(R, [[c, s], [-s, c]], rtol=0.0, atol=1e-13)
+
+
+def test_expm_nilpotent_jordan_block_is_exact():
+    N = np.diag([1.0, 1.0, 1.0], 1)
+    assert np.array_equal(expm(N), np.eye(4) + N + N @ N / 2 + N @ N @ N / 6)
+
+
+def test_expm_zero_and_empty():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+
+
 NAN = np.array([[np.nan]])
 NAN_INPUTS = [
     ("eigenvalues", lambda: eigenvalues(NAN)),
@@ -270,6 +301,7 @@ NAN_INPUTS = [
     ("solve_linear", lambda: solve_linear(NAN, np.ones(1))),
     ("solve_sylvester", lambda: solve_sylvester(NAN, np.eye(1), np.ones((1, 1)))),
     ("minimal_polynomial", lambda: minimal_polynomial(NAN)),
+    ("expm", lambda: expm(NAN)),
 ]
 
 

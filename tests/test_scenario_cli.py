@@ -536,6 +536,8 @@ MALFORMED = [
     ("wrong-shaped Q_ij", ("cost", "blocks", 1, "Q_ij", "1"),
      {"shape": [3, 3], "data": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]},
      "Q_21 must be 2x2"),
+    ("flat dA", ("agents", 0, "dA"), {"shape": [1, 16], "data": [0.0] * 16},
+     "agents[1]: dA must have shape (4, 4)"),
 ]
 
 

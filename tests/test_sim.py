@@ -19,6 +19,7 @@ from neseek.sim import (
     NeighborView,
     SimConfig,
     Trajectory,
+    _exo_steppers,
     convergence_metrics,
     simulate,
     simulate_distributed,
@@ -136,6 +137,16 @@ def test_exogenous_rotation_exact(sensor_digraph):
         ref = scipy.linalg.expm(S * tr.times[k]) @ w0
         for i in range(5):
             assert np.max(np.abs(tr.w[i][k] - ref)) <= 1e-9
+
+
+def test_exo_steppers_squaring_branch(sensor_digraph):
+    # a step long enough that ||S_hat dt/2||_1 > 1/2, so expm squares
+    S_hat, dt = sensor_digraph.cl.S_hat, 4.0
+    assert np.linalg.norm(S_hat * (dt / 2.0), 1) > 0.5
+    E_half, E_full = _exo_steppers(S_hat, dt)
+    assert np.allclose(E_half, scipy.linalg.expm(S_hat * (dt / 2.0)),
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(E_full, scipy.linalg.expm(S_hat * dt), rtol=0.0, atol=1e-14)
 
 
 def test_disturbance_persists(sensor_digraph):

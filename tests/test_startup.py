@@ -1,9 +1,11 @@
 """SciPy stays out of the processes that never solve with it.
 
-``check``, ``ne`` and a plain ``import neseek`` use numpy only; SciPy is
-imported at first use by the Sylvester and CARE solves and the
-exosystem stepper.  Each case runs in a fresh interpreter, since the
-test process itself has SciPy loaded already.
+``check``, ``ne``, ``sim`` (with its SVG and perturbation options) and
+a plain ``import neseek`` use numpy only; SciPy is imported at first use
+by the Sylvester and CARE solves of ``synth``.  Each case runs in a
+fresh interpreter, since the test process itself has SciPy loaded
+already; the numpy-only cases run with SciPy blocked, so an import of it
+on their path fails instead of passing unseen.
 """
 
 import json
@@ -15,14 +17,19 @@ from pathlib import Path
 import pytest
 
 from conftest import sensor_scenario_doc
+from neseek.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
 import sys
 {body}
-print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+print(any((m == "scipy" or m.startswith("scipy.")) and mod is not None
+          for m, mod in sys.modules.items()))
 """
+
+# a None entry in sys.modules makes every later `import scipy...` raise
+BLOCK_SCIPY = 'sys.modules["scipy"] = None\n'
 
 
 def _scipy_loaded(body):
@@ -41,13 +48,27 @@ def sensor_path(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command", [None, "check", "ne"])
-def test_numpy_only_paths_do_not_import_scipy(command, sensor_path):
-    body = "import neseek"
+@pytest.fixture(scope="module")
+def bundle_path(sensor_path):
+    path = sensor_path.with_name("ctrl.json")
+    assert main(["synth", str(sensor_path), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", [None, "check", "ne", "sim"])
+def test_numpy_only_paths_do_not_import_scipy(command, sensor_path, bundle_path,
+                                              tmp_path):
+    argv = [command, str(sensor_path)]
+    if command == "sim":
+        argv += ["--controllers", str(bundle_path), "--t-end", "2",
+                 "--out", str(tmp_path / "run.csv"), "--svg", str(tmp_path / "run.svg"),
+                 "--perturb-scale", "0.02", "--seed", "1"]
+    body = BLOCK_SCIPY + "import neseek"
     if command:
-        body = (f"import neseek.cli\n"
-                f"assert neseek.cli.main([{command!r}, {str(sensor_path)!r}]) == 0")
+        body += f"\nimport neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
     assert not _scipy_loaded(body)
+    if command == "sim":
+        assert (tmp_path / "run.svg").exists()
 
 
 def test_synth_imports_scipy(sensor_path, tmp_path):
