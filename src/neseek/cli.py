@@ -1,12 +1,15 @@
 """Command-line pipeline: check -> ne -> synth -> sim.
 
-Exit status contract:
+A command that fails raises a typed error; ``main`` alone prints its one
+``error:`` line on stderr and maps it to the exit status by EXIT_CODES:
   0   success
-  1   unexpected error
+  1   unexpected error (a diverging simulation, an OS error, no SciPy)
   2   scenario parse/validation error
   3   controller file does not match the scenario (stale hash)
   4   synthesis failure
   1k  assumption k in 1..6 failed (11..16); lowest number wins
+``check`` reports failing assumptions in its table instead, and exits
+1k with no ``error:`` line.
 """
 
 import argparse
@@ -48,21 +51,40 @@ from .synthesis import (
 )
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_SCENARIO = 2
-EXIT_STALE = 3
-EXIT_SYNTH = 4
+EXIT_ASSUMPTION = 10  # plus the number of the failing assumption
+
+# first matching type wins
+EXIT_CODES = (
+    (StaleControllerError, 3),
+    (ScenarioError, 2),
+    (SynthesisError, 4),
+    (AssumptionError, EXIT_ASSUMPTION),
+    (NeseekError, 1),
+    (OSError, 1),
+    (ImportError, 1),
+)
 
 # bound on the regulator residuals, relative to their scales
 REGULATOR_REL_TOL = 1e-8
 
+# domains of the sim overrides: (rule, test)
+POSITIVE_FINITE = ("positive and finite", lambda v: 0 < v < math.inf)
+NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
 
-def _exit_assumption(k):
-    return 10 + k
+
+def exit_code(err):
+    """Exit status of an error listed in EXIT_CODES."""
+    code = next(code for kind, code in EXIT_CODES if isinstance(err, kind))
+    return code + err.number if isinstance(err, AssumptionError) else code
 
 
 def _fmt_eigs(eigs):
     return ", ".join(f"{complex(lam):.4g}" for lam in eigs)
+
+
+def _verdict(ok):
+    return "n/a" if ok is None else "PASS" if ok else "FAIL"
 
 
 def run_checks(scn, strategy):
@@ -72,67 +94,36 @@ def run_checks(scn, strategy):
     graph assumption not needed by ``strategy`` is reported n/a and
     never fails the run.
     """
-    rows = []
-    failures = []
-
-    pg = assemble_pseudo_gradient(scn.game)
-    ok, lam_min = check_assumption_1(pg)
-    rows.append(("A1 pseudo-gradient strong monotonicity",
-                 "PASS" if ok else "FAIL", f"lambda_min={lam_min:.6g}"))
-    if not ok:
-        failures.append(1)
-
-    bad = [(i, offending) for i, exo in enumerate(scn.exos, start=1)
-           for offending in [check_assumption_2(exo)[1]] if offending]
-    rows.append(("A2 disturbance persistence (no decaying modes)",
-                 "FAIL" if bad else "PASS",
-                 "; ".join(f"agent {i}: {_fmt_eigs(o)}" for i, o in bad)))
-    if bad:
-        failures.append(2)
-
-    bad = []
-    for i, plant in enumerate(scn.plants, start=1):
-        res = check_assumption_3(plant)
-        for prop in ("stabilizable", "detectable"):
-            if not res[prop]:
-                bad.append(f"agent {i} not {prop} at "
-                           f"{_fmt_eigs(res['witnesses'][prop])}")
-    rows.append(("A3 stabilizability and detectability",
-                 "FAIL" if bad else "PASS", "; ".join(bad)))
-    if bad:
-        failures.append(3)
-
-    bad = []
-    for i, (plant, exo) in enumerate(zip(scn.plants, scn.exos), start=1):
-        ok, failing = check_assumption_4(plant, exo)
-        if not ok:
-            bad.append(f"agent {i} at {_fmt_eigs(failing)}")
-    rows.append(("A4 rank condition at exosystem modes",
-                 "FAIL" if bad else "PASS", "; ".join(bad)))
-    if bad:
-        failures.append(4)
-
-    if strategy == "digraph":
-        if not scn.graph.directed:
-            rows.append(("A5 acyclic digraph", "FAIL", "graph is undirected"))
-            failures.append(5)
-        else:
-            ok, witness = check_acyclic(scn.graph)
-            rows.append(("A5 acyclic digraph", "PASS" if ok else "FAIL",
-                         "order " + "->".join(map(str, witness)) if ok
-                         else "cycle " + "->".join(map(str, witness))))
-            if not ok:
-                failures.append(5)
-        rows.append(("A6 connected graph", "n/a", "general strategy only"))
-    else:
-        rows.append(("A5 acyclic digraph", "n/a", "digraph strategy only"))
+    a1_ok, lam_min = check_assumption_1(assemble_pseudo_gradient(scn.game))
+    a2 = [f"agent {i}: {_fmt_eigs(offending)}"
+          for i, exo in enumerate(scn.exos, start=1)
+          for offending in [check_assumption_2(exo)[1]] if offending]
+    a3 = [f"agent {i} not {prop} at {_fmt_eigs(res['witnesses'][prop])}"
+          for i, res in enumerate(map(check_assumption_3, scn.plants), start=1)
+          for prop in ("stabilizable", "detectable") if not res[prop]]
+    a4 = [f"agent {i} at {_fmt_eigs(failing)}"
+          for i, (ok, failing) in enumerate(
+              map(check_assumption_4, scn.plants, scn.exos), start=1) if not ok]
+    if strategy != "digraph":
         kind = check_connected(scn.graph)
-        ok = kind != "disconnected"
-        rows.append(("A6 connected graph", "PASS" if ok else "FAIL", kind))
-        if not ok:
-            failures.append(6)
-
-    return rows, sorted(failures)
+        a5, a6 = (None, "digraph strategy only"), (kind != "disconnected", kind)
+    elif scn.graph.directed:
+        ok, witness = check_acyclic(scn.graph)
+        a5 = (ok, ("order " if ok else "cycle ") + "->".join(map(str, witness)))
+        a6 = (None, "general strategy only")
+    else:
+        a5, a6 = (False, "graph is undirected"), (None, "general strategy only")
+    checks = [(k, label, _verdict(ok), detail) for k, label, ok, detail in (
+        (1, "A1 pseudo-gradient strong monotonicity", a1_ok,
+         f"lambda_min={lam_min:.6g}"),
+        (2, "A2 disturbance persistence (no decaying modes)", not a2, "; ".join(a2)),
+        (3, "A3 stabilizability and detectability", not a3, "; ".join(a3)),
+        (4, "A4 rank condition at exosystem modes", not a4, "; ".join(a4)),
+        (5, "A5 acyclic digraph", *a5),
+        (6, "A6 connected graph", *a6),
+    )]
+    return ([row[1:] for row in checks],
+            [k for k, _, status, _ in checks if status == "FAIL"])
 
 
 def cmd_check(path):
@@ -147,7 +138,7 @@ def cmd_check(path):
         print(line)
     if failures:
         print(f"failed assumptions: {failures}")
-        return _exit_assumption(failures[0])
+        return EXIT_ASSUMPTION + failures[0]
     print("all applicable assumptions hold")
     return EXIT_OK
 
@@ -157,12 +148,10 @@ def cmd_ne(path):
     pg = assemble_pseudo_gradient(scn.game)
     ok, lam_min = check_assumption_1(pg)
     if not ok:
-        print(
-            f"error: pseudo-gradient not strongly monotone "
-            f"(lambda_min={lam_min:.6g}); no unique NE certificate",
-            file=sys.stderr,
+        raise AssumptionError(
+            1, f"pseudo-gradient not strongly monotone "
+               f"(lambda_min={lam_min:.6g}); no unique NE certificate",
         )
-        return _exit_assumption(1)
     y_star = solve_ne(pg)
     residual = float(np.linalg.norm(pg.Rbar @ y_star + pg.Qbar))
     print(f"lambda_min = {lam_min!r}")
@@ -178,12 +167,10 @@ def cmd_synth(path, out, strategy=None):
     strategy = strategy or scn.strategy
     _, failures = run_checks(scn, strategy)
     if failures:
-        print(
-            f"error: assumptions {failures} fail; run the check command "
-            f"for details",
-            file=sys.stderr,
+        raise AssumptionError(
+            failures[0],
+            f"assumptions {failures} fail; run the check command for details",
         )
-        return _exit_assumption(failures[0])
     controllers = [
         build_controller(plant, cost, exo, scn.weights)
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
@@ -191,24 +178,20 @@ def cmd_synth(path, out, strategy=None):
     cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
     ok, abscissa = certify_stability(cl)
     if not ok:
-        print(
-            f"error: closed loop not Hurwitz (abscissa {abscissa:.6g}); "
-            f"adjust the synthesis weights in the scenario",
-            file=sys.stderr,
+        raise SynthesisError(
+            f"closed loop not Hurwitz (abscissa {abscissa:.6g}); "
+            f"adjust the synthesis weights in the scenario"
         )
-        return EXIT_SYNTH
     reg = solve_regulator(cl)
     for name, residual, scale in (
         ("residual_dyn", reg.residual_dyn, reg.scale_dyn),
         ("residual_err", reg.residual_err, reg.scale_err),
     ):
         if not residual <= REGULATOR_REL_TOL * scale:
-            print(
-                f"error: regulator certificate fails: {name}={residual!r} "
-                f"exceeds {REGULATOR_REL_TOL:g} * scale={scale!r}",
-                file=sys.stderr,
+            raise SynthesisError(
+                f"regulator certificate fails: {name}={residual!r} "
+                f"exceeds {REGULATOR_REL_TOL:g} * scale={scale!r}"
             )
-            return EXIT_SYNTH
     certificates = {
         "abscissa": abscissa,
         "residual_dyn": reg.residual_dyn,
@@ -239,33 +222,23 @@ def _empty_trajectory(scn):
     )
 
 
-def _bad_override(t_end, dt, perturb_scale, seed):
-    """Message naming the first sim override outside its domain, or None."""
-    if dt is not None and not (0 < dt < math.inf):
-        return f"--dt must be positive and finite, got {dt!r}"
-    if t_end is not None and not (0 <= t_end < math.inf):
-        return f"--t-end must be non-negative and finite, got {t_end!r}"
-    if perturb_scale is not None and not (0 <= perturb_scale < math.inf):
-        return f"--perturb-scale must be non-negative and finite, got {perturb_scale!r}"
-    if seed < 0:
-        return f"--seed must be non-negative, got {seed!r}"
-    return None
-
-
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             perturb_scale=None, seed=0):
-    bad = _bad_override(t_end, dt, perturb_scale, seed)
-    if bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return EXIT_SCENARIO
+    for flag, value, (rule, ok) in (
+        ("--dt", dt, POSITIVE_FINITE),
+        ("--t-end", t_end, NON_NEGATIVE_FINITE),
+        ("--perturb-scale", perturb_scale, NON_NEGATIVE_FINITE),
+        ("--seed", seed, NON_NEGATIVE),
+    ):
+        if value is not None and not ok(value):
+            raise ScenarioError(f"{flag} must be {rule}, got {value!r}")
     scn = load_scenario(path)
     bundle = load_controllers(controllers_path, scn)
     strategy, controllers = bundle["strategy"], bundle["controllers"]
     dt = scn.sim["dt"] if dt is None else float(dt)
     t_end = scn.sim["t_end"] if t_end is None else float(t_end)
     if 0 < t_end < dt:
-        print(f"error: t_end {t_end!r} is shorter than dt {dt!r}", file=sys.stderr)
-        return EXIT_SCENARIO
+        raise ScenarioError(f"t_end {t_end!r} is shorter than dt {dt!r}")
 
     plants = scn.plants
     if perturb_scale is not None:
@@ -279,9 +252,8 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     with np.errstate(over="ignore", invalid="ignore"):
         cl = assemble_closed_loop(scn.game, plants, scn.exos, controllers, strategy)
     if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
-        print(f"error: {controllers_path}: gains overflow the assembled "
-              "closed loop (non-finite entries)", file=sys.stderr)
-        return EXIT_SCENARIO
+        raise ScenarioError(f"{controllers_path}: gains overflow the assembled "
+                            "closed loop (non-finite entries)")
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)
@@ -344,14 +316,17 @@ def build_parser():
 
     p = sub.add_parser("check", help="run every assumption checker")
     p.add_argument("scenario")
+    p.set_defaults(run=lambda a: cmd_check(a.scenario))
 
     p = sub.add_parser("ne", help="print the Nash equilibrium")
     p.add_argument("scenario")
+    p.set_defaults(run=lambda a: cmd_ne(a.scenario))
 
     p = sub.add_parser("synth", help="synthesize controllers + certificates")
     p.add_argument("scenario")
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_synth(a.scenario, a.out, a.strategy))
 
     p = sub.add_parser("sim", help="simulate a synthesized closed loop")
     p.add_argument("scenario")
@@ -362,43 +337,20 @@ def build_parser():
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--perturb-scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda a: cmd_sim(
+        a.scenario, a.controllers, a.out, a.svg, a.t_end, a.dt,
+        a.perturb_scale, a.seed,
+    ))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args.scenario)
-        if args.command == "ne":
-            return cmd_ne(args.scenario)
-        if args.command == "synth":
-            return cmd_synth(args.scenario, args.out, strategy=args.strategy)
-        if args.command == "sim":
-            return cmd_sim(
-                args.scenario, args.controllers, args.out, svg=args.svg,
-                t_end=args.t_end, dt=args.dt,
-                perturb_scale=args.perturb_scale, seed=args.seed,
-            )
-        return EXIT_UNEXPECTED
-    except StaleControllerError as err:
+        return args.run(args)
+    except tuple(kind for kind, _ in EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_STALE
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except SynthesisError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SYNTH
-    except AssumptionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_assumption(err.number)
-    except NeseekError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        return exit_code(err)
 
 
 if __name__ == "__main__":

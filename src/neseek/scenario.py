@@ -128,6 +128,8 @@ def _instance(kind, noun):
 
 
 _boolean, _string = _instance(bool, "true or false"), _instance(str, "a string")
+_positive = _valid(_number, lambda v: v > 0, "be positive")
+_non_negative = _valid(_number, lambda v: v >= 0, "not be negative")
 _strategy = _valid(_string, lambda v: v in STRATEGIES,
                    "be " + " or ".join(map(repr, STRATEGIES)))
 
@@ -185,10 +187,11 @@ SCENARIO = {
              "R_ij": _coupling, "Q_ij": _coupling},
             ("R_ii", "Q_ii"), LocalCost)),
     }),
-    "sim": _record({"dt": _valid(_number, lambda v: v > 0, "be positive"),
-                    "t_end": _valid(_number, lambda v: v >= 0, "not be negative"),
+    "sim": _record({"dt": _positive, "t_end": _non_negative,
                     "record_stride": _stride}),
-    "synthesis": _record(dict.fromkeys(asdict(SynthesisWeights()), _number),
+    # CARE weights: each R positive, each Q positive semidefinite
+    "synthesis": _record({w: _positive if w.endswith("_r") else _non_negative
+                          for w in asdict(SynthesisWeights())},
                          make=SynthesisWeights),
 }
 

@@ -122,12 +122,13 @@ def simulate(cl, cfg, z0=None, v0=None):
             f"got {z0.shape}/{v0.shape}"
         )
     dz = cl.dim_z
-    M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
     steps = record_steps(cfg.n_steps, cfg.record_stride)
     jumps = np.diff(steps).tolist()
     X = np.empty((len(steps), dz + cl.dim_v))
     X[0] = np.concatenate([z0, v0])
+    # huge gains may overflow M itself; the replay below reports the step
     with np.errstate(over="ignore", invalid="ignore"):
+        M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
         powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
         for r, n in enumerate(jumps, start=1):
             X[r] = powers[n] @ X[r - 1]

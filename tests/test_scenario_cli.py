@@ -512,6 +512,18 @@ MALFORMED = [
      "synthesis.observer_q"),
     ("infinite weight", ("synthesis", "stabilizer_r"), float("inf"),
      "synthesis.stabilizer_r"),
+    ("negative state weight", ("synthesis", "stabilizer_q_state"), -0.01,
+     "synthesis.stabilizer_q_state: must not be negative"),
+    ("negative observer weight", ("synthesis", "observer_q"), -1.0,
+     "synthesis.observer_q: must not be negative"),
+    ("negative internal-model weight", ("synthesis", "stabilizer_q_im"), -1.0,
+     "synthesis.stabilizer_q_im: must not be negative"),
+    ("zero observer_r", ("synthesis", "observer_r"), 0,
+     "synthesis.observer_r: must be positive"),
+    ("negative observer_r", ("synthesis", "observer_r"), -1.0,
+     "synthesis.observer_r: must be positive"),
+    ("zero stabilizer_r", ("synthesis", "stabilizer_r"), 0,
+     "synthesis.stabilizer_r: must be positive"),
     ("non-object agent", ("agents", 1), 5, "agents[2]"),
     ("string agent", ("agents", 0), "A", "agents[1]"),
     ("non-object exosystem", ("exosystems", 2), 5, "exosystems[3]"),
@@ -823,3 +835,92 @@ def test_cli_sim_bad_inputs_exit_2(case, extra, edit, where, sensor_bundle,
     assert rc == 2, case
     assert where in capsys.readouterr().err, case
     assert not out.exists()
+
+
+def test_cli_sim_overflowing_step_map_prints_only_the_error(sensor_bundle,
+                                                            tmp_path, capsys):
+    # finite gains pass the load and assembly checks, but the RK4 step
+    # map overflows: the divergence is reported without numpy warnings
+    scenario, bundle = sensor_bundle
+    bundle = copy.deepcopy(bundle)
+    K1 = bundle["agents"][1]["K1"]
+    K1["data"] = [1e308] * len(K1["data"])
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out = tmp_path / "run.csv"
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--t-end", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "closed-loop abscissa: inf (NOT Hurwitz)",
+        "error: state became non-finite at t = 0.001",
+    ]
+    assert not out.exists()
+
+
+def _synth_argv(tmp_path, strategy, edit=None, out="c.json"):
+    doc = sensor_scenario_doc(strategy)
+    if edit is not None:
+        edit(doc)
+    return ["synth", write_doc(tmp_path, doc), "--out", str(tmp_path / out)]
+
+
+def _as_digraph(doc):
+    doc["strategy"] = "digraph"
+
+
+def _no_internal_model_weight(doc):
+    doc["synthesis"] = {"stabilizer_q_im": 0}
+
+
+def _general_bundle_read_as_digraph(tmp_path):
+    argv = _synth_argv(tmp_path, "general")
+    assert main(argv) == 0
+    ctrl = tmp_path / "c.json"
+    bundle = json.loads(ctrl.read_text())
+    bundle["strategy"] = "digraph"
+    ctrl.write_text(json.dumps(bundle))
+    return ["sim", argv[1], "--controllers", str(ctrl),
+            "--out", str(tmp_path / "run.csv"), "--t-end", "1"]
+
+
+CLI_OUTCOMES = [
+    # (case, argv from tmp_path, exit status, start of the one stderr line
+    #  with {tmp} standing for tmp_path)
+    ("digraph strategy on undirected graph",
+     lambda t: _synth_argv(t, "general", _as_digraph), 15,
+     "error: assumptions [5] fail; run the check command for details"),
+    ("general bundle read as digraph", _general_bundle_read_as_digraph, 15,
+     "error: strategy 'digraph' needs a directed graph"),
+    ("out into missing directory",
+     lambda t: _synth_argv(t, "digraph", out="missing/c.json"), 1,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/c.json'"),
+    ("zero internal-model weight, digraph",
+     lambda t: _synth_argv(t, "digraph", _no_internal_model_weight), 4,
+     "error: no stabilizing Riccati solution: "),
+    ("zero internal-model weight, general",
+     lambda t: _synth_argv(t, "general", _no_internal_model_weight), 4,
+     "error: no stabilizing Riccati solution: "),
+]
+
+
+@pytest.mark.parametrize("case, make_argv, status, line", CLI_OUTCOMES,
+                         ids=[c[0] for c in CLI_OUTCOMES])
+def test_cli_failure_prints_one_error_line(case, make_argv, status, line,
+                                           tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == status
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line.format(tmp=tmp_path)), err
+    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_cli_check_reports_digraph_strategy_on_undirected_graph(tmp_path, capsys):
+    doc = sensor_scenario_doc("general")
+    doc["strategy"] = "digraph"
+    assert main(["check", write_doc(tmp_path, doc)]) == 15
+    captured = capsys.readouterr()
+    assert "  A5 acyclic digraph" in captured.out
+    assert "FAIL  graph is undirected" in captured.out
+    assert "failed assumptions: [5]" in captured.out
+    assert captured.err == ""

@@ -100,6 +100,21 @@ def test_divergence_reports_first_bad_time():
     assert 0.0 < err.value.t_bad < 10.0
 
 
+def test_overflowing_power_is_replayed_step_by_step():
+    # the unstable mode is never excited, but M^1000 overflows in it
+    # (about e^1000), so each stride is replayed with single steps
+    cl = dataclasses.replace(
+        toy_loop(-1.0), A_c=np.diag([-1.0, 1000.0]), P_c=np.zeros((2, 1)),
+        C_c=np.array([[1.0, 0.0]]), C_out=np.array([[1.0, 0.0]]),
+    )
+    z0 = np.array([1.0, 0.0])
+    strided = simulate(cl, SimConfig(dt=1e-3, t_end=2.0, record_stride=1000), z0=z0)
+    every = simulate(cl, SimConfig(dt=1e-3, t_end=2.0), z0=z0)
+    assert np.array_equal(strided.times, every.times[::1000])
+    assert np.array_equal(strided.x[0], every.x[0][::1000])
+    assert np.array_equal(strided.e[0], every.e[0][::1000])
+
+
 def test_record_stride_times():
     tr = simulate(toy_loop(-1.0), SimConfig(dt=0.1, t_end=1.0,
                                             record_stride=3),

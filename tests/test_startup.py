@@ -2,10 +2,11 @@
 
 ``check``, ``ne``, ``sim`` (with its SVG and perturbation options) and
 a plain ``import neseek`` use numpy only; SciPy is imported at first use
-by the Sylvester and CARE solves of ``synth``.  Each case runs in a
-fresh interpreter, since the test process itself has SciPy loaded
-already; the numpy-only cases run with SciPy blocked, so an import of it
-on their path fails instead of passing unseen.
+by the Sylvester and CARE solves of ``synth``, which without SciPy
+exits 1 with one ``error:`` line.  Each case runs in a fresh
+interpreter, since the test process itself has SciPy loaded already; the
+numpy-only cases run with SciPy blocked, so an import of it on their
+path fails instead of passing unseen.
 """
 
 import json
@@ -78,3 +79,17 @@ def test_synth_imports_scipy(sensor_path, tmp_path):
             f"assert neseek.cli.main(['synth', {str(sensor_path)!r}, "
             f"'--out', {str(out)!r}]) == 0")
     assert _scipy_loaded(body)
+
+
+def test_synth_without_scipy_prints_one_error_line(sensor_path, tmp_path):
+    out = tmp_path / "ctrl.json"
+    code = (f"import sys\n{BLOCK_SCIPY}import neseek.cli\n"
+            f"sys.exit(neseek.cli.main(['synth', {str(sensor_path)!r}, "
+            f"'--out', {str(out)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "scipy" in err[0], err
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
