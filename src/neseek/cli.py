@@ -13,6 +13,7 @@ A command that fails raises a typed error; ``main`` alone prints its one
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AssumptionError,
+    DomainError,
     NeseekError,
     ScenarioError,
     StaleControllerError,
@@ -33,14 +35,8 @@ from .plant import (
     check_assumption_4,
     sample_perturbation,
 )
-# scenario_hash stays importable here: perfbench's tracer wraps it by this name
-from .scenario import (  # noqa: F401
-    load_controllers,
-    load_scenario,
-    save_controllers,
-    scenario_hash,
-)
-from .sim import SimConfig, Trajectory, convergence_metrics, simulate, write_csv
+from .scenario import load_controllers, load_scenario, save_controllers
+from .sim import convergence_metrics, simulate, write_csv
 from .svgplot import line_plot
 from .synthesis import (
     STRATEGIES,
@@ -208,20 +204,6 @@ def cmd_synth(path, out, strategy=None):
     return EXIT_OK
 
 
-def _empty_trajectory(scn):
-    y_star = solve_ne(assemble_pseudo_gradient(scn.game))
-    dims = [c.p for c in scn.game.costs]
-    return Trajectory(
-        times=np.zeros(0),
-        x=tuple(np.zeros((0, p.n)) for p in scn.plants),
-        ctrl=tuple(np.zeros((0, 0)) for _ in scn.plants),
-        y=tuple(np.zeros((0, d)) for d in dims),
-        e=tuple(np.zeros((0, d)) for d in dims),
-        w=tuple(np.zeros((0, e.q)) for e in scn.exos),
-        y_star=y_star,
-    )
-
-
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             perturb_scale=None, seed=0):
     for flag, value, (rule, ok) in (
@@ -235,10 +217,12 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     scn = load_scenario(path)
     bundle = load_controllers(controllers_path, scn)
     strategy, controllers = bundle["strategy"], bundle["controllers"]
-    dt = scn.sim["dt"] if dt is None else float(dt)
-    t_end = scn.sim["t_end"] if t_end is None else float(t_end)
-    if 0 < t_end < dt:
-        raise ScenarioError(f"t_end {t_end!r} is shorter than dt {dt!r}")
+    overrides = {k: float(v) for k, v in (("dt", dt), ("t_end", t_end))
+                 if v is not None}
+    try:
+        cfg = dataclasses.replace(scn.sim, **overrides)
+    except DomainError as err:
+        raise ScenarioError(str(err)) from err
 
     plants = scn.plants
     if perturb_scale is not None:
@@ -258,13 +242,6 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)
 
-    if t_end == 0:
-        tr = _empty_trajectory(scn)
-        write_csv(tr, out)
-        print(f"wrote {out} (header only, zero horizon)", file=sys.stderr)
-        return EXIT_OK
-
-    cfg = SimConfig(dt=dt, t_end=t_end, record_stride=scn.sim["record_stride"])
     tr = simulate(cl, cfg)
     write_csv(tr, out)
 

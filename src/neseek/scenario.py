@@ -12,7 +12,8 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import DimensionError, DomainError, ScenarioError, StaleControllerE
 from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
+from .sim import SimConfig
 from .synthesis import STRATEGIES, Controller, SynthesisWeights, _gain_mismatch
 
 __all__ = [
@@ -33,7 +35,7 @@ __all__ = [
     "load_controllers",
 ]
 
-SIM_DEFAULTS = {"dt": 1e-3, "t_end": 100.0, "record_stride": 100}
+SIM_DEFAULTS = SimConfig(dt=1e-3, t_end=100.0, record_stride=100)
 
 CONTROLLER_FORMAT = "neseek-controllers-v3"
 READABLE_FORMATS = (
@@ -187,8 +189,9 @@ SCENARIO = {
              "R_ij": _coupling, "Q_ij": _coupling},
             ("R_ii", "Q_ii"), LocalCost)),
     }),
+    # fields missing from a scenario's sim section keep SIM_DEFAULTS
     "sim": _record({"dt": _positive, "t_end": _non_negative,
-                    "record_stride": _stride}),
+                    "record_stride": _stride}, make=partial(replace, SIM_DEFAULTS)),
     # CARE weights: each R positive, each Q positive semidefinite
     "synthesis": _record({w: _positive if w.endswith("_r") else _non_negative
                           for w in asdict(SynthesisWeights())},
@@ -226,7 +229,7 @@ class Scenario:
     game: NetworkGame
     plants: tuple
     exos: tuple
-    sim: dict
+    sim: SimConfig
     weights: SynthesisWeights
     raw: dict = field(repr=False)
 
@@ -285,7 +288,7 @@ def parse_scenario(doc):
         game=game,
         plants=tuple(plants),
         exos=tuple(exos),
-        sim={**SIM_DEFAULTS, **top.get("sim", {})},
+        sim=top.get("sim", SIM_DEFAULTS),
         weights=top.get("synthesis", SynthesisWeights()),
         raw={},
     )
@@ -332,7 +335,7 @@ def scenario_to_dict(s):
         "agents": agents,
         "exosystems": exos,
         "cost": {"blocks": blocks},
-        "sim": dict(s.sim),
+        "sim": asdict(s.sim),
         "synthesis": asdict(s.weights),
     }
 

@@ -31,15 +31,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Step, horizon and recording stride; ``t_end`` is 0 or a whole number of steps."""
+
     dt: float
     t_end: float
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if not (self.dt <= self.t_end < np.inf):
-            raise DomainError(f"t_end {self.t_end} must be finite and >= dt {self.dt}")
+        dt, t_end = self.dt, self.t_end
+        if not 0 < dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {dt!r}")
+        if not 0 <= t_end < np.inf:
+            raise DomainError(f"t_end must be non-negative and finite, got {t_end!r}")
+        if 0 < t_end < dt:
+            raise DomainError(f"t_end {t_end!r} is shorter than dt {dt!r}")
+        steps = t_end / dt
+        nearest = float(np.rint(steps))
+        if not abs(steps - nearest) <= 1e-9 * steps:
+            raise DomainError(
+                f"t_end {t_end!r} is not a whole number of dt {dt!r} steps; "
+                f"the nearest reachable t_end is {nearest * dt:.6g}"
+            )
         if not (1 <= self.record_stride < np.inf) or self.record_stride % 1:
             raise DomainError(f"record_stride {self.record_stride} is not a positive integer")
 

@@ -231,7 +231,7 @@ def build_controller(plant, cost, exo, weights=None):
     weights = weights or SynthesisWeights()
     bad = _pbh_witnesses(plant.A, plant.B, np.hstack)
     if bad:
-        raise SynthesisError(f"(A, B) not stabilizable at {bad}")
+        raise SynthesisError(f"(A, B) not stabilizable at eigenvalue {bad[0]}")
     Rw = cost.R_ii + cost.R_ii.T
     if Rw.shape[0] != plant.p:
         raise DimensionError(

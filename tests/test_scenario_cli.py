@@ -21,7 +21,7 @@ from neseek.scenario import (
     scenario_hash,
     scenario_to_dict,
 )
-from neseek.sim import SimConfig, simulate_distributed
+from neseek.sim import simulate_distributed
 from neseek.svgplot import line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
@@ -480,11 +480,18 @@ def test_cli_synth_and_determinism(tmp_path, capsys):
     assert doc["scenario_sha256"] == scenario_hash(scn)
 
 
+# value of _set that deletes the key instead
+DELETE = object()
+
+
 def _set(doc, path, value):
     *head, last = path
     for key in head:
         doc = doc[key]
-    doc[last] = value
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
 
 
 MALFORMED = [
@@ -508,6 +515,19 @@ MALFORMED = [
     ("zero record_stride", ("sim", "record_stride"), 0, "sim.record_stride"),
     ("boolean record_stride", ("sim", "record_stride"), True,
      "sim.record_stride"),
+    ("t_end shorter than dt", ("sim", "t_end"), 0.0005,
+     "sim: t_end 0.0005 is shorter than dt 0.001"),
+    ("dt longer than t_end", ("sim", "dt"), 2, "sim: t_end 1.0 is shorter than dt"),
+    ("t_end between steps", ("sim", "t_end"), 1.0005,
+     "sim: t_end 1.0005 is not a whole number of dt 0.001 steps; "
+     "the nearest reachable t_end is 1"),
+    ("missing agents", ("agents",), DELETE,
+     "top level: missing required field 'agents'"),
+    ("empty agents", ("agents",), [], "agents: expected a non-empty list"),
+    ("agent without A", ("agents", 0, "A"), DELETE,
+     "agents[1]: missing required field 'A'"),
+    ("matrix without shape", ("agents", 1, "B", "shape"), DELETE,
+     "agents[2].B: missing required field 'shape'"),
     ("non-numeric weight", ("synthesis", "observer_q"), "x",
      "synthesis.observer_q"),
     ("infinite weight", ("synthesis", "stabilizer_r"), float("inf"),
@@ -674,8 +694,9 @@ def test_cli_sim_zero_horizon(tmp_path, capsys):
                  "--out", str(out), "--t-end", "0"]) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines()
-    assert len(lines) == 1
+    assert len(lines) == 2
     assert lines[0].startswith("t, y_1_1")
+    assert lines[1].startswith("0.0, ")
 
 
 def test_cli_sim_perturbed(tmp_path, capsys):
@@ -725,7 +746,7 @@ def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
     ref = simulate_distributed(
         scn.game, scn.plants, scn.exos,
         load_controllers(ctrl, scn)["controllers"], "general",
-        SimConfig(**scn.sim),
+        scn.sim,
     )
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     y = rows[:, 1:1 + ref.y_stacked().shape[1]]
@@ -778,6 +799,11 @@ BAD_SIM_INPUTS = [
     ("infinite dt", ["--dt", "inf"], None, "--dt"),
     ("t-end shorter than dt", ["--t-end", "0.0005"], None, "shorter than dt"),
     ("dt longer than t-end", ["--dt", "2"], None, "shorter than dt"),
+    ("t-end between steps", ["--dt", "2", "--t-end", "5"], None,
+     "t_end 5.0 is not a whole number of dt 2.0 steps; "
+     "the nearest reachable t_end is 4"),
+    ("t-end between short steps", ["--dt", "0.3", "--t-end", "1"], None,
+     "the nearest reachable t_end is 0.9\n"),
     ("nan perturb-scale", ["--perturb-scale", "nan"], None,
      "--perturb-scale"),
     ("infinite perturb-scale", ["--perturb-scale", "inf"], None,
@@ -788,6 +814,9 @@ BAD_SIM_INPUTS = [
      "certificates"),
     ("string as certificates", [], _edit_bundle(("certificates",), "ab"),
      "certificates"),
+    ("missing certificate", [],
+     _edit_bundle(("certificates", "abscissa"), DELETE),
+     "certificates: missing required field 'abscissa'"),
     ("nan certificate", [],
      _edit_bundle(("certificates", "residual_err"), float("nan")),
      "certificates.residual_err"),

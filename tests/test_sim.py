@@ -73,6 +73,20 @@ def test_sim_config_validation():
             SimConfig(dt=0.1, t_end=bad)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, t_end=1.0, record_stride=bad)
+        with pytest.raises(DomainError, match="dt must be positive and finite"):
+            SimConfig(dt=bad, t_end=1.0)
+    with pytest.raises(DomainError, match="t_end must be non-negative"):
+        SimConfig(dt=0.1, t_end=-0.1)
+    with pytest.raises(DomainError, match="shorter than dt"):
+        SimConfig(dt=2.0, t_end=1.0)
+    # a horizon between steps is refused, naming the nearest one reached
+    for dt, t_end, nearest in ((2.0, 5.0, "4"), (0.3, 1.0, "0.9"),
+                               (1e-3, 1.0005, "1")):
+        with pytest.raises(DomainError, match=f"nearest reachable t_end is {nearest}$"):
+            SimConfig(dt=dt, t_end=t_end)
+    assert SimConfig(dt=0.1, t_end=0.0).n_steps == 0
+    assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
+    assert SimConfig(dt=1e-3, t_end=100.0).n_steps == 100_000
 
 
 def test_scalar_decay_matches_exponential():

@@ -252,6 +252,16 @@ def test_cost_plant_dimension_mismatch():
         build_controller(plant, game.costs[0], exo)
 
 
+def test_build_controller_rejects_unstabilizable_plant():
+    # the mode at +1 is unstable and the input cannot reach it
+    game, _, exo = isolated_setup(disturbed=False)
+    plant = AgentPlant(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]),
+                       C=np.array([[1.0, 0.0]]), P=np.zeros((2, 0)))
+    with pytest.raises(SynthesisError,
+                       match=r"^\(A, B\) not stabilizable at eigenvalue 1\.0$"):
+        build_controller(plant, game.costs[0], exo)
+
+
 def test_assemble_rejects_cycle():
     g = CommGraph(2, directed=True, edges=[(1, 2), (2, 1)])
     game = cost_from_targets([np.zeros(1), np.zeros(1)], g)
