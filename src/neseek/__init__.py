@@ -60,6 +60,8 @@ from .sim import (
     SimConfig,
     Trajectory,
     convergence_metrics,
+    rk4_dt_limit,
+    rk4_radius,
     simulate,
     simulate_distributed,
     write_csv,
@@ -78,6 +80,7 @@ from .synthesis import (
     observer_gain,
     solve_regulator,
     steady_state,
+    worst_agent,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,10 @@
 A command that fails raises a typed error; ``main`` alone prints its one
 ``error:`` line on stderr and maps it to the exit status by EXIT_CODES:
   0   success
-  1   unexpected error (a diverging simulation, an OS error, no SciPy)
+  1   unexpected error (a diverging simulation, an OS error)
   2   scenario parse/validation error
   3   controller file does not match the scenario (stale hash)
-  4   synthesis failure
+  4   synthesis failure, or a certified loop whose RK4 step map is unstable
   1k  assumption k in 1..6 failed (11..16); lowest number wins
 ``check`` reports failing assumptions in its table instead, and exits
 1k with no ``error:`` line.
@@ -36,7 +36,7 @@ from .plant import (
     sample_perturbation,
 )
 from .scenario import load_controllers, load_scenario, save_controllers
-from .sim import convergence_metrics, simulate, write_csv
+from .sim import convergence_metrics, rk4_dt_limit, rk4_radius, simulate, write_csv
 from .svgplot import line_plot
 from .synthesis import (
     STRATEGIES,
@@ -44,6 +44,7 @@ from .synthesis import (
     build_controller,
     certify_stability,
     solve_regulator,
+    worst_agent,
 )
 
 EXIT_OK = 0
@@ -57,7 +58,6 @@ EXIT_CODES = (
     (AssumptionError, EXIT_ASSUMPTION),
     (NeseekError, 1),
     (OSError, 1),
-    (ImportError, 1),
 )
 
 # bound on the regulator residuals, relative to their scales
@@ -174,9 +174,11 @@ def cmd_synth(path, out, strategy=None):
     cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
     ok, abscissa = certify_stability(cl)
     if not ok:
+        agent = worst_agent(cl)
         raise SynthesisError(
-            f"closed loop not Hurwitz (abscissa {abscissa:.6g}); "
-            f"adjust the synthesis weights in the scenario"
+            f"closed loop not Hurwitz (abscissa {abscissa:.6g}"
+            + ("" if agent is None else f" at agent {agent}")
+            + "); adjust the synthesis weights in the scenario"
         )
     reg = solve_regulator(cl)
     for name, residual, scale in (
@@ -241,6 +243,15 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)
+    if ok:
+        eigs = np.concatenate(cl.spectra)
+        radius = rk4_radius(eigs, cfg.dt)
+        if not radius < 1.0:
+            raise SynthesisError(
+                f"the closed loop is Hurwitz but its RK4 step map at dt "
+                f"{cfg.dt!r} is not (spectral radius {radius:.6g}); "
+                f"the largest stable dt is {rk4_dt_limit(eigs):.6g}"
+            )
 
     tr = simulate(cl, cfg)
     write_csv(tr, out)

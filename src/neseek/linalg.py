@@ -3,8 +3,7 @@
 Spectra, ranks, linear / Sylvester / Riccati solves, the matrix
 exponential, and minimal polynomials.  All functions take and return
 plain ``numpy.ndarray`` values and raise the typed errors from
-:mod:`neseek.errors`.  Only the Sylvester and Riccati solves use SciPy,
-and they import it where they call it.
+:mod:`neseek.errors`.  Everything runs on numpy alone.
 """
 
 import numpy as np
@@ -27,6 +26,9 @@ __all__ = [
     "expm",
     "minimal_polynomial",
 ]
+
+# bound on the CARE residual, relative to its scale
+CARE_REL_TOL = 1e-8
 
 
 def _as_square(M, name="M"):
@@ -107,14 +109,60 @@ def solve_linear(A, b):
     return np.linalg.solve(A, b)
 
 
-def solve_sylvester(A, B, C):
-    """Solve ``X B - A X = C`` by the Bartels-Stewart method.
+def _norm2_bound(M):
+    """``sqrt(||M||_1 ||M||_inf)``, an upper bound on ``||M||_2`` without an SVD."""
+    return float(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)))
+
+
+def _diagonal_blocks(B):
+    """Slices of the finest partition of ``B`` into contiguous diagonal blocks."""
+    m = B.shape[0]
+    rows, cols = np.nonzero(B)
+    # an entry (i, j) ties every index between i and j into one block
+    reach = np.arange(m)
+    np.maximum.at(reach, np.minimum(rows, cols), np.maximum(rows, cols))
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(m)) + 1
+    return [slice(int(a), int(b)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+
+
+def _complex_schur(M):
+    """Complex Schur form ``M = U T U^H`` of a small matrix by deflation.
+
+    Each step takes one eigenvector of the trailing block and completes
+    it to a unitary basis; the part dropped below the diagonal is the
+    eigenpair's residual, so the form is backward stable even for a
+    defective ``M``.
+    """
+    b = M.shape[0]
+    T = M.astype(complex)
+    U = np.eye(b, dtype=complex)
+    for k in range(b - 1):
+        _, V = np.linalg.eig(T[k:, k:])
+        Q, _ = np.linalg.qr(V[:, :1], mode="complete")
+        T[:, k:] = T[:, k:] @ Q
+        T[k:, :] = Q.conj().T @ T[k:, :]
+        T[k + 1:, k] = 0.0
+        U[:, k:] = U[:, k:] @ Q
+    return U, T
+
+
+def solve_sylvester(A, B, C, eig_a=None):
+    """Solve ``X B - A X = C`` by shifted solves on a Schur form of ``B``.
 
     ``A`` is n x n, ``B`` is m x m, ``C`` and the solution are n x m.
     Solvability requires spec(A) and spec(B) disjoint; here the caller
     guarantees it (A Hurwitz, B with no eigenvalue in the open left
-    half-plane).  The solve is ``scipy.linalg.solve_sylvester`` on
-    ``(-A) X + X B = C`` (Bartels & Stewart 1972, CACM 15(9)).
+    half-plane).  ``B`` is split into its contiguous diagonal blocks and
+    each gets a complex Schur form ``U T U^H``; with ``Y = X U`` and
+    ``D = C U`` every column solves
+    ``(t_kk I - A) y_k = d_k - sum_{l<k} y_l t_lk``
+    (Golub, Nash & Van Loan 1979, IEEE TAC 24(6)).  Columns at the same
+    depth of their block that share a shift are one multi-column solve,
+    so identical blocks cost one factorization per shift.
+
+    The separation gate compares spec(A) with the diagonal of ``T``.
+    ``eig_a`` may pass the eigenvalues of ``A`` if the caller has them;
+    otherwise they are computed here.
 
     Raises
     ------
@@ -128,29 +176,99 @@ def solve_sylvester(A, B, C):
     if C.shape != (n, m):
         raise DimensionError(f"C must be {n}x{m}, got {C.shape}")
 
-    eig_a = eigenvalues(A)
-    eig_b = eigenvalues(B) if m else np.zeros(0, complex)
+    blocks = _diagonal_blocks(B)
+    U = np.zeros((m, m), complex)
+    T = np.zeros((m, m), complex)
+    forms = {}
+    for sl in blocks:
+        key = (sl.stop - sl.start, B[sl, sl].tobytes())
+        if key not in forms:
+            forms[key] = _complex_schur(B[sl, sl])
+        U[sl, sl], T[sl, sl] = forms[key]
+
     if n and m:
-        sep = np.min(np.abs(eig_a[:, None] - eig_b[None, :]))
-        scale = max(1.0, np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
+        eig_a = eigenvalues(A) if eig_a is None else np.asarray(eig_a)
+        sep = np.min(np.abs(eig_a[:, None] - np.diag(T)[None, :]))
+        scale = max(1.0, _norm2_bound(A) + _norm2_bound(B))
         if sep <= 1e-9 * scale:
             raise NonUniqueSolutionError(
                 f"spec(A) and spec(B) overlap (separation {sep:.3e}); "
                 "the Sylvester equation has no unique solution"
             )
 
-    import scipy.linalg  # deferred: of the commands, only `synth` loads SciPy
-    return scipy.linalg.solve_sylvester(-A, B, C)
+    D = C @ U
+    Y = np.zeros((n, m), complex)
+    eye = np.eye(n)
+    for k in range(max((sl.stop - sl.start for sl in blocks), default=0)):
+        cols = np.array([sl.start + k for sl in blocks if sl.stop - sl.start > k])
+        R = D[:, cols] - Y @ T[:, cols]
+        shifts = T[cols, cols]
+        for shift in dict.fromkeys(shifts.tolist()):
+            group = cols[shifts == shift]
+            rhs = R[:, shifts == shift]
+            try:
+                if shift.imag == 0 and not rhs.imag.any():
+                    Y[:, group] = np.linalg.solve(shift.real * eye - A, rhs.real)
+                else:
+                    Y[:, group] = np.linalg.solve(shift * eye - A, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise NonUniqueSolutionError(
+                    f"shifted matrix {shift:.6g} I - A is singular ({exc})"
+                ) from exc
+    return (Y @ U.conj().T).real
+
+
+NO_CARE = "no stabilizing Riccati solution: "
+SIGN_MAX_ITER = 100
+
+
+def _matrix_sign(H):
+    """Sign function of ``H`` by the determinant-scaled Newton iteration.
+
+    ``Z <- (Z / c + c Z^{-1}) / 2`` with ``c = |det Z|^{1/size}``
+    (Roberts 1980, Int. J. Control 32(4); Byers 1987, Linear Algebra
+    Appl. 85).  Convergence is quadratic, so the step after a relative
+    change of 1e-10 is returned.
+
+    Raises
+    ------
+    SynthesisError
+        If an iterate is singular or not finite, or the iteration does
+        not settle (``H`` has eigenvalues on or near the imaginary axis).
+    """
+    Z = H
+    size = H.shape[0]
+    for _ in range(SIGN_MAX_ITER):
+        try:
+            Z_inv = np.linalg.inv(Z)
+        except np.linalg.LinAlgError as exc:
+            raise SynthesisError(NO_CARE + f"singular sign iterate ({exc})") from exc
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = np.exp(np.linalg.slogdet(Z)[1] / size)
+            Z_next = 0.5 * (Z / c + c * Z_inv)
+        if not np.isfinite(Z_next).all():
+            raise SynthesisError(NO_CARE + "sign iterate is not finite")
+        change = np.linalg.norm(Z_next - Z, 1)
+        Z = Z_next
+        if change <= 1e-10 * np.linalg.norm(Z, 1):
+            return Z
+    raise SynthesisError(
+        NO_CARE + f"sign iteration did not converge in {SIGN_MAX_ITER} steps "
+        "(Hamiltonian eigenvalues on or near the imaginary axis)"
+    )
 
 
 def solve_care(A, B, Qw, Rw):
     """Stabilizing state-feedback gain from the continuous Riccati equation.
 
     Computes the stabilizing solution P of
-    ``A'P + PA - P B Rw^{-1} B' P + Qw = 0`` with
-    ``scipy.linalg.solve_continuous_are`` (Laub's Schur method, 1979,
-    IEEE TAC 24(6)) and returns ``K = -Rw^{-1} B' P``.  ``A + B K`` is
-    certified Hurwitz before returning.
+    ``A'P + PA - P G P + Qw = 0``, ``G = B Rw^{-1} B'``, from the matrix
+    sign ``W`` of the Hamiltonian ``H = [[A, -G], [-Qw, -A']]``: its
+    stable invariant subspace is the range of ``[I; P]``, so P solves
+    ``[W12; W22 + I] P = -[W11 + I; W21]`` by least squares and is then
+    symmetrized (Byers 1987).  Returns ``K = -Rw^{-1} B' P``.  P must
+    pass a relative residual gate and ``A + B K`` is certified Hurwitz
+    before returning.
 
     Parameters
     ----------
@@ -162,9 +280,9 @@ def solve_care(A, B, Qw, Rw):
     Raises
     ------
     SynthesisError
-        If the library solver finds no stabilizing solution (for example
-        Hamiltonian eigenvalues on the imaginary axis), or the computed
-        gain fails the Hurwitz certificate.
+        If there is no stabilizing solution (for example Hamiltonian
+        eigenvalues on the imaginary axis), P fails the residual gate,
+        or the computed gain fails the Hurwitz certificate.
     """
     A = _as_square(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -177,12 +295,27 @@ def solve_care(A, B, Qw, Rw):
             f"Qw {Qw.shape}, Rw {Rw.shape}"
         )
 
-    import scipy.linalg  # deferred: of the commands, only `synth` loads SciPy
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, Qw, Rw)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SynthesisError(f"no stabilizing Riccati solution: {exc}") from exc
-    K = -np.linalg.solve(Rw, B.T @ P)
+        Rw_inv_Bt = np.linalg.solve(Rw, B.T)
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(NO_CARE + f"Rw is singular ({exc})") from exc
+    G = B @ Rw_inv_Bt
+    W = _matrix_sign(np.block([[A, -G], [-Qw, -A.T]]))
+    I = np.eye(n)
+    P = np.linalg.lstsq(np.vstack([W[:n, n:], W[n:, n:] + I]),
+                        -np.vstack([W[:n, :n] + I, W[n:, :n]]), rcond=None)[0]
+    P = 0.5 * (P + P.T)
+
+    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Qw)
+    norm_p = np.linalg.norm(P)
+    scale = (2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
+             + np.linalg.norm(Qw))
+    if not residual <= CARE_REL_TOL * scale:
+        raise SynthesisError(
+            NO_CARE + f"residual {residual:.3e} exceeds "
+            f"{CARE_REL_TOL:g} * scale {scale:.3e}"
+        )
+    K = -Rw_inv_Bt @ P
 
     ok, abscissa = is_hurwitz(A + B @ K)
     if not ok:

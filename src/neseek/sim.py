@@ -22,6 +22,8 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "NeighborView",
+    "rk4_radius",
+    "rk4_dt_limit",
     "simulate",
     "simulate_distributed",
     "convergence_metrics",
@@ -99,6 +101,37 @@ def record_steps(n_steps, stride):
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     return steps
+
+
+# RK4's stability polynomial T4(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, ascending
+RK4_T4 = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
+
+
+def rk4_radius(eigs, dt):
+    """Spectral radius of the z-block of the RK4 step map, ``max |T4(dt lam)|``.
+
+    The z-block is ``T4(dt A_c)``, so its eigenvalues are ``T4(dt lam)``
+    over the eigenvalues ``eigs`` of A_c.
+    """
+    values = np.polyval(RK4_T4[::-1], dt * np.asarray(eigs))
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def rk4_dt_limit(eigs):
+    """Largest step below which every ``|T4(dt lam)| < 1``, for Hurwitz ``eigs``.
+
+    For each eigenvalue the first step where ``|T4(dt lam)|^2 - 1``, a
+    degree-8 polynomial in dt with a root at 0, returns to zero.
+    """
+    limit = np.inf
+    for lam in np.unique(np.asarray(eigs)):
+        a = RK4_T4 * lam ** np.arange(5)
+        p = np.convolve(a, a.conj()).real
+        roots = np.roots(p[:0:-1])  # p(dt) / dt, highest power first
+        real = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0)]
+        if real.size:
+            limit = min(limit, float(np.min(real.real)))
+    return limit
 
 
 def _rk4_map(A_c, P_c, E_half, E_full, dt):

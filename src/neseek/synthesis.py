@@ -23,6 +23,7 @@ regulator-equation, and steady-state certificates are computed on it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "build_controller",
     "assemble_closed_loop",
     "certify_stability",
+    "worst_agent",
     "solve_regulator",
     "steady_state",
     "largest_stable_scale",
@@ -150,6 +152,25 @@ class ClosedLoopSystem:
     @property
     def dim_v(self):
         return self.S_hat.shape[0]
+
+    @cached_property
+    def spectra(self):
+        """Eigenvalues of A_c, grouped by the diagonal blocks they come from.
+
+        A digraph loop is block-triangular in ``topo_order``: agent i
+        reads only agents before it.  Its spectrum is then the union of
+        the spectra of the per-agent diagonal blocks [x_i; xi_i; zeta_i],
+        one array per agent in agent order, which avoids the dense
+        eigensolve whose error on the long chain of equal blocks exceeds
+        the stability margin.  Any other loop gives one array for the
+        whole A_c.  Computed once per loop.
+        """
+        blocks = [slice(x.start, c.stop)
+                  for x, c in zip(self.x_slices, self.ctrl_slices)]
+        if self.topo_order is not None and _block_triangular(
+                self.A_c, blocks, self.topo_order):
+            return tuple(linalg.eigenvalues(self.A_c[b, b]) for b in blocks)
+        return (linalg.eigenvalues(self.A_c),)
 
     def initial_state(self):
         """Plant states from x0, controller states zero."""
@@ -381,19 +402,44 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     )
 
 
+def _block_triangular(A, blocks, order):
+    """Whether each agent's block row of ``A`` is zero on every later agent's columns."""
+    later = np.zeros(A.shape[1], dtype=bool)
+    for i in reversed(order):
+        rows = blocks[i - 1]
+        if A[rows][:, later].any():
+            return False
+        later[rows] = True
+    return True
+
+
 def certify_stability(cl):
-    """Hurwitz certificate of A_c: (verdict, spectral abscissa)."""
-    return linalg.is_hurwitz(cl.A_c)
+    """Hurwitz certificate of A_c from ``cl.spectra``: (verdict, spectral abscissa)."""
+    eigs = np.concatenate(cl.spectra)
+    abscissa = float(np.max(eigs.real)) if eigs.size else -np.inf
+    return abscissa < 0.0, abscissa
+
+
+def worst_agent(cl):
+    """Agent (1-based) whose diagonal block has the largest abscissa.
+
+    None unless ``cl.spectra`` is split by agent (a digraph loop).
+    """
+    if len(cl.spectra) < 2:
+        return None
+    return 1 + int(np.argmax([np.max(e.real) for e in cl.spectra]))
 
 
 def solve_regulator(cl):
     """Solve X_c Shat = A_c X_c + P_c and report both residuals.
 
+    The separation gate of the solve reuses ``cl.spectra``.
     ``residual_err`` is the Frobenius norm of C_c X_c + Q_c: at zero the
     invariant subspace carries zero regulated error, which is the
     regulation certificate.
     """
-    X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c)
+    X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c,
+                                 eig_a=np.concatenate(cl.spectra))
     residual_dyn = float(np.linalg.norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
     residual_err = float(np.linalg.norm(cl.C_c @ X_c + cl.Q_c))
     norm_x = np.linalg.norm(X_c)

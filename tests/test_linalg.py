@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from neseek import linalg
 from neseek.errors import (
     DimensionError,
     DomainError,
@@ -183,6 +184,98 @@ def test_solve_sylvester_matches_kronecker_reference():
         X = solve_sylvester(A, B, C)
         X_ref = _kronecker_sylvester(A, B, C)
         assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+
+
+def _rotation(w):
+    return np.array([[0.0, w], [-w, 0.0]])
+
+
+def test_solve_sylvester_ramp_exosystem_matches_kronecker_reference():
+    # a ramp exosystem (nilpotent Jordan block) in a random orthogonal
+    # basis, so its Schur form is not diagonal, next to rotations and a
+    # constant channel; two rotation blocks are equal and share shifts
+    rng = np.random.default_rng(29)
+    for size in (2, 3, 4):
+        Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        ramp = Q @ np.diag(np.ones(size - 1), 1) @ Q.T
+        blocks = [ramp, _rotation(OMEGA), _rotation(OMEGA), _rotation(1.3),
+                  np.zeros((1, 1))]
+        m = sum(b.shape[0] for b in blocks)
+        B = np.zeros((m, m))
+        k = 0
+        for b in blocks:
+            B[k:k + b.shape[0], k:k + b.shape[0]] = b
+            k += b.shape[0]
+        n = 9
+        A = rng.standard_normal((n, n)) - 4.0 * np.eye(n)
+        C = rng.standard_normal((n, m))
+        X = solve_sylvester(A, B, C)
+        X_ref = _kronecker_sylvester(A, B, C)
+        assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+        assert np.linalg.norm(X @ B - A @ X - C) <= 1e-12 * np.linalg.norm(C)
+
+
+def test_solve_sylvester_takes_the_callers_spectrum():
+    A = np.diag([-1.0, -2.0])
+    B = np.zeros((1, 1))
+    C = np.ones((2, 1))
+    assert np.allclose(solve_sylvester(A, B, C, eig_a=[-1.0, -2.0]),
+                       [[1.0], [0.5]], atol=1e-15)
+    # a spectrum that overlaps spec(B) trips the separation gate
+    with pytest.raises(NonUniqueSolutionError):
+        solve_sylvester(A, B, C, eig_a=[0.0, -2.0])
+
+
+def test_solve_care_matches_scipy():
+    # Both solvers are backward stable; their gains differ by the CARE's
+    # conditioning times rounding, far below 1e-8 on these pairs.
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 4))
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m))
+        K = solve_care(A, B, np.eye(n), np.eye(m))
+        K_ref = -B.T @ scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(m))
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
+
+def test_solve_care_weighted_matches_scipy():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 3))
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m))
+        Qw = np.diag(rng.uniform(0.1, 100.0, n))
+        Rw = np.diag(rng.uniform(0.1, 10.0, m))
+        K = solve_care(A, B, Qw, Rw)
+        P = scipy.linalg.solve_continuous_are(A, B, Qw, Rw)
+        K_ref = -np.linalg.solve(Rw, B.T @ P)
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
+
+def test_solve_care_residual_gate(monkeypatch):
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+    monkeypatch.setattr(linalg, "CARE_REL_TOL", 0.0)
+    with pytest.raises(SynthesisError, match="^no stabilizing Riccati solution: residual"):
+        solve_care(A, B, np.eye(4), np.eye(2))
+
+
+def test_solve_care_undamped_modes_do_not_converge():
+    # Qw = 0 leaves two undamped rotations with unrelated frequencies on
+    # the imaginary axis: the scaled iteration never settles
+    A = np.zeros((4, 4))
+    A[:2, :2], A[2:, 2:] = _rotation(0.3), _rotation(1.7)
+    with pytest.raises(SynthesisError, match="^no stabilizing Riccati solution: "
+                                             "sign iteration did not converge"):
+        solve_care(A, np.zeros((4, 1)), np.zeros((4, 4)), np.eye(1))
+
+
+def test_solve_care_singular_rw():
+    with pytest.raises(SynthesisError, match="^no stabilizing Riccati solution: "):
+        solve_care(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
 
 
 def test_solve_care_scalar_integrator():

@@ -886,6 +886,27 @@ def test_cli_sim_overflowing_step_map_prints_only_the_error(sensor_bundle,
     assert not out.exists()
 
 
+def test_cli_sim_unstable_step_map_of_a_certified_loop_exits_4(sensor_bundle,
+                                                              tmp_path, capsys):
+    # the loop is Hurwitz (abscissa -0.616) but RK4 at dt = 0.5 diverges
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out = tmp_path / "run.csv"
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", "0.5", "--t-end", "1"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and not err[0].endswith("(NOT Hurwitz)"), err
+    assert err[1].startswith("error: the closed loop is Hurwitz but its RK4 "
+                             "step map at dt 0.5 is not (spectral radius 1.29")
+    assert err[1].endswith("the largest stable dt is 0.471007")
+    assert not out.exists()
+    # just below the limit the same loop simulates
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", "0.47", "--t-end", "0.94"]) == 0
+    capsys.readouterr()
+
+
 def _synth_argv(tmp_path, strategy, edit=None, out="c.json"):
     doc = sensor_scenario_doc(strategy)
     if edit is not None:

@@ -20,7 +20,10 @@ from neseek.sim import (
     SimConfig,
     Trajectory,
     _exo_steppers,
+    _rk4_map,
     convergence_metrics,
+    rk4_dt_limit,
+    rk4_radius,
     simulate,
     simulate_distributed,
     write_csv,
@@ -399,3 +402,25 @@ def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
     )
     write_csv(empty, path)
     assert path.read_text().splitlines() == text[:1]
+
+
+def test_rk4_radius_is_the_step_maps_z_block_radius(sensor_general):
+    cl = sensor_general.cl
+    for dt in (1e-2, 0.3, 0.6):
+        M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, dt), dt)
+        dz = cl.dim_z
+        want = np.max(np.abs(np.linalg.eigvals(M[:dz, :dz])))
+        got = rk4_radius(np.concatenate(cl.spectra), dt)
+        assert abs(got - want) <= 1e-9 * want
+
+
+def test_rk4_dt_limit_real_axis():
+    # RK4's stability interval on the negative real axis ends at -2.7852935634
+    assert rk4_dt_limit([-1.0]) == pytest.approx(2.785293563405282, rel=1e-12)
+    assert rk4_dt_limit([-1.0, -4.0]) == pytest.approx(2.785293563405282 / 4, rel=1e-12)
+
+
+def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
+    eigs = np.concatenate(sensor_digraph.cl.spectra)
+    limit = rk4_dt_limit(eigs)
+    assert rk4_radius(eigs, limit * (1 - 1e-6)) < 1.0 < rk4_radius(eigs, limit * (1 + 1e-6))

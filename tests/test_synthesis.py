@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from neseek.synthesis import (
     observer_gain,
     solve_regulator,
     steady_state,
+    worst_agent,
 )
 
 from conftest import (
@@ -43,7 +47,10 @@ from conftest import (
     SENSOR_C,
     SENSOR_P,
     SENSOR_S,
+    sensor_scenario_doc,
 )
+from neseek.cli import main
+from neseek.scenario import load_controllers, load_scenario, parse_scenario
 
 OMEGA = np.pi / 10.0
 ROT = np.array([[0.0, OMEGA], [-OMEGA, 0.0]])
@@ -571,3 +578,92 @@ def test_chain20_certifies(chain20, strategy):
     _, _, y_ss = steady_state(reg, cl, cl.v0)
     y_star = solve_ne(assemble_pseudo_gradient(game))
     assert np.max(np.abs(y_ss - y_star)) <= 1e-6
+
+
+def _perfbench_scenarios():
+    """perfbench's seeded scenario generator, loaded read-only from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _separated_abscissa(plant, cost, c):
+    """Abscissa of one agent's loop by the separation principle.
+
+    The observer error and the state-feedback loop decouple, so the
+    agent's spectrum is spec(A - L Rw C) with spec of the stabilized
+    plant/internal-model cascade; no eigensolve of the coupled block.
+    """
+    Rw = cost.R_ii + cost.R_ii.T
+    observer = plant.A - c.L @ (Rw @ plant.C)
+    cascade = np.block([[plant.A + plant.B @ c.K1, plant.B @ c.K2],
+                        [c.G2 @ (Rw @ plant.C), c.G1]])
+    return max(np.max(eigenvalues(observer).real),
+               np.max(eigenvalues(cascade).real))
+
+
+@pytest.mark.parametrize("n", [70, 100])
+def test_chain_digraph_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
+    # The dense eigensolve of these block-triangular loops put their
+    # abscissa at +0.046 (N = 70) and +0.191 (N = 100); each agent's
+    # diagonal block is at -0.6163.
+    doc = _perfbench_scenarios().chain(n, "digraph", 1,
+                                      {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    abscissa = json.loads(out.read_text())["certificates"]["abscissa"]
+    scn = load_scenario(path)
+    controllers = load_controllers(out, scn)["controllers"]
+    oracle = max(_separated_abscissa(p, cost, c) for p, cost, c
+                 in zip(scn.plants, scn.game.costs, controllers))
+    assert abs(abscissa - oracle) <= 1e-12
+    assert round(abscissa, 4) == -0.6163
+
+
+def test_digraph_spectra_split_by_agent(sensor_digraph, sensor_general):
+    cl = sensor_digraph.cl
+    assert len(cl.spectra) == 5
+    split, dense = np.concatenate(cl.spectra), eigenvalues(cl.A_c)
+    assert split.shape == dense.shape
+    # each set lies near the other: the dense solve spreads the
+    # eigenvalues repeated across the five equal blocks by up to ~1e-4
+    gap = np.abs(split[:, None] - dense[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-3
+    assert len(sensor_general.cl.spectra) == 1
+    assert worst_agent(sensor_general.cl) is None
+    # an entry above the block triangle voids the split: one dense spectrum
+    A_c = cl.A_c.copy()
+    first, last = cl.topo_order[0] - 1, cl.topo_order[-1] - 1
+    A_c[cl.x_slices[first].start, cl.x_slices[last].start] = 1e-3
+    assert len(dataclasses.replace(cl, A_c=A_c).spectra) == 1
+
+
+def test_worst_agent_names_the_unstable_block(tmp_path, capsys):
+    # agent 3's stated dA turns its velocity damping into growth
+    doc = sensor_scenario_doc("digraph")
+    doc["agents"][2]["dA"] = {"shape": [4, 4],
+                              "data": np.diag([0.0, 0.0, 3.0, 3.0]).ravel().tolist()}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["synth", str(path), "--out", str(tmp_path / "c.json")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and " at agent 3); adjust the synthesis weights" in err[0], err
+
+
+def test_chain100_general_regulator_residuals():
+    doc = _perfbench_scenarios().chain(100, "general", 1,
+                                      {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
+    scn = parse_scenario(doc)
+    controllers = [build_controller(p, cost, e, scn.weights) for p, cost, e
+                   in zip(scn.plants, scn.game.costs, scn.exos)]
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, "general")
+    assert cl.A_c.shape == (1400, 1400) and cl.S_hat.shape == (300, 300)
+    assert certify_stability(cl)[0]
+    reg = solve_regulator(cl)
+    assert reg.residual_dyn <= 1e-8 * reg.scale_dyn
+    assert reg.residual_err <= 1e-8 * reg.scale_err
