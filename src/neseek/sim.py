@@ -8,6 +8,7 @@ read gates and is the reference loop the stacked path is compared with.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -15,8 +16,7 @@ from .errors import DimensionError, DivergenceError, DomainError, FirewallViolat
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
 from .linalg import expm
-from .plant import extend_exosystem
-from .synthesis import STRATEGIES
+from .synthesis import STRATEGIES, _gain_mismatch
 
 __all__ = [
     "SimConfig",
@@ -41,9 +41,9 @@ class SimConfig:
 
     def __post_init__(self):
         dt, t_end = self.dt, self.t_end
-        if not 0 < dt < np.inf:
+        if not (isinstance(dt, Real) and 0 < dt < np.inf):
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
-        if not 0 <= t_end < np.inf:
+        if not (isinstance(t_end, Real) and 0 <= t_end < np.inf):
             raise DomainError(f"t_end must be non-negative and finite, got {t_end!r}")
         if 0 < t_end < dt:
             raise DomainError(f"t_end {t_end!r} is shorter than dt {dt!r}")
@@ -54,8 +54,10 @@ class SimConfig:
                 f"t_end {t_end!r} is not a whole number of dt {dt!r} steps; "
                 f"the nearest reachable t_end is {nearest * dt:.6g}"
             )
-        if not (1 <= self.record_stride < np.inf) or self.record_stride % 1:
-            raise DomainError(f"record_stride {self.record_stride} is not a positive integer")
+        stride = self.record_stride
+        if not (isinstance(stride, Real) and 1 <= stride < np.inf and stride % 1 == 0):
+            raise DomainError(f"record_stride {stride!r} is not a positive integer")
+        object.__setattr__(self, "record_stride", int(stride))
 
     @property
     def n_steps(self):
@@ -239,137 +241,131 @@ class NeighborView:
         return self._cxi[j - 1]
 
 
-def _error_from_view(cost, Rw, y_i, view):
-    e_i = Rw @ y_i + cost.Q_ii
-    for j in sorted(cost.R_ij):
-        e_i = e_i + cost.R_ij[j] @ view.output(j)
-    return e_i
+def _agent_rate(plant, cost, c, view, observer_mode):
+    """Agent i's rate of ``s = [x_i; xi_i; zeta_i]``, with its matrices built once.
 
-
-def _deriv(plant_mats, nominal, c, cost, x_i, st_i, v_i, view, y_i, observer_mode):
-    A, B, _, P = plant_mats
-    A_n, B_n, C_n, Rw = nominal
-    q = P.shape[1]
-    xi_i, zeta_i = st_i[:c.n], st_i[c.n:]
-    e_i = _error_from_view(cost, Rw, y_i, view)
+    The rate reads the agent's own state, output and disturbance, and
+    its neighbors' outputs (for the general strategy also their
+    observer outputs) through ``view`` only.
+    """
+    n, p, v = plant.n, c.p, c.G1.shape[0]
+    Rw = cost.R_ii + cost.R_ii.T
+    couplings = [(j, cost.R_ij[j]) for j in sorted(cost.R_ij)]
+    # plant rows, observer rows (u = K1 xi + K2 zeta, and ehat's own
+    # term Rw C xi), internal-model rows
+    F = np.block([
+        [plant.A_mu, plant.B_mu @ c.K1, plant.B_mu @ c.K2],
+        [np.zeros((n, n)), plant.A + plant.B @ c.K1 - c.L @ Rw @ plant.C, plant.B @ c.K2],
+        [np.zeros((v, 2 * n)), c.G1],
+    ])
+    P = np.vstack([plant.P_mu, np.zeros((n + v, plant.q))])
+    H = np.vstack([np.zeros((n, p)), c.L, c.G2])  # e drives observer and internal model
     # ehat has no affine term: it estimates only the output-dependent part;
     # only the general strategy reads neighbors' observer outputs
-    ehat_i = Rw @ (C_n @ xi_i)
-    if observer_mode:
-        for j in sorted(cost.R_ij):
-            ehat_i = ehat_i + cost.R_ij[j] @ view.observer_output(j)
-    u_i = c.K1 @ xi_i + c.K2 @ zeta_i
-    dx = A @ x_i + B @ u_i + P @ v_i[:q]
-    dxi = A_n @ xi_i + B_n @ u_i - c.L @ (ehat_i - e_i)
-    dzeta = c.G1 @ zeta_i + c.G2 @ e_i
-    return dx, np.concatenate([dxi, dzeta])
+    obs = [(j, np.vstack([np.zeros((n, p)), c.L @ R, np.zeros((v, p))]))
+           for j, R in couplings] if observer_mode else []
+
+    def rate(s, w, y):
+        e = Rw @ y + cost.Q_ii
+        for j, R in couplings:
+            e = e + R @ view.output(j)
+        ds = F @ s + P @ w + H @ e
+        for j, LR in obs:
+            ds = ds - LR @ view.observer_output(j)
+        return ds
+
+    return rate
+
+
+def _check_agents(N, plants, exos, controllers, x0, w0):
+    """Raise DimensionError naming the first argument that does not fit N agents."""
+    for name, items in (("plants", plants), ("exos", exos),
+                        ("controllers", controllers), ("x0", x0), ("w0", w0)):
+        if len(items) != N:
+            raise DimensionError(f"{name} has {len(items)} entries for {N} agents")
+    for i, (p, e, c, x, w) in enumerate(zip(plants, exos, controllers, x0, w0), start=1):
+        bad = _gain_mismatch(c, p)
+        if bad:
+            raise DimensionError(f"controllers[{i}] gain {bad}")
+        if e.q != p.q:
+            raise DimensionError(f"exos[{i}] has dimension {e.q}, plant {i} takes {p.q}")
+        if x.shape != (p.n,):
+            raise DimensionError(f"x0[{i}] has shape {x.shape}, plant {i} needs ({p.n},)")
+        if w.shape != (e.q,):
+            raise DimensionError(f"w0[{i}] has shape {w.shape}, exos[{i}] needs ({e.q},)")
 
 
 def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
                          x0=None, w0=None):
     """Integrate agent-by-agent behind NeighborView read gates.
 
-    Each stage first broadcasts every agent's y_i (and C_i xi_i for the
-    general strategy), then evaluates each agent's derivative from its
-    own states plus gated neighbor reads only.  Matches simulate() on
-    the assembled stacked system within 1e-9 per sample.
+    Agent i's state is ``[x_i; xi_i; zeta_i]``.  Each stage first
+    broadcasts every agent's y_i (and C_i xi_i for the general
+    strategy), then evaluates each agent's rate from its own state plus
+    gated neighbor reads only.  Matches simulate() on the assembled
+    stacked system within 1e-9 per sample.
     """
     if strategy not in STRATEGIES:
         raise DimensionError(f"unknown strategy kind {strategy!r}")
     observer_mode = strategy == "general"
     N = game.graph.agent_count
-
     x0 = [p.x0 for p in plants] if x0 is None else [np.asarray(v, float) for v in x0]
     w0 = [e.w0 for e in exos] if w0 is None else [np.asarray(v, float) for v in w0]
+    _check_agents(N, plants, exos, controllers, x0, w0)
 
-    plant_mats = [(p.A_mu, p.B_mu, p.C_mu, p.P_mu) for p in plants]
-    # the observer's plant copy and error weight, read once per agent
-    nominal = [(p.A, p.B, p.C, cost.R_ii + cost.R_ii.T)
-               for p, cost in zip(plants, game.costs)]
-    nbr_sets = [neighbors(game.graph, i) for i in range(1, N + 1)]
-    ctrl_dims = [c.ctrl_dim for c in controllers]
-
-    # exact per-agent exogenous steppers on the extended blocks
-    exts = [extend_exosystem(e) for e in exos]
-    E_halfs = [_exo_steppers(e.S_tilde, cfg.dt)[0] for e in exts]
+    # read gates over output buffers that every stage refills in place
+    ys = [None] * N
+    cxis = [None] * N if observer_mode else None
+    rates = [
+        _agent_rate(p, cost, c,
+                    NeighborView(i, neighbors(game.graph, i), ys, cxis), observer_mode)
+        for i, (p, cost, c) in enumerate(zip(plants, game.costs, controllers), start=1)
+    ]
+    ns = [p.n for p in plants]
+    C_mus = [p.C_mu for p in plants]
+    # exact per-agent exogenous steppers
+    E_halfs = [_exo_steppers(e.S, cfg.dt)[0] for e in exos]
     E_fulls = [E @ E for E in E_halfs]
 
-    x = [np.asarray(v, float).copy() for v in x0]
-    st = [np.zeros(d) for d in ctrl_dims]
-    v = [np.concatenate([w, [1.0]]) for w in w0]
-
-    def stage_rates(xs, sts, vs):
-        ys = [pm[2] @ xi for pm, xi in zip(plant_mats, xs)]
-        cxis = None
+    def stage(states, ws):
+        ys[:] = [C @ s[:n] for C, s, n in zip(C_mus, states, ns)]
         if observer_mode:
-            cxis = [nom[2] @ s[: c.n]
-                    for nom, c, s in zip(nominal, controllers, sts)]
-        rates = []
-        for i in range(N):
-            view = NeighborView(i + 1, nbr_sets[i], ys, cxis)
-            rates.append(
-                _deriv(plant_mats[i], nominal[i], controllers[i], game.costs[i],
-                       xs[i], sts[i], vs[i], view, ys[i], observer_mode)
-            )
-        return rates
+            cxis[:] = [p.C @ s[n:2 * n] for p, s, n in zip(plants, states, ns)]
+        return [f(s, w, y) for f, s, w, y in zip(rates, states, ws, ys)]
 
     steps = record_steps(cfg.n_steps, cfg.record_stride)
-    times = steps * cfg.dt
-    rec_x = [np.empty((len(steps), len(x[i]))) for i in range(N)]
-    rec_st = [np.empty((len(steps), ctrl_dims[i])) for i in range(N)]
-    rec_w = [np.empty((len(steps), exos[i].q)) for i in range(N)]
     rec_set = set(steps.tolist())
-
-    def record(row):
-        for i in range(N):
-            rec_x[i][row] = x[i]
-            rec_st[i][row] = st[i]
-            rec_w[i][row] = v[i][: exos[i].q]
-
-    record(0)
-    row = 1
+    s = [np.concatenate([x, np.zeros(c.ctrl_dim)]) for x, c in zip(x0, controllers)]
+    w = w0
+    rec_s, rec_w = [s], [w]
     dt = cfg.dt
-    for k in range(cfg.n_steps):
-        vh = [E @ vi for E, vi in zip(E_halfs, v)]
-        vf = [E @ vi for E, vi in zip(E_fulls, v)]
-        r1 = stage_rates(x, st, v)
-        x2 = [x[i] + 0.5 * dt * r1[i][0] for i in range(N)]
-        s2 = [st[i] + 0.5 * dt * r1[i][1] for i in range(N)]
-        r2 = stage_rates(x2, s2, vh)
-        x3 = [x[i] + 0.5 * dt * r2[i][0] for i in range(N)]
-        s3 = [st[i] + 0.5 * dt * r2[i][1] for i in range(N)]
-        r3 = stage_rates(x3, s3, vh)
-        x4 = [x[i] + dt * r3[i][0] for i in range(N)]
-        s4 = [st[i] + dt * r3[i][1] for i in range(N)]
-        r4 = stage_rates(x4, s4, vf)
-        for i in range(N):
-            x[i] = x[i] + (dt / 6.0) * (
-                r1[i][0] + 2.0 * r2[i][0] + 2.0 * r3[i][0] + r4[i][0]
-            )
-            st[i] = st[i] + (dt / 6.0) * (
-                r1[i][1] + 2.0 * r2[i][1] + 2.0 * r3[i][1] + r4[i][1]
-            )
-        v = vf
-        if not all(np.all(np.isfinite(xi)) for xi in x):
-            raise DivergenceError(
-                f"state became non-finite at t = {(k + 1) * dt:.6g}",
-                t_bad=(k + 1) * dt,
-            )
-        if k + 1 in rec_set:
-            record(row)
-            row += 1
+    for k in range(1, cfg.n_steps + 1):
+        wh = [E @ wi for E, wi in zip(E_halfs, w)]
+        wf = [E @ wi for E, wi in zip(E_fulls, w)]
+        r1 = stage(s, w)
+        r2 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r1)], wh)
+        r3 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r2)], wh)
+        r4 = stage([si + dt * ri for si, ri in zip(s, r3)], wf)
+        s = [si + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for si, a, b, c, d in zip(s, r1, r2, r3, r4)]
+        w = wf
+        if not all(np.isfinite(si[:n]).all() for si, n in zip(s, ns)):
+            raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",
+                                  t_bad=k * dt)
+        if k in rec_set:
+            rec_s.append(s)
+            rec_w.append(w)
 
-    y = tuple(rec_x[i] @ plant_mats[i][2].T for i in range(N))
+    S = [np.array(a) for a in zip(*rec_s)]
+    x = tuple(Si[:, :n] for Si, n in zip(S, ns))
+    y = tuple(xi @ C.T for xi, C in zip(x, C_mus))
     off = game.offsets
-    y_full = np.hstack(y)
     pg = assemble_pseudo_gradient(game)
-    e_full = y_full @ pg.Rbar.T + pg.Qbar
-    e = tuple(e_full[:, off[i]:off[i + 1]] for i in range(N))
+    e_full = np.hstack(y) @ pg.Rbar.T + pg.Qbar
     return Trajectory(
-        times=times, x=tuple(np.asarray(r) for r in rec_x),
-        ctrl=tuple(np.asarray(r) for r in rec_st),
-        y=y, e=e, w=tuple(np.asarray(r) for r in rec_w),
-        y_star=solve_ne(pg),
+        times=steps * dt, x=x, ctrl=tuple(Si[:, n:] for Si, n in zip(S, ns)),
+        y=y, e=tuple(e_full[:, off[i]:off[i + 1]] for i in range(N)),
+        w=tuple(np.array(a) for a in zip(*rec_w)), y_star=solve_ne(pg),
     )
 
 

@@ -94,9 +94,11 @@ def sensor_scenario_doc(strategy, sim=None):
     return doc
 
 
-def _build(strategy):
-    graph = CommGraph(5, directed=strategy == "digraph",
-                      edges=sensor_edges(strategy))
+def _build(strategy, graph=None):
+    """The sensor network under ``strategy``, on its own graph unless ``graph`` is given."""
+    if graph is None:
+        graph = CommGraph(5, directed=strategy == "digraph",
+                          edges=sensor_edges(strategy))
     game = cost_from_targets([np.asarray(t) for t in TARGETS], graph)
     plants = sensor_plants()
     exos = sensor_exos()

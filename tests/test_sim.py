@@ -28,7 +28,14 @@ from neseek.sim import (
     simulate_distributed,
     write_csv,
 )
-from neseek.synthesis import ClosedLoopSystem, assemble_closed_loop
+from neseek.synthesis import (
+    ClosedLoopSystem,
+    assemble_closed_loop,
+    certify_stability,
+    steady_state,
+)
+
+from conftest import _build
 
 OMEGA = np.pi / 10.0
 
@@ -90,6 +97,16 @@ def test_sim_config_validation():
     assert SimConfig(dt=0.1, t_end=0.0).n_steps == 0
     assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
     assert SimConfig(dt=1e-3, t_end=100.0).n_steps == 100_000
+    # a whole-number float stride is kept as an int that simulate can use
+    cfg = SimConfig(dt=1e-3, t_end=0.01, record_stride=2.0)
+    assert type(cfg.record_stride) is int and cfg.record_stride == 2
+    assert len(simulate(toy_loop(-1.0), cfg, z0=np.array([1.0])).times) == 6
+    with pytest.raises(DomainError, match="record_stride '2' is not a positive integer"):
+        SimConfig(dt=1e-3, t_end=0.01, record_stride="2")
+    with pytest.raises(DomainError, match="dt must be positive and finite, got '0.1'"):
+        SimConfig(dt="0.1", t_end=1.0)
+    with pytest.raises(DomainError, match="t_end must be non-negative and finite, got None"):
+        SimConfig(dt=0.1, t_end=None)
 
 
 def test_scalar_decay_matches_exponential():
@@ -320,6 +337,61 @@ def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
     assert dy <= 1e-9
     assert de <= 1e-9
     assert np.allclose(tr_dist.times, tr_stacked.times, atol=1e-12)
+
+
+def _with(items, i, item):
+    """``items`` with entry ``i`` (0-based) replaced."""
+    return [item if k == i else v for k, v in enumerate(items)]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: {"plants": s.plants[:4]}, "plants has 4 entries for 5 agents"),
+    (lambda s: {"exos": s.exos + s.exos[:1]}, "exos has 6 entries for 5 agents"),
+    (lambda s: {"controllers": s.controllers + s.controllers[:1]},
+     "controllers has 6 entries for 5 agents"),
+    (lambda s: {"controllers": s.controllers[:4]}, "controllers has 4 entries for 5 agents"),
+    (lambda s: {"x0": [p.x0 for p in s.plants] + [np.zeros(4)]},
+     "x0 has 6 entries for 5 agents"),
+    (lambda s: {"x0": [p.x0 for p in s.plants[:4]]}, "x0 has 4 entries for 5 agents"),
+    (lambda s: {"w0": [e.w0 for e in s.exos[:4]]}, "w0 has 4 entries for 5 agents"),
+    (lambda s: {"x0": _with([p.x0 for p in s.plants], 1, np.zeros(3))},
+     r"x0\[2\] has shape \(3,\), plant 2 needs \(4,\)"),
+    (lambda s: {"w0": _with([e.w0 for e in s.exos], 2, np.zeros(3))},
+     r"w0\[3\] has shape \(3,\), exos\[3\] needs \(2,\)"),
+    (lambda s: {"controllers": _with(s.controllers, 1, dataclasses.replace(
+        s.controllers[1], K1=s.controllers[1].K1[:, :3]))},
+     r"controllers\[2\] gain K1: shape \(2, 3\), plant implies \(2, 4\)"),
+    (lambda s: {"exos": _with(s.exos, 4, Exosystem(S=np.zeros((3, 3)), w0=np.ones(3)))},
+     r"exos\[5\] has dimension 3, plant 5 takes 2"),
+], ids=["missing plant", "extra exosystem", "extra controller", "missing controller",
+        "extra x0", "missing x0", "missing w0", "short x0_2", "long w0_3",
+        "K1 misfit", "exosystem misfit"])
+def test_distributed_checks_its_inputs(change, message, sensor_digraph):
+    s = sensor_digraph
+    args = {"plants": s.plants, "exos": s.exos, "controllers": s.controllers,
+            **change(s)}
+    with pytest.raises(DimensionError, match=message):
+        simulate_distributed(s.game, strategy="digraph",
+                             cfg=SimConfig(dt=1e-3, t_end=1e-3), **args)
+
+
+@pytest.mark.parametrize("edges, abscissa", [
+    ([(i, i % 5 + 1) for i in range(1, 6)], -0.0604),
+    ([(i, i + 1) for i in range(1, 5)], -0.8639),
+], ids=["directed 5-ring", "directed path"])
+def test_general_strategy_on_digraphs(edges, abscissa):
+    s = _build("general", CommGraph(5, directed=True, edges=edges))
+    ok, got = certify_stability(s.cl)
+    assert ok and got == pytest.approx(abscissa, abs=1e-4)
+    _, _, y_ss = steady_state(s.reg, s.cl, s.cl.v0)
+    assert np.max(np.abs(y_ss - s.y_star)) <= 1e-6
+    cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
+    tr_stacked = simulate(s.cl, cfg)
+    tr_dist = simulate_distributed(s.game, s.plants, s.exos, s.controllers,
+                                   "general", cfg)
+    for field in ("x", "y", "e", "w"):
+        for a, b in zip(getattr(tr_stacked, field), getattr(tr_dist, field)):
+            assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_distributed_matches_stacked_perturbed(sensor_general):
