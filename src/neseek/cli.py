@@ -63,6 +63,10 @@ EXIT_CODES = (
 # bound on the regulator residuals, relative to their scales
 REGULATOR_REL_TOL = 1e-8
 
+# bound on a bundle's stored abscissa vs the one sim recomputes,
+# relative to max(1, |stored|)
+CERTIFICATE_REL_TOL = 1e-9
+
 # domains of the sim overrides: (rule, test)
 POSITIVE_FINITE = ("positive and finite", lambda v: 0 < v < math.inf)
 NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
@@ -243,6 +247,12 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)
+    # an infinite abscissa is an overflowing loop, reported when simulated
+    stored = bundle["certificates"]["abscissa"]
+    if perturb_scale is None and math.isfinite(abscissa) and not (
+            abs(abscissa - stored) <= CERTIFICATE_REL_TOL * max(1.0, abs(stored))):
+        print(f"warning: {controllers_path}: stored abscissa {stored!r} differs "
+              f"from the recomputed {abscissa!r}", file=sys.stderr)
     if ok:
         eigs = np.concatenate(cl.spectra)
         radius = rk4_radius(eigs, cfg.dt)

@@ -92,6 +92,11 @@ class Trajectory:
         return np.hstack(self.e)
 
 
+# records propagated before one finiteness test, and CSV rows formatted at
+# once; at 64 a block's strings (about 0.2 MB) do not raise sim's peak memory
+BLOCK_ROWS = 64
+
+
 def _exo_steppers(S_hat, dt):
     E_half = expm(S_hat * (dt / 2.0))
     return E_half, E_half @ E_half
@@ -177,11 +182,20 @@ def simulate(cl, cfg, z0=None, v0=None):
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
         powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
-        for r, n in enumerate(jumps, start=1):
-            X[r] = powers[n] @ X[r - 1]
-            if np.isfinite(X[r, :dz]).all():
+        maps = [powers[n] for n in jumps]  # maps[r - 1] takes record r-1 to r
+        r = 1
+        while r < len(steps):
+            # propagate a block, then test its z-part once
+            end = min(r + BLOCK_ROWS, len(steps))
+            for k in range(r, end):
+                X[k] = maps[k - 1] @ X[k - 1]
+            finite = np.isfinite(X[r:end, :dz]).all(axis=1)
+            if finite.all():
+                r = end
                 continue
-            # the state or only M^n overflowed: replay one step at a time
+            # at the first non-finite record the state or only M^n
+            # overflowed: replay its stride one step at a time
+            r += int(np.argmin(finite))
             x = X[r - 1]
             for k in range(int(steps[r - 1]) + 1, int(steps[r]) + 1):
                 x = M @ x
@@ -191,6 +205,7 @@ def simulate(cl, cfg, z0=None, v0=None):
                         t_bad=k * cfg.dt,
                     )
             X[r] = x
+            r += 1
     Z, V = X[:, :dz], X[:, dz:]
     times = steps * cfg.dt
 
@@ -370,11 +385,12 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
 
 
 def convergence_metrics(tr, tol):
-    """T_conv, final gap, and tail statistics of a recorded trajectory.
+    """T_conv, final and peak gap, and tail statistics of a recorded trajectory.
 
     T_conv is the first recorded time after which the output gap stays
-    within tol for the rest of the horizon (None if it never does); the
-    tail statistics cover the last 10% of samples.
+    within tol for the rest of the horizon (None if it never does);
+    t_peak is the first recorded time of the largest gap; the tail
+    statistics cover the last 10% of samples.
     """
     if len(tr.times) == 0:
         raise DomainError("empty trajectory")
@@ -385,22 +401,39 @@ def convergence_metrics(tr, tol):
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(gap <= tol)))
     idx = np.argmax(suffix_ok) if suffix_ok.any() else None
     tail = max(1, K // 10)
+    peak = int(np.argmax(gap))
     return {
         "T_conv": float(tr.times[idx]) if idx is not None else None,
         "final_output_gap": float(gap[-1]),
+        "peak_output_gap": float(gap[peak]),
+        "t_peak": float(tr.times[peak]),
         "max_error_tail": float(np.max(err[-tail:])),
         "steady_oscillation": float(np.ptp(gap[-tail:])),
     }
 
 
 def write_csv(tr, path):
-    """One row per recorded sample; floats printed in round-trip form."""
+    """One row per recorded sample; every field is the repr of its float.
+
+    Rows are written in blocks of BLOCK_ROWS.  Each column of a block is
+    formatted once, and a column whose slice is bitwise equal to an
+    earlier one in the block (agents sharing an exosystem and w0) reuses
+    its strings.
+    """
     cols = ["t"]
     for name, series in (("y", tr.y), ("e", tr.e), ("w", tr.w)):
         for i, arr in enumerate(series, start=1):
             cols.extend(f"{name}_{i}_{k + 1}" for k in range(arr.shape[1]))
-    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
+    arrays = [tr.times[:, None], *tr.y, *tr.e, *tr.w]
     with open(path, "w") as fh:
         fh.write(", ".join(cols) + "\n")
-        # row by row: a list of every value at once would raise peak memory
-        fh.writelines(", ".join(map(repr, row.tolist())) + "\n" for row in table)
+        for start in range(0, len(tr.times), BLOCK_ROWS):
+            formatted = {}
+            columns = []
+            for arr in arrays:
+                for col in arr[start:start + BLOCK_ROWS].T:
+                    key = col.tobytes()
+                    if key not in formatted:
+                        formatted[key] = list(map(repr, col.tolist()))
+                    columns.append(formatted[key])
+            fh.writelines(", ".join(row) + "\n" for row in zip(*columns))

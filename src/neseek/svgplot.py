@@ -39,6 +39,13 @@ def _fmt_tick(v):
     return f"{v:g}"
 
 
+def _points(xs, ys):
+    """Polyline points ``"x0,y0 x1,y1 ..."`` to two decimals, in one format call."""
+    flat = [0.0] * (2 * len(xs))
+    flat[::2], flat[1::2] = xs, ys
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(flat)
+
+
 def line_plot(times, series, labels, title, y_label, path=None):
     """Render one plot with a polyline per series; returns the SVG text.
 
@@ -113,7 +120,7 @@ def line_plot(times, series, labels, title, y_label, path=None):
     xs = px(times).tolist()
     for k, y in enumerate(ys):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(["%.2f,%.2f" % pair for pair in zip(xs, py(y).tolist())])
+        pts = _points(xs, py(y).tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -22,7 +22,7 @@ from neseek.scenario import (
     scenario_to_dict,
 )
 from neseek.sim import simulate_distributed
-from neseek.svgplot import line_plot
+from neseek.svgplot import _points, line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
 AXIS_B = [[0.0], [1.0]]
@@ -356,6 +356,18 @@ def test_svg_well_formed(tmp_path):
     text = line_plot(t, series, labels=["a", "b"], title="demo",
                      y_label="value", path=out)
     assert out.read_text() == text
+
+
+def test_svg_points_match_the_pair_formula():
+    # one format call over interleaved coordinates gives the per-pair text,
+    # rounding ties and signs included
+    xs = [72.0, 72.005, 72.015, 100.125, 871.999]
+    ys = [42.0, -0.004, 448.005, 1e-9, 447.995]
+    assert _points(xs, ys) == " ".join("%.2f,%.2f" % pair for pair in zip(xs, ys))
+    t = np.linspace(0.0, 3.0, 301)
+    svg = line_plot(t, [np.exp(-t)], labels=["a"], title="demo", y_label="v")
+    points = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}polyline").get("points")
+    assert len(points.split(" ")) == len(t)
 
 
 def test_svg_log_floor_handles_zeros():
@@ -884,6 +896,33 @@ def test_cli_sim_overflowing_step_map_prints_only_the_error(sensor_bundle,
         "error: state became non-finite at t = 0.001",
     ]
     assert not out.exists()
+
+
+def test_cli_sim_warns_on_a_stored_abscissa_it_does_not_recompute(sensor_bundle,
+                                                                 tmp_path, capsys):
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+    sim = ["sim", scenario, "--controllers", str(ctrl), "--out", str(out)]
+    assert main(sim) == 0
+    plain = capsys.readouterr().err.splitlines()
+    assert plain[0] == f"closed-loop abscissa: {bundle['certificates']['abscissa']!r}"
+    assert plain[1].startswith("summary: ")
+    assert plain[2:] == [f"wrote {out}"]
+
+    edited = copy.deepcopy(bundle)
+    edited["certificates"]["abscissa"] = -5.0
+    ctrl.write_text(json.dumps(edited))
+    assert main(sim) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == plain[0]
+    assert err[1] == (f"warning: {ctrl}: stored abscissa -5.0 differs from the "
+                      f"recomputed {bundle['certificates']['abscissa']!r}")
+    assert err[2:] == plain[1:]
+    # a perturbed loop is not the certified one: nothing to compare
+    assert main(sim + ["--perturb-scale", "0.01"]) == 0
+    assert not any(line.startswith("warning:")
+                   for line in capsys.readouterr().err.splitlines())
 
 
 def test_cli_sim_unstable_step_map_of_a_certified_loop_exits_4(sensor_bundle,

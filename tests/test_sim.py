@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from neseek.game import cost_from_targets
 from neseek.graph import CommGraph
 from neseek.plant import AgentPlant, Exosystem, sample_perturbation
 from neseek.sim import (
+    BLOCK_ROWS,
     NeighborView,
     SimConfig,
     Trajectory,
@@ -147,6 +149,25 @@ def test_overflowing_power_is_replayed_step_by_step():
     assert np.array_equal(strided.times, every.times[::1000])
     assert np.array_equal(strided.x[0], every.x[0][::1000])
     assert np.array_equal(strided.e[0], every.e[0][::1000])
+
+
+def test_block_finiteness_check_reports_first_bad_step():
+    # e^(100 t) overflows near t = 7.1, inside a block of records
+    cl, cfg = toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate(cl, cfg, z0=np.array([1.0]))
+    # the same map applied one step at a time, tested after every step
+    M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
+    x = np.array([1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.n_steps + 1):
+            x = M @ x
+            if not np.isfinite(x[:1]).all():
+                break
+    assert 0 < k % BLOCK_ROWS < BLOCK_ROWS - 1
+    assert err.value.t_bad == k * cfg.dt
 
 
 def test_record_stride_times():
@@ -440,6 +461,16 @@ def test_metrics_sensor_run(sensor_digraph):
     assert m["max_error_tail"] < 1e-3
 
 
+def test_metrics_peak_gap(sensor_digraph):
+    tr = simulate(sensor_digraph.cl,
+                  SimConfig(dt=1e-3, t_end=20.0, record_stride=10))
+    m = convergence_metrics(tr, tol=1e-3)
+    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
+    assert m["peak_output_gap"] == np.max(gap)
+    assert m["peak_output_gap"] >= gap[0]
+    assert m["t_peak"] in tr.times
+
+
 def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=1.0, record_stride=200))
@@ -496,3 +527,26 @@ def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
     eigs = np.concatenate(sensor_digraph.cl.spectra)
     limit = rk4_dt_limit(eigs)
     assert rk4_radius(eigs, limit * (1 - 1e-6)) < 1.0 < rk4_radius(eigs, limit * (1 + 1e-6))
+
+
+def test_csv_blocks_match_the_row_formula(tmp_path, sensor_digraph):
+    tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.7))
+    assert len(tr.times) > 2 * BLOCK_ROWS and len(tr.times) % BLOCK_ROWS
+    y, e = [a.copy() for a in tr.y], [a.copy() for a in tr.e]
+    y[1][:, 0] = y[0][:, 0]  # a duplicated column
+    # columns equal but for the sign of zero: each keeps its own sign
+    e[0][:, 0] = 0.0
+    e[1][:, 0] = -0.0
+    e[2][:, 0] = 0.0
+    e[2][BLOCK_ROWS + 3, 0] = -0.0
+    tr = dataclasses.replace(tr, y=tuple(y), e=tuple(e))
+    path = tmp_path / "run.csv"
+    write_csv(tr, path)
+    lines = path.read_text().splitlines()
+    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
+    assert len(lines) == 1 + len(table)
+    for line, row in zip(lines[1:], table):
+        assert line == ", ".join(map(repr, row.tolist()))
+    fields = [line.split(", ") for line in lines[1:]]
+    assert (fields[0][11], fields[0][13], fields[0][15]) == ("0.0", "-0.0", "0.0")
+    assert fields[BLOCK_ROWS + 3][15] == "-0.0"
