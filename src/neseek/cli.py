@@ -279,9 +279,8 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     print(f"wrote {out}", file=sys.stderr)
 
     if svg is not None:
-        gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
         line_plot(
-            tr.times, [gap], ["||y - y*||"],
+            tr.times, [metrics["output_gap"]], ["||y - y*||"],
             "Output gap vs NE", "||y - y*||", path=svg,
         )
         err_path = (

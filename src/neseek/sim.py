@@ -277,8 +277,7 @@ def _agent_rate(plant, cost, c, view, observer_mode):
     H = np.vstack([np.zeros((n, p)), c.L, c.G2])  # e drives observer and internal model
     # ehat has no affine term: it estimates only the output-dependent part;
     # only the general strategy reads neighbors' observer outputs
-    obs = [(j, np.vstack([np.zeros((n, p)), c.L @ R, np.zeros((v, p))]))
-           for j, R in couplings] if observer_mode else []
+    obs = [(j, c.L @ R) for j, R in couplings] if observer_mode else []
 
     def rate(s, w, y):
         e = Rw @ y + cost.Q_ii
@@ -286,7 +285,7 @@ def _agent_rate(plant, cost, c, view, observer_mode):
             e = e + R @ view.output(j)
         ds = F @ s + P @ w + H @ e
         for j, LR in obs:
-            ds = ds - LR @ view.observer_output(j)
+            ds[n:2 * n] -= LR @ view.observer_output(j)
         return ds
 
     return rate
@@ -390,7 +389,8 @@ def convergence_metrics(tr, tol):
     T_conv is the first recorded time after which the output gap stays
     within tol for the rest of the horizon (None if it never does);
     t_peak is the first recorded time of the largest gap; the tail
-    statistics cover the last 10% of samples.
+    statistics cover the last 10% of samples.  ``output_gap`` is the
+    series ||y - y*|| they are taken from.
     """
     if len(tr.times) == 0:
         raise DomainError("empty trajectory")
@@ -409,6 +409,7 @@ def convergence_metrics(tr, tol):
         "t_peak": float(tr.times[peak]),
         "max_error_tail": float(np.max(err[-tail:])),
         "steady_oscillation": float(np.ptp(gap[-tail:])),
+        "output_gap": gap,
     }
 
 

@@ -7,19 +7,16 @@ observer xi_i and a p-copy internal model zeta_i,
     zetadot_i = G1_i zeta_i + G2_i e_i
     u_i       = K1_i xi_i + K2_i zeta_i
 
-with the same gains L_i, (G1_i, G2_i), (K1_i, K2_i).  They differ in
-one coupling only, the error estimate ehat_i:
-
-    digraph (acyclic topologies):   ehat_i = Rw_i C_i xi_i
-    general (connected topologies): ehat_i = Rw_i C_i xi_i
-                                             + sum_j R_ij C_j xi_j
-
-so in the stacked loop the general strategy adds exactly the blocks
-A_c[xi_i, xi_j] = -L_i R_ij C_j for each neighbor j and is otherwise
-identical.  The stacked closed loop is
-zdot = A_c(mu) z + P_c(mu) v, e = C_c(mu) z + Q_c v, vdot = Shat v,
-with z agent-major ([x_i; xi_i; zeta_i] per agent); stability,
-regulator-equation, and steady-state certificates are computed on it.
+with the same gains L_i, (G1_i, G2_i), (K1_i, K2_i).  The error e is the
+game's pseudo-gradient at the plant outputs, Rbar y + Qbar, and its
+estimate is ehat = Rhat C_obs z, where C_obs places each nominal C_i on
+xi_i.  The strategy is the choice of Rhat: the own-agent diagonal blocks
+Rw_i of Rbar for digraph (acyclic) topologies, all of Rbar for general
+(connected) ones.  The stacked closed loop is per-agent blocks, agent-major
+([x_i; xi_i; zeta_i] per agent), plus that error:
+zdot = A_c(mu) z + P_c(mu) v, e = Rbar C_out z + Q_c v, vdot = Shat v;
+stability, regulator-equation, and steady-state certificates are
+computed on it.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +26,8 @@ import numpy as np
 
 from . import linalg
 from .errors import AssumptionError, DimensionError, SynthesisError
-from .graph import check_acyclic, check_connected, neighbors
+from .game import assemble_pseudo_gradient
+from .graph import check_acyclic, check_connected
 from .internal_model import build_p_copy
 from .plant import (
     _pbh_witnesses,
@@ -268,14 +266,6 @@ def build_controller(plant, cost, exo, weights=None):
     return Controller(L=L, G1=im.G1, G2=im.G2, K1=K1, K2=K2)
 
 
-def _q_tilde(cost, q):
-    """Cost's exogenous channel [0 Q_ii'] of shape p x (q + 1)."""
-    p = cost.p
-    Qt = np.zeros((p, q + 1))
-    Qt[:, q] = cost.Q_ii
-    return Qt
-
-
 def _offsets(dims):
     return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
@@ -292,63 +282,62 @@ def _gain_mismatch(c, plant):
 
 
 def _assemble(game, plants, exos, controllers, strategy_kind):
-    """Agent-major stacking: agent i owns z-block [x_i; xi_i; zeta_i]."""
+    """The module docstring's loop, agent-major: agent i owns z-block
+    [x_i; xi_i; zeta_i] and output rows out_i of e, C_c and Q_c."""
+    pg = assemble_pseudo_gradient(game)
+    N = len(plants)
     z_off = _offsets([p.n + c.ctrl_dim for p, c in zip(plants, controllers)])
     v_off = _offsets([e.q + 1 for e in exos])
     out_off = game.offsets
     dz, dv, dp = z_off[-1], v_off[-1], out_off[-1]
-    A_c = np.zeros((dz, dz))
-    P_c = np.zeros((dz, dv))
-    C_c = np.zeros((dp, dz))
-    Q_c = np.zeros((dp, dv))
-    S_hat = np.zeros((dv, dv))
-    C_out = np.zeros((dp, dz))
-    v0 = np.zeros(dv)
     x_sl = [slice(o, o + p.n) for o, p in zip(z_off, plants)]
     xi_sl = [slice(s.stop, s.stop + p.n) for s, p in zip(x_sl, plants)]
     zeta_sl = [slice(s.stop, z_off[i + 1]) for i, s in enumerate(xi_sl)]
+    out_sl = [slice(out_off[i], out_off[i + 1]) for i in range(N)]
+    v_sl = [slice(v_off[i], v_off[i + 1]) for i in range(N)]
 
-    for i, (c, plant, cost, exo) in enumerate(zip(controllers, plants, game.costs, exos)):
-        x, xi, zeta = x_sl[i], xi_sl[i], zeta_sl[i]
-        out, vi = slice(out_off[i], out_off[i + 1]), slice(v_off[i], v_off[i + 1])
-        # e_i reads the actual plant outputs; the observer blocks use
-        # the nominal matrices the gains were designed for
-        couplings = [(i, cost.R_ii + cost.R_ii.T)] + [
-            (j - 1, cost.R_ij[j]) for j in neighbors(game.graph, i + 1)
-        ]
-        for k, R in couplings:
-            RC = R @ plants[k].C_mu
-            A_c[xi, x_sl[k]] = c.L @ RC
-            A_c[zeta, x_sl[k]] = c.G2 @ RC
-            C_c[out, x_sl[k]] = RC
-            if strategy_kind == "general" and k != i:
-                # the one strategy-dependent block: ehat_i reads C_k xi_k
-                A_c[xi, xi_sl[k]] = -c.L @ (R @ plants[k].C)
-        Rw = couplings[0][1]
+    # e reads the actual outputs, ehat the nominal C the gains assume
+    C_out = np.zeros((dp, dz))
+    C_obs = np.zeros((dp, dz))
+    for plant, x, xi, out in zip(plants, x_sl, xi_sl, out_sl):
+        C_out[out, x] = plant.C_mu
+        C_obs[out, xi] = plant.C
+    C_c = pg.Rbar @ C_out
+    # the strategy: a digraph agent reads its own observer alone
+    agent = np.repeat(np.arange(N), game.dims)
+    R_hat = pg.Rbar if strategy_kind == "general" else np.where(
+        agent[:, None] == agent, pg.Rbar, 0.0)
+
+    A_c = np.zeros((dz, dz))
+    P_c = np.zeros((dz, dv))
+    Q_c = np.zeros((dp, dv))
+    S_hat = np.zeros((dv, dv))
+    v0 = np.zeros(dv)
+    for c, plant, exo, x, xi, zeta, out, vi in zip(
+            controllers, plants, exos, x_sl, xi_sl, zeta_sl, out_sl, v_sl):
         A_c[x, x] = plant.A_mu
         A_c[x, xi] = plant.B_mu @ c.K1
         A_c[x, zeta] = plant.B_mu @ c.K2
-        A_c[xi, xi] = plant.A + plant.B @ c.K1 - c.L @ (Rw @ plant.C)
+        A_c[xi] = c.L @ (C_c[out] - R_hat[out] @ C_obs)
+        A_c[xi, xi] += plant.A + plant.B @ c.K1
         A_c[xi, zeta] = plant.B @ c.K2
+        A_c[zeta] = c.G2 @ C_c[out]
         A_c[zeta, zeta] = c.G1
-        C_out[out, x] = plant.C_mu
-
-        Qt = _q_tilde(cost, exo.q)
         P_c[x, vi.start:vi.stop - 1] = plant.P_mu
-        P_c[xi, vi] = c.L @ Qt
-        P_c[zeta, vi] = c.G2 @ Qt
-        Q_c[out, vi] = Qt
+        # Qbar enters through the agent's constant channel, its last v entry
+        Q_c[out, vi.stop - 1] = pg.Qbar[out]
+        P_c[xi, vi] = c.L @ Q_c[out, vi]
+        P_c[zeta, vi] = c.G2 @ Q_c[out, vi]
         ext = extend_exosystem(exo)
         S_hat[vi, vi] = ext.S_tilde
         v0[vi] = ext.v0
 
-    N = len(plants)
     return dict(
         A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
         x_slices=tuple(x_sl),
         ctrl_slices=tuple(slice(s.stop, z_off[i + 1]) for i, s in enumerate(x_sl)),
-        v_slices=tuple(slice(v_off[i], v_off[i + 1]) for i in range(N)),
-        out_slices=tuple(slice(out_off[i], out_off[i + 1]) for i in range(N)),
+        v_slices=tuple(v_sl),
+        out_slices=tuple(out_sl),
     )
 
 

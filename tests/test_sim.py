@@ -13,8 +13,8 @@ from neseek.errors import (
     DomainError,
     FirewallViolation,
 )
-from neseek.game import cost_from_targets
-from neseek.graph import CommGraph
+from neseek.game import LocalCost, NetworkGame, assemble_pseudo_gradient, cost_from_targets
+from neseek.graph import CommGraph, neighbors
 from neseek.plant import AgentPlant, Exosystem, sample_perturbation
 from neseek.sim import (
     BLOCK_ROWS,
@@ -33,6 +33,7 @@ from neseek.sim import (
 from neseek.synthesis import (
     ClosedLoopSystem,
     assemble_closed_loop,
+    build_controller,
     certify_stability,
     steady_state,
 )
@@ -360,6 +361,81 @@ def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
     assert np.allclose(tr_dist.times, tr_stacked.times, atol=1e-12)
 
 
+# Four agents of unequal sizes (n, m, p, q): (2, 1, 1, 2), (3, 2, 2, 1),
+# (4, 2, 2, 2) and (1, 1, 1, 0), on a DAG whose skeleton carries the
+# general strategy.
+HETERO_EDGES = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+
+
+def _hetero_loop(strategy):
+    """The unequal agents with stated perturbations and explicit cost blocks."""
+    rng = np.random.default_rng(20260)
+    nominal = [
+        (np.array([[0.0, 1.0], [0.0, -0.5]]), np.array([[0.0], [1.0]]),
+         np.array([[1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])),
+        (np.array([[0.0, 1.0, 0.0], [0.0, -0.3, 0.2], [0.0, 0.0, -1.0]]),
+         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+         np.array([[0.0], [1.0], [0.5]])),
+        (np.block([[np.zeros((2, 2)), np.eye(2)],
+                   [np.zeros((2, 2)), -np.diag([0.4, 0.1])]]),
+         np.vstack([np.zeros((2, 2)), np.eye(2)]),
+         np.hstack([np.eye(2), np.zeros((2, 2))]),
+         np.vstack([np.zeros((2, 2)), np.eye(2)])),
+        (np.array([[-0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 0))),
+    ]
+    x0s = [[1.0, -0.5], [-0.5, 0.2, 0.3], [0.4, -0.8, 0.0, 0.1], [0.6]]
+    plants = tuple(
+        AgentPlant(A=A, B=B, C=C, P=P, x0=x0,
+                   **{name: 0.05 * rng.standard_normal(M.shape)
+                      for name, M in (("dA", A), ("dB", B), ("dC", C), ("dP", P))})
+        for (A, B, C, P), x0 in zip(nominal, x0s)
+    )
+    exos = (
+        Exosystem(S=np.array([[0.0, OMEGA], [-OMEGA, 0.0]]), w0=np.array([1.0, 0.0])),
+        Exosystem(S=np.zeros((1, 1)), w0=np.array([0.7])),
+        Exosystem(S=np.array([[0.0, 2 * OMEGA], [-2 * OMEGA, 0.0]]),
+                  w0=np.array([0.0, 0.5])),
+        Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0)),
+    )
+    dims = [1, 2, 2, 1]
+    # non-symmetric R_ii with positive-definite symmetric part
+    R_ii = [np.array([[1.5]]), np.array([[2.0, 0.5], [-0.3, 1.5]]),
+            np.array([[1.8, -0.4], [0.2, 2.2]]), np.array([[1.2]])]
+    # one p_i x p_j block per ordered pair of the skeleton
+    R_pair = {(i, j): 0.3 * rng.standard_normal((dims[i - 1], dims[j - 1]))
+              for a, b in HETERO_EDGES for i, j in ((a, b), (b, a))}
+    edges = HETERO_EDGES if strategy == "digraph" else sorted(R_pair)
+    graph = CommGraph(4, directed=strategy == "digraph", edges=edges)
+    costs = tuple(
+        LocalCost(R_ii=R_ii[i - 1], Q_ii=rng.standard_normal(dims[i - 1]),
+                  R_ij={j: R_pair[i, j] for j in neighbors(graph, i)},
+                  Q_ij={j: np.eye(dims[j - 1]) for j in neighbors(graph, i)})
+        for i in range(1, 5)
+    )
+    game = NetworkGame(graph=graph, costs=costs)
+    controllers = [build_controller(p, cost, exo)
+                   for p, cost, exo in zip(plants, costs, exos)]
+    return game, plants, exos, controllers
+
+
+@pytest.mark.parametrize("strategy", ["digraph", "general"])
+def test_distributed_matches_stacked_heterogeneous(strategy):
+    game, plants, exos, controllers = _hetero_loop(strategy)
+    cl = assemble_closed_loop(game, plants, exos, controllers, strategy)
+    assert np.array_equal(cl.C_c, assemble_pseudo_gradient(game).Rbar @ cl.C_out)
+    assert certify_stability(cl)[0]
+    cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
+    tr_stacked = simulate(cl, cfg)
+    tr_dist = simulate_distributed(game, plants, exos, controllers, strategy, cfg)
+    for name in ("x", "y", "e", "w"):
+        got, want = np.hstack(getattr(tr_dist, name)), np.hstack(getattr(tr_stacked, name))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9, name
+    # states stay O(1), so the 1e-9 bound is a relative one too
+    assert np.max(np.abs(np.hstack(tr_stacked.x))) < 10.0
+
+
 def _with(items, i, item):
     """``items`` with entry ``i`` (0-based) replaced."""
     return [item if k == i else v for k, v in enumerate(items)]
@@ -466,6 +542,7 @@ def test_metrics_peak_gap(sensor_digraph):
                   SimConfig(dt=1e-3, t_end=20.0, record_stride=10))
     m = convergence_metrics(tr, tol=1e-3)
     gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
+    assert np.array_equal(m["output_gap"], gap)
     assert m["peak_output_gap"] == np.max(gap)
     assert m["peak_output_gap"] >= gap[0]
     assert m["t_peak"] in tr.times
