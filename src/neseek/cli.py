@@ -13,8 +13,10 @@ A command that fails raises a typed error; ``main`` alone prints its one
 """
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,7 +38,15 @@ from .plant import (
     sample_perturbation,
 )
 from .scenario import load_controllers, load_scenario, save_controllers
-from .sim import convergence_metrics, rk4_dt_limit, rk4_radius, simulate, write_csv
+from .sim import (
+    block_outputs,
+    csv_header,
+    csv_rows,
+    propagate,
+    rk4_dt_limit,
+    rk4_radius,
+    series_metrics,
+)
 from .svgplot import line_plot
 from .synthesis import (
     STRATEGIES,
@@ -210,6 +220,26 @@ def cmd_synth(path, out, strategy=None):
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Text file written beside ``path`` and moved onto it only on success.
+
+    On any error the temporary file is removed and ``path`` is left as
+    it was; an OS error opening or moving the file names ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            raise type(err)(err.errno, err.strerror, path) from None
+        raise
+
+
 def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             perturb_scale=None, seed=0):
     for flag, value, (rule, ok) in (
@@ -263,10 +293,26 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
                 f"the largest stable dt is {rk4_dt_limit(eigs):.6g}"
             )
 
-    tr = simulate(cl, cfg)
-    write_csv(tr, out)
+    # one block at a time: CSV rows out, and only the series the summary
+    # and the plots read kept
+    y_star = solve_ne(assemble_pseudo_gradient(cl.game))
+    series = []  # per block: times, ||y - y*||, ||e||, each agent's ||e_i||
+    with _replacing(out) as fh:
+        widths = [sl.stop - sl.start for sl in cl.out_slices]
+        fh.write(csv_header(widths, widths, [exo.q for exo in cl.exos]))
+        for t, X in propagate(cl, cfg):
+            # a diverging loop's last finite blocks may overflow these;
+            # propagate reports the divergence
+            with np.errstate(over="ignore", invalid="ignore"):
+                y, e, w = block_outputs(cl, X)
+                series.append((
+                    t, np.linalg.norm(y - y_star, axis=1), np.linalg.norm(e, axis=1),
+                    *(np.linalg.norm(e[:, sl], axis=1) for sl in cl.out_slices),
+                ))
+            fh.write(csv_rows([t[:, None], y, e, *w]))
+    times, gap, err, *err_series = map(np.concatenate, zip(*series))
 
-    metrics = convergence_metrics(tr, tol=1e-3)
+    metrics = series_metrics(times, gap, err, tol=1e-3)
     t_conv = metrics["T_conv"]
     print(
         "summary: T_conv="
@@ -280,17 +326,16 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
 
     if svg is not None:
         line_plot(
-            tr.times, [metrics["output_gap"]], ["||y - y*||"],
+            times, [gap], ["||y - y*||"],
             "Output gap vs NE", "||y - y*||", path=svg,
         )
         err_path = (
             svg[:-4] + ".errors.svg" if svg.endswith(".svg")
             else svg + ".errors.svg"
         )
-        err_series = [np.linalg.norm(e_i, axis=1) for e_i in tr.e]
         labels = [f"||e_{i}||" for i in range(1, len(err_series) + 1)]
         line_plot(
-            tr.times, err_series, labels,
+            times, err_series, labels,
             "Regulated errors", "||e_i||", path=err_path,
         )
         print(f"wrote {svg} and {err_path}", file=sys.stderr)

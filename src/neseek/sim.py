@@ -3,7 +3,9 @@
 Both paths take classic RK4 steps with the exogenous vector advanced by
 its exact matrix exponential.  The stacked path applies one RK4 step as
 a precomputed matrix on [z; v], and its powers between recorded samples;
-the distributed path runs the same stages agent by agent behind neighbor
+``propagate`` yields its records in blocks of BLOCK_ROWS, which
+``simulate`` collects and the ``sim`` command streams to its CSV.  The
+distributed path runs the same stages agent by agent behind neighbor
 read gates and is the reference loop the stacked path is compared with.
 """
 
@@ -24,9 +26,14 @@ __all__ = [
     "NeighborView",
     "rk4_radius",
     "rk4_dt_limit",
+    "propagate",
+    "block_outputs",
     "simulate",
     "simulate_distributed",
+    "series_metrics",
     "convergence_metrics",
+    "csv_header",
+    "csv_rows",
     "write_csv",
 ]
 
@@ -92,8 +99,9 @@ class Trajectory:
         return np.hstack(self.e)
 
 
-# records propagated before one finiteness test, and CSV rows formatted at
-# once; at 64 a block's strings (about 0.2 MB) do not raise sim's peak memory
+# records propagated and tested for finiteness at once, and CSV rows
+# formatted at once; at 64 a block's strings (about 0.2 MB) do not raise
+# sim's peak memory
 BLOCK_ROWS = 64
 
 
@@ -159,12 +167,15 @@ def _rk4_map(A_c, P_c, E_half, E_full, dt):
     return np.block([[top], [np.zeros((dv, dz)), E_full]])
 
 
-def simulate(cl, cfg, z0=None, v0=None):
-    """Integrate the stacked closed loop; v is advanced exactly.
+def propagate(cl, cfg, z0=None, v0=None):
+    """Yield the recorded ``(times, [z; v])`` of the stacked loop, one block at a time.
 
-    Samples follow one another by powers of the RK4 step map.  Raises
-    DivergenceError at the first step whose state is non-finite, which
-    is how an unstable assembly surfaces.
+    Blocks hold at most BLOCK_ROWS records; records follow one another by
+    powers of the RK4 step map, v advancing exactly.  A block is yielded
+    only once its z-part is finite; otherwise DivergenceError names the
+    first step whose state is non-finite, which is how an unstable
+    assembly surfaces.  Only the current block and the record before it
+    are held.
     """
     z0 = cl.initial_state() if z0 is None else np.asarray(z0, dtype=float)
     v0 = cl.v0 if v0 is None else np.asarray(v0, dtype=float)
@@ -175,51 +186,74 @@ def simulate(cl, cfg, z0=None, v0=None):
         )
     dz = cl.dim_z
     steps = record_steps(cfg.n_steps, cfg.record_stride)
-    jumps = np.diff(steps).tolist()
-    X = np.empty((len(steps), dz + cl.dim_v))
-    X[0] = np.concatenate([z0, v0])
+    jumps = np.diff(steps).tolist()  # jumps[k - 1] steps take record k-1 to k
     # huge gains may overflow M itself; the replay below reports the step
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
         powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
-        maps = [powers[n] for n in jumps]  # maps[r - 1] takes record r-1 to r
-        r = 1
-        while r < len(steps):
-            # propagate a block, then test its z-part once
-            end = min(r + BLOCK_ROWS, len(steps))
-            for k in range(r, end):
-                X[k] = maps[k - 1] @ X[k - 1]
-            finite = np.isfinite(X[r:end, :dz]).all(axis=1)
-            if finite.all():
-                r = end
-                continue
-            # at the first non-finite record the state or only M^n
-            # overflowed: replay its stride one step at a time
-            r += int(np.argmin(finite))
-            x = X[r - 1]
-            for k in range(int(steps[r - 1]) + 1, int(steps[r]) + 1):
-                x = M @ x
-                if not np.isfinite(x[:dz]).all():
-                    raise DivergenceError(
-                        f"state became non-finite at t = {k * cfg.dt:.6g}",
-                        t_bad=k * cfg.dt,
-                    )
-            X[r] = x
-            r += 1
-    Z, V = X[:, :dz], X[:, dz:]
-    times = steps * cfg.dt
+    x = np.concatenate([z0, v0])
+    for start in range(0, len(steps), BLOCK_ROWS):
+        block = np.empty((min(BLOCK_ROWS, len(steps) - start), x.size))
+        prev = x  # the record before the block
+        r = 0
+        if start == 0:
+            block[0] = x
+            r = 1
+        # errors stay ignored only while the block is computed, never
+        # while its consumer runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            while r < len(block):
+                # propagate the rest of the block, then test its z-part once
+                for j in range(r, len(block)):
+                    x = block[j] = powers[jumps[start + j - 1]] @ x
+                finite = np.isfinite(block[r:, :dz]).all(axis=1)
+                if finite.all():
+                    break
+                # at the first non-finite record the state or only M^n
+                # overflowed: replay its stride one step at a time
+                r += int(np.argmin(finite))
+                x = block[r - 1] if r else prev
+                k = start + r
+                for step in range(int(steps[k - 1]) + 1, int(steps[k]) + 1):
+                    x = M @ x
+                    if not np.isfinite(x[:dz]).all():
+                        raise DivergenceError(
+                            f"state became non-finite at t = {step * cfg.dt:.6g}",
+                            t_bad=step * cfg.dt,
+                        )
+                block[r] = x
+                r += 1
+        yield steps[start:start + len(block)] * cfg.dt, block
 
-    x = tuple(Z[:, sl] for sl in cl.x_slices)
-    ctrl = tuple(Z[:, sl] for sl in cl.ctrl_slices)
-    y_full = Z @ cl.C_out.T
-    e_full = Z @ cl.C_c.T + V @ cl.Q_c.T
-    y = tuple(y_full[:, sl] for sl in cl.out_slices)
-    e = tuple(e_full[:, sl] for sl in cl.out_slices)
-    w = tuple(
-        V[:, sl][:, : exo.q] for sl, exo in zip(cl.v_slices, cl.exos)
+
+def block_outputs(cl, X):
+    """Stacked y and e, and each agent's w, of a block of ``[z; v]`` records."""
+    Z, V = X[:, :cl.dim_z], X[:, cl.dim_z:]
+    y = Z @ cl.C_out.T
+    e = Z @ cl.C_c.T + V @ cl.Q_c.T
+    w = [V[:, sl][:, :exo.q] for sl, exo in zip(cl.v_slices, cl.exos)]
+    return y, e, w
+
+
+def simulate(cl, cfg, z0=None, v0=None):
+    """Integrate the stacked closed loop into one Trajectory; v is advanced exactly.
+
+    Collects the blocks of ``propagate``, then takes the y, e and w of
+    each block; raises its DivergenceError.
+    """
+    times, X = zip(*propagate(cl, cfg, z0, v0))
+    y_full, e_full, w = zip(*(block_outputs(cl, block) for block in X))
+    X, y_full, e_full = (np.concatenate(a) for a in (X, y_full, e_full))
+    Z = X[:, :cl.dim_z]
+    return Trajectory(
+        times=np.concatenate(times),
+        x=tuple(Z[:, sl] for sl in cl.x_slices),
+        ctrl=tuple(Z[:, sl] for sl in cl.ctrl_slices),
+        y=tuple(y_full[:, sl] for sl in cl.out_slices),
+        e=tuple(e_full[:, sl] for sl in cl.out_slices),
+        w=tuple(np.concatenate(a) for a in zip(*w)),
+        y_star=solve_ne(assemble_pseudo_gradient(cl.game)),
     )
-    y_star = solve_ne(assemble_pseudo_gradient(cl.game))
-    return Trajectory(times=times, x=x, ctrl=ctrl, y=y, e=e, w=w, y_star=y_star)
 
 
 class NeighborView:
@@ -383,58 +417,71 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
     )
 
 
-def convergence_metrics(tr, tol):
-    """T_conv, final and peak gap, and tail statistics of a recorded trajectory.
+def series_metrics(times, gap, err, tol):
+    """T_conv, final and peak gap, and tail statistics of recorded series.
 
-    T_conv is the first recorded time after which the output gap stays
-    within tol for the rest of the horizon (None if it never does);
-    t_peak is the first recorded time of the largest gap; the tail
-    statistics cover the last 10% of samples.  ``output_gap`` is the
-    series ||y - y*|| they are taken from.
+    ``gap`` is the output gap ||y - y*|| and ``err`` the stacked error
+    norm ||e|| at each of ``times``.  T_conv is the first recorded time
+    after which the gap stays within tol for the rest of the horizon
+    (None if it never does); t_peak is the first recorded time of the
+    largest gap; the tail statistics cover the last 10% of samples.
     """
-    if len(tr.times) == 0:
+    K = len(times)
+    if K == 0:
         raise DomainError("empty trajectory")
-    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
-    err = np.linalg.norm(tr.e_stacked(), axis=1)
-    K = len(tr.times)
-
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(gap <= tol)))
     idx = np.argmax(suffix_ok) if suffix_ok.any() else None
     tail = max(1, K // 10)
     peak = int(np.argmax(gap))
     return {
-        "T_conv": float(tr.times[idx]) if idx is not None else None,
+        "T_conv": float(times[idx]) if idx is not None else None,
         "final_output_gap": float(gap[-1]),
         "peak_output_gap": float(gap[peak]),
-        "t_peak": float(tr.times[peak]),
+        "t_peak": float(times[peak]),
         "max_error_tail": float(np.max(err[-tail:])),
         "steady_oscillation": float(np.ptp(gap[-tail:])),
         "output_gap": gap,
     }
 
 
-def write_csv(tr, path):
-    """One row per recorded sample; every field is the repr of its float.
+def convergence_metrics(tr, tol):
+    """``series_metrics`` of a recorded trajectory's gap and error norm."""
+    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
+    err = np.linalg.norm(tr.e_stacked(), axis=1)
+    return series_metrics(tr.times, gap, err, tol)
 
-    Rows are written in blocks of BLOCK_ROWS.  Each column of a block is
-    formatted once, and a column whose slice is bitwise equal to an
-    earlier one in the block (agents sharing an exosystem and w0) reuses
-    its strings.
-    """
+
+def csv_header(y_widths, e_widths, w_widths):
+    """Header line: t, then each agent's y, e and w columns, given their widths."""
     cols = ["t"]
-    for name, series in (("y", tr.y), ("e", tr.e), ("w", tr.w)):
-        for i, arr in enumerate(series, start=1):
-            cols.extend(f"{name}_{i}_{k + 1}" for k in range(arr.shape[1]))
+    for name, widths in (("y", y_widths), ("e", e_widths), ("w", w_widths)):
+        for i, width in enumerate(widths, start=1):
+            cols.extend(f"{name}_{i}_{k + 1}" for k in range(width))
+    return ", ".join(cols) + "\n"
+
+
+def csv_rows(arrays):
+    """CSV lines of a block of records, given as 2-D arrays of its columns.
+
+    Every field is the repr of its float.  Each column is formatted
+    once, and a column bitwise equal to an earlier one in the block
+    (agents sharing an exosystem and w0) reuses its strings.
+    """
+    formatted = {}
+    columns = []
+    for arr in arrays:
+        for col in arr.T:
+            key = col.tobytes()
+            if key not in formatted:
+                formatted[key] = list(map(repr, col.tolist()))
+            columns.append(formatted[key])
+    return "".join(", ".join(row) + "\n" for row in zip(*columns))
+
+
+def write_csv(tr, path):
+    """One row per recorded sample, formatted by ``csv_rows`` in blocks of BLOCK_ROWS."""
     arrays = [tr.times[:, None], *tr.y, *tr.e, *tr.w]
     with open(path, "w") as fh:
-        fh.write(", ".join(cols) + "\n")
+        fh.write(csv_header(*([a.shape[1] for a in series] for series in (tr.y, tr.e, tr.w))))
         for start in range(0, len(tr.times), BLOCK_ROWS):
-            formatted = {}
-            columns = []
-            for arr in arrays:
-                for col in arr[start:start + BLOCK_ROWS].T:
-                    key = col.tobytes()
-                    if key not in formatted:
-                        formatted[key] = list(map(repr, col.tolist()))
-                    columns.append(formatted[key])
-            fh.writelines(", ".join(row) + "\n" for row in zip(*columns))
+            fh.write(csv_rows([a[start:start + BLOCK_ROWS] for a in arrays]))

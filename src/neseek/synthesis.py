@@ -375,11 +375,16 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
         if bad:
             raise DimensionError(f"agent {i}: controller gain {bad}")
 
-    for i, (plant, exo) in enumerate(zip(plants, exos), start=1):
+    for i, (plant, exo, cost) in enumerate(zip(plants, exos, game.costs), start=1):
         if plant.q != exo.q:
             raise DimensionError(
                 f"agent {i}: plant has {plant.q} disturbance columns but "
                 f"exosystem dimension is {exo.q}"
+            )
+        if plant.p != cost.p:
+            raise DimensionError(
+                f"agent {i}: plant has {plant.p} outputs but its cost "
+                f"has output dimension {cost.p}"
             )
 
     return ClosedLoopSystem(

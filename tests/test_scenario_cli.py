@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,6 +24,7 @@ from neseek.scenario import (
     scenario_to_dict,
 )
 from neseek.sim import simulate_distributed
+from neseek.synthesis import assemble_closed_loop
 from neseek.svgplot import _points, line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
@@ -896,6 +899,76 @@ def test_cli_sim_overflowing_step_map_prints_only_the_error(sensor_bundle,
         "error: state became non-finite at t = 0.001",
     ]
     assert not out.exists()
+
+
+def test_cli_sim_divergence_after_two_blocks_leaves_no_file(sensor_bundle,
+                                                           tmp_path, capsys):
+    # agent 1's position feedback turned positive: the loop grows at
+    # about e^(21.7 t) and overflows at t = 32.7, record 327 of 100-step
+    # records, so five 64-record blocks were streamed before it
+    scenario, bundle = sensor_bundle
+    bundle = copy.deepcopy(bundle)
+    K1 = bundle["agents"][0]["K1"]
+    K1["data"] = [5.0 * abs(v) for v in K1["data"]]
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out = tmp_path / "run.csv"
+    out.write_text("an earlier run\n")
+    before = sorted(tmp_path.iterdir())
+    # the streamed blocks before the overflow hold huge values: taking
+    # their norms warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                     "--t-end", "100"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: state became non-finite at t = 32.725"]
+    assert err[-1].startswith("error:")
+    assert sorted(tmp_path.iterdir()) == before
+    assert out.read_text() == "an earlier run\n"
+
+
+def test_cli_sim_os_errors_name_the_out_path(sensor_bundle, tmp_path, capsys):
+    # the CSV is written to a temporary file first, yet an error opening
+    # or moving it names --out, and no temporary file is left
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    (tmp_path / "a_directory").mkdir()
+    for out, message in (
+        (tmp_path / "missing" / "run.csv", "[Errno 2] No such file or directory"),
+        (tmp_path / "a_directory", "[Errno 21] Is a directory"),
+    ):
+        before = sorted(tmp_path.iterdir())
+        assert main(["sim", scenario, "--controllers", str(ctrl),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}: '{out}'"
+        assert sorted(tmp_path.iterdir()) == before
+    assert not any((tmp_path / "a_directory").iterdir())
+
+
+def test_cli_sim_peak_memory_stays_below_one_record_array(tmp_path, capsys):
+    # sensor5 general, every step of 10000 recorded: holding the records'
+    # [z; v] (10001 x 85 floats) would take 6.8 MB on its own, while the
+    # streamed run peaks near 1.6 MB (numpy 2.4, Python 3.11)
+    doc = sensor_scenario_doc(
+        "general", sim={"dt": 0.01, "t_end": 100.0, "record_stride": 1})
+    path = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == 0
+    scn = load_scenario(path)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
+                              load_controllers(ctrl, scn)["controllers"], "general")
+    bound = (scn.sim.n_steps + 1) * (cl.dim_z + cl.dim_v) * 8
+    tracemalloc.start()
+    try:
+        assert neseek.cli.cmd_sim(path, str(ctrl), str(tmp_path / "run.csv")) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < bound, (peak, bound)
 
 
 def test_cli_sim_warns_on_a_stored_abscissa_it_does_not_recompute(sensor_bundle,

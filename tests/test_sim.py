@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import warnings
 from types import SimpleNamespace
 
@@ -24,8 +25,10 @@ from neseek.sim import (
     _exo_steppers,
     _rk4_map,
     convergence_metrics,
+    propagate,
     rk4_dt_limit,
     rk4_radius,
+    series_metrics,
     simulate,
     simulate_distributed,
     write_csv,
@@ -38,7 +41,9 @@ from neseek.synthesis import (
     steady_state,
 )
 
-from conftest import _build
+from conftest import _build, sensor_scenario_doc
+from neseek.cli import main
+from neseek.scenario import load_controllers, load_scenario
 
 OMEGA = np.pi / 10.0
 
@@ -139,17 +144,20 @@ def test_divergence_reports_first_bad_time():
 
 def test_overflowing_power_is_replayed_step_by_step():
     # the unstable mode is never excited, but M^1000 overflows in it
-    # (about e^1000), so each stride is replayed with single steps
+    # (about e^1000), so each stride is replayed with single steps; at
+    # t_end 70 the second block's first record is replayed too
     cl = dataclasses.replace(
         toy_loop(-1.0), A_c=np.diag([-1.0, 1000.0]), P_c=np.zeros((2, 1)),
         C_c=np.array([[1.0, 0.0]]), C_out=np.array([[1.0, 0.0]]),
     )
     z0 = np.array([1.0, 0.0])
-    strided = simulate(cl, SimConfig(dt=1e-3, t_end=2.0, record_stride=1000), z0=z0)
-    every = simulate(cl, SimConfig(dt=1e-3, t_end=2.0), z0=z0)
-    assert np.array_equal(strided.times, every.times[::1000])
-    assert np.array_equal(strided.x[0], every.x[0][::1000])
-    assert np.array_equal(strided.e[0], every.e[0][::1000])
+    for t_end in (2.0, 70.0):
+        strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000), z0=z0)
+        every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end), z0=z0)
+        assert np.array_equal(strided.times, every.times[::1000])
+        assert np.array_equal(strided.x[0], every.x[0][::1000])
+        assert np.array_equal(strided.e[0], every.e[0][::1000])
+    assert BLOCK_ROWS < len(strided.times) == 71
 
 
 def test_block_finiteness_check_reports_first_bad_step():
@@ -169,6 +177,37 @@ def test_block_finiteness_check_reports_first_bad_step():
                 break
     assert 0 < k % BLOCK_ROWS < BLOCK_ROWS - 1
     assert err.value.t_bad == k * cfg.dt
+
+
+@pytest.mark.parametrize("t_end, rows", [(0.0, 1), (0.063, 64), (0.064, 65), (0.128, 129)])
+def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
+    cl = sensor_digraph.cl
+    cfg = SimConfig(dt=1e-3, t_end=t_end)
+    blocks = list(propagate(cl, cfg))
+    assert [len(X) for _, X in blocks] == [
+        min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)]
+    times = np.concatenate([t for t, _ in blocks])
+    X = np.concatenate([X for _, X in blocks])
+    tr = simulate(cl, cfg)
+    assert np.array_equal(times, tr.times)
+    assert np.array_equal(X[:, :cl.dim_z], stacked_state(tr, cl))
+    assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
+
+
+def test_divergence_in_a_later_blocks_first_record():
+    # the record holding the first non-finite step opens a block, so
+    # its stride is replayed from the last record of the block before
+    cl = toy_loop(100.0)
+    k = round(simulate_error_time(cl, SimConfig(dt=1e-3, t_end=10.0)) / 1e-3)
+    stride = next(s for s in range(2, 200) if -(-k // s) % BLOCK_ROWS == 0)
+    cfg = SimConfig(dt=1e-3, t_end=10.0, record_stride=stride)
+    assert simulate_error_time(cl, cfg) == k * 1e-3
+
+
+def simulate_error_time(cl, cfg):
+    with pytest.raises(DivergenceError) as err:
+        simulate(cl, cfg, z0=np.array([1.0]))
+    return err.value.t_bad
 
 
 def test_record_stride_times():
@@ -627,3 +666,46 @@ def test_csv_blocks_match_the_row_formula(tmp_path, sensor_digraph):
     fields = [line.split(", ") for line in lines[1:]]
     assert (fields[0][11], fields[0][13], fields[0][15]) == ("0.0", "-0.0", "0.0")
     assert fields[BLOCK_ROWS + 3][15] == "-0.0"
+
+
+@pytest.mark.parametrize("t_end, stride, rows", [
+    (0.0, 1, 1), (0.063, 1, 64), (0.064, 1, 65), (0.128, 1, 129),
+    (0.2, 3, 68),  # 200 steps: the last stride is 2 steps long
+])
+def test_cli_csv_matches_simulate_at_block_edges(t_end, stride, rows, tmp_path, capsys):
+    doc = sensor_scenario_doc("digraph", sim={"dt": 1e-3, "t_end": 1.0,
+                                              "record_stride": stride})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    assert main(["synth", str(path), "--out", str(ctrl)]) == 0
+    assert main(["sim", str(path), "--controllers", str(ctrl), "--out", str(out),
+                 "--t-end", repr(t_end)]) == 0
+    capsys.readouterr()
+
+    scn = load_scenario(path)
+    bundle = load_controllers(ctrl, scn)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
+                              bundle["controllers"], bundle["strategy"])
+    cfg = dataclasses.replace(scn.sim, t_end=t_end)
+    want = tmp_path / "simulate.csv"
+    write_csv(simulate(cl, cfg), want)
+    assert out.read_bytes() == want.read_bytes()
+
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape[0] == rows
+    Z_ref = reference_rk4(cl, cfg.dt, cfg.n_steps, stride)
+    dp = cl.C_out.shape[0]
+    assert np.max(np.abs(table[:, 1:1 + dp] - Z_ref @ cl.C_out.T)) <= 1e-12
+
+
+def test_series_metrics_is_the_core_of_convergence_metrics(sensor_digraph):
+    tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10))
+    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
+    err = np.linalg.norm(tr.e_stacked(), axis=1)
+    want = convergence_metrics(tr, tol=1e-3)
+    got = series_metrics(tr.times, gap, err, tol=1e-3)
+    assert np.array_equal(got.pop("output_gap"), want.pop("output_gap"))
+    assert got == want
+    with pytest.raises(DomainError, match="empty trajectory"):
+        series_metrics(tr.times[:0], gap[:0], err[:0], tol=1e-3)

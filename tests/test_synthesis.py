@@ -328,6 +328,16 @@ def test_assemble_rejects_disturbance_dimension_mismatch():
     assert "disturbance" in str(err.value)
 
 
+def test_assemble_rejects_output_dimension_mismatch():
+    # the controller fits its p = 1 plant, but the game's cost is for p = 2
+    game, plant, exo = isolated_setup()
+    c = build_controller(plant, game.costs[0], exo)
+    wide_game, _, _ = isolated_setup(target=(-1.0, 0.0))
+    with pytest.raises(DimensionError, match=(
+            r"^agent 1: plant has 1 outputs but its cost has output dimension 2$")):
+        assemble_closed_loop(wide_game, (plant,), (exo,), (c,), "digraph")
+
+
 def test_single_agent_block_matches_stacked(sensor_digraph):
     # Agent 1 has no neighbors, so its diagonal block of the stacked
     # matrix equals a standalone assembly of the same agent.
