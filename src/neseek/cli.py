@@ -43,6 +43,7 @@ from .sim import (
     csv_header,
     csv_rows,
     propagate,
+    record_steps,
     rk4_dt_limit,
     rk4_radius,
     series_metrics,
@@ -294,23 +295,29 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
             )
 
     # one block at a time: CSV rows out, and only the series the summary
-    # and the plots read kept
+    # and the plots read kept, in rows: times, ||y - y*||, ||e||, then
+    # each agent's ||e_i||
     y_star = solve_ne(assemble_pseudo_gradient(cl.game))
-    series = []  # per block: times, ||y - y*||, ||e||, each agent's ||e_i||
+    kept = np.empty((3 + len(cl.out_slices),
+                     len(record_steps(cfg.n_steps, cfg.record_stride))))
     with _replacing(out) as fh:
         widths = [sl.stop - sl.start for sl in cl.out_slices]
         fh.write(csv_header(widths, widths, [exo.q for exo in cl.exos]))
+        k = 0
         for t, X in propagate(cl, cfg):
+            rows = slice(k, k + len(t))
+            k = rows.stop
+            kept[0, rows] = t
             # a diverging loop's last finite blocks may overflow these;
             # propagate reports the divergence
             with np.errstate(over="ignore", invalid="ignore"):
                 y, e, w = block_outputs(cl, X)
-                series.append((
-                    t, np.linalg.norm(y - y_star, axis=1), np.linalg.norm(e, axis=1),
-                    *(np.linalg.norm(e[:, sl], axis=1) for sl in cl.out_slices),
-                ))
+                kept[1, rows] = np.linalg.norm(y - y_star, axis=1)
+                kept[2, rows] = np.linalg.norm(e, axis=1)
+                for i, sl in enumerate(cl.out_slices, start=3):
+                    kept[i, rows] = np.linalg.norm(e[:, sl], axis=1)
             fh.write(csv_rows([t[:, None], y, e, *w]))
-    times, gap, err, *err_series = map(np.concatenate, zip(*series))
+    times, gap, err, *err_series = kept
 
     metrics = series_metrics(times, gap, err, tol=1e-3)
     t_conv = metrics["T_conv"]

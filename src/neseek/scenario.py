@@ -8,7 +8,6 @@ digest is embedded in controller files so a simulation refuses gains
 synthesized for different data.
 """
 
-import hashlib
 import json
 import re
 import sys
@@ -23,6 +22,16 @@ from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
 from .sim import SimConfig
 from .synthesis import STRATEGIES, Controller, SynthesisWeights, _gain_mismatch
+
+# CPython's built-in sha256, the one hashlib falls back to: hashlib
+# itself loads OpenSSL, a few MB for one digest per command
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "Scenario",
@@ -371,7 +380,7 @@ def save_scenario(s, path):
 
 def scenario_hash(s):
     """Content digest of the canonical document (hex sha256)."""
-    return hashlib.sha256(_canonical_dump(s.raw).encode()).hexdigest()
+    return sha256(_canonical_dump(s.raw).encode()).hexdigest()
 
 
 def save_controllers(path, scenario, strategy, controllers, certificates):

@@ -433,13 +433,16 @@ def series_metrics(times, gap, err, tol):
     idx = np.argmax(suffix_ok) if suffix_ok.any() else None
     tail = max(1, K // 10)
     peak = int(np.argmax(gap))
+    # an overflowed tail holds inf, and inf - inf is NaN
+    with np.errstate(invalid="ignore"):
+        oscillation = float(np.ptp(gap[-tail:]))
     return {
         "T_conv": float(times[idx]) if idx is not None else None,
         "final_output_gap": float(gap[-1]),
         "peak_output_gap": float(gap[peak]),
         "t_peak": float(times[peak]),
         "max_error_tail": float(np.max(err[-tail:])),
-        "steady_oscillation": float(np.ptp(gap[-tail:])),
+        "steady_oscillation": oscillation,
         "output_gap": gap,
     }
 

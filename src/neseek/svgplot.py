@@ -1,8 +1,10 @@
 """Minimal standalone SVG line plots (fixed 800x500, no external assets).
 
 Convergence curves span many decades, so the y axis is logarithmic,
-with values clipped at 1e-16.  These figures are inspection
-aids, not a plotting library.
+with values clipped to [1e-16, 1e308] (NaN and infinity at the top).
+A document is rendered as pieces, so a plot of long series is written
+to its file without ever being held whole.  These figures are
+inspection aids, not a plotting library.
 """
 
 import numpy as np
@@ -14,7 +16,10 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 42, 52
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
-_FLOOR = 1e-16
+_FLOOR, _CEILING = 1e-16, 1e308
+
+# polyline points formatted per call
+CHUNK = 4096
 
 
 def _linear_ticks(lo, hi, n=6):
@@ -46,21 +51,20 @@ def _points(xs, ys):
     return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(flat)
 
 
-def line_plot(times, series, labels, title, y_label, path=None):
-    """Render one plot with a polyline per series; returns the SVG text.
+def _log_abs(s):
+    """log10 |s| clipped to the axis range; NaN and infinity go to the ceiling."""
+    return np.log10(np.maximum(np.fmin(np.abs(s), _CEILING), _FLOOR))
 
-    ``series`` is a list of 1-D arrays over the shared ``times`` axis.
-    With ``path`` given the document is also written to that file.
-    """
-    times = np.asarray(times, dtype=float)
-    series = [np.asarray(s, dtype=float) for s in series]
+
+def _render(times, series, labels, title, y_label):
+    """Yield the SVG document in pieces, each polyline CHUNK points at a time."""
+    chunks = [slice(i, i + CHUNK) for i in range(0, len(times), CHUNK)]
     x_lo, x_hi = float(times[0]), float(times[-1])
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
-    ys = [np.log10(np.maximum(np.abs(s), _FLOOR)) for s in series]
-    y_lo = np.floor(min(float(np.min(y)) for y in ys))
-    y_hi = np.ceil(max(float(np.max(y)) for y in ys))
+    y_lo = np.floor(min(float(np.min(_log_abs(s[c]))) for s in series for c in chunks))
+    y_hi = np.ceil(max(float(np.max(_log_abs(s[c]))) for s in series for c in chunks))
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 
@@ -73,72 +77,73 @@ def line_plot(times, series, labels, title, y_label, path=None):
     def py(v):
         return MARGIN_T + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-    ]
+        f'font-family="sans-serif" font-size="16">{title}</text>\n'
+    )
 
     step = max(1, int(round((y_hi - y_lo) / 6)))
     for v in np.arange(y_lo, y_hi + 0.5, step):
         yy = py(v)
-        parts.append(
+        yield (
             f'<line x1="{MARGIN_L}" y1="{yy:.2f}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{yy:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
+            f'y2="{yy:.2f}" stroke="#dddddd" stroke-width="1"/>\n'
             f'<text x="{MARGIN_L - 8}" y="{yy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">1e{int(v)}</text>'
+            f'font-family="sans-serif" font-size="11">1e{int(v)}</text>\n'
         )
     for t in _linear_ticks(x_lo, x_hi, 8):
         xx = px(t)
-        parts.append(
+        yield (
             f'<line x1="{xx:.2f}" y1="{MARGIN_T}" x2="{xx:.2f}" '
-            f'y2="{HEIGHT - MARGIN_B}" stroke="#eeeeee" stroke-width="1"/>'
-        )
-        parts.append(
+            f'y2="{HEIGHT - MARGIN_B}" stroke="#eeeeee" stroke-width="1"/>\n'
             f'<text x="{xx:.2f}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>\n'
         )
 
-    parts.append(
+    yield (
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{pw}" height="{ph}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
+        f'fill="none" stroke="#333333" stroke-width="1"/>\n'
         f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">t [s]</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="13">t [s]</text>\n'
         f'<text x="20" y="{MARGIN_T + ph / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.0f})">{y_label}</text>'
+        f'transform="rotate(-90 20 {MARGIN_T + ph / 2:.0f})">{y_label}</text>\n'
     )
 
-    xs = px(times).tolist()
-    for k, y in enumerate(ys):
+    for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = _points(xs, py(y).tolist())
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
+        yield '<polyline points="'
+        for c in chunks:
+            yield ("" if c.start == 0 else " ") + _points(
+                px(times[c]).tolist(), py(_log_abs(s[c])).tolist())
         lx = WIDTH - MARGIN_R - 150
         ly = MARGIN_T + 16 + 18 * k
-        parts.append(
+        yield (
+            f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
+            f'stroke="{color}" stroke-width="1.5"/>\n'
             f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{labels[k]}</text>'
+            f'font-size="12">{labels[k]}</text>\n'
         )
 
-    parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(doc)
-    return doc
+    yield "</svg>\n"
+
+
+def line_plot(times, series, labels, title, y_label, path=None):
+    """Render one plot with a polyline per series.
+
+    ``series`` is a list of 1-D arrays over the shared ``times`` axis.
+    Without ``path`` the SVG text is returned; with it the document is
+    written to that file piece by piece and None is returned.
+    """
+    pieces = _render(np.asarray(times, dtype=float),
+                     [np.asarray(s, dtype=float) for s in series],
+                     labels, title, y_label)
+    if path is None:
+        return "".join(pieces)
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
+    return None

@@ -355,10 +355,48 @@ def test_svg_well_formed(tmp_path):
     body = ET.tostring(root, encoding="unicode")
     assert "polyline" in body
     assert "demo" in body and "a" in body and "b" in body
+    # with a path the same document goes to the file, and nothing is returned
     out = tmp_path / "plot.svg"
-    text = line_plot(t, series, labels=["a", "b"], title="demo",
-                     y_label="value", path=out)
-    assert out.read_text() == text
+    assert line_plot(t, series, labels=["a", "b"], title="demo",
+                     y_label="value", path=out) is None
+    assert out.read_text() == svg
+
+
+def test_svg_written_in_chunks_peaks_below_one_polyline(tmp_path):
+    # 5 series of 100k points: the file is the returned document byte for
+    # byte, yet writing it never holds even one polyline's points text
+    t = np.linspace(0.0, 100.0, 100_000)
+    series = [np.exp(-k * t) * (1.5 + np.sin(7 * t)) for k in range(1, 6)]
+    labels = [f"s{k}" for k in range(1, 6)]
+    text = line_plot(t, series, labels, "long", "v")
+    points = ET.fromstring(text).find("{http://www.w3.org/2000/svg}polyline").get("points")
+    assert len(points.split(" ")) == len(t)
+    out = tmp_path / "long.svg"
+    tracemalloc.start()
+    try:
+        assert line_plot(t, series, labels, "long", "v", path=out) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == text.encode()
+    assert peak < len(points), (peak, len(points))
+
+
+def test_svg_clips_non_finite_and_overflowing_values():
+    # NaN, infinity and values past 1e308 sit on the ceiling, as zeros sit
+    # on the floor: the axis spans 1e-16..1e308 and every point is drawn
+    t = np.linspace(0.0, 1.0, 6)
+    values = np.array([0.0, 1.0, 1.7e308, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = line_plot(t, [values], labels=["x"], title="edge", y_label="v")
+    root = ET.fromstring(svg)
+    points = root.find("{http://www.w3.org/2000/svg}polyline").get("points").split(" ")
+    ys = [float(p.split(",")[1]) for p in points]
+    assert ys[2:] == [ys[2]] * 4
+    assert ys[2] < ys[1] < ys[0]
+    ticks = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "1e-16" in ticks and "1e308" in ticks
 
 
 def test_svg_points_match_the_pair_formula():
@@ -927,6 +965,33 @@ def test_cli_sim_divergence_after_two_blocks_leaves_no_file(sensor_bundle,
     assert err[-1].startswith("error:")
     assert sorted(tmp_path.iterdir()) == before
     assert out.read_text() == "an earlier run\n"
+
+
+def test_cli_sim_svg_of_overflowing_norms(sensor_bundle, tmp_path, capsys):
+    # the loop of the test above run to t = 32.6 stays finite, but its
+    # recorded norms overflow to inf: the summary says so without a numpy
+    # warning, and both plots are drawn with the overflow on their ceiling
+    scenario, bundle = sensor_bundle
+    bundle = copy.deepcopy(bundle)
+    K1 = bundle["agents"][0]["K1"]
+    K1["data"] = [5.0 * abs(v) for v in K1["data"]]
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                     "--t-end", "32.6", "--svg", str(svg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    summary = next(line for line in err if line.startswith("summary: "))
+    assert "final_output_gap=inf max_error_tail=inf" in summary
+    assert err[-1] == f"wrote {svg} and {tmp_path / 'run.errors.svg'}"
+    for path, lines in ((svg, 1), (tmp_path / "run.errors.svg", 5)):
+        root = ET.parse(path).getroot()
+        polylines = root.findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(polylines) == lines
+        for line in polylines:
+            assert len(line.get("points").split(" ")) == 327
 
 
 def test_cli_sim_os_errors_name_the_out_path(sensor_bundle, tmp_path, capsys):

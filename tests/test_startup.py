@@ -6,8 +6,14 @@ runs in a fresh interpreter, since the test process itself has SciPy
 loaded already; the commands run with SciPy blocked, so an import of it
 on their path fails instead of passing unseen.  ``synth``'s gains are
 then compared with SciPy's Riccati solutions.
+
+OpenSSL stays out too: the scenario digest comes from CPython's built-in
+sha256, so ``hashlib``'s ``_hashlib`` is loaded only by ``numpy.random``
+under ``sim --perturb-scale``.  The digest is the one ``hashlib`` gives,
+also when the built-in module is missing and ``hashlib`` stands in.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,14 +26,20 @@ import scipy.linalg
 
 from conftest import sensor_scenario_doc
 from neseek.cli import main
-from neseek.scenario import load_controllers, load_scenario
+from neseek.scenario import (
+    load_controllers,
+    load_scenario,
+    parse_scenario,
+    scenario_hash,
+    scenario_to_dict,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
 import sys
 {body}
-print(any((m == "scipy" or m.startswith("scipy.")) and mod is not None
+print(any((m == {name!r} or m.startswith({name!r} + ".")) and mod is not None
           for m, mod in sys.modules.items()))
 """
 
@@ -35,12 +47,15 @@ print(any((m == "scipy" or m.startswith("scipy.")) and mod is not None
 BLOCK_SCIPY = 'sys.modules["scipy"] = None\n'
 
 
-def _scipy_loaded(body):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+def _run(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def _loaded(body, name):
+    """Whether module ``name`` is loaded after ``body`` runs in a fresh interpreter."""
+    proc = _run(PROBE.format(body=body, name=name))
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
 
@@ -69,22 +84,20 @@ def test_numpy_only_paths_do_not_import_scipy(command, sensor_path, bundle_path,
     body = BLOCK_SCIPY + "import neseek"
     if command:
         body += f"\nimport neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
-    assert not _scipy_loaded(body)
+    assert not _loaded(body, "scipy")
     if command == "sim":
         assert (tmp_path / "run.svg").exists()
 
 
 def test_probe_sees_scipy_when_loaded():
     # the probe sees SciPy when it is loaded, so the tests here are not vacuous
-    assert _scipy_loaded("import scipy.linalg")
+    assert _loaded("import scipy.linalg", "scipy")
 
 
 def _blocked_synth(sensor_path, out):
-    code = (f"import sys\n{BLOCK_SCIPY}import neseek.cli\n"
-            f"sys.exit(neseek.cli.main(['synth', {str(sensor_path)!r}, "
-            f"'--out', {str(out)!r}]))")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    return _run(f"import sys\n{BLOCK_SCIPY}import neseek.cli\n"
+                f"sys.exit(neseek.cli.main(['synth', {str(sensor_path)!r}, "
+                f"'--out', {str(out)!r}]))")
 
 
 def test_synth_with_scipy_blocked_writes_a_bundle(sensor_path, tmp_path):
@@ -115,3 +128,58 @@ def test_synth_with_scipy_blocked_matches_scipy_gains(sensor_path, tmp_path):
             A_aug, B_aug, np.eye(plant.n + v), np.eye(plant.m))
         K_ref = -B_aug.T @ P
         assert np.linalg.norm(c.K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
+
+
+@pytest.mark.parametrize("command", [None, "check", "ne", "synth", "sim"])
+def test_commands_do_not_load_openssl(command, sensor_path, bundle_path, tmp_path):
+    argv = [command, str(sensor_path)]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "ctrl.json")]
+    elif command == "sim":
+        argv += ["--controllers", str(bundle_path), "--t-end", "2",
+                 "--out", str(tmp_path / "run.csv"), "--svg", str(tmp_path / "run.svg")]
+    body = "import neseek"
+    if command:
+        body += f"\nimport neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
+    assert not _loaded(body, "_hashlib")
+
+
+def test_probe_sees_openssl_when_loaded():
+    assert _loaded("import hashlib", "_hashlib")
+
+
+def _hashlib_digest(scn):
+    canonical = json.dumps(scenario_to_dict(scn), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _non_ascii_doc():
+    doc = sensor_scenario_doc("digraph")
+    doc["name"] = "Sensornetz für Fünf, 五个传感器"
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [
+    lambda: sensor_scenario_doc("digraph"),
+    lambda: sensor_scenario_doc("general"),
+    _non_ascii_doc,
+], ids=["digraph", "general", "non-ascii name"])
+def test_scenario_hash_is_hashlib_sha256(make_doc):
+    scn = parse_scenario(make_doc())
+    assert scenario_hash(scn) == _hashlib_digest(scn)
+
+
+def test_scenario_hash_falls_back_to_hashlib(tmp_path):
+    # with the built-in sha256 modules blocked, hashlib (and OpenSSL) stands in
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_non_ascii_doc()))
+    proc = _run(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import neseek.scenario as s\n"
+        f"print(s.scenario_hash(s.load_scenario({str(path)!r})))\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        _hashlib_digest(load_scenario(path)), "True"]
