@@ -59,12 +59,10 @@ from .sim import (
     NeighborView,
     SimConfig,
     Trajectory,
-    convergence_metrics,
     rk4_dt_limit,
     rk4_radius,
     simulate,
     simulate_distributed,
-    write_csv,
 )
 from .synthesis import (
     STRATEGIES,

@@ -38,16 +38,7 @@ from .plant import (
     sample_perturbation,
 )
 from .scenario import load_controllers, load_scenario, save_controllers
-from .sim import (
-    block_outputs,
-    csv_header,
-    csv_rows,
-    propagate,
-    record_steps,
-    rk4_dt_limit,
-    rk4_radius,
-    series_metrics,
-)
+from .sim import rk4_dt_limit, rk4_radius, series_metrics, write_records
 from .svgplot import line_plot
 from .synthesis import (
     STRATEGIES,
@@ -223,15 +214,14 @@ def cmd_synth(path, out, strategy=None):
 
 @contextlib.contextmanager
 def _replacing(path):
-    """Text file written beside ``path`` and moved onto it only on success.
+    """Temporary path beside ``path``, moved onto it only on success.
 
     On any error the temporary file is removed and ``path`` is left as
-    it was; an OS error opening or moving the file names ``path``.
+    it was; an OS error on the temporary file names ``path``.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException as err:
         with contextlib.suppress(OSError):
@@ -294,30 +284,26 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
                 f"the largest stable dt is {rk4_dt_limit(eigs):.6g}"
             )
 
-    # one block at a time: CSV rows out, and only the series the summary
-    # and the plots read kept, in rows: times, ||y - y*||, ||e||, then
-    # each agent's ||e_i||
-    y_star = solve_ne(assemble_pseudo_gradient(cl.game))
-    kept = np.empty((3 + len(cl.out_slices),
-                     len(record_steps(cfg.n_steps, cfg.record_stride))))
-    with _replacing(out) as fh:
-        widths = [sl.stop - sl.start for sl in cl.out_slices]
-        fh.write(csv_header(widths, widths, [exo.q for exo in cl.exos]))
-        k = 0
-        for t, X in propagate(cl, cfg):
-            rows = slice(k, k + len(t))
-            k = rows.stop
-            kept[0, rows] = t
-            # a diverging loop's last finite blocks may overflow these;
-            # propagate reports the divergence
-            with np.errstate(over="ignore", invalid="ignore"):
-                y, e, w = block_outputs(cl, X)
-                kept[1, rows] = np.linalg.norm(y - y_star, axis=1)
-                kept[2, rows] = np.linalg.norm(e, axis=1)
-                for i, sl in enumerate(cl.out_slices, start=3):
-                    kept[i, rows] = np.linalg.norm(e[:, sl], axis=1)
-            fh.write(csv_rows([t[:, None], y, e, *w]))
-    times, gap, err, *err_series = kept
+    # the plots are written before the CSV is moved into place, so a
+    # failed run leaves none of the three
+    with _replacing(out) as csv_tmp:
+        with open(csv_tmp, "w") as fh:
+            times, gap, err, *err_series = write_records(cl, cfg, fh)
+        if svg is not None:
+            err_path = (
+                svg[:-4] + ".errors.svg" if svg.endswith(".svg")
+                else svg + ".errors.svg"
+            )
+            labels = [f"||e_{i}||" for i in range(1, len(err_series) + 1)]
+            with _replacing(svg) as gap_tmp, _replacing(err_path) as err_tmp:
+                line_plot(
+                    times, [gap], ["||y - y*||"],
+                    "Output gap vs NE", "||y - y*||", path=gap_tmp,
+                )
+                line_plot(
+                    times, err_series, labels,
+                    "Regulated errors", "||e_i||", path=err_tmp,
+                )
 
     metrics = series_metrics(times, gap, err, tol=1e-3)
     t_conv = metrics["T_conv"]
@@ -330,21 +316,7 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
         file=sys.stderr,
     )
     print(f"wrote {out}", file=sys.stderr)
-
     if svg is not None:
-        line_plot(
-            times, [gap], ["||y - y*||"],
-            "Output gap vs NE", "||y - y*||", path=svg,
-        )
-        err_path = (
-            svg[:-4] + ".errors.svg" if svg.endswith(".svg")
-            else svg + ".errors.svg"
-        )
-        labels = [f"||e_{i}||" for i in range(1, len(err_series) + 1)]
-        line_plot(
-            times, err_series, labels,
-            "Regulated errors", "||e_i||", path=err_path,
-        )
         print(f"wrote {svg} and {err_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -4,7 +4,7 @@ Both paths take classic RK4 steps with the exogenous vector advanced by
 its exact matrix exponential.  The stacked path applies one RK4 step as
 a precomputed matrix on [z; v], and its powers between recorded samples;
 ``propagate`` yields its records in blocks of BLOCK_ROWS, which
-``simulate`` collects and the ``sim`` command streams to its CSV.  The
+``simulate`` collects and ``write_records`` streams to a CSV.  The
 distributed path runs the same stages agent by agent behind neighbor
 read gates and is the reference loop the stacked path is compared with.
 """
@@ -31,10 +31,8 @@ __all__ = [
     "simulate",
     "simulate_distributed",
     "series_metrics",
-    "convergence_metrics",
-    "csv_header",
     "csv_rows",
-    "write_csv",
+    "write_records",
 ]
 
 
@@ -433,34 +431,16 @@ def series_metrics(times, gap, err, tol):
     idx = np.argmax(suffix_ok) if suffix_ok.any() else None
     tail = max(1, K // 10)
     peak = int(np.argmax(gap))
-    # an overflowed tail holds inf, and inf - inf is NaN
-    with np.errstate(invalid="ignore"):
-        oscillation = float(np.ptp(gap[-tail:]))
+    # a tail that overflowed reports inf, not the NaN of inf - inf
+    finite_tail = np.isfinite(gap[-tail:]).all()
     return {
         "T_conv": float(times[idx]) if idx is not None else None,
         "final_output_gap": float(gap[-1]),
         "peak_output_gap": float(gap[peak]),
         "t_peak": float(times[peak]),
         "max_error_tail": float(np.max(err[-tail:])),
-        "steady_oscillation": oscillation,
-        "output_gap": gap,
+        "steady_oscillation": float(np.ptp(gap[-tail:])) if finite_tail else np.inf,
     }
-
-
-def convergence_metrics(tr, tol):
-    """``series_metrics`` of a recorded trajectory's gap and error norm."""
-    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
-    err = np.linalg.norm(tr.e_stacked(), axis=1)
-    return series_metrics(tr.times, gap, err, tol)
-
-
-def csv_header(y_widths, e_widths, w_widths):
-    """Header line: t, then each agent's y, e and w columns, given their widths."""
-    cols = ["t"]
-    for name, widths in (("y", y_widths), ("e", e_widths), ("w", w_widths)):
-        for i, width in enumerate(widths, start=1):
-            cols.extend(f"{name}_{i}_{k + 1}" for k in range(width))
-    return ", ".join(cols) + "\n"
 
 
 def csv_rows(arrays):
@@ -481,10 +461,35 @@ def csv_rows(arrays):
     return "".join(", ".join(row) + "\n" for row in zip(*columns))
 
 
-def write_csv(tr, path):
-    """One row per recorded sample, formatted by ``csv_rows`` in blocks of BLOCK_ROWS."""
-    arrays = [tr.times[:, None], *tr.y, *tr.e, *tr.w]
-    with open(path, "w") as fh:
-        fh.write(csv_header(*([a.shape[1] for a in series] for series in (tr.y, tr.e, tr.w))))
-        for start in range(0, len(tr.times), BLOCK_ROWS):
-            fh.write(csv_rows([a[start:start + BLOCK_ROWS] for a in arrays]))
+def write_records(cl, cfg, fh):
+    """Stream the stacked loop's records to ``fh`` as CSV; return the kept series.
+
+    The header names t, then each agent's y, e and w columns; each block
+    of ``propagate`` becomes its ``csv_rows``.  Only the series a summary
+    or a plot reads are kept, as rows: times, ||y - y*||, ||e||, then
+    each agent's ||e_i||.  Raises the DivergenceError of ``propagate``.
+    """
+    y_star = solve_ne(assemble_pseudo_gradient(cl.game))
+    kept = np.empty((3 + len(cl.out_slices),
+                     len(record_steps(cfg.n_steps, cfg.record_stride))))
+    cols = ["t"]
+    widths = [sl.stop - sl.start for sl in cl.out_slices]
+    for name, ws in (("y", widths), ("e", widths), ("w", [exo.q for exo in cl.exos])):
+        for i, width in enumerate(ws, start=1):
+            cols.extend(f"{name}_{i}_{k + 1}" for k in range(width))
+    fh.write(", ".join(cols) + "\n")
+    k = 0
+    for t, X in propagate(cl, cfg):
+        rows = slice(k, k + len(t))
+        k = rows.stop
+        kept[0, rows] = t
+        # a diverging loop's last finite blocks may overflow these;
+        # propagate reports the divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, e, w = block_outputs(cl, X)
+            kept[1, rows] = np.linalg.norm(y - y_star, axis=1)
+            kept[2, rows] = np.linalg.norm(e, axis=1)
+            for i, sl in enumerate(cl.out_slices, start=3):
+                kept[i, rows] = np.linalg.norm(e[:, sl], axis=1)
+        fh.write(csv_rows([t[:, None], y, e, *w]))
+    return kept

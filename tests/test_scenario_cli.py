@@ -970,7 +970,8 @@ def test_cli_sim_divergence_after_two_blocks_leaves_no_file(sensor_bundle,
 def test_cli_sim_svg_of_overflowing_norms(sensor_bundle, tmp_path, capsys):
     # the loop of the test above run to t = 32.6 stays finite, but its
     # recorded norms overflow to inf: the summary says so without a numpy
-    # warning, and both plots are drawn with the overflow on their ceiling
+    # warning, its tail oscillation too, and both plots are drawn with the
+    # overflow on their ceiling
     scenario, bundle = sensor_bundle
     bundle = copy.deepcopy(bundle)
     K1 = bundle["agents"][0]["K1"]
@@ -984,7 +985,8 @@ def test_cli_sim_svg_of_overflowing_norms(sensor_bundle, tmp_path, capsys):
                      "--t-end", "32.6", "--svg", str(svg)]) == 0
     err = capsys.readouterr().err.splitlines()
     summary = next(line for line in err if line.startswith("summary: "))
-    assert "final_output_gap=inf max_error_tail=inf" in summary
+    assert summary.endswith(
+        "final_output_gap=inf max_error_tail=inf steady_oscillation=inf")
     assert err[-1] == f"wrote {svg} and {tmp_path / 'run.errors.svg'}"
     for path, lines in ((svg, 1), (tmp_path / "run.errors.svg", 5)):
         root = ET.parse(path).getroot()
@@ -1011,6 +1013,25 @@ def test_cli_sim_os_errors_name_the_out_path(sensor_bundle, tmp_path, capsys):
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}: '{out}'"
         assert sorted(tmp_path.iterdir()) == before
     assert not any((tmp_path / "a_directory").iterdir())
+
+
+def test_cli_sim_leaves_no_file_when_a_plot_cannot_be_written(sensor_bundle,
+                                                             tmp_path, capsys):
+    # both plots are written before the CSV is moved into place: an --svg
+    # in a missing directory leaves no CSV, plot or temporary file
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out, svg = tmp_path / "run.csv", tmp_path / "missing" / "run.svg"
+    before = sorted(tmp_path.iterdir())
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--t-end", "1", "--svg", str(svg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        f"error: [Errno 2] No such file or directory: '{svg}'"]
+    assert err[-1].startswith("error:")
+    assert not any(line.startswith("wrote ") for line in err)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_sim_peak_memory_stays_below_one_record_array(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import warnings
 from types import SimpleNamespace
@@ -24,14 +25,14 @@ from neseek.sim import (
     Trajectory,
     _exo_steppers,
     _rk4_map,
-    convergence_metrics,
+    csv_rows,
     propagate,
     rk4_dt_limit,
     rk4_radius,
     series_metrics,
     simulate,
     simulate_distributed,
-    write_csv,
+    write_records,
 )
 from neseek.synthesis import (
     ClosedLoopSystem,
@@ -547,12 +548,28 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
     assert dy <= 1e-9
 
 
+def norms(tr):
+    """Output gap ||y - y*|| and stacked error norm ||e|| of a Trajectory."""
+    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
+    return gap, np.linalg.norm(tr.e_stacked(), axis=1)
+
+
+def metrics(tr, tol=1e-3):
+    return series_metrics(tr.times, *norms(tr), tol)
+
+
+def repr_lines(tr):
+    """CSV data lines of a Trajectory: t, y, e, w, each field the repr of its float."""
+    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
+    return [", ".join(map(repr, row.tolist())) for row in table]
+
+
 def test_metrics_on_invariant_subspace(sensor_digraph):
     s = sensor_digraph
     z0 = s.reg.X_c @ s.cl.v0
     tr = simulate(s.cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10),
                   z0=z0)
-    m = convergence_metrics(tr, tol=1e-3)
+    m = metrics(tr)
     assert m["T_conv"] == 0.0
     assert m["final_output_gap"] <= 1e-9
     assert m["steady_oscillation"] <= 1e-9
@@ -561,7 +578,7 @@ def test_metrics_on_invariant_subspace(sensor_digraph):
 def test_metrics_diverging_trajectory():
     tr = simulate(toy_loop(3.0), SimConfig(dt=1e-3, t_end=3.0),
                   z0=np.array([1.0]))
-    m = convergence_metrics(tr, tol=1e-3)
+    m = metrics(tr)
     assert m["T_conv"] is None
     assert m["final_output_gap"] > 1.0
 
@@ -569,7 +586,7 @@ def test_metrics_diverging_trajectory():
 def test_metrics_sensor_run(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=40.0, record_stride=100))
-    m = convergence_metrics(tr, tol=1e-3)
+    m = metrics(tr)
     assert m["T_conv"] is not None
     assert 0.0 < m["T_conv"] < 40.0
     assert m["final_output_gap"] < 1e-3
@@ -579,20 +596,29 @@ def test_metrics_sensor_run(sensor_digraph):
 def test_metrics_peak_gap(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=20.0, record_stride=10))
-    m = convergence_metrics(tr, tol=1e-3)
-    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
-    assert np.array_equal(m["output_gap"], gap)
+    m = metrics(tr)
+    gap, _ = norms(tr)
     assert m["peak_output_gap"] == np.max(gap)
     assert m["peak_output_gap"] >= gap[0]
     assert m["t_peak"] in tr.times
 
 
-def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
-    tr = simulate(sensor_digraph.cl,
-                  SimConfig(dt=1e-3, t_end=1.0, record_stride=200))
-    path = tmp_path / "run.csv"
-    write_csv(tr, path)
-    text = path.read_text().splitlines()
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_metrics_of_an_overflowed_tail(bad):
+    # a tail holding a non-finite gap reports inf, also where inf - inf is NaN
+    gap = np.ones(20)
+    for tail in (gap[-1:], gap[-2:]):
+        tail[:] = bad
+        m = series_metrics(np.arange(20.0), gap, np.ones(20), tol=1e-3)
+        assert m["steady_oscillation"] == np.inf
+
+
+def test_csv_header_and_roundtrip(sensor_digraph):
+    cfg = SimConfig(dt=1e-3, t_end=1.0, record_stride=200)
+    fh = io.StringIO()
+    write_records(sensor_digraph.cl, cfg, fh)
+    tr = simulate(sensor_digraph.cl, cfg)
+    text = fh.getvalue().splitlines()
     header = text[0].split(", ")
     assert header[0] == "t"
     assert header[1] == "y_1_1"
@@ -601,8 +627,7 @@ def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
     assert header[21] == "w_1_1"
     assert len(header) == 1 + 10 + 10 + 10
     assert len(text) == 1 + len(tr.times)
-    with open(path) as fh:
-        rows = list(csv.reader(fh, skipinitialspace=True))
+    rows = list(csv.reader(io.StringIO(fh.getvalue()), skipinitialspace=True))
     got = np.array([[float(v) for v in row] for row in rows[1:]])
     # repr() formatting round-trips every float exactly.
     assert np.array_equal(got[:, 0], tr.times)
@@ -610,17 +635,23 @@ def test_csv_header_and_roundtrip(tmp_path, sensor_digraph):
     assert np.array_equal(got[:, 11:21], tr.e_stacked())
     assert np.array_equal(got[:, 21:31], np.hstack(tr.w))
     # every field is the repr of its float, in column order
-    want = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
-    for line, values in zip(text[1:], want):
-        assert line.split(", ") == [repr(float(v)) for v in values]
-    # a zero-row trajectory writes the header alone
-    empty = dataclasses.replace(
-        tr, times=tr.times[:0], x=tuple(a[:0] for a in tr.x),
-        ctrl=tuple(a[:0] for a in tr.ctrl), y=tuple(a[:0] for a in tr.y),
-        e=tuple(a[:0] for a in tr.e), w=tuple(a[:0] for a in tr.w),
-    )
-    write_csv(empty, path)
-    assert path.read_text().splitlines() == text[:1]
+    assert text[1:] == repr_lines(tr)
+
+
+@pytest.mark.parametrize("t_end, stride", [(0.0, 1), (0.7, 1), (5.0, 10)])
+def test_kept_series_are_the_trajectory_norms(t_end, stride, sensor_digraph):
+    # the series sim summarizes and plots, bitwise those of simulate's Trajectory
+    cl = sensor_digraph.cl
+    cfg = SimConfig(dt=1e-3, t_end=t_end, record_stride=stride)
+    times, gap, err, *err_i = write_records(cl, cfg, io.StringIO())
+    tr = simulate(cl, cfg)
+    want_gap, want_err = norms(tr)
+    assert times.tobytes() == tr.times.tobytes()
+    assert gap.tobytes() == want_gap.tobytes()
+    assert err.tobytes() == want_err.tobytes()
+    assert len(err_i) == len(tr.e)
+    for got, e in zip(err_i, tr.e):
+        assert got.tobytes() == np.linalg.norm(e, axis=1).tobytes()
 
 
 def test_rk4_radius_is_the_step_maps_z_block_radius(sensor_general):
@@ -645,7 +676,7 @@ def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
     assert rk4_radius(eigs, limit * (1 - 1e-6)) < 1.0 < rk4_radius(eigs, limit * (1 + 1e-6))
 
 
-def test_csv_blocks_match_the_row_formula(tmp_path, sensor_digraph):
+def test_csv_blocks_match_the_row_formula(sensor_digraph):
     tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.7))
     assert len(tr.times) > 2 * BLOCK_ROWS and len(tr.times) % BLOCK_ROWS
     y, e = [a.copy() for a in tr.y], [a.copy() for a in tr.e]
@@ -656,14 +687,13 @@ def test_csv_blocks_match_the_row_formula(tmp_path, sensor_digraph):
     e[2][:, 0] = 0.0
     e[2][BLOCK_ROWS + 3, 0] = -0.0
     tr = dataclasses.replace(tr, y=tuple(y), e=tuple(e))
-    path = tmp_path / "run.csv"
-    write_csv(tr, path)
-    lines = path.read_text().splitlines()
-    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
-    assert len(lines) == 1 + len(table)
-    for line, row in zip(lines[1:], table):
-        assert line == ", ".join(map(repr, row.tolist()))
-    fields = [line.split(", ") for line in lines[1:]]
+    arrays = [tr.times[:, None], *tr.y, *tr.e, *tr.w]
+    lines = "".join(
+        csv_rows([a[start:start + BLOCK_ROWS] for a in arrays])
+        for start in range(0, len(tr.times), BLOCK_ROWS)
+    ).splitlines()
+    assert lines == repr_lines(tr)
+    fields = [line.split(", ") for line in lines]
     assert (fields[0][11], fields[0][13], fields[0][15]) == ("0.0", "-0.0", "0.0")
     assert fields[BLOCK_ROWS + 3][15] == "-0.0"
 
@@ -688,9 +718,8 @@ def test_cli_csv_matches_simulate_at_block_edges(t_end, stride, rows, tmp_path, 
     cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
                               bundle["controllers"], bundle["strategy"])
     cfg = dataclasses.replace(scn.sim, t_end=t_end)
-    want = tmp_path / "simulate.csv"
-    write_csv(simulate(cl, cfg), want)
-    assert out.read_bytes() == want.read_bytes()
+    lines = out.read_text().splitlines()
+    assert lines[1:] == repr_lines(simulate(cl, cfg))
 
     table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert table.shape[0] == rows
@@ -699,13 +728,6 @@ def test_cli_csv_matches_simulate_at_block_edges(t_end, stride, rows, tmp_path, 
     assert np.max(np.abs(table[:, 1:1 + dp] - Z_ref @ cl.C_out.T)) <= 1e-12
 
 
-def test_series_metrics_is_the_core_of_convergence_metrics(sensor_digraph):
-    tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10))
-    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
-    err = np.linalg.norm(tr.e_stacked(), axis=1)
-    want = convergence_metrics(tr, tol=1e-3)
-    got = series_metrics(tr.times, gap, err, tol=1e-3)
-    assert np.array_equal(got.pop("output_gap"), want.pop("output_gap"))
-    assert got == want
+def test_series_metrics_rejects_an_empty_series():
     with pytest.raises(DomainError, match="empty trajectory"):
-        series_metrics(tr.times[:0], gap[:0], err[:0], tol=1e-3)
+        series_metrics(np.empty(0), np.empty(0), np.empty(0), tol=1e-3)
