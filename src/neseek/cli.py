@@ -37,6 +37,7 @@ from .plant import (
     check_assumption_4,
     sample_perturbation,
 )
+from .rng import Generator
 from .scenario import load_controllers, load_scenario, save_controllers
 from .sim import rk4_dt_limit, rk4_radius, series_metrics, write_records
 from .svgplot import line_plot
@@ -253,7 +254,7 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
 
     plants = scn.plants
     if perturb_scale is not None:
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         plants = tuple(
             p.with_perturbation(**sample_perturbation(p, perturb_scale, rng))
             for p in plants
@@ -263,8 +264,10 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     with np.errstate(over="ignore", invalid="ignore"):
         cl = assemble_closed_loop(scn.game, plants, scn.exos, controllers, strategy)
     if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
-        raise ScenarioError(f"{controllers_path}: gains overflow the assembled "
-                            "closed loop (non-finite entries)")
+        culprit = (f"{controllers_path}: gains" if perturb_scale is None else
+                   f"--perturb-scale {perturb_scale!r} --seed {seed}: the perturbed plants")
+        raise ScenarioError(f"{culprit} overflow the assembled closed loop "
+                            "(non-finite entries)")
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)

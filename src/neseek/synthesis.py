@@ -36,6 +36,7 @@ from .plant import (
     extend_exosystem,
     sample_perturbation,
 )
+from .rng import Generator
 
 __all__ = [
     "STRATEGIES",
@@ -489,7 +490,7 @@ def largest_stable_scale(cl, scales, draws=20, seed=0):
 
     best = None
     for scale in sorted(scales):
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         if all(sampled_loop_hurwitz(scale, rng) for _ in range(draws)):
             best = scale
     return best

@@ -919,6 +919,23 @@ def test_cli_sim_bad_inputs_exit_2(case, extra, edit, where, sensor_bundle,
     assert not out.exists()
 
 
+def test_cli_sim_overflowing_perturbation_names_scale_and_seed(sensor_bundle,
+                                                               tmp_path, capsys):
+    # the bundle's gains are fine; plants perturbed at 1e308 overflow the
+    # assembled loop, and the error names the perturbation, not the bundle
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    out = tmp_path / "run.csv"
+    rc = main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+               "--perturb-scale", "1e308", "--seed", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --perturb-scale 1e+308 --seed 3: the perturbed plants overflow "
+        "the assembled closed loop (non-finite entries)"]
+    assert not out.exists()
+
+
 def test_cli_sim_overflowing_step_map_prints_only_the_error(sensor_bundle,
                                                             tmp_path, capsys):
     # finite gains pass the load and assembly checks, but the RK4 step

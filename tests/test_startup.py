@@ -7,10 +7,12 @@ loaded already; the commands run with SciPy blocked, so an import of it
 on their path fails instead of passing unseen.  ``synth``'s gains are
 then compared with SciPy's Riccati solutions.
 
-OpenSSL stays out too: the scenario digest comes from CPython's built-in
-sha256, so ``hashlib``'s ``_hashlib`` is loaded only by ``numpy.random``
-under ``sim --perturb-scale``.  The digest is the one ``hashlib`` gives,
-also when the built-in module is missing and ``hashlib`` stands in.
+OpenSSL stays out too, and so does ``numpy.random``, which would load it
+through ``secrets`` and ``hmac``.  The scenario digest comes from CPython's
+built-in sha256; it is the one ``hashlib`` gives, also when the built-in
+module is missing and ``hashlib`` stands in.  ``sim --perturb-scale``
+draws from ``neseek.rng``, whose stream is compared with numpy's in
+``test_rng.py``.
 """
 
 import hashlib
@@ -130,22 +132,43 @@ def test_synth_with_scipy_blocked_matches_scipy_gains(sensor_path, tmp_path):
         assert np.linalg.norm(c.K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
 
 
-@pytest.mark.parametrize("command", [None, "check", "ne", "synth", "sim"])
-def test_commands_do_not_load_openssl(command, sensor_path, bundle_path, tmp_path):
-    argv = [command, str(sensor_path)]
+# None is a plain `import neseek`
+COMMANDS = [None, "check", "ne", "synth", "sim", "sim --perturb-scale"]
+
+
+def _command_body(command, sensor_path, bundle_path, tmp_path):
+    """Code that imports neseek and runs ``command`` on the sensor scenario."""
+    if command is None:
+        return "import neseek"
+    argv = [command.split()[0], str(sensor_path)]
     if command == "synth":
         argv += ["--out", str(tmp_path / "ctrl.json")]
-    elif command == "sim":
+    elif command.startswith("sim"):
         argv += ["--controllers", str(bundle_path), "--t-end", "2",
                  "--out", str(tmp_path / "run.csv"), "--svg", str(tmp_path / "run.svg")]
-    body = "import neseek"
-    if command:
-        body += f"\nimport neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
+    if command == "sim --perturb-scale":
+        argv += ["--perturb-scale", "0.02", "--seed", "1"]
+    return f"import neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_do_not_load_openssl(command, sensor_path, bundle_path, tmp_path):
+    body = _command_body(command, sensor_path, bundle_path, tmp_path)
     assert not _loaded(body, "_hashlib")
 
 
 def test_probe_sees_openssl_when_loaded():
     assert _loaded("import hashlib", "_hashlib")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_do_not_load_numpy_random(command, sensor_path, bundle_path, tmp_path):
+    body = _command_body(command, sensor_path, bundle_path, tmp_path)
+    assert not _loaded(body, "numpy.random")
+
+
+def test_probe_sees_numpy_random_when_loaded():
+    assert _loaded("import numpy as np\nnp.random.default_rng(0)", "numpy.random")
 
 
 def _hashlib_digest(scn):
