@@ -242,6 +242,13 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     ):
         if value is not None and not ok(value):
             raise ScenarioError(f"{flag} must be {rule}, got {value!r}")
+    if svg is not None:
+        err_path = (svg[:-4] if svg.endswith(".svg") else svg) + ".errors.svg"
+        # the CSV and a plot on one path would share one temporary file
+        for plot in (svg, err_path):
+            if os.path.realpath(plot) == os.path.realpath(out):
+                raise ScenarioError(f"--svg {svg} would write a plot to {plot}, "
+                                    f"the --out file")
     scn = load_scenario(path)
     bundle = load_controllers(controllers_path, scn)
     strategy, controllers = bundle["strategy"], bundle["controllers"]
@@ -293,10 +300,6 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
         with open(csv_tmp, "w") as fh:
             times, gap, err, *err_series = write_records(cl, cfg, fh)
         if svg is not None:
-            err_path = (
-                svg[:-4] + ".errors.svg" if svg.endswith(".svg")
-                else svg + ".errors.svg"
-            )
             labels = [f"||e_{i}||" for i in range(1, len(err_series) + 1)]
             with _replacing(svg) as gap_tmp, _replacing(err_path) as err_tmp:
                 line_plot(

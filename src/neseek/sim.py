@@ -386,14 +386,16 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
     rec_s, rec_w = [s], [w]
     dt = cfg.dt
     for k in range(1, cfg.n_steps + 1):
-        wh = [E @ wi for E, wi in zip(E_halfs, w)]
-        wf = [E @ wi for E, wi in zip(E_fulls, w)]
-        r1 = stage(s, w)
-        r2 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r1)], wh)
-        r3 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r2)], wh)
-        r4 = stage([si + dt * ri for si, ri in zip(s, r3)], wf)
-        s = [si + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-             for si, a, b, c, d in zip(s, r1, r2, r3, r4)]
+        # an overflowing step is reported by the finiteness test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            wh = [E @ wi for E, wi in zip(E_halfs, w)]
+            wf = [E @ wi for E, wi in zip(E_fulls, w)]
+            r1 = stage(s, w)
+            r2 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r1)], wh)
+            r3 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r2)], wh)
+            r4 = stage([si + dt * ri for si, ri in zip(s, r3)], wf)
+            s = [si + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for si, a, b, c, d in zip(s, r1, r2, r3, r4)]
         w = wf
         if not all(np.isfinite(si[:n]).all() for si, n in zip(s, ns)):
             raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",

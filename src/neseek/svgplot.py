@@ -23,8 +23,6 @@ CHUNK = 4096
 
 
 def _linear_ticks(lo, hi, n=6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

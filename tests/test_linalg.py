@@ -58,6 +58,21 @@ def test_eigenvalues_rejects_nonsquare():
         eigenvalues(np.zeros((2, 3)))
 
 
+SHAPE_MISMATCHES = [
+    ("solve_sylvester", lambda: solve_sylvester(-np.eye(2), np.zeros((3, 3)), np.ones((3, 2))),
+     r"^C must be 2x3, got \(3, 2\)$"),
+    ("solve_care", lambda: solve_care(np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
+     r"^inconsistent CARE dimensions: A \(2, 2\), B \(3, 1\)"),
+]
+
+
+@pytest.mark.parametrize("case, call, message", SHAPE_MISMATCHES,
+                         ids=[c for c, _, _ in SHAPE_MISMATCHES])
+def test_mismatched_shapes_raise_dimension_error(case, call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 def test_is_hurwitz_stable():
     ok, abscissa = is_hurwitz([[0.0, 1.0], [-2.0, -3.0]])
     assert ok

@@ -742,14 +742,17 @@ def test_cli_sim_zero_horizon(tmp_path, capsys):
     path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
     ctrl = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(ctrl)]) == 0
-    out = tmp_path / "empty.csv"
+    out, svg = tmp_path / "empty.csv", tmp_path / "empty.svg"
     assert main(["sim", path, "--controllers", str(ctrl),
-                 "--out", str(out), "--t-end", "0"]) == 0
+                 "--out", str(out), "--t-end", "0", "--svg", str(svg)]) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("t, y_1_1")
     assert lines[1].startswith("0.0, ")
+    # a single record still spans a time axis of unit width
+    for plot in (svg, tmp_path / "empty.errors.svg"):
+        ET.parse(plot)
 
 
 def test_cli_sim_perturbed(tmp_path, capsys):
@@ -1048,6 +1051,28 @@ def test_cli_sim_leaves_no_file_when_a_plot_cannot_be_written(sensor_bundle,
         f"error: [Errno 2] No such file or directory: '{svg}'"]
     assert err[-1].startswith("error:")
     assert not any(line.startswith("wrote ") for line in err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("out_name, svg_name, plot_name", [
+    ("run.csv", "run.csv", "run.csv"),
+    ("run.errors.svg", "run.svg", "run.errors.svg"),
+], ids=["gap plot", "errors plot"])
+def test_cli_sim_refuses_a_plot_on_the_out_path(out_name, svg_name, plot_name,
+                                               sensor_bundle, tmp_path, capsys):
+    # the CSV and a plot on one path would share one temporary file, so
+    # the run is refused before anything is loaded or written
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    (tmp_path / "sub").mkdir()
+    out, svg = tmp_path / out_name, tmp_path / "sub" / ".." / svg_name
+    before = sorted(tmp_path.iterdir())
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--t-end", "1", "--svg", str(svg)]) == 2
+    plot = tmp_path / "sub" / ".." / plot_name
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --svg {svg} would write a plot to {plot}, the --out file"]
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -195,6 +195,14 @@ def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
 
 
+@pytest.mark.parametrize("start", [{"z0": np.zeros(3)}, {"v0": np.zeros(1)}],
+                         ids=["z0", "v0"])
+def test_propagate_rejects_a_start_of_the_wrong_size(start, sensor_digraph):
+    cl = sensor_digraph.cl
+    with pytest.raises(DimensionError, match=f"^z0/v0 must have dims {cl.dim_z}/{cl.dim_v}"):
+        next(propagate(cl, SimConfig(dt=1e-3, t_end=1e-3), **start))
+
+
 def test_divergence_in_a_later_blocks_first_record():
     # the record holding the first non-finite step opens a block, so
     # its stride is replayed from the last record of the block before
@@ -203,6 +211,18 @@ def test_divergence_in_a_later_blocks_first_record():
     stride = next(s for s in range(2, 200) if -(-k // s) % BLOCK_ROWS == 0)
     cfg = SimConfig(dt=1e-3, t_end=10.0, record_stride=stride)
     assert simulate_error_time(cl, cfg) == k * 1e-3
+
+
+def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
+    # at dt 1 the certified loop's RK4 step map is unstable: the reference
+    # loop's overflow is a DivergenceError too, not a numpy warning
+    s = sensor_digraph
+    cfg = SimConfig(dt=1.0, t_end=2000.0)
+    with pytest.raises(DivergenceError) as stacked:
+        simulate(s.cl, cfg)
+    with pytest.raises(DivergenceError) as distributed:
+        simulate_distributed(s.game, s.plants, s.exos, s.controllers, "digraph", cfg)
+    assert abs(stacked.value.t_bad - distributed.value.t_bad) <= cfg.dt
 
 
 def simulate_error_time(cl, cfg):

@@ -1,7 +1,7 @@
 """SciPy stays out of every command: it is a test-only reference.
 
 ``check``, ``ne``, ``sim`` (with its SVG and perturbation options),
-``synth`` and a plain ``import neseek`` run on numpy alone.  Each case
+``synth`` and an import of every neseek module run on numpy alone.  Each case
 runs in a fresh interpreter, since the test process itself has SciPy
 loaded already; the commands run with SciPy blocked, so an import of it
 on their path fails instead of passing unseen.  ``synth``'s gains are
@@ -37,6 +37,11 @@ from neseek.scenario import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the package imports none of its modules, so each is named
+IMPORT_ALL = "import " + ", ".join(
+    f"neseek.{p.stem}" for p in sorted((SRC / "neseek").glob("*.py"))
+    if p.stem != "__init__")
 
 PROBE = """
 import sys
@@ -83,9 +88,9 @@ def test_numpy_only_paths_do_not_import_scipy(command, sensor_path, bundle_path,
         argv += ["--controllers", str(bundle_path), "--t-end", "2",
                  "--out", str(tmp_path / "run.csv"), "--svg", str(tmp_path / "run.svg"),
                  "--perturb-scale", "0.02", "--seed", "1"]
-    body = BLOCK_SCIPY + "import neseek"
-    if command:
-        body += f"\nimport neseek.cli\nassert neseek.cli.main({argv!r}) == 0"
+    body = BLOCK_SCIPY + (
+        f"import neseek.cli\nassert neseek.cli.main({argv!r}) == 0" if command
+        else IMPORT_ALL)
     assert not _loaded(body, "scipy")
     if command == "sim":
         assert (tmp_path / "run.svg").exists()
@@ -132,14 +137,14 @@ def test_synth_with_scipy_blocked_matches_scipy_gains(sensor_path, tmp_path):
         assert np.linalg.norm(c.K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
 
 
-# None is a plain `import neseek`
+# None imports every neseek module
 COMMANDS = [None, "check", "ne", "synth", "sim", "sim --perturb-scale"]
 
 
 def _command_body(command, sensor_path, bundle_path, tmp_path):
     """Code that imports neseek and runs ``command`` on the sensor scenario."""
     if command is None:
-        return "import neseek"
+        return IMPORT_ALL
     argv = [command.split()[0], str(sensor_path)]
     if command == "synth":
         argv += ["--out", str(tmp_path / "ctrl.json")]

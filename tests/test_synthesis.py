@@ -338,6 +338,17 @@ def test_assemble_rejects_output_dimension_mismatch():
         assemble_closed_loop(wide_game, (plant,), (exo,), (c,), "digraph")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: assemble_closed_loop(s.game, s.plants[:4], s.exos, s.controllers, "digraph"),
+     "^plants, exosystems, controllers must match agent count$"),
+    (lambda s: steady_state(s.reg, s.cl, s.cl.v0[:-1]),
+     r"^v must have \d+ entries, got \(\d+,\)$"),
+], ids=["assemble: four plants for five agents", "steady_state: short v"])
+def test_loop_inputs_of_the_wrong_size(call, message, sensor_digraph):
+    with pytest.raises(DimensionError, match=message):
+        call(sensor_digraph)
+
+
 def test_single_agent_block_matches_stacked(sensor_digraph):
     # Agent 1 has no neighbors, so its diagonal block of the stacked
     # matrix equals a standalone assembly of the same agent.
