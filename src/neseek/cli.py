@@ -3,7 +3,8 @@
 A command that fails raises a typed error; ``main`` alone prints its one
 ``error:`` line on stderr and maps it to the exit status by EXIT_CODES:
   0   success
-  1   unexpected error (a diverging simulation, an OS error)
+  1   unexpected error (a diverging simulation, a horizon too long to
+      record, an OS error)
   2   scenario parse/validation error
   3   controller file does not match the scenario (stale hash)
   4   synthesis failure, or a certified loop whose RK4 step map is unstable
@@ -204,7 +205,8 @@ def cmd_synth(path, out, strategy=None):
         "scale_dyn": reg.scale_dyn,
         "scale_err": reg.scale_err,
     }
-    save_controllers(out, scn, strategy, controllers, certificates)
+    with _replacing(out) as tmp:
+        save_controllers(tmp, scn, strategy, controllers, certificates)
     print(
         f"synthesized {len(controllers)} {strategy} controllers: "
         f"abscissa={abscissa!r}, residual_err={reg.residual_err!r}"
@@ -288,10 +290,15 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
         eigs = np.concatenate(cl.spectra)
         radius = rk4_radius(eigs, cfg.dt)
         if not radius < 1.0:
+            limit = rk4_dt_limit(eigs)
+            # below the limit the map contracts in exact arithmetic: its
+            # radius reads 1 only because 1 + dt lam + ... rounds to 1
+            problem = (f"dt {cfg.dt!r} is too small for its RK4 step map to "
+                       "contract in double precision" if cfg.dt < limit else
+                       f"its RK4 step map at dt {cfg.dt!r} is not")
             raise SynthesisError(
-                f"the closed loop is Hurwitz but its RK4 step map at dt "
-                f"{cfg.dt!r} is not (spectral radius {radius:.6g}); "
-                f"the largest stable dt is {rk4_dt_limit(eigs):.6g}"
+                f"the closed loop is Hurwitz but {problem} (spectral radius "
+                f"{radius:.6g}); the largest stable dt is {limit:.6g}"
             )
 
     # the plots are written before the CSV is moved into place, so a

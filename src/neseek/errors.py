@@ -16,10 +16,6 @@ class DimensionError(NeseekError, ValueError):
 class SingularMatrixError(NeseekError):
     """A linear solve hit a (numerically) singular matrix."""
 
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
-
 
 class NonUniqueSolutionError(NeseekError):
     """Sylvester spectra overlap: the equation has no unique solution."""

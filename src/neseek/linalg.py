@@ -94,8 +94,8 @@ def solve_linear(A, b):
     Raises
     ------
     SingularMatrixError
-        If ``A`` is singular within working precision; the error carries
-        the condition estimate in its ``cond`` attribute.
+        If ``A`` is singular within working precision; the message
+        states the condition estimate.
     """
     A = _as_square(A, "A")
     b = np.asarray(b, dtype=float)
@@ -103,9 +103,7 @@ def solve_linear(A, b):
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= n * np.finfo(float).eps * s[0]:
         cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise SingularMatrixError(
-            f"matrix is numerically singular (cond ~ {cond:.3e})", cond=cond
-        )
+        raise SingularMatrixError(f"matrix is numerically singular (cond ~ {cond:.3e})")
     return np.linalg.solve(A, b)
 
 

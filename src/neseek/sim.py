@@ -165,7 +165,7 @@ def _rk4_map(A_c, P_c, E_half, E_full, dt):
     return np.block([[top], [np.zeros((dv, dz)), E_full]])
 
 
-def propagate(cl, cfg, z0=None, v0=None):
+def propagate(cl, cfg, z0=None):
     """Yield the recorded ``(times, [z; v])`` of the stacked loop, one block at a time.
 
     Blocks hold at most BLOCK_ROWS records; records follow one another by
@@ -176,12 +176,8 @@ def propagate(cl, cfg, z0=None, v0=None):
     are held.
     """
     z0 = cl.initial_state() if z0 is None else np.asarray(z0, dtype=float)
-    v0 = cl.v0 if v0 is None else np.asarray(v0, dtype=float)
-    if z0.shape != (cl.dim_z,) or v0.shape != (cl.dim_v,):
-        raise DimensionError(
-            f"z0/v0 must have dims {cl.dim_z}/{cl.dim_v}, "
-            f"got {z0.shape}/{v0.shape}"
-        )
+    if z0.shape != (cl.dim_z,):
+        raise DimensionError(f"z0 must have {cl.dim_z} entries, got {z0.shape}")
     dz = cl.dim_z
     steps = record_steps(cfg.n_steps, cfg.record_stride)
     jumps = np.diff(steps).tolist()  # jumps[k - 1] steps take record k-1 to k
@@ -189,7 +185,7 @@ def propagate(cl, cfg, z0=None, v0=None):
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
         powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
-    x = np.concatenate([z0, v0])
+    x = np.concatenate([z0, cl.v0])
     for start in range(0, len(steps), BLOCK_ROWS):
         block = np.empty((min(BLOCK_ROWS, len(steps) - start), x.size))
         prev = x  # the record before the block
@@ -233,13 +229,13 @@ def block_outputs(cl, X):
     return y, e, w
 
 
-def simulate(cl, cfg, z0=None, v0=None):
+def simulate(cl, cfg, z0=None):
     """Integrate the stacked closed loop into one Trajectory; v is advanced exactly.
 
     Collects the blocks of ``propagate``, then takes the y, e and w of
     each block; raises its DivergenceError.
     """
-    times, X = zip(*propagate(cl, cfg, z0, v0))
+    times, X = zip(*propagate(cl, cfg, z0))
     y_full, e_full, w = zip(*(block_outputs(cl, block) for block in X))
     X, y_full, e_full = (np.concatenate(a) for a in (X, y_full, e_full))
     Z = X[:, :cl.dim_z]
@@ -323,41 +319,34 @@ def _agent_rate(plant, cost, c, view, observer_mode):
     return rate
 
 
-def _check_agents(N, plants, exos, controllers, x0, w0):
+def _check_agents(N, plants, exos, controllers):
     """Raise DimensionError naming the first argument that does not fit N agents."""
-    for name, items in (("plants", plants), ("exos", exos),
-                        ("controllers", controllers), ("x0", x0), ("w0", w0)):
+    for name, items in (("plants", plants), ("exos", exos), ("controllers", controllers)):
         if len(items) != N:
             raise DimensionError(f"{name} has {len(items)} entries for {N} agents")
-    for i, (p, e, c, x, w) in enumerate(zip(plants, exos, controllers, x0, w0), start=1):
+    for i, (p, e, c) in enumerate(zip(plants, exos, controllers), start=1):
         bad = _gain_mismatch(c, p)
         if bad:
             raise DimensionError(f"controllers[{i}] gain {bad}")
         if e.q != p.q:
             raise DimensionError(f"exos[{i}] has dimension {e.q}, plant {i} takes {p.q}")
-        if x.shape != (p.n,):
-            raise DimensionError(f"x0[{i}] has shape {x.shape}, plant {i} needs ({p.n},)")
-        if w.shape != (e.q,):
-            raise DimensionError(f"w0[{i}] has shape {w.shape}, exos[{i}] needs ({e.q},)")
 
 
-def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
-                         x0=None, w0=None):
+def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
     """Integrate agent-by-agent behind NeighborView read gates.
 
-    Agent i's state is ``[x_i; xi_i; zeta_i]``.  Each stage first
-    broadcasts every agent's y_i (and C_i xi_i for the general
-    strategy), then evaluates each agent's rate from its own state plus
-    gated neighbor reads only.  Matches simulate() on the assembled
-    stacked system within 1e-9 per sample.
+    Agent i's state is ``[x_i; xi_i; zeta_i]``, started at its plant's
+    ``x0`` with zero controller state; its exosystem starts at ``w0``.
+    Each stage first broadcasts every agent's y_i (and C_i xi_i for the
+    general strategy), then evaluates each agent's rate from its own
+    state plus gated neighbor reads only.  Matches simulate() on the
+    assembled stacked system within 1e-9 per sample.
     """
     if strategy not in STRATEGIES:
         raise DimensionError(f"unknown strategy kind {strategy!r}")
     observer_mode = strategy == "general"
     N = game.graph.agent_count
-    x0 = [p.x0 for p in plants] if x0 is None else [np.asarray(v, float) for v in x0]
-    w0 = [e.w0 for e in exos] if w0 is None else [np.asarray(v, float) for v in w0]
-    _check_agents(N, plants, exos, controllers, x0, w0)
+    _check_agents(N, plants, exos, controllers)
 
     # read gates over output buffers that every stage refills in place
     ys = [None] * N
@@ -381,8 +370,8 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg,
 
     steps = record_steps(cfg.n_steps, cfg.record_stride)
     rec_set = set(steps.tolist())
-    s = [np.concatenate([x, np.zeros(c.ctrl_dim)]) for x, c in zip(x0, controllers)]
-    w = w0
+    s = [np.concatenate([p.x0, np.zeros(c.ctrl_dim)]) for p, c in zip(plants, controllers)]
+    w = [e.w0 for e in exos]
     rec_s, rec_w = [s], [w]
     dt = cfg.dt
     for k in range(1, cfg.n_steps + 1):
@@ -469,11 +458,18 @@ def write_records(cl, cfg, fh):
     The header names t, then each agent's y, e and w columns; each block
     of ``propagate`` becomes its ``csv_rows``.  Only the series a summary
     or a plot reads are kept, as rows: times, ||y - y*||, ||e||, then
-    each agent's ||e_i||.  Raises the DivergenceError of ``propagate``.
+    each agent's ||e_i||.  Raises the DivergenceError of ``propagate``,
+    and DomainError when the kept rows cannot be allocated.
     """
     y_star = solve_ne(assemble_pseudo_gradient(cl.game))
-    kept = np.empty((3 + len(cl.out_slices),
-                     len(record_steps(cfg.n_steps, cfg.record_stride))))
+    # counted, not listed, so that a horizon of more records than numpy
+    # can allocate fails here, before a record is taken
+    n_records = -(-cfg.n_steps // cfg.record_stride) + 1
+    try:
+        kept = np.empty((3 + len(cl.out_slices), n_records))
+    except (MemoryError, ValueError):
+        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {n_records} "
+                          "records, more than can be allocated") from None
     cols = ["t"]
     widths = [sl.stop - sl.start for sl in cl.out_slices]
     for name, ws in (("y", widths), ("e", widths), ("w", [exo.q for exo in cl.exos])):

@@ -34,9 +34,7 @@ from .plant import (
     _regulation_pencil_rank_ok,
     _unique,
     extend_exosystem,
-    sample_perturbation,
 )
-from .rng import Generator
 
 __all__ = [
     "STRATEGIES",
@@ -52,7 +50,6 @@ __all__ = [
     "worst_agent",
     "solve_regulator",
     "steady_state",
-    "largest_stable_scale",
 ]
 
 STRATEGIES = ("digraph", "general")
@@ -467,30 +464,3 @@ def steady_state(reg, cl, v):
         c.K @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
     ])
     return x_ss, u_ss, y_ss
-
-
-def largest_stable_scale(cl, scales, draws=20, seed=0):
-    """Largest sampled perturbation scale keeping A_c(mu) Hurwitz.
-
-    Samples ``draws`` entrywise-uniform perturbation sets per scale
-    (all four plant matrices, replacing any stated perturbation),
-    assembles each sampled loop with ``cl``'s controllers, and returns
-    the largest scale where every draw stays Hurwitz, or None if none
-    does.
-    """
-    def sampled_loop_hurwitz(scale, rng):
-        plants = tuple(
-            p.with_perturbation(**sample_perturbation(p, scale, rng))
-            for p in cl.plants
-        )
-        sampled = assemble_closed_loop(
-            cl.game, plants, cl.exos, cl.controllers, cl.strategy
-        )
-        return certify_stability(sampled)[0]
-
-    best = None
-    for scale in sorted(scales):
-        rng = Generator(seed)
-        if all(sampled_loop_hurwitz(scale, rng) for _ in range(draws)):
-            best = scale
-    return best

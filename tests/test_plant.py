@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,21 @@ def friction_plant():
         C=np.array([[1.0, 0.0]]),
         P=np.array([[0.0], [1.0]]),
     )
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: dataclasses.replace(friction_plant(), x0=np.zeros(3)),
+     r"^x0 must have 2 entries, got \(3,\)"),
+    (lambda: dataclasses.replace(friction_plant(), x0=np.zeros(1)),
+     r"^x0 must have 2 entries, got \(1,\)"),
+    (lambda: Exosystem(S=ROT, w0=np.zeros(3)), r"^w0 must have 2 entries, got \(3,\)"),
+    (lambda: Exosystem(S=ROT, w0=np.zeros(0)), r"^w0 must have 2 entries, got \(0,\)"),
+], ids=["long x0", "short x0", "long w0", "empty w0"])
+def test_start_state_of_the_wrong_size(make, message):
+    # the start state lives on the plant and the exosystem, where both
+    # integrators read it
+    with pytest.raises(DimensionError, match=message):
+        make()
 
 
 def test_extend_rotation():

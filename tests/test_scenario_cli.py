@@ -10,6 +10,7 @@ import pytest
 
 from conftest import sensor_scenario_doc
 import neseek.cli
+import neseek.svgplot
 from neseek.cli import main
 from neseek.errors import ScenarioError, StaleControllerError
 from neseek.scenario import (
@@ -362,10 +363,12 @@ def test_svg_well_formed(tmp_path):
     assert out.read_text() == svg
 
 
-def test_svg_written_in_chunks_peaks_below_one_polyline(tmp_path):
-    # 5 series of 100k points: the file is the returned document byte for
-    # byte, yet writing it never holds even one polyline's points text
-    t = np.linspace(0.0, 100.0, 100_000)
+def test_svg_written_in_chunks_peaks_below_one_polyline(tmp_path, monkeypatch):
+    # 5 series of 6000 points in chunks of 64: the file is the returned
+    # document byte for byte, yet writing it never holds even one
+    # polyline's points text (the peak is flat in series length)
+    monkeypatch.setattr(neseek.svgplot, "CHUNK", 64)
+    t = np.linspace(0.0, 100.0, 6000)
     series = [np.exp(-k * t) * (1.5 + np.sin(7 * t)) for k in range(1, 6)]
     labels = [f"s{k}" for k in range(1, 6)]
     text = line_plot(t, series, labels, "long", "v")
@@ -753,6 +756,29 @@ def test_cli_sim_zero_horizon(tmp_path, capsys):
     # a single record still spans a time axis of unit width
     for plot in (svg, tmp_path / "empty.errors.svg"):
         ET.parse(plot)
+
+
+def test_cli_sim_perturbation_keeps_or_breaks_hurwitz(sensor_bundle, tmp_path, capsys):
+    # one draw per seed, its abscissa printed with no step taken: at scale
+    # 0.02 the loops of seeds 3-7 stay Hurwitz, at 100 the loop of seed 3
+    # does not
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+
+    def abscissa_line(scale, seed):
+        assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                     "--perturb-scale", str(scale), "--seed", str(seed),
+                     "--t-end", "0"]) == 0
+        assert len(out.read_text().splitlines()) == 2  # header and t = 0
+        return capsys.readouterr().err.splitlines()[0]
+
+    stable = [abscissa_line(0.02, seed).split() for seed in range(3, 8)]
+    assert all(len(words) == 3 and float(words[2]) < 0.0 for words in stable), stable
+    assert float(stable[0][2]) == pytest.approx(-0.513, abs=5e-4)
+    words = abscissa_line(100, 3).split()
+    assert words[3:] == ["(NOT", "Hurwitz)"]
+    assert float(words[2]) == pytest.approx(863.0, abs=0.05)
 
 
 def test_cli_sim_perturbed(tmp_path, capsys):
@@ -1145,6 +1171,64 @@ def test_cli_sim_unstable_step_map_of_a_certified_loop_exits_4(sensor_bundle,
     assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
                  "--dt", "0.47", "--t-end", "0.94"]) == 0
     capsys.readouterr()
+
+
+def test_cli_sim_step_too_small_to_contract_exits_4(sensor_bundle, tmp_path, capsys):
+    # at dt 1e-20, 1 + dt lam rounds to 1: the step map of the Hurwitz loop
+    # has radius 1 although dt is far below the largest stable step
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", "1e-20", "--t-end", "1e-18"]) == 4
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "error: the closed loop is Hurwitz but dt 1e-20 is too small for its RK4 "
+        "step map to contract in double precision (spectral radius 1); the "
+        "largest stable dt is 0.471007"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, t_end, message", [
+    # 10**15 + 1 records: their eight kept series alone would take 56.8 PiB
+    ("1e-13", "1e4", "t_end 10000.0 at dt 1e-13 is 1000000000000001 records"),
+    # past numpy's largest array size
+    ("1e-15", "1e6", "t_end 1000000.0 at dt 1e-15 is 9999999999999998691 records"),
+], ids=["beyond memory", "beyond numpy"])
+def test_cli_sim_unrecordable_horizon_exits_1(dt, t_end, message, sensor_bundle,
+                                              tmp_path, capsys):
+    # the step map contracts, but numpy cannot allocate the records: one
+    # error line, and no CSV, plot or temporary file
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+    before = sorted(tmp_path.iterdir())
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", dt, "--t-end", t_end, "--svg", str(tmp_path / "run.svg")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"error: {message}, more than can be allocated"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_synth_failed_write_keeps_the_earlier_bundle(tmp_path, capsys, monkeypatch):
+    # the disk fills partway through the bundle: the earlier bundle stays
+    # as it was, and no temporary file is left
+    argv = _synth_argv(tmp_path, "digraph", out="old.json")
+    assert main(argv) == 0
+    old = (tmp_path / "old.json").read_bytes()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+
+    def dump_until_full(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:24])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_until_full)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert captured.out == ""
+    assert (tmp_path / "old.json").read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _synth_argv(tmp_path, strategy, edit=None, out="c.json"):

@@ -195,12 +195,13 @@ def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
 
 
-@pytest.mark.parametrize("start", [{"z0": np.zeros(3)}, {"v0": np.zeros(1)}],
-                         ids=["z0", "v0"])
+@pytest.mark.parametrize("start", [lambda cl: np.zeros(3),
+                                   lambda cl: cl.initial_state()[None, :]],
+                         ids=["z0", "2-D z0"])
 def test_propagate_rejects_a_start_of_the_wrong_size(start, sensor_digraph):
     cl = sensor_digraph.cl
-    with pytest.raises(DimensionError, match=f"^z0/v0 must have dims {cl.dim_z}/{cl.dim_v}"):
-        next(propagate(cl, SimConfig(dt=1e-3, t_end=1e-3), **start))
+    with pytest.raises(DimensionError, match=f"^z0 must have {cl.dim_z} entries"):
+        next(propagate(cl, SimConfig(dt=1e-3, t_end=1e-3), z0=start(cl)))
 
 
 def test_divergence_in_a_later_blocks_first_record():
@@ -507,21 +508,12 @@ def _with(items, i, item):
     (lambda s: {"controllers": s.controllers + s.controllers[:1]},
      "controllers has 6 entries for 5 agents"),
     (lambda s: {"controllers": s.controllers[:4]}, "controllers has 4 entries for 5 agents"),
-    (lambda s: {"x0": [p.x0 for p in s.plants] + [np.zeros(4)]},
-     "x0 has 6 entries for 5 agents"),
-    (lambda s: {"x0": [p.x0 for p in s.plants[:4]]}, "x0 has 4 entries for 5 agents"),
-    (lambda s: {"w0": [e.w0 for e in s.exos[:4]]}, "w0 has 4 entries for 5 agents"),
-    (lambda s: {"x0": _with([p.x0 for p in s.plants], 1, np.zeros(3))},
-     r"x0\[2\] has shape \(3,\), plant 2 needs \(4,\)"),
-    (lambda s: {"w0": _with([e.w0 for e in s.exos], 2, np.zeros(3))},
-     r"w0\[3\] has shape \(3,\), exos\[3\] needs \(2,\)"),
     (lambda s: {"controllers": _with(s.controllers, 1, dataclasses.replace(
         s.controllers[1], K1=s.controllers[1].K1[:, :3]))},
      r"controllers\[2\] gain K1: shape \(2, 3\), plant implies \(2, 4\)"),
     (lambda s: {"exos": _with(s.exos, 4, Exosystem(S=np.zeros((3, 3)), w0=np.ones(3)))},
      r"exos\[5\] has dimension 3, plant 5 takes 2"),
 ], ids=["missing plant", "extra exosystem", "extra controller", "missing controller",
-        "extra x0", "missing x0", "missing w0", "short x0_2", "long w0_3",
         "K1 misfit", "exosystem misfit"])
 def test_distributed_checks_its_inputs(change, message, sensor_digraph):
     s = sensor_digraph

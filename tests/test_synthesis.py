@@ -33,7 +33,6 @@ from neseek.synthesis import (
     augmented_stabilizer,
     build_controller,
     certify_stability,
-    largest_stable_scale,
     observer_gain,
     solve_regulator,
     steady_state,
@@ -548,12 +547,6 @@ def test_steady_state_dynamics_residual(sensor_digraph):
         assert np.linalg.norm(
             z_dot[s.cl.x_slices[i]] - drift
         ) <= 1e-8
-
-
-def test_largest_stable_scale(sensor_digraph):
-    cl = sensor_digraph.cl
-    assert largest_stable_scale(cl, [0.01, 0.02], draws=5, seed=3) == 0.02
-    assert largest_stable_scale(cl, [100.0], draws=3, seed=3) is None
 
 
 @pytest.fixture(scope="module")
