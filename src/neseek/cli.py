@@ -16,6 +16,7 @@ A command that fails raises a typed error; ``main`` alone prints its one
 import argparse
 import contextlib
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -167,6 +168,7 @@ def cmd_ne(path):
 
 
 def cmd_synth(path, out, strategy=None):
+    _refuse_clobbering([("scenario file", path)], [("--out", out, "the bundle", out)])
     scn = load_scenario(path)
     strategy = strategy or scn.strategy
     _, failures = run_checks(scn, strategy)
@@ -215,6 +217,19 @@ def cmd_synth(path, out, strategy=None):
     return EXIT_OK
 
 
+def _refuse_clobbering(inputs, writes):
+    """Refuse, before anything is read, ``writes`` (flag, argument, what, path) onto a
+    directory or a path that ``inputs`` (name, path) or an earlier write holds."""
+    taken = {os.path.realpath(path): name for name, path in inputs}
+    for flag, arg, what, path in writes:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ScenarioError(f"{flag} {arg} would write {what} to {path}, the {taken[real]}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        taken[real] = f"{flag} file"
+
+
 @contextlib.contextmanager
 def _replacing(path):
     """Temporary path beside ``path``, moved onto it only on success.
@@ -244,13 +259,12 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     ):
         if value is not None and not ok(value):
             raise ScenarioError(f"{flag} must be {rule}, got {value!r}")
+    writes = [("--out", out, "the CSV", out)]
     if svg is not None:
         err_path = (svg[:-4] if svg.endswith(".svg") else svg) + ".errors.svg"
-        # the CSV and a plot on one path would share one temporary file
-        for plot in (svg, err_path):
-            if os.path.realpath(plot) == os.path.realpath(out):
-                raise ScenarioError(f"--svg {svg} would write a plot to {plot}, "
-                                    f"the --out file")
+        writes += [("--svg", svg, "a plot", plot) for plot in (svg, err_path)]
+    _refuse_clobbering([("scenario file", path), ("--controllers file", controllers_path)],
+                       writes)
     scn = load_scenario(path)
     bundle = load_controllers(controllers_path, scn)
     strategy, controllers = bundle["strategy"], bundle["controllers"]

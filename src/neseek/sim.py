@@ -9,6 +9,7 @@ distributed path runs the same stages agent by agent behind neighbor
 read gates and is the reference loop the stacked path is compared with.
 """
 
+import functools
 from dataclasses import dataclass
 from numbers import Real
 
@@ -18,7 +19,6 @@ from .errors import DimensionError, DivergenceError, DomainError, FirewallViolat
 from .game import assemble_pseudo_gradient, solve_ne
 from .graph import neighbors
 from .linalg import expm
-from .synthesis import STRATEGIES, _gain_mismatch
 
 __all__ = [
     "SimConfig",
@@ -68,6 +68,15 @@ class SimConfig:
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
+    @property
+    def n_records(self):
+        return -(-self.n_steps // self.record_stride) + 1
+
+    def record_step_range(self, start, stop):
+        """Steps of records start..stop-1; record k is at ``min(k * stride, n_steps)``."""
+        n, stride = self.n_steps, self.record_stride  # Python ints: k * stride is exact
+        return np.array([min(k * stride, n) for k in range(start, stop)], dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -106,14 +115,6 @@ BLOCK_ROWS = 64
 def _exo_steppers(S_hat, dt):
     E_half = expm(S_hat * (dt / 2.0))
     return E_half, E_half @ E_half
-
-
-def record_steps(n_steps, stride):
-    """Step indices recorded: 0, stride, 2*stride, ..., n_steps."""
-    steps = np.arange(0, n_steps + 1, stride)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    return steps
 
 
 # RK4's stability polynomial T4(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, ascending
@@ -179,27 +180,28 @@ def propagate(cl, cfg, z0=None):
     if z0.shape != (cl.dim_z,):
         raise DimensionError(f"z0 must have {cl.dim_z} entries, got {z0.shape}")
     dz = cl.dim_z
-    steps = record_steps(cfg.n_steps, cfg.record_stride)
-    jumps = np.diff(steps).tolist()  # jumps[k - 1] steps take record k-1 to k
     # huge gains may overflow M itself; the replay below reports the step
     with np.errstate(over="ignore", invalid="ignore"):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
-        powers = {n: np.linalg.matrix_power(M, n) for n in set(jumps)}
+    # two powers at most: the stride's, and the last record's partial stride's
+    power = functools.cache(lambda n: np.linalg.matrix_power(M, n))
     x = np.concatenate([z0, cl.v0])
-    for start in range(0, len(steps), BLOCK_ROWS):
-        block = np.empty((min(BLOCK_ROWS, len(steps) - start), x.size))
-        prev = x  # the record before the block
-        r = 0
-        if start == 0:
-            block[0] = x
-            r = 1
+    last = 0  # the step of the record before the block
+    for start in range(0, cfg.n_records, BLOCK_ROWS):
+        steps = cfg.record_step_range(start, min(start + BLOCK_ROWS, cfg.n_records))
+        jumps = np.diff(steps, prepend=last).tolist()  # steps from the record before
+        last = steps[-1]
+        block = np.empty((len(steps), x.size))
+        # the record before the block; the first block starts with it
+        prev = block[0] = x
+        r = 1 if start == 0 else 0
         # errors stay ignored only while the block is computed, never
         # while its consumer runs
         with np.errstate(over="ignore", invalid="ignore"):
             while r < len(block):
                 # propagate the rest of the block, then test its z-part once
                 for j in range(r, len(block)):
-                    x = block[j] = powers[jumps[start + j - 1]] @ x
+                    x = block[j] = power(jumps[j]) @ x
                 finite = np.isfinite(block[r:, :dz]).all(axis=1)
                 if finite.all():
                     break
@@ -207,8 +209,7 @@ def propagate(cl, cfg, z0=None):
                 # overflowed: replay its stride one step at a time
                 r += int(np.argmin(finite))
                 x = block[r - 1] if r else prev
-                k = start + r
-                for step in range(int(steps[k - 1]) + 1, int(steps[k]) + 1):
+                for step in range(int(steps[r]) - jumps[r] + 1, int(steps[r]) + 1):
                     x = M @ x
                     if not np.isfinite(x[:dz]).all():
                         raise DivergenceError(
@@ -217,7 +218,7 @@ def propagate(cl, cfg, z0=None):
                         )
                 block[r] = x
                 r += 1
-        yield steps[start:start + len(block)] * cfg.dt, block
+        yield steps * cfg.dt, block
 
 
 def block_outputs(cl, X):
@@ -319,34 +320,21 @@ def _agent_rate(plant, cost, c, view, observer_mode):
     return rate
 
 
-def _check_agents(N, plants, exos, controllers):
-    """Raise DimensionError naming the first argument that does not fit N agents."""
-    for name, items in (("plants", plants), ("exos", exos), ("controllers", controllers)):
-        if len(items) != N:
-            raise DimensionError(f"{name} has {len(items)} entries for {N} agents")
-    for i, (p, e, c) in enumerate(zip(plants, exos, controllers), start=1):
-        bad = _gain_mismatch(c, p)
-        if bad:
-            raise DimensionError(f"controllers[{i}] gain {bad}")
-        if e.q != p.q:
-            raise DimensionError(f"exos[{i}] has dimension {e.q}, plant {i} takes {p.q}")
+def simulate_distributed(cl, cfg):
+    """Integrate the loop of ``cl`` agent by agent behind NeighborView read gates.
 
-
-def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
-    """Integrate agent-by-agent behind NeighborView read gates.
-
+    Reads the game, plants, exosystems, controllers and strategy that
+    ``assemble_closed_loop`` checked, never the matrices it built.
     Agent i's state is ``[x_i; xi_i; zeta_i]``, started at its plant's
     ``x0`` with zero controller state; its exosystem starts at ``w0``.
     Each stage first broadcasts every agent's y_i (and C_i xi_i for the
     general strategy), then evaluates each agent's rate from its own
-    state plus gated neighbor reads only.  Matches simulate() on the
-    assembled stacked system within 1e-9 per sample.
+    state plus gated neighbor reads only.  Matches simulate() within
+    1e-9 per sample.
     """
-    if strategy not in STRATEGIES:
-        raise DimensionError(f"unknown strategy kind {strategy!r}")
-    observer_mode = strategy == "general"
+    game, plants, exos, controllers = cl.game, cl.plants, cl.exos, cl.controllers
+    observer_mode = cl.strategy == "general"
     N = game.graph.agent_count
-    _check_agents(N, plants, exos, controllers)
 
     # read gates over output buffers that every stage refills in place
     ys = [None] * N
@@ -368,13 +356,11 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
             cxis[:] = [p.C @ s[n:2 * n] for p, s, n in zip(plants, states, ns)]
         return [f(s, w, y) for f, s, w, y in zip(rates, states, ws, ys)]
 
-    steps = record_steps(cfg.n_steps, cfg.record_stride)
-    rec_set = set(steps.tolist())
     s = [np.concatenate([p.x0, np.zeros(c.ctrl_dim)]) for p, c in zip(plants, controllers)]
     w = [e.w0 for e in exos]
     rec_s, rec_w = [s], [w]
-    dt = cfg.dt
-    for k in range(1, cfg.n_steps + 1):
+    dt, n_steps, stride = cfg.dt, cfg.n_steps, cfg.record_stride
+    for k in range(1, n_steps + 1):
         # an overflowing step is reported by the finiteness test below
         with np.errstate(over="ignore", invalid="ignore"):
             wh = [E @ wi for E, wi in zip(E_halfs, w)]
@@ -389,7 +375,7 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
         if not all(np.isfinite(si[:n]).all() for si, n in zip(s, ns)):
             raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",
                                   t_bad=k * dt)
-        if k in rec_set:
+        if k % stride == 0 or k == n_steps:
             rec_s.append(s)
             rec_w.append(w)
 
@@ -400,7 +386,8 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
     pg = assemble_pseudo_gradient(game)
     e_full = np.hstack(y) @ pg.Rbar.T + pg.Qbar
     return Trajectory(
-        times=steps * dt, x=x, ctrl=tuple(Si[:, n:] for Si, n in zip(S, ns)),
+        times=cfg.record_step_range(0, cfg.n_records) * dt,
+        x=x, ctrl=tuple(Si[:, n:] for Si, n in zip(S, ns)),
         y=y, e=tuple(e_full[:, off[i]:off[i + 1]] for i in range(N)),
         w=tuple(np.array(a) for a in zip(*rec_w)), y_star=solve_ne(pg),
     )
@@ -462,13 +449,11 @@ def write_records(cl, cfg, fh):
     and DomainError when the kept rows cannot be allocated.
     """
     y_star = solve_ne(assemble_pseudo_gradient(cl.game))
-    # counted, not listed, so that a horizon of more records than numpy
-    # can allocate fails here, before a record is taken
-    n_records = -(-cfg.n_steps // cfg.record_stride) + 1
+    # a horizon of more records than can be allocated fails before a record is taken
     try:
-        kept = np.empty((3 + len(cl.out_slices), n_records))
+        kept = np.empty((3 + len(cl.out_slices), cfg.n_records))
     except (MemoryError, ValueError):
-        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {n_records} "
+        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_records} "
                           "records, more than can be allocated") from None
     cols = ["t"]
     widths = [sl.stop - sl.start for sl in cl.out_slices]

@@ -825,11 +825,9 @@ def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
 
     scn = load_scenario(path)
     assert all(p.dA.any() and p.dC.any() for p in scn.plants)
-    ref = simulate_distributed(
-        scn.game, scn.plants, scn.exos,
-        load_controllers(ctrl, scn)["controllers"], "general",
-        scn.sim,
-    )
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
+                              load_controllers(ctrl, scn)["controllers"], "general")
+    ref = simulate_distributed(cl, scn.sim)
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     y = rows[:, 1:1 + ref.y_stacked().shape[1]]
     assert np.allclose(rows[:, 0], ref.times, atol=1e-12)
@@ -1100,6 +1098,62 @@ def test_cli_sim_refuses_a_plot_on_the_out_path(out_name, svg_name, plot_name,
     assert capsys.readouterr().err.splitlines() == [
         f"error: --svg {svg} would write a plot to {plot}, the --out file"]
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("out_name, svg_name, directory", [
+    ("out.csv", "p.svg", "out.csv"),
+    ("run.csv", "plot.svg", "plot.svg"),
+    ("run.csv", "plot.svg", "plot.errors.svg"),
+], ids=["--out", "gap plot", "errors plot"])
+def test_cli_sim_refuses_a_directory_output_before_computing(out_name, svg_name, directory,
+                                                             sensor_bundle, tmp_path, capsys):
+    # a failed run leaves no plot: an output path that is a directory is
+    # refused with the error its write would raise, before anything is run
+    scenario, bundle = sensor_bundle
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(bundle))
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(tmp_path / out_name),
+                 "--t-end", "1", "--svg", str(tmp_path / svg_name)]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 21] Is a directory: '{tmp_path / directory}'"]
+
+
+@pytest.mark.parametrize("command, flag, target, message", [
+    ("synth", "--out", "scenario", "--out {path} would write the bundle to {path}, "
+                                   "the scenario file"),
+    ("sim", "--out", "ctrl", "--out {path} would write the CSV to {path}, "
+                             "the --controllers file"),
+    ("sim", "--out", "scenario", "--out {path} would write the CSV to {path}, "
+                                 "the scenario file"),
+    ("sim", "--svg", "ctrl", "--svg {path} would write a plot to {path}, "
+                             "the --controllers file"),
+], ids=["synth onto its scenario", "sim onto its bundle", "sim onto its scenario",
+        "sim plot onto its bundle"])
+def test_cli_refuses_to_write_onto_an_input(command, flag, target, message,
+                                            sensor_bundle, tmp_path, capsys):
+    # an output resolving to an input is refused before anything is read,
+    # and the input stays byte-identical
+    scenario, bundle = sensor_bundle
+    inputs = {"scenario": tmp_path / "scenario.json", "ctrl": tmp_path / "ctrl.json"}
+    inputs["scenario"].write_bytes(open(scenario, "rb").read())
+    inputs["ctrl"].write_text(json.dumps(bundle))
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / ".." / inputs[target].name
+    argv = [command, str(inputs["scenario"])]
+    if command == "sim":
+        argv += ["--controllers", str(inputs["ctrl"])]
+    for name, value in {"--out": tmp_path / "run.csv", flag: path}.items():
+        argv += [name, str(value)]
+    before = {p: p.read_bytes() for p in inputs.values()}
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: " + message.format(path=path)]
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in inputs.values()} == before
+    assert sorted(tmp_path.iterdir()) == sorted([*inputs.values(), tmp_path / "sub"])
 
 
 def test_cli_sim_peak_memory_stays_below_one_record_array(tmp_path, capsys):

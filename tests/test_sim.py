@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -204,6 +205,26 @@ def test_propagate_rejects_a_start_of_the_wrong_size(start, sensor_digraph):
         next(propagate(cl, SimConfig(dt=1e-3, t_end=1e-3), z0=start(cl)))
 
 
+def first_block_peak(cl, cfg):
+    """tracemalloc peak of computing the first block of ``propagate``."""
+    tracemalloc.start()
+    try:
+        next(propagate(cl, cfg))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_block_memory_is_flat_in_the_record_count(sensor_digraph):
+    # the record schedule is computed a block at a time: the first block
+    # of 10^6 records costs what the first block of 10^4 does
+    cl = sensor_digraph.cl
+    first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0))  # one-time allocations
+    small = first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0))
+    large = first_block_peak(cl, SimConfig(dt=1e-3, t_end=1000.0))
+    assert large <= 2 * small, (large, small)
+
+
 def test_divergence_in_a_later_blocks_first_record():
     # the record holding the first non-finite step opens a block, so
     # its stride is replayed from the last record of the block before
@@ -222,7 +243,7 @@ def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
     with pytest.raises(DivergenceError) as stacked:
         simulate(s.cl, cfg)
     with pytest.raises(DivergenceError) as distributed:
-        simulate_distributed(s.game, s.plants, s.exos, s.controllers, "digraph", cfg)
+        simulate_distributed(s.cl, cfg)
     assert abs(stacked.value.t_bad - distributed.value.t_bad) <= cfg.dt
 
 
@@ -390,7 +411,7 @@ def test_distributed_single_agent_matches_stacked():
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(game, (plant,), (exo,), (c,), "digraph", cfg)
+    tr_dist = simulate_distributed(cl, cfg)
     # Same arithmetic, different loop organization: agreement to within
     # a few ulp of accumulated reordering.
     assert np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked())) \
@@ -399,22 +420,13 @@ def test_distributed_single_agent_matches_stacked():
         <= 1e-12
 
 
-def test_distributed_rejects_unknown_strategy(sensor_digraph):
-    s = sensor_digraph
-    with pytest.raises(DimensionError) as err:
-        simulate_distributed(s.game, s.plants, s.exos, s.controllers,
-                             "centralized", SimConfig(dt=1e-3, t_end=1e-3))
-    assert "centralized" in str(err.value)
-
-
 @pytest.mark.parametrize("strategy", ["digraph", "general"])
 def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
                                             sensor_general):
     s = sensor_digraph if strategy == "digraph" else sensor_general
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=100)
     tr_stacked = simulate(s.cl, cfg)
-    tr_dist = simulate_distributed(s.game, s.plants, s.exos,
-                                   s.controllers, strategy, cfg)
+    tr_dist = simulate_distributed(s.cl, cfg)
     dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
     de = np.max(np.abs(tr_dist.e_stacked() - tr_stacked.e_stacked()))
     assert dy <= 1e-9
@@ -480,48 +492,26 @@ def _hetero_loop(strategy):
     return game, plants, exos, controllers
 
 
-@pytest.mark.parametrize("strategy", ["digraph", "general"])
-def test_distributed_matches_stacked_heterogeneous(strategy):
+# 2000 steps at stride 70 end on a partial stride of 40
+@pytest.mark.parametrize("strategy, stride", [
+    ("digraph", 50), ("general", 50), ("general", 70),
+], ids=["digraph", "general", "general, partial stride"])
+def test_distributed_matches_stacked_heterogeneous(strategy, stride):
     game, plants, exos, controllers = _hetero_loop(strategy)
     cl = assemble_closed_loop(game, plants, exos, controllers, strategy)
     assert np.array_equal(cl.C_c, assemble_pseudo_gradient(game).Rbar @ cl.C_out)
     assert certify_stability(cl)[0]
-    cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
+    cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=stride)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(game, plants, exos, controllers, strategy, cfg)
+    tr_dist = simulate_distributed(cl, cfg)
+    assert np.array_equal(tr_dist.times, tr_stacked.times)
+    assert tr_dist.times[-1] == 2.0
     for name in ("x", "y", "e", "w"):
         got, want = np.hstack(getattr(tr_dist, name)), np.hstack(getattr(tr_stacked, name))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-9, name
     # states stay O(1), so the 1e-9 bound is a relative one too
     assert np.max(np.abs(np.hstack(tr_stacked.x))) < 10.0
-
-
-def _with(items, i, item):
-    """``items`` with entry ``i`` (0-based) replaced."""
-    return [item if k == i else v for k, v in enumerate(items)]
-
-
-@pytest.mark.parametrize("change, message", [
-    (lambda s: {"plants": s.plants[:4]}, "plants has 4 entries for 5 agents"),
-    (lambda s: {"exos": s.exos + s.exos[:1]}, "exos has 6 entries for 5 agents"),
-    (lambda s: {"controllers": s.controllers + s.controllers[:1]},
-     "controllers has 6 entries for 5 agents"),
-    (lambda s: {"controllers": s.controllers[:4]}, "controllers has 4 entries for 5 agents"),
-    (lambda s: {"controllers": _with(s.controllers, 1, dataclasses.replace(
-        s.controllers[1], K1=s.controllers[1].K1[:, :3]))},
-     r"controllers\[2\] gain K1: shape \(2, 3\), plant implies \(2, 4\)"),
-    (lambda s: {"exos": _with(s.exos, 4, Exosystem(S=np.zeros((3, 3)), w0=np.ones(3)))},
-     r"exos\[5\] has dimension 3, plant 5 takes 2"),
-], ids=["missing plant", "extra exosystem", "extra controller", "missing controller",
-        "K1 misfit", "exosystem misfit"])
-def test_distributed_checks_its_inputs(change, message, sensor_digraph):
-    s = sensor_digraph
-    args = {"plants": s.plants, "exos": s.exos, "controllers": s.controllers,
-            **change(s)}
-    with pytest.raises(DimensionError, match=message):
-        simulate_distributed(s.game, strategy="digraph",
-                             cfg=SimConfig(dt=1e-3, t_end=1e-3), **args)
 
 
 @pytest.mark.parametrize("edges, abscissa", [
@@ -536,8 +526,7 @@ def test_general_strategy_on_digraphs(edges, abscissa):
     assert np.max(np.abs(y_ss - s.y_star)) <= 1e-6
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(s.cl, cfg)
-    tr_dist = simulate_distributed(s.game, s.plants, s.exos, s.controllers,
-                                   "general", cfg)
+    tr_dist = simulate_distributed(s.cl, cfg)
     for field in ("x", "y", "e", "w"):
         for a, b in zip(getattr(tr_stacked, field), getattr(tr_dist, field)):
             assert np.max(np.abs(a - b)) <= 1e-9
@@ -554,8 +543,7 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
                               "general")
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(s.game, bumped, s.exos, s.controllers,
-                                   "general", cfg)
+    tr_dist = simulate_distributed(cl, cfg)
     dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
     assert dy <= 1e-9
 

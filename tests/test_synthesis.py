@@ -337,12 +337,31 @@ def test_assemble_rejects_output_dimension_mismatch():
         assemble_closed_loop(wide_game, (plant,), (exo,), (c,), "digraph")
 
 
+def _misfit_K1(controllers, i):
+    """``controllers`` with agent i's K1 one column short."""
+    return [dataclasses.replace(c, K1=c.K1[:, :-1]) if k == i else c
+            for k, c in enumerate(controllers, start=1)]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda s: assemble_closed_loop(s.game, s.plants[:4], s.exos, s.controllers, "digraph"),
      "^plants, exosystems, controllers must match agent count$"),
+    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos + s.exos[:1], s.controllers,
+                                    "digraph"),
+     "^plants, exosystems, controllers must match agent count$"),
+    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos,
+                                    s.controllers + s.controllers[:1], "digraph"),
+     "^plants, exosystems, controllers must match agent count$"),
+    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos, s.controllers[:4], "digraph"),
+     "^plants, exosystems, controllers must match agent count$"),
+    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos, _misfit_K1(s.controllers, 2),
+                                    "digraph"),
+     r"^agent 2: controller gain K1: shape \(2, 3\), plant implies \(2, 4\)$"),
     (lambda s: steady_state(s.reg, s.cl, s.cl.v0[:-1]),
      r"^v must have \d+ entries, got \(\d+,\)$"),
-], ids=["assemble: four plants for five agents", "steady_state: short v"])
+], ids=["assemble: four plants for five agents", "assemble: six exosystems for five agents",
+        "assemble: six controllers for five agents", "assemble: four controllers for five agents",
+        "assemble: agent 2's K1 one column short", "steady_state: short v"])
 def test_loop_inputs_of_the_wrong_size(call, message, sensor_digraph):
     with pytest.raises(DimensionError, match=message):
         call(sensor_digraph)
