@@ -278,10 +278,8 @@ def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
     plants = scn.plants
     if perturb_scale is not None:
         rng = Generator(seed)
-        plants = tuple(
-            p.with_perturbation(**sample_perturbation(p, perturb_scale, rng))
-            for p in plants
-        )
+        plants = tuple(dataclasses.replace(p, **sample_perturbation(p, perturb_scale, rng))
+                       for p in plants)
 
     # overflowing gains are reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,29 +3,15 @@
 The internal model of an extended exosystem S_tilde is one companion
 pair (beta, sigma) of its minimal polynomial, replicated once per output
 channel: G1 = blockdiag(beta, ..., beta), G2 = blockdiag(sigma, ..., sigma).
+The pair (G1, G2) is the model; s and p follow from the shapes.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError
 
-__all__ = ["InternalModel", "companion_pair", "build_p_copy", "verify_internal_model"]
-
-
-@dataclass(frozen=True)
-class InternalModel:
-    G1: np.ndarray
-    G2: np.ndarray
-    s: int
-    p: int
-
-    def block(self, k):
-        """k-th (beta, sigma) copy, 0-based."""
-        rows = slice(k * self.s, (k + 1) * self.s)
-        return self.G1[rows, rows], self.G2[rows, k:k + 1]
+__all__ = ["companion_pair", "build_p_copy", "verify_internal_model"]
 
 
 def companion_pair(minpoly):
@@ -52,15 +38,11 @@ def companion_pair(minpoly):
 
 
 def build_p_copy(S_tilde, p):
-    """Internal model of ``S_tilde`` with one companion copy per channel."""
+    """Internal model ``(G1, G2)`` of ``S_tilde``, one companion copy per channel."""
     if p < 1:
         raise DimensionError("p must be at least 1")
-    coeffs = linalg.minimal_polynomial(S_tilde)
-    beta, sigma = companion_pair(coeffs)
-    s = beta.shape[0]
-    G1 = np.kron(np.eye(p), beta)
-    G2 = np.kron(np.eye(p), sigma)
-    return InternalModel(G1=G1, G2=G2, s=s, p=p)
+    beta, sigma = companion_pair(linalg.minimal_polynomial(S_tilde))
+    return np.kron(np.eye(p), beta), np.kron(np.eye(p), sigma)
 
 
 def _controllable(beta, sigma):
@@ -69,20 +51,22 @@ def _controllable(beta, sigma):
     return linalg.rank(krylov) == s
 
 
-def verify_internal_model(im, S_tilde):
+def verify_internal_model(G1, G2, S_tilde):
     """Does (G1, G2) incorporate a p-copy internal model of S_tilde?
 
-    True iff every diagonal block's characteristic polynomial matches
-    minimal_polynomial(S_tilde) coefficient-wise within 1e-8 and every
-    (beta, sigma) pair is controllable.
+    p is the column count of G2 and s the degree of
+    minimal_polynomial(S_tilde).  True iff the shapes fit and every
+    diagonal block's characteristic polynomial matches that polynomial
+    coefficient-wise within 1e-8 and every (beta, sigma) pair is
+    controllable.
     """
     want = linalg.minimal_polynomial(S_tilde)
-    if im.G1.shape != (im.p * im.s, im.p * im.s) or im.G2.shape != (im.p * im.s, im.p):
+    s, p = want.size - 1, G2.shape[1]
+    if G1.shape != (p * s, p * s) or G2.shape != (p * s, p):
         return False
-    if want.size - 1 != im.s:
-        return False
-    for k in range(im.p):
-        beta, sigma = im.block(k)
+    for k in range(p):
+        rows = slice(k * s, (k + 1) * s)
+        beta, sigma = G1[rows, rows], G2[rows, k:k + 1]
         # np.poly returns descending coefficients; compare ascending monic
         char = np.poly(beta)[::-1]
         if np.max(np.abs(char - want)) > 1e-8:

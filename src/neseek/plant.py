@@ -5,11 +5,11 @@ Each agent is an uncertain LTI system
     xdot_i = A_i(mu) x_i + B_i(mu) u_i + P_i(mu) w_i,   y_i = C_i(mu) x_i
 
 with A_i(mu) = A_i + dA_i and so on, driven by an autonomous exosystem
-wdot_i = S_i w_i.  The extended exosystem appends a constant channel so
-the affine cost term becomes exogenous.
+wdot_i = S_i w_i.  An exosystem's ``S_tilde`` and ``v0`` append a
+constant channel so the affine cost term becomes exogenous.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .errors import DimensionError, DomainError
 __all__ = [
     "AgentPlant",
     "Exosystem",
-    "ExtendedExosystem",
-    "extend_exosystem",
     "check_assumption_2",
     "check_assumption_3",
     "check_assumption_4",
@@ -112,16 +110,6 @@ class AgentPlant:
     def P_mu(self):
         return self.P + self.dP
 
-    def with_perturbation(self, dA=None, dB=None, dC=None, dP=None):
-        """Copy of the plant with the given perturbation matrices."""
-        return replace(
-            self,
-            dA=self.dA if dA is None else dA,
-            dB=self.dB if dB is None else dB,
-            dC=self.dC if dC is None else dC,
-            dP=self.dP if dP is None else dP,
-        )
-
 
 @dataclass(frozen=True)
 class Exosystem:
@@ -149,22 +137,14 @@ class Exosystem:
     def q(self):
         return self.S.shape[0]
 
+    # the constant channel appended: S_tilde = blockdiag(S, 0), v0 = (w0, 1)
+    @property
+    def S_tilde(self):
+        return np.pad(self.S, ((0, 1), (0, 1)))
 
-@dataclass(frozen=True)
-class ExtendedExosystem:
-    """S with an appended constant channel: S_tilde = blockdiag(S, 0)."""
-
-    S_tilde: np.ndarray
-    v0: np.ndarray
-
-
-def extend_exosystem(exo):
-    """Append the constant channel: S_tilde = blockdiag(S, 0), v0 = (w0, 1)."""
-    q = exo.q
-    S_tilde = np.zeros((q + 1, q + 1))
-    S_tilde[:q, :q] = exo.S
-    v0 = np.append(exo.w0, 1.0)
-    return ExtendedExosystem(S_tilde=S_tilde, v0=v0)
+    @property
+    def v0(self):
+        return np.append(self.w0, 1.0)
 
 
 def check_assumption_2(exo):
@@ -270,9 +250,9 @@ def check_scaled_rank(plant, exo, D):
 def sample_perturbation(plant, scale, rng):
     """Entrywise-uniform perturbation dict for all four plant matrices.
 
-    Entries are drawn from scale * U(-1, 1); pass the result to
-    AgentPlant.with_perturbation.  Robustness certificates decide after
-    the fact whether a draw kept the loop Hurwitz.
+    Entries are drawn from scale * U(-1, 1); apply a draw with
+    ``dataclasses.replace(plant, **draw)``.  Robustness certificates
+    decide after the fact whether a draw kept the loop Hurwitz.
     """
     return {
         "dA": scale * rng.uniform(-1.0, 1.0, size=plant.A.shape),

@@ -53,6 +53,8 @@ class SimConfig:
         if 0 < t_end < dt:
             raise DomainError(f"t_end {t_end!r} is shorter than dt {dt!r}")
         steps = t_end / dt
+        if not steps < np.inf:
+            raise DomainError(f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count")
         nearest = float(np.rint(steps))
         if not abs(steps - nearest) <= 1e-9 * steps:
             raise DomainError(
@@ -174,11 +176,14 @@ def propagate(cl, cfg, z0=None):
     only once its z-part is finite; otherwise DivergenceError names the
     first step whose state is non-finite, which is how an unstable
     assembly surfaces.  Only the current block and the record before it
-    are held.
+    are held.  A horizon of more steps than an int64 holds raises DomainError.
     """
     z0 = cl.initial_state() if z0 is None else np.asarray(z0, dtype=float)
     if z0.shape != (cl.dim_z,):
         raise DimensionError(f"z0 must have {cl.dim_z} entries, got {z0.shape}")
+    if cfg.n_steps > np.iinfo(np.int64).max:
+        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_steps} steps, "
+                          "more than an int64 can count")
     dz = cl.dim_z
     # huge gains may overflow M itself; the replay below reports the step
     with np.errstate(over="ignore", invalid="ignore"):

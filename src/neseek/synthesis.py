@@ -29,12 +29,7 @@ from .errors import AssumptionError, DimensionError, SynthesisError
 from .game import assemble_pseudo_gradient
 from .graph import check_acyclic, check_connected
 from .internal_model import build_p_copy
-from .plant import (
-    _pbh_witnesses,
-    _regulation_pencil_rank_ok,
-    _unique,
-    extend_exosystem,
-)
+from .plant import _pbh_witnesses, _regulation_pencil_rank_ok, _unique
 
 __all__ = [
     "STRATEGIES",
@@ -207,7 +202,7 @@ def observer_gain(A, Cw, q_scale=1.0, r_scale=1.0):
     return -K_dual.T
 
 
-def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
+def augmented_stabilizer(A, B, Cw, G1, G2, q_state=1.0, q_im=1.0, r_scale=1.0):
     """Stabilizing gain [K1 K2] for the plant/internal-model cascade.
 
     The design pair is ([A 0; G2 Cw G1], [B; 0]); its stabilizability
@@ -219,10 +214,10 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Cw = np.atleast_2d(np.asarray(Cw, dtype=float))
     n, m = B.shape
-    v = im.G1.shape[0]
+    v = G1.shape[0]
 
     failures = [
-        lam for lam in _unique(linalg.eigenvalues(im.G1))
+        lam for lam in _unique(linalg.eigenvalues(G1))
         if not _regulation_pencil_rank_ok(A, B, Cw, lam)
     ]
     if failures:
@@ -231,7 +226,7 @@ def augmented_stabilizer(A, B, Cw, im, q_state=1.0, q_im=1.0, r_scale=1.0):
             + ", ".join(f"{lam:.6g}" for lam in failures)
         )
 
-    A_aug = np.block([[A, np.zeros((n, v))], [im.G2 @ Cw, im.G1]])
+    A_aug = np.block([[A, np.zeros((n, v))], [G2 @ Cw, G1]])
     B_aug = np.vstack([B, np.zeros((v, m))])
     Qw = np.block([[_weight(n, q_state), np.zeros((n, v))],
                    [np.zeros((v, n)), _weight(v, q_im)]])
@@ -255,13 +250,13 @@ def build_controller(plant, cost, exo, weights=None):
             f"cost output dimension {Rw.shape[0]} != plant output dimension {plant.p}"
         )
     Cw = Rw @ plant.C
-    im = build_p_copy(extend_exosystem(exo).S_tilde, plant.p)
+    G1, G2 = build_p_copy(exo.S_tilde, plant.p)
     L = observer_gain(plant.A, Cw, weights.observer_q, weights.observer_r)
     K1, K2 = augmented_stabilizer(
-        plant.A, plant.B, Cw, im,
+        plant.A, plant.B, Cw, G1, G2,
         weights.stabilizer_q_state, weights.stabilizer_q_im, weights.stabilizer_r,
     )
-    return Controller(L=L, G1=im.G1, G2=im.G2, K1=K1, K2=K2)
+    return Controller(L=L, G1=G1, G2=G2, K1=K1, K2=K2)
 
 
 def _offsets(dims):
@@ -326,9 +321,8 @@ def _assemble(game, plants, exos, controllers, strategy_kind):
         Q_c[out, vi.stop - 1] = pg.Qbar[out]
         P_c[xi, vi] = c.L @ Q_c[out, vi]
         P_c[zeta, vi] = c.G2 @ Q_c[out, vi]
-        ext = extend_exosystem(exo)
-        S_hat[vi, vi] = ext.S_tilde
-        v0[vi] = ext.v0
+        S_hat[vi, vi] = exo.S_tilde
+        v0[vi] = exo.v0
 
     return dict(
         A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,

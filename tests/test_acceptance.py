@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line;
 each test fails if its criterion (including the runtime budget) fails.
 """
 
+import dataclasses
 import json
 import time
 
@@ -17,7 +18,6 @@ from neseek.linalg import minimal_polynomial
 from neseek.plant import (
     check_assumption_4,
     check_scaled_rank,
-    extend_exosystem,
     sample_perturbation,
 )
 from neseek.sim import SimConfig, simulate, simulate_distributed
@@ -128,7 +128,7 @@ def test_criterion_05_robust_convergence_sampling():
         for _ in range(10):
             perts = [sample_perturbation(p, scale, rng) for p in b.plants]
             plants_mu = tuple(
-                p.with_perturbation(**d) for p, d in zip(b.plants, perts)
+                dataclasses.replace(p, **d) for p, d in zip(b.plants, perts)
             )
             cl_mu = assemble_closed_loop(
                 b.game, plants_mu, b.exos, b.controllers, strategy
@@ -165,17 +165,18 @@ def test_criterion_06_strategy_gates(tmp_path, capsys):
 
 
 def test_criterion_07_internal_model_properties():
-    S_hat = extend_exosystem(sensor_exos()[0]).S_tilde
+    S_hat = sensor_exos()[0].S_tilde
     want = minimal_polynomial(S_hat)
     s = want.size - 1
     ok = True
     details = []
     for p in (1, 2, 3):
-        im = build_p_copy(S_hat, p)
-        ok &= im.G1.shape == (p * s, p * s)
-        ok &= verify_internal_model(im, S_hat)
+        G1, G2 = build_p_copy(S_hat, p)
+        ok &= G1.shape == (p * s, p * s) and G2.shape == (p * s, p)
+        ok &= verify_internal_model(G1, G2, S_hat)
         for k in range(p):
-            beta, sigma = im.block(k)
+            rows = slice(k * s, (k + 1) * s)
+            beta, sigma = G1[rows, rows], G2[rows, k:k + 1]
             char = np.poly(beta)[::-1]
             ok &= float(np.max(np.abs(char - want))) <= 1e-8
             krylov = np.hstack(
@@ -183,9 +184,9 @@ def test_criterion_07_internal_model_properties():
             )
             ok &= np.linalg.matrix_rank(krylov) == s
     details.append(f"dim {s} per copy")
-    im0 = build_p_copy(np.zeros((1, 1)), 2)
-    ok &= np.array_equal(im0.G1, np.zeros((2, 2)))
-    ok &= np.array_equal(im0.G2, np.eye(2))
+    G1, G2 = build_p_copy(np.zeros((1, 1)), 2)
+    ok &= np.array_equal(G1, np.zeros((2, 2)))
+    ok &= np.array_equal(G2, np.eye(2))
     details.append("constant-only model is (0, I)")
     report(7, "internal-model structure", ok, ", ".join(details))
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from neseek.errors import DomainError
-from neseek.internal_model import (
-    InternalModel,
-    build_p_copy,
-    companion_pair,
-    verify_internal_model,
-)
+from neseek.internal_model import build_p_copy, companion_pair, verify_internal_model
 from neseek.linalg import minimal_polynomial
 
 OMEGA = np.pi / 10.0
@@ -60,31 +55,31 @@ def test_companion_controllable():
 
 
 def test_p_copy_constant_only():
-    im = build_p_copy(np.zeros((1, 1)), 2)
-    assert np.array_equal(im.G1, np.zeros((2, 2)))
-    assert np.array_equal(im.G2, np.eye(2))
-    assert im.s == 1
+    G1, G2 = build_p_copy(np.zeros((1, 1)), 2)
+    assert np.array_equal(G1, np.zeros((2, 2)))
+    assert np.array_equal(G2, np.eye(2))
+    # s = 1 copy state per channel
+    assert G1.shape[0] // G2.shape[1] == 1
 
 
 def test_p_copy_scalar_constant():
-    im = build_p_copy(np.zeros((1, 1)), 1)
-    assert np.array_equal(im.G1, [[0.0]])
-    assert np.array_equal(im.G2, [[1.0]])
+    G1, G2 = build_p_copy(np.zeros((1, 1)), 1)
+    assert np.array_equal(G1, [[0.0]])
+    assert np.array_equal(G2, [[1.0]])
 
 
 def test_p_copy_sensor_exosystem():
-    im = build_p_copy(sensor_s_tilde(), 2)
-    assert im.G1.shape == (6, 6)
-    assert im.G2.shape == (6, 2)
-    assert im.s == 3
+    G1, G2 = build_p_copy(sensor_s_tilde(), 2)
+    assert G1.shape == (6, 6)
+    assert G2.shape == (6, 2)
     beta, _ = companion_pair([0.0, OMEGA**2, 0.0, 1.0])
-    assert np.allclose(im.G1[:3, :3], beta, atol=1e-12)
-    assert np.allclose(im.G1[3:, 3:], beta, atol=1e-12)
-    assert np.array_equal(im.G1[:3, 3:], np.zeros((3, 3)))
+    assert np.allclose(G1[:3, :3], beta, atol=1e-12)
+    assert np.allclose(G1[3:, 3:], beta, atol=1e-12)
+    assert np.array_equal(G1[:3, 3:], np.zeros((3, 3)))
     # G2 keeps the per-channel unit columns.
-    assert np.array_equal(im.G2[:3, 0], [0.0, 0.0, 1.0])
-    assert np.array_equal(im.G2[3:, 1], [0.0, 0.0, 1.0])
-    assert np.array_equal(im.G2[:3, 1], np.zeros(3))
+    assert np.array_equal(G2[:3, 0], [0.0, 0.0, 1.0])
+    assert np.array_equal(G2[3:, 1], [0.0, 0.0, 1.0])
+    assert np.array_equal(G2[:3, 1], np.zeros(3))
 
 
 def test_p_copy_dimension_rule():
@@ -94,37 +89,45 @@ def test_p_copy_dimension_rule():
         p = int(rng.integers(1, 4))
         S = np.zeros((q + 1, q + 1))
         S[:q, :q] = rng.standard_normal((q, q))
-        im = build_p_copy(S, p)
+        G1, G2 = build_p_copy(S, p)
         s = len(minimal_polynomial(S)) - 1
-        assert im.G1.shape == (p * s, p * s)
-        assert im.s == s
-        assert im.p == p
+        assert G1.shape == (p * s, p * s)
+        assert G2.shape == (p * s, p)
 
 
 def test_p_copy_spectrum_repeats():
     S = sensor_s_tilde()
-    im = build_p_copy(S, 2)
+    G1, _ = build_p_copy(S, 2)
     beta, _ = companion_pair(minimal_polynomial(S))
     want = np.sort_complex(np.tile(np.linalg.eigvals(beta), 2))
-    got = np.sort_complex(np.linalg.eigvals(im.G1))
+    got = np.sort_complex(np.linalg.eigvals(G1))
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_verify_accepts_construction():
     for S, p in ((np.zeros((1, 1)), 2), (sensor_s_tilde(), 2),
                  (np.zeros((2, 2)), 3)):
-        assert verify_internal_model(build_p_copy(S, p), S)
+        assert verify_internal_model(*build_p_copy(S, p), S)
 
 
 def test_verify_rejects_zeroed_block_row():
     S = sensor_s_tilde()
-    im = build_p_copy(S, 2)
-    G1 = im.G1.copy()
+    G1, G2 = build_p_copy(S, 2)
+    G1 = G1.copy()
     G1[2, :] = 0.0  # wrong characteristic polynomial in block 1
-    broken = InternalModel(G1=G1, G2=im.G2, s=im.s, p=im.p)
-    assert not verify_internal_model(broken, S)
+    assert not verify_internal_model(G1, G2, S)
 
 
 def test_verify_constant_only_form():
-    im = InternalModel(G1=np.zeros((2, 2)), G2=np.eye(2), s=1, p=2)
-    assert verify_internal_model(im, np.zeros((1, 1)))
+    assert verify_internal_model(np.zeros((2, 2)), np.eye(2), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("pick", [
+    lambda G1, G2: (G1, np.zeros_like(G2)),
+    lambda G1, G2: (G1[:4, :4], G2[:4]),
+    lambda G1, G2: (G1, np.hstack([G2, G2[:, :1]])),
+], ids=["uncontrollable", "s too small", "p inconsistent"])
+def test_verify_rejects_misfit_shapes_and_pairs(pick):
+    # s comes from S_tilde's minimal polynomial and p from G2's columns
+    S = sensor_s_tilde()
+    assert not verify_internal_model(*pick(*build_p_copy(S, 2)), S)

@@ -11,7 +11,6 @@ from neseek.plant import (
     check_assumption_3,
     check_assumption_4,
     check_scaled_rank,
-    extend_exosystem,
     sample_perturbation,
 )
 
@@ -45,7 +44,7 @@ def test_start_state_of_the_wrong_size(make, message):
 
 
 def test_extend_rotation():
-    ext = extend_exosystem(Exosystem(S=ROT, w0=np.array([1.0, 0.0])))
+    ext = Exosystem(S=ROT, w0=np.array([1.0, 0.0]))
     want = np.zeros((3, 3))
     want[:2, :2] = ROT
     assert np.array_equal(ext.S_tilde, want)
@@ -53,16 +52,32 @@ def test_extend_rotation():
 
 
 def test_extend_constant_disturbance():
-    ext = extend_exosystem(Exosystem(S=np.zeros((1, 1)), w0=np.array([2.0])))
+    ext = Exosystem(S=np.zeros((1, 1)), w0=np.array([2.0]))
     assert np.array_equal(ext.S_tilde, np.zeros((2, 2)))
     assert np.array_equal(ext.v0, [2.0, 1.0])
 
 
 def test_extend_disturbance_free():
-    ext = extend_exosystem(Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0)))
+    ext = Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0))
     assert ext.S_tilde.shape == (1, 1)
     assert np.array_equal(ext.S_tilde, [[0.0]])
     assert np.array_equal(ext.v0, [1.0])
+
+
+@pytest.mark.parametrize("S, w0, S_tilde, v0", [
+    (np.zeros((0, 0)), np.zeros(0), [[0.0]], [1.0]),
+    (ROT, [0.5, -2.0],
+     [[0.0, OMEGA, 0.0], [-OMEGA, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.5, -2.0, 1.0]),
+    ([[0.0, 1.0], [0.0, 0.0]], [3.0, 0.25],
+     [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [3.0, 0.25, 1.0]),
+], ids=["q = 0", "rotation", "ramp"])
+def test_extension_is_derived_bitwise(S, w0, S_tilde, v0):
+    # S_tilde = blockdiag(S, 0) and v0 = (w0, 1), bit for bit
+    exo = Exosystem(S=S, w0=w0)
+    for got, want in ((exo.S_tilde, S_tilde), (exo.v0, v0)):
+        assert got.dtype == np.float64
+        assert got.shape == np.shape(want)
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_extend_spectrum_gains_only_zero():
@@ -70,7 +85,7 @@ def test_extend_spectrum_gains_only_zero():
     for _ in range(10):
         q = int(rng.integers(1, 5))
         S = rng.standard_normal((q, q))
-        ext = extend_exosystem(Exosystem(S=S, w0=rng.standard_normal(q)))
+        ext = Exosystem(S=S, w0=rng.standard_normal(q))
         got = np.sort_complex(np.linalg.eigvals(ext.S_tilde))
         want = np.sort_complex(
             np.concatenate([np.linalg.eigvals(S), [0.0 + 0.0j]])
@@ -206,7 +221,7 @@ def test_perturbed_accessors_exact():
     rng = np.random.default_rng(71)
     plant = friction_plant()
     deltas = sample_perturbation(plant, 0.05, rng)
-    bumped = plant.with_perturbation(**deltas)
+    bumped = dataclasses.replace(plant, **deltas)
     # The perturbation is stored, not re-derived, so the accessor is
     # exactly nominal + delta.
     assert np.array_equal(bumped.dA, deltas["dA"])

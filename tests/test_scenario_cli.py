@@ -1,9 +1,13 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1263,6 +1267,36 @@ def test_cli_sim_unrecordable_horizon_exits_1(dt, t_end, message, sensor_bundle,
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_cli_sim_horizon_beyond_int64_steps_exits_1(tmp_path, capsys):
+    # 10**19 steps at dt 1e-3 but only 101 records at stride 10**17: the
+    # kept rows fit, the step count does not fit an int64
+    doc = sensor_scenario_doc("digraph", sim={"dt": 1e-3, "t_end": 1.0,
+                                              "record_stride": 1e17})
+    scenario = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", scenario, "--out", str(ctrl)]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(tmp_path / "run.csv"),
+                 "--t-end", "1e16", "--svg", str(tmp_path / "run.svg")]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "error: t_end 1e+16 at dt 0.001 is 10000000000000000000 steps, "
+        "more than an int64 can count"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_sim_step_count_beyond_float_names_t_end_and_dt(sensor_bundle, tmp_path, capsys):
+    # t_end / dt overflows to inf: no nearest reachable t_end to name
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", "1e-320", "--t-end", "100"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: t_end 100.0 at dt 1e-320 is more steps than a float can count"]
+    assert sorted(tmp_path.iterdir()) == [ctrl]
+
+
 def test_cli_synth_failed_write_keeps_the_earlier_bundle(tmp_path, capsys, monkeypatch):
     # the disk fills partway through the bundle: the earlier bundle stays
     # as it was, and no temporary file is left
@@ -1352,3 +1386,48 @@ def test_cli_check_reports_digraph_strategy_on_undirected_graph(tmp_path, capsys
     assert "FAIL  graph is undirected" in captured.out
     assert "failed assumptions: [5]" in captured.out
     assert captured.err == ""
+
+
+# the layer spans the benchmark's traced mode records on the sensor5
+# digraph scenario; a wrapped name the CLI stops calling drops out here
+TRACED_LAYERS = {
+    "synth": {
+        "scenario.load_scenario", "scenario.scenario_hash", "scenario.save_controllers",
+        "game.assemble_pseudo_gradient", "game.check_assumption_1",
+        "plant.check_assumption_2", "plant.check_assumption_3", "plant.check_assumption_4",
+        "graph.check_acyclic", "synthesis.assemble_closed_loop",
+        "synthesis.certify_stability", "synthesis.solve_regulator",
+    },
+    "sim": {
+        "scenario.load_scenario", "scenario.scenario_hash", "scenario.load_controllers",
+        "game.assemble_pseudo_gradient", "game.solve_ne", "synthesis.assemble_closed_loop",
+        "synthesis.certify_stability", "svgplot.line_plot",
+    },
+}
+
+
+def test_benchmark_tracer_records_every_layer(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    scenario = write_doc(tmp_path, sensor_scenario_doc(
+        "digraph", sim={"dt": 1e-3, "t_end": 1.0, "record_stride": 100}))
+    ctrl = str(tmp_path / "ctrl.json")
+    traces = {}
+    for command, args in (
+            ("synth", ["--out", ctrl]),
+            ("sim", ["--controllers", ctrl, "--out", str(tmp_path / "run.csv"),
+                     "--svg", str(tmp_path / "run.svg")])):
+        spans = tmp_path / f"{command}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracing.py"), str(spans),
+             command, scenario, *args],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert proc.returncode == 0, proc.stderr
+        traces[command] = json.loads(spans.read_text())
+    for command, trace in traces.items():
+        names = {span["name"] for span in trace["spans"]} - {"cli.import"}
+        assert names == TRACED_LAYERS[command], command
+        assert all(span["end"] is not None for span in trace["spans"])
+    residual = traces["synth"]["counts"]["cert.residual_err_rel"]
+    assert 0.0 <= residual <= neseek.cli.REGULATOR_REL_TOL
+    assert "cert.residual_err_rel" not in traces["sim"]["counts"]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -103,6 +104,11 @@ def test_sim_config_validation():
     for dt, t_end, nearest in ((2.0, 5.0, "4"), (0.3, 1.0, "0.9"),
                                (1e-3, 1.0005, "1")):
         with pytest.raises(DomainError, match=f"nearest reachable t_end is {nearest}$"):
+            SimConfig(dt=dt, t_end=t_end)
+    # a step count beyond float range names no nearest t_end
+    for dt, t_end in ((1e-320, 100.0), (5e-324, 1.0), (1e-300, 1e300)):
+        message = f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SimConfig(dt=dt, t_end=t_end)
     assert SimConfig(dt=0.1, t_end=0.0).n_steps == 0
     assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
@@ -492,6 +498,19 @@ def _hetero_loop(strategy):
     return game, plants, exos, controllers
 
 
+def test_assembled_exosystem_is_the_agents_extensions(sensor_digraph):
+    # S_hat and v0 are the block diagonal and the concatenation of the
+    # agents' S_tilde and v0, bit for bit: q = 0, constant and rotating
+    # exosystems, and the sensor network's five equal rotations
+    game, plants, exos, controllers = _hetero_loop("general")
+    for cl in (assemble_closed_loop(game, plants, exos, controllers, "general"),
+               sensor_digraph.cl):
+        assert cl.S_hat.tobytes() == scipy.linalg.block_diag(
+            *(exo.S_tilde for exo in cl.exos)).tobytes()
+        assert cl.v0.tobytes() == np.concatenate([exo.v0 for exo in cl.exos]).tobytes()
+        assert [sl.stop - sl.start for sl in cl.v_slices] == [exo.q + 1 for exo in cl.exos]
+
+
 # 2000 steps at stride 70 end on a partial stride of 40
 @pytest.mark.parametrize("strategy, stride", [
     ("digraph", 50), ("general", 50), ("general", 70),
@@ -536,7 +555,7 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
     rng = np.random.default_rng(101)
     s = sensor_general
     bumped = tuple(
-        p.with_perturbation(**sample_perturbation(p, 0.02, rng))
+        dataclasses.replace(p, **sample_perturbation(p, 0.02, rng))
         for p in s.plants
     )
     cl = assemble_closed_loop(s.game, bumped, s.exos, s.controllers,

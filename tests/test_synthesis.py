@@ -15,13 +15,12 @@ from neseek.errors import (
 )
 from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
 from neseek.graph import CommGraph, neighbors
-from neseek.internal_model import InternalModel, build_p_copy, verify_internal_model
+from neseek.internal_model import build_p_copy, verify_internal_model
 from neseek.linalg import eigenvalues, is_hurwitz
 from neseek.plant import (
     AgentPlant,
     Exosystem,
     check_assumption_3,
-    extend_exosystem,
     sample_perturbation,
 )
 from neseek.synthesis import (
@@ -118,9 +117,9 @@ def test_observer_gain_agrees_with_assumption_3():
 
 
 def test_augmented_stabilizer_scalar_integrator():
-    im = InternalModel(G1=np.zeros((1, 1)), G2=np.ones((1, 1)), s=1, p=1)
     K1, K2 = augmented_stabilizer(
-        np.zeros((1, 1)), np.ones((1, 1)), 2.0 * np.ones((1, 1)), im
+        np.zeros((1, 1)), np.ones((1, 1)), 2.0 * np.ones((1, 1)),
+        np.zeros((1, 1)), np.ones((1, 1)),
     )
     closed = np.block([[K1, K2], [np.array([[2.0]]), np.zeros((1, 1))]])
     ok, _ = is_hurwitz(closed)
@@ -130,14 +129,12 @@ def test_augmented_stabilizer_scalar_integrator():
 def test_augmented_stabilizer_axis_plant():
     plant = axis_plant()
     Cw = 4.0 * plant.C
-    S_tilde = extend_exosystem(
-        Exosystem(S=ROT, w0=np.array([1.0, 0.0]))
-    ).S_tilde
-    im = build_p_copy(S_tilde, plant.p)
-    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, im)
+    S_tilde = Exosystem(S=ROT, w0=np.array([1.0, 0.0])).S_tilde
+    G1, G2 = build_p_copy(S_tilde, plant.p)
+    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2)
     closed = np.block([
         [plant.A + plant.B @ K1, plant.B @ K2],
-        [im.G2 @ Cw, im.G1],
+        [G2 @ Cw, G1],
     ])
     assert closed.shape == (5, 5)
     ok, _ = is_hurwitz(closed)
@@ -145,10 +142,10 @@ def test_augmented_stabilizer_axis_plant():
 
 
 def test_augmented_stabilizer_no_control_authority():
-    im = InternalModel(G1=np.zeros((1, 1)), G2=np.ones((1, 1)), s=1, p=1)
     with pytest.raises(SynthesisError) as err:
         augmented_stabilizer(
-            np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)), im
+            np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
+            np.zeros((1, 1)), np.ones((1, 1)),
         )
     assert "0" in str(err.value)
 
@@ -194,9 +191,7 @@ def test_digraph_internal_model_embedded():
     c = build_controller(plant, game.costs[0], exo)
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     zeta = slice(cl.ctrl_slices[0].start + plant.n, cl.ctrl_slices[0].stop)
-    im = InternalModel(G1=cl.A_c[zeta, zeta], G2=c.G2, s=c.s, p=plant.p)
-    S_tilde = extend_exosystem(exo).S_tilde
-    assert verify_internal_model(im, S_tilde)
+    assert verify_internal_model(cl.A_c[zeta, zeta], c.G2, exo.S_tilde)
 
 
 def test_digraph_disturbance_free_form():
@@ -479,7 +474,7 @@ def test_certify_small_perturbation_stays_stable(sensor_digraph):
     rng = np.random.default_rng(97)
     s = sensor_digraph
     plants = tuple(
-        p.with_perturbation(**sample_perturbation(p, 1e-6, rng))
+        dataclasses.replace(p, **sample_perturbation(p, 1e-6, rng))
         for p in s.plants
     )
     cl = assemble_closed_loop(s.game, plants, s.exos, s.controllers, "digraph")
