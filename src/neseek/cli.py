@@ -195,7 +195,8 @@ def cmd_synth(path, out, strategy=None):
         ("residual_dyn", reg.residual_dyn, reg.scale_dyn),
         ("residual_err", reg.residual_err, reg.scale_err),
     ):
-        if not residual <= REGULATOR_REL_TOL * scale:
+        # an infinite scale passes no residual
+        if not (scale < math.inf and residual <= REGULATOR_REL_TOL * scale):
             raise SynthesisError(
                 f"regulator certificate fails: {name}={residual!r} "
                 f"exceeds {REGULATOR_REL_TOL:g} * scale={scale!r}"

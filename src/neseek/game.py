@@ -157,9 +157,11 @@ def check_assumption_1(pg):
 def solve_ne(pg):
     """Unique NE: the solution of Rbar y + Qbar = 0."""
     y_star = linalg.solve_linear(pg.Rbar, -pg.Qbar)
-    residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
-    scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
-    if not residual <= 1e-10 * scale:
+    # an overflowing residual or scale fails the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
+        scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
+    if not (scale < np.inf and residual <= 1e-10 * scale):
         raise SingularMatrixError(
             f"NE residual {residual:.3e} exceeds 1e-10 scaled bound"
         )

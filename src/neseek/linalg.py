@@ -304,11 +304,13 @@ def solve_care(A, B, Qw, Rw):
                         -np.vstack([W[:n, :n] + I, W[n:, :n]]), rcond=None)[0]
     P = 0.5 * (P + P.T)
 
-    residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Qw)
-    norm_p = np.linalg.norm(P)
-    scale = (2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
-             + np.linalg.norm(Qw))
-    if not residual <= CARE_REL_TOL * scale:
+    # an overflowing residual or scale fails the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Qw)
+        norm_p = np.linalg.norm(P)
+        scale = (2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
+                 + np.linalg.norm(Qw))
+    if not (scale < np.inf and residual <= CARE_REL_TOL * scale):
         raise SynthesisError(
             NO_CARE + f"residual {residual:.3e} exceeds "
             f"{CARE_REL_TOL:g} * scale {scale:.3e}"

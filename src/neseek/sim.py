@@ -82,30 +82,25 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded series; x, ctrl, y, e, w are per-agent tuples of arrays."""
+    """Recorded series, one row per record, stacked agent-major.
+
+    ``Z`` is in the loop's z layout (``[x_i; xi_i; zeta_i]`` per agent),
+    ``Y`` and ``E`` in the game's output layout, and ``W`` holds each
+    agent's disturbance w_i in agent order; ``cl.x_slices``,
+    ``cl.ctrl_slices`` and ``cl.out_slices`` pick out one agent.
+    """
 
     times: np.ndarray
-    x: tuple
-    ctrl: tuple
-    y: tuple
-    e: tuple
-    w: tuple
-    y_star: np.ndarray
+    Z: np.ndarray
+    Y: np.ndarray
+    E: np.ndarray
+    W: np.ndarray
 
     def __post_init__(self):
-        K = len(self.times)
-        for name in ("x", "ctrl", "y", "e", "w"):
-            for i, arr in enumerate(getattr(self, name), start=1):
-                if arr.shape[0] != K:
-                    raise DimensionError(
-                        f"{name}[{i}] has {arr.shape[0]} samples, times has {K}"
-                    )
-
-    def y_stacked(self):
-        return np.hstack(self.y)
-
-    def e_stacked(self):
-        return np.hstack(self.e)
+        for name in ("Z", "Y", "E", "W"):
+            if getattr(self, name).shape[0] != len(self.times):
+                raise DimensionError(f"{name} has {getattr(self, name).shape[0]} rows, "
+                                     f"times has {len(self.times)}")
 
 
 # records propagated and tested for finiteness at once, and CSV rows
@@ -127,26 +122,32 @@ def rk4_radius(eigs, dt):
     """Spectral radius of the z-block of the RK4 step map, ``max |T4(dt lam)|``.
 
     The z-block is ``T4(dt A_c)``, so its eigenvalues are ``T4(dt lam)``
-    over the eigenvalues ``eigs`` of A_c.
+    over the eigenvalues ``eigs`` of A_c.  A step so long that T4
+    overflows reads as an infinite radius.
     """
-    values = np.polyval(RK4_T4[::-1], dt * np.asarray(eigs))
-    return float(np.max(np.abs(values), initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(np.polyval(RK4_T4[::-1], dt * np.asarray(eigs)))
+    return float(np.max(np.where(np.isfinite(values), values, np.inf), initial=0.0))
 
 
 def rk4_dt_limit(eigs):
     """Largest step below which every ``|T4(dt lam)| < 1``, for Hurwitz ``eigs``.
 
     For each eigenvalue the first step where ``|T4(dt lam)|^2 - 1``, a
-    degree-8 polynomial in dt with a root at 0, returns to zero.
+    degree-8 polynomial in dt with a root at 0, returns to zero.  T4
+    depends on ``dt lam`` only, so the roots are found in ``dt |lam|``
+    for the unit ``lam / |lam|`` and divided by ``|lam|``: no power of
+    a large ``lam`` overflows.
     """
     limit = np.inf
-    for lam in np.unique(np.asarray(eigs)):
-        a = RK4_T4 * lam ** np.arange(5)
+    eigs = np.asarray(eigs)
+    for lam in np.unique(eigs[eigs != 0]):
+        a = RK4_T4 * (lam / abs(lam)) ** np.arange(5)
         p = np.convolve(a, a.conj()).real
-        roots = np.roots(p[:0:-1])  # p(dt) / dt, highest power first
+        roots = np.roots(p[:0:-1])  # p(tau) / tau, highest power first
         real = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0)]
         if real.size:
-            limit = min(limit, float(np.min(real.real)))
+            limit = min(limit, float(np.min(real.real)) / abs(lam))
     return limit
 
 
@@ -227,12 +228,10 @@ def propagate(cl, cfg, z0=None):
 
 
 def block_outputs(cl, X):
-    """Stacked y and e, and each agent's w, of a block of ``[z; v]`` records."""
+    """Stacked y, e and w of a block of ``[z; v]`` records."""
     Z, V = X[:, :cl.dim_z], X[:, cl.dim_z:]
-    y = Z @ cl.C_out.T
-    e = Z @ cl.C_c.T + V @ cl.Q_c.T
-    w = [V[:, sl][:, :exo.q] for sl, exo in zip(cl.v_slices, cl.exos)]
-    return y, e, w
+    w = np.hstack([V[:, sl.start:sl.start + exo.q] for sl, exo in zip(cl.v_slices, cl.exos)])
+    return Z @ cl.C_out.T, Z @ cl.C_c.T + V @ cl.Q_c.T, w
 
 
 def simulate(cl, cfg, z0=None):
@@ -242,18 +241,8 @@ def simulate(cl, cfg, z0=None):
     each block; raises its DivergenceError.
     """
     times, X = zip(*propagate(cl, cfg, z0))
-    y_full, e_full, w = zip(*(block_outputs(cl, block) for block in X))
-    X, y_full, e_full = (np.concatenate(a) for a in (X, y_full, e_full))
-    Z = X[:, :cl.dim_z]
-    return Trajectory(
-        times=np.concatenate(times),
-        x=tuple(Z[:, sl] for sl in cl.x_slices),
-        ctrl=tuple(Z[:, sl] for sl in cl.ctrl_slices),
-        y=tuple(y_full[:, sl] for sl in cl.out_slices),
-        e=tuple(e_full[:, sl] for sl in cl.out_slices),
-        w=tuple(np.concatenate(a) for a in zip(*w)),
-        y_star=solve_ne(assemble_pseudo_gradient(cl.game)),
-    )
+    Y, E, W = (np.concatenate(a) for a in zip(*(block_outputs(cl, block) for block in X)))
+    return Trajectory(np.concatenate(times), np.concatenate(X)[:, :cl.dim_z], Y, E, W)
 
 
 class NeighborView:
@@ -339,11 +328,10 @@ def simulate_distributed(cl, cfg):
     """
     game, plants, exos, controllers = cl.game, cl.plants, cl.exos, cl.controllers
     observer_mode = cl.strategy == "general"
-    N = game.graph.agent_count
 
     # read gates over output buffers that every stage refills in place
-    ys = [None] * N
-    cxis = [None] * N if observer_mode else None
+    ys = [None] * len(plants)
+    cxis = [None] * len(plants) if observer_mode else None
     rates = [
         _agent_rate(p, cost, c,
                     NeighborView(i, neighbors(game.graph, i), ys, cxis), observer_mode)
@@ -363,7 +351,7 @@ def simulate_distributed(cl, cfg):
 
     s = [np.concatenate([p.x0, np.zeros(c.ctrl_dim)]) for p, c in zip(plants, controllers)]
     w = [e.w0 for e in exos]
-    rec_s, rec_w = [s], [w]
+    records = [(np.concatenate(s), np.concatenate(w))]
     dt, n_steps, stride = cfg.dt, cfg.n_steps, cfg.record_stride
     for k in range(1, n_steps + 1):
         # an overflowing step is reported by the finiteness test below
@@ -381,21 +369,14 @@ def simulate_distributed(cl, cfg):
             raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",
                                   t_bad=k * dt)
         if k % stride == 0 or k == n_steps:
-            rec_s.append(s)
-            rec_w.append(w)
+            records.append((np.concatenate(s), np.concatenate(w)))
 
-    S = [np.array(a) for a in zip(*rec_s)]
-    x = tuple(Si[:, :n] for Si, n in zip(S, ns))
-    y = tuple(xi @ C.T for xi, C in zip(x, C_mus))
-    off = game.offsets
+    Z, W = (np.array(a) for a in zip(*records))
+    offsets = np.cumsum([0] + [si.size for si in s])
+    Y = np.hstack([Z[:, o:o + n] @ C.T for o, n, C in zip(offsets, ns, C_mus)])
     pg = assemble_pseudo_gradient(game)
-    e_full = np.hstack(y) @ pg.Rbar.T + pg.Qbar
-    return Trajectory(
-        times=cfg.record_step_range(0, cfg.n_records) * dt,
-        x=x, ctrl=tuple(Si[:, n:] for Si, n in zip(S, ns)),
-        y=y, e=tuple(e_full[:, off[i]:off[i + 1]] for i in range(N)),
-        w=tuple(np.array(a) for a in zip(*rec_w)), y_star=solve_ne(pg),
-    )
+    return Trajectory(cfg.record_step_range(0, cfg.n_records) * dt,
+                      Z, Y, Y @ pg.Rbar.T + pg.Qbar, W)
 
 
 def series_metrics(times, gap, err, tol):
@@ -479,5 +460,5 @@ def write_records(cl, cfg, fh):
             kept[2, rows] = np.linalg.norm(e, axis=1)
             for i, sl in enumerate(cl.out_slices, start=3):
                 kept[i, rows] = np.linalg.norm(e[:, sl], axis=1)
-        fh.write(csv_rows([t[:, None], y, e, *w]))
+        fh.write(csv_rows([t[:, None], y, e, w]))
     return kept

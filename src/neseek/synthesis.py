@@ -426,14 +426,16 @@ def solve_regulator(cl):
     """
     X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c,
                                  eig_a=np.concatenate(cl.spectra))
-    residual_dyn = float(np.linalg.norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
-    residual_err = float(np.linalg.norm(cl.C_c @ X_c + cl.Q_c))
-    norm_x = np.linalg.norm(X_c)
-    scale_dyn = float(
-        (np.linalg.norm(cl.A_c) + np.linalg.norm(cl.S_hat)) * norm_x
-        + np.linalg.norm(cl.P_c)
-    )
-    scale_err = float(np.linalg.norm(cl.C_c) * norm_x + np.linalg.norm(cl.Q_c))
+    # overflowing norms read inf or NaN, which the certificate gates refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual_dyn = float(np.linalg.norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
+        residual_err = float(np.linalg.norm(cl.C_c @ X_c + cl.Q_c))
+        norm_x = np.linalg.norm(X_c)
+        scale_dyn = float(
+            (np.linalg.norm(cl.A_c) + np.linalg.norm(cl.S_hat)) * norm_x
+            + np.linalg.norm(cl.P_c)
+        )
+        scale_err = float(np.linalg.norm(cl.C_c) * norm_x + np.linalg.norm(cl.Q_c))
     return RegulatorSolution(
         X_c=X_c, residual_dyn=residual_dyn, residual_err=residual_err,
         scale_dyn=scale_dyn, scale_err=scale_err,

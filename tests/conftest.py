@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
+from neseek.game import assemble_pseudo_gradient, cost_from_targets
 from neseek.graph import CommGraph
 from neseek.plant import AgentPlant, Exosystem
 from neseek.synthesis import (
@@ -119,7 +119,6 @@ def _build(strategy, graph=None):
         controllers=controllers,
         cl=cl,
         pg=pg,
-        y_star=solve_ne(pg),
         reg=solve_regulator(cl),
     )
 

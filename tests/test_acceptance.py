@@ -30,9 +30,9 @@ def report(num, label, ok, detail):
     assert ok, f"criterion {num}: {label}: {detail}"
 
 
-def tail_gap(tr, window=10.0):
+def tail_gap(tr, y_star, window=10.0):
     mask = tr.times >= tr.times[-1] - window
-    gap = np.linalg.norm(np.hstack(tr.y) - tr.y_star, axis=1)
+    gap = np.linalg.norm(tr.Y - y_star, axis=1)
     return float(np.max(gap[mask]))
 
 
@@ -54,17 +54,18 @@ def test_criterion_02_ne_certificate():
     worst_drop = 0.0
     for strategy in ("digraph", "general"):
         b = _build(strategy)
-        resid = np.linalg.norm(b.pg.Rbar @ b.y_star + b.pg.Qbar)
-        scale = np.linalg.norm(b.pg.Rbar) * np.linalg.norm(b.y_star)
+        y_star = solve_ne(b.pg)
+        resid = np.linalg.norm(b.pg.Rbar @ y_star + b.pg.Qbar)
+        scale = np.linalg.norm(b.pg.Rbar) * np.linalg.norm(y_star)
         scale += np.linalg.norm(b.pg.Qbar)
         worst_resid = max(worst_resid, float(resid / scale))
         rng = np.random.default_rng(7)
         offset = 0
         for i in range(1, len(b.game.costs) + 1):
             p = b.game.costs[i - 1].R_ii.shape[0]
-            base = evaluate_cost(b.game, i, b.y_star)
+            base = evaluate_cost(b.game, i, y_star)
             for _ in range(100):
-                y_dev = b.y_star.copy()
+                y_dev = y_star.copy()
                 y_dev[offset:offset + p] += rng.normal(size=p)
                 drop = base - evaluate_cost(b.game, i, y_dev)
                 worst_drop = max(worst_drop, float(drop))
@@ -103,10 +104,10 @@ def test_criterion_04_regulation_under_disturbance():
         b = _build(strategy)
         tr = simulate(b.cl, cfg)
         mask = tr.times >= 90.0
-        e_norm = np.linalg.norm(np.hstack(tr.e), axis=1)
+        e_norm = np.linalg.norm(tr.E, axis=1)
         worst_e = max(worst_e, float(np.max(e_norm[mask])))
-        worst_y = max(worst_y, tail_gap(tr))
-        w_norm = np.linalg.norm(np.hstack(tr.w), axis=1)
+        worst_y = max(worst_y, tail_gap(tr, solve_ne(b.pg)))
+        w_norm = np.linalg.norm(tr.W, axis=1)
         w_floor = min(w_floor, float(np.min(w_norm) / w_norm[0]))
     elapsed = time.perf_counter() - t0
     ok = worst_e <= 1e-3 and worst_y <= 1e-3 and w_floor >= 0.9
@@ -137,7 +138,7 @@ def test_criterion_05_robust_convergence_sampling():
             if not hurwitz:
                 continue
             certified += 1
-            worst = max(worst, tail_gap(simulate(cl_mu, cfg)))
+            worst = max(worst, tail_gap(simulate(cl_mu, cfg), solve_ne(b.pg)))
     elapsed = time.perf_counter() - t0
     ok = certified == 20 and worst <= 1e-3 and elapsed < 120.0
     report(5, f"robustness sampling at scale {scale}", ok,
@@ -219,9 +220,9 @@ def test_criterion_09_distributed_matches_stacked():
         b = _build(strategy)
         tr_s = simulate(b.cl, cfg)
         tr_d = simulate_distributed(b.cl, cfg)
-        for field in ("x", "y", "e", "w"):
-            for a, c in zip(getattr(tr_s, field), getattr(tr_d, field)):
-                worst = max(worst, float(np.max(np.abs(a - c))))
+        for field in ("Z", "Y", "E", "W"):
+            dev = np.max(np.abs(getattr(tr_s, field) - getattr(tr_d, field)))
+            worst = max(worst, float(dev))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 60.0
     report(9, "distributed equals stacked simulation", ok,
@@ -234,7 +235,7 @@ def test_criterion_10_steady_state_cross_oracle():
     for strategy in ("digraph", "general"):
         b = _build(strategy)
         _, _, y_ss = steady_state(b.reg, b.cl, b.cl.v0)
-        gap = float(np.max(np.abs(y_ss - b.y_star)))
+        gap = float(np.max(np.abs(y_ss - solve_ne(b.pg))))
         ok &= gap <= 1e-6
         details.append(f"{strategy} gap {gap:.2e}")
     report(10, "invariant-subspace output equals equilibrium", ok,

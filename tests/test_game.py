@@ -152,6 +152,15 @@ def test_solve_ne_rejects_nan_residual():
         solve_ne(pg)
 
 
+def test_solve_ne_rejects_an_infinite_scale():
+    # y* = -1 solves exactly, but ||Qbar|| overflows: no finite bound certifies it
+    from neseek.game import PseudoGradientData
+
+    pg = PseudoGradientData(Rbar=1e308 * np.eye(2), Qbar=np.full(2, 1e308))
+    with pytest.raises(SingularMatrixError, match="exceeds 1e-10 scaled bound"):
+        solve_ne(pg)
+
+
 def test_partial_gradient_isolated():
     game = isolated_game([-1.0])
     e = partial_gradient(game, 1, np.zeros(1))

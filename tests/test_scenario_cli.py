@@ -418,6 +418,14 @@ def test_svg_points_match_the_pair_formula():
     assert len(points.split(" ")) == len(t)
 
 
+@pytest.mark.parametrize("t_end, label", [(2e4, "1e+04"), (0.002, "5e-04")])
+def test_svg_time_ticks_far_from_one_use_exponents(t_end, label):
+    t = np.linspace(0.0, t_end, 11)
+    svg = line_plot(t, [np.exp(-t / t_end)], labels=["a"], title="ticks", y_label="v")
+    ticks = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert label in ticks
+
+
 def test_svg_log_floor_handles_zeros():
     t = np.linspace(0.0, 1.0, 20)
     svg = line_plot(t, [np.zeros(20)], labels=["z"], title="zeros",
@@ -672,6 +680,41 @@ def test_cli_synth_gates_regulator_residuals(tmp_path, capsys, monkeypatch):
             assert not out.exists()
 
 
+def test_cli_synth_refuses_an_infinite_regulator_scale(tmp_path, capsys, monkeypatch):
+    # inf <= 1e-8 * inf holds, yet an infinite scale certifies nothing
+    path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
+    real = neseek.cli.solve_regulator
+    for name in ("dyn", "err"):
+        monkeypatch.setattr(
+            neseek.cli, "solve_regulator",
+            lambda cl: dataclasses.replace(real(cl), **{f"residual_{name}": np.inf,
+                                                        f"scale_{name}": np.inf}),
+        )
+        out = tmp_path / "c.json"
+        assert main(["synth", path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: regulator certificate fails: residual_{name}=inf "
+            f"exceeds 1e-08 * scale=inf"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("weights, start, end", [
+    # the CARE scale overflows while its residual is finite
+    ({"stabilizer_r": 1e-300},
+     "error: no stabilizing Riccati solution: residual ", " exceeds 1e-08 * scale inf"),
+    ({"observer_q": 1e300},
+     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
+], ids=["stabilizer_r 1e-300", "observer_q 1e300"])
+def test_cli_synth_overflowing_weights_exit_4(weights, start, end, tmp_path, capsys):
+    doc = sensor_scenario_doc("digraph")
+    doc["synthesis"] = weights
+    out = tmp_path / "c.json"
+    assert main(["synth", write_doc(tmp_path, doc), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start) and err[0].endswith(end), err
+    assert not out.exists()
+
+
 def test_cli_synth_unstable_default_weights(tmp_path, capsys):
     path = write_doc(tmp_path, two_agent_doc(r_ij=-19.0))
     assert main(["synth", path, "--out", str(tmp_path / "c.json")]) == 4
@@ -833,9 +876,9 @@ def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
                               load_controllers(ctrl, scn)["controllers"], "general")
     ref = simulate_distributed(cl, scn.sim)
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    y = rows[:, 1:1 + ref.y_stacked().shape[1]]
+    y = rows[:, 1:1 + ref.Y.shape[1]]
     assert np.allclose(rows[:, 0], ref.times, atol=1e-12)
-    assert np.max(np.abs(y - ref.y_stacked())) <= 1e-9
+    assert np.max(np.abs(y - ref.Y)) <= 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -1229,6 +1272,23 @@ def test_cli_sim_unstable_step_map_of_a_certified_loop_exits_4(sensor_bundle,
     assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
                  "--dt", "0.47", "--t-end", "0.94"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dt", ["1e80", "1e300"])
+def test_cli_sim_overflowing_step_reports_an_infinite_radius(dt, sensor_bundle, tmp_path,
+                                                             capsys):
+    # T4(dt lam) overflows: the radius reads inf, with no numpy warning
+    scenario, bundle = sensor_bundle
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    ctrl.write_text(json.dumps(bundle))
+    assert main(["sim", scenario, "--controllers", str(ctrl), "--out", str(out),
+                 "--dt", dt, "--t-end", dt]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("closed-loop abscissa: -0.616"), err
+    assert err[1] == (
+        f"error: the closed loop is Hurwitz but its RK4 step map at dt {float(dt)!r} "
+        "is not (spectral radius inf); the largest stable dt is 0.471007")
+    assert not out.exists()
 
 
 def test_cli_sim_step_too_small_to_contract_exits_4(sensor_bundle, tmp_path, capsys):

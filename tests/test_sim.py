@@ -17,7 +17,13 @@ from neseek.errors import (
     DomainError,
     FirewallViolation,
 )
-from neseek.game import LocalCost, NetworkGame, assemble_pseudo_gradient, cost_from_targets
+from neseek.game import (
+    LocalCost,
+    NetworkGame,
+    assemble_pseudo_gradient,
+    cost_from_targets,
+    solve_ne,
+)
 from neseek.graph import CommGraph, neighbors
 from neseek.plant import AgentPlant, Exosystem, sample_perturbation
 from neseek.sim import (
@@ -128,7 +134,7 @@ def test_sim_config_validation():
 def test_scalar_decay_matches_exponential():
     tr = simulate(toy_loop(-1.0), SimConfig(dt=1e-3, t_end=1.0),
                   z0=np.array([1.0]))
-    assert abs(tr.x[0][-1, 0] - np.exp(-1.0)) <= 1e-6
+    assert abs(tr.Z[-1, 0] - np.exp(-1.0)) <= 1e-6
 
 
 def test_fourth_order_convergence():
@@ -137,7 +143,7 @@ def test_fourth_order_convergence():
     for dt in steps:
         tr = simulate(toy_loop(-1.0), SimConfig(dt=dt, t_end=1.0),
                       z0=np.array([1.0]))
-        errors.append(abs(tr.x[0][-1, 0] - np.exp(-1.0)))
+        errors.append(abs(tr.Z[-1, 0] - np.exp(-1.0)))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert slope >= 3.5
 
@@ -163,8 +169,9 @@ def test_overflowing_power_is_replayed_step_by_step():
         strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000), z0=z0)
         every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end), z0=z0)
         assert np.array_equal(strided.times, every.times[::1000])
-        assert np.array_equal(strided.x[0], every.x[0][::1000])
-        assert np.array_equal(strided.e[0], every.e[0][::1000])
+        x = cl.x_slices[0]
+        assert np.array_equal(strided.Z[:, x], every.Z[::1000, x])
+        assert np.array_equal(strided.E, every.E[::1000])
     assert BLOCK_ROWS < len(strided.times) == 71
 
 
@@ -198,7 +205,7 @@ def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     X = np.concatenate([X for _, X in blocks])
     tr = simulate(cl, cfg)
     assert np.array_equal(times, tr.times)
-    assert np.array_equal(X[:, :cl.dim_z], stacked_state(tr, cl))
+    assert np.array_equal(X[:, :cl.dim_z], tr.Z)
     assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
 
 
@@ -267,24 +274,20 @@ def test_record_stride_times():
 
 
 def test_trajectory_length_validation():
-    with pytest.raises(Exception):
-        Trajectory(
-            times=np.zeros(3),
-            x=(np.zeros((2, 1)),),
-            ctrl=(np.zeros((3, 1)),),
-            y=(np.zeros((3, 1)),),
-            e=(np.zeros((3, 1)),),
-            w=(np.zeros((3, 0)),),
-            y_star=np.zeros(1),
-        )
+    rows = dict(Z=np.zeros((3, 2)), Y=np.zeros((3, 1)), E=np.zeros((3, 1)), W=np.zeros((3, 0)))
+    Trajectory(times=np.zeros(3), **rows)
+    for name in rows:
+        short = dict(rows, **{name: rows[name][:2]})
+        with pytest.raises(DimensionError, match=f"^{name} has 2 rows, times has 3$"):
+            Trajectory(times=np.zeros(3), **short)
 
 
 def test_output_is_measured_state(sensor_digraph):
     tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=2.0,
                                                record_stride=10))
-    C = sensor_digraph.plants[0].C
-    for i in range(5):
-        assert np.allclose(tr.y[i], tr.x[i] @ C.T, atol=1e-12)
+    cl, C = sensor_digraph.cl, sensor_digraph.plants[0].C
+    for x, out in zip(cl.x_slices, cl.out_slices):
+        assert np.allclose(tr.Y[:, out], tr.Z[:, x] @ C.T, atol=1e-12)
 
 
 def test_exogenous_rotation_exact(sensor_digraph):
@@ -294,8 +297,8 @@ def test_exogenous_rotation_exact(sensor_digraph):
     w0 = sensor_digraph.exos[0].w0
     for k in range(0, len(tr.times), 20):
         ref = scipy.linalg.expm(S * tr.times[k]) @ w0
-        for i in range(5):
-            assert np.max(np.abs(tr.w[i][k] - ref)) <= 1e-9
+        # every agent's w_i, in agent order
+        assert np.max(np.abs(tr.W[k] - np.tile(ref, 5))) <= 1e-9
 
 
 def test_exo_steppers_squaring_branch(sensor_digraph):
@@ -311,16 +314,8 @@ def test_exo_steppers_squaring_branch(sensor_digraph):
 def test_disturbance_persists(sensor_digraph):
     tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=20.0,
                                                record_stride=100))
-    norms = np.linalg.norm(tr.w[0], axis=1)
+    norms = np.linalg.norm(tr.W[:, :sensor_digraph.exos[0].q], axis=1)
     assert np.min(norms) >= 0.9 * np.linalg.norm(sensor_digraph.exos[0].w0)
-
-
-def stacked_state(tr, cl):
-    """Recorded z, rebuilt from the per-agent plant and controller series."""
-    Z = np.empty((len(tr.times), cl.dim_z))
-    for sl, arr in zip(cl.x_slices + cl.ctrl_slices, tr.x + tr.ctrl):
-        Z[:, sl] = arr
-    return Z
 
 
 def reference_rk4(cl, dt, n_steps, stride):
@@ -352,8 +347,10 @@ def test_constant_channel_stays_one(sensor_digraph):
     # 2000 steps at stride 70 also applies a final partial stride
     tr = simulate(wide, SimConfig(dt=1e-3, t_end=2.0, record_stride=70))
     assert tr.times[-1] == pytest.approx(2.0)
-    for w in tr.w:
-        assert np.array_equal(w[:, -1], np.ones(len(tr.times)))
+    # the widened W is all of v, so each agent's last column is its channel
+    assert tr.W.shape == (len(tr.times), cl.dim_v)
+    for sl in cl.v_slices:
+        assert np.array_equal(tr.W[:, sl.stop - 1], np.ones(len(tr.times)))
 
 
 @pytest.mark.parametrize("stride", [100, 300])  # 300 ends on a partial stride
@@ -362,7 +359,7 @@ def test_propagator_matches_reference_loop(stride, sensor_digraph):
     tr = simulate(cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=stride))
     Z_ref = reference_rk4(cl, 1e-3, 5000, stride)
     assert Z_ref.shape == (len(tr.times), cl.dim_z)
-    assert np.max(np.abs(stacked_state(tr, cl) - Z_ref)) <= 1e-10
+    assert np.max(np.abs(tr.Z - Z_ref)) <= 1e-10
 
 
 def test_record_stride_invariance(sensor_digraph):
@@ -380,10 +377,8 @@ def test_record_stride_invariance(sensor_digraph):
     every = simulate(cl, SimConfig(dt=1e-2, t_end=3.0, record_stride=1))
     third = simulate(cl, SimConfig(dt=1e-2, t_end=3.0, record_stride=3))
     assert np.array_equal(third.times, every.times[::3])
-    assert np.max(np.abs(stacked_state(third, cl)
-                         - stacked_state(every, cl)[::3])) <= 1e-12
-    assert np.max(np.abs(np.hstack(third.w) - np.hstack(every.w)[::3])) \
-        <= 1e-12
+    assert np.max(np.abs(third.Z - every.Z[::3])) <= 1e-12
+    assert np.max(np.abs(third.W - every.W[::3])) <= 1e-12
 
 
 def test_neighbor_view_firewall():
@@ -420,10 +415,8 @@ def test_distributed_single_agent_matches_stacked():
     tr_dist = simulate_distributed(cl, cfg)
     # Same arithmetic, different loop organization: agreement to within
     # a few ulp of accumulated reordering.
-    assert np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked())) \
-        <= 1e-12
-    assert np.max(np.abs(tr_dist.e_stacked() - tr_stacked.e_stacked())) \
-        <= 1e-12
+    assert np.max(np.abs(tr_dist.Y - tr_stacked.Y)) <= 1e-12
+    assert np.max(np.abs(tr_dist.E - tr_stacked.E)) <= 1e-12
 
 
 @pytest.mark.parametrize("strategy", ["digraph", "general"])
@@ -433,8 +426,8 @@ def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=100)
     tr_stacked = simulate(s.cl, cfg)
     tr_dist = simulate_distributed(s.cl, cfg)
-    dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
-    de = np.max(np.abs(tr_dist.e_stacked() - tr_stacked.e_stacked()))
+    dy = np.max(np.abs(tr_dist.Y - tr_stacked.Y))
+    de = np.max(np.abs(tr_dist.E - tr_stacked.E))
     assert dy <= 1e-9
     assert de <= 1e-9
     assert np.allclose(tr_dist.times, tr_stacked.times, atol=1e-12)
@@ -525,12 +518,12 @@ def test_distributed_matches_stacked_heterogeneous(strategy, stride):
     tr_dist = simulate_distributed(cl, cfg)
     assert np.array_equal(tr_dist.times, tr_stacked.times)
     assert tr_dist.times[-1] == 2.0
-    for name in ("x", "y", "e", "w"):
-        got, want = np.hstack(getattr(tr_dist, name)), np.hstack(getattr(tr_stacked, name))
+    for name in ("Z", "Y", "E", "W"):
+        got, want = getattr(tr_dist, name), getattr(tr_stacked, name)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-9, name
     # states stay O(1), so the 1e-9 bound is a relative one too
-    assert np.max(np.abs(np.hstack(tr_stacked.x))) < 10.0
+    assert np.max(np.abs(tr_stacked.Z)) < 10.0
 
 
 @pytest.mark.parametrize("edges, abscissa", [
@@ -542,13 +535,12 @@ def test_general_strategy_on_digraphs(edges, abscissa):
     ok, got = certify_stability(s.cl)
     assert ok and got == pytest.approx(abscissa, abs=1e-4)
     _, _, y_ss = steady_state(s.reg, s.cl, s.cl.v0)
-    assert np.max(np.abs(y_ss - s.y_star)) <= 1e-6
+    assert np.max(np.abs(y_ss - solve_ne(s.pg))) <= 1e-6
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(s.cl, cfg)
     tr_dist = simulate_distributed(s.cl, cfg)
-    for field in ("x", "y", "e", "w"):
-        for a, b in zip(getattr(tr_stacked, field), getattr(tr_dist, field)):
-            assert np.max(np.abs(a - b)) <= 1e-9
+    for field in ("Z", "Y", "E", "W"):
+        assert np.max(np.abs(getattr(tr_stacked, field) - getattr(tr_dist, field))) <= 1e-9
 
 
 def test_distributed_matches_stacked_perturbed(sensor_general):
@@ -563,23 +555,23 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
     tr_dist = simulate_distributed(cl, cfg)
-    dy = np.max(np.abs(tr_dist.y_stacked() - tr_stacked.y_stacked()))
+    dy = np.max(np.abs(tr_dist.Y - tr_stacked.Y))
     assert dy <= 1e-9
 
 
-def norms(tr):
-    """Output gap ||y - y*|| and stacked error norm ||e|| of a Trajectory."""
-    gap = np.linalg.norm(tr.y_stacked() - tr.y_star, axis=1)
-    return gap, np.linalg.norm(tr.e_stacked(), axis=1)
+def norms(tr, cl):
+    """Output gap ||y - y*|| and stacked error norm ||e|| of a Trajectory of ``cl``."""
+    gap = np.linalg.norm(tr.Y - solve_ne(assemble_pseudo_gradient(cl.game)), axis=1)
+    return gap, np.linalg.norm(tr.E, axis=1)
 
 
-def metrics(tr, tol=1e-3):
-    return series_metrics(tr.times, *norms(tr), tol)
+def metrics(tr, cl, tol=1e-3):
+    return series_metrics(tr.times, *norms(tr, cl), tol)
 
 
 def repr_lines(tr):
     """CSV data lines of a Trajectory: t, y, e, w, each field the repr of its float."""
-    table = np.column_stack([tr.times, *tr.y, *tr.e, *tr.w])
+    table = np.column_stack([tr.times, tr.Y, tr.E, tr.W])
     return [", ".join(map(repr, row.tolist())) for row in table]
 
 
@@ -588,16 +580,16 @@ def test_metrics_on_invariant_subspace(sensor_digraph):
     z0 = s.reg.X_c @ s.cl.v0
     tr = simulate(s.cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10),
                   z0=z0)
-    m = metrics(tr)
+    m = metrics(tr, s.cl)
     assert m["T_conv"] == 0.0
     assert m["final_output_gap"] <= 1e-9
     assert m["steady_oscillation"] <= 1e-9
 
 
 def test_metrics_diverging_trajectory():
-    tr = simulate(toy_loop(3.0), SimConfig(dt=1e-3, t_end=3.0),
-                  z0=np.array([1.0]))
-    m = metrics(tr)
+    cl = toy_loop(3.0)
+    tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0), z0=np.array([1.0]))
+    m = metrics(tr, cl)
     assert m["T_conv"] is None
     assert m["final_output_gap"] > 1.0
 
@@ -605,7 +597,7 @@ def test_metrics_diverging_trajectory():
 def test_metrics_sensor_run(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=40.0, record_stride=100))
-    m = metrics(tr)
+    m = metrics(tr, sensor_digraph.cl)
     assert m["T_conv"] is not None
     assert 0.0 < m["T_conv"] < 40.0
     assert m["final_output_gap"] < 1e-3
@@ -615,8 +607,8 @@ def test_metrics_sensor_run(sensor_digraph):
 def test_metrics_peak_gap(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=20.0, record_stride=10))
-    m = metrics(tr)
-    gap, _ = norms(tr)
+    m = metrics(tr, sensor_digraph.cl)
+    gap, _ = norms(tr, sensor_digraph.cl)
     assert m["peak_output_gap"] == np.max(gap)
     assert m["peak_output_gap"] >= gap[0]
     assert m["t_peak"] in tr.times
@@ -650,9 +642,9 @@ def test_csv_header_and_roundtrip(sensor_digraph):
     got = np.array([[float(v) for v in row] for row in rows[1:]])
     # repr() formatting round-trips every float exactly.
     assert np.array_equal(got[:, 0], tr.times)
-    assert np.array_equal(got[:, 1:11], tr.y_stacked())
-    assert np.array_equal(got[:, 11:21], tr.e_stacked())
-    assert np.array_equal(got[:, 21:31], np.hstack(tr.w))
+    assert np.array_equal(got[:, 1:11], tr.Y)
+    assert np.array_equal(got[:, 11:21], tr.E)
+    assert np.array_equal(got[:, 21:31], tr.W)
     # every field is the repr of its float, in column order
     assert text[1:] == repr_lines(tr)
 
@@ -664,13 +656,13 @@ def test_kept_series_are_the_trajectory_norms(t_end, stride, sensor_digraph):
     cfg = SimConfig(dt=1e-3, t_end=t_end, record_stride=stride)
     times, gap, err, *err_i = write_records(cl, cfg, io.StringIO())
     tr = simulate(cl, cfg)
-    want_gap, want_err = norms(tr)
+    want_gap, want_err = norms(tr, cl)
     assert times.tobytes() == tr.times.tobytes()
     assert gap.tobytes() == want_gap.tobytes()
     assert err.tobytes() == want_err.tobytes()
-    assert len(err_i) == len(tr.e)
-    for got, e in zip(err_i, tr.e):
-        assert got.tobytes() == np.linalg.norm(e, axis=1).tobytes()
+    assert len(err_i) == len(cl.out_slices)
+    for got, out in zip(err_i, cl.out_slices):
+        assert got.tobytes() == np.linalg.norm(tr.E[:, out], axis=1).tobytes()
 
 
 def test_rk4_radius_is_the_step_maps_z_block_radius(sensor_general):
@@ -689,6 +681,18 @@ def test_rk4_dt_limit_real_axis():
     assert rk4_dt_limit([-1.0, -4.0]) == pytest.approx(2.785293563405282 / 4, rel=1e-12)
 
 
+def test_rk4_gate_of_huge_steps_and_eigenvalues():
+    # T4 depends on dt lam only: the limit scales as 1 / |lam|, and neither
+    # a huge eigenvalue nor a huge step raises a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e50, 1e80, 1e100):
+            assert rk4_dt_limit([-lam]) * lam == pytest.approx(rk4_dt_limit([-1.0]), rel=1e-12)
+        assert rk4_dt_limit([0.0, -1.0]) == rk4_dt_limit([-1.0])
+        for dt in (1e80, 1e300):
+            assert rk4_radius([-1.0, -0.5 + 2.0j], dt) == np.inf
+
+
 def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
     eigs = np.concatenate(sensor_digraph.cl.spectra)
     limit = rk4_dt_limit(eigs)
@@ -698,15 +702,15 @@ def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
 def test_csv_blocks_match_the_row_formula(sensor_digraph):
     tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.7))
     assert len(tr.times) > 2 * BLOCK_ROWS and len(tr.times) % BLOCK_ROWS
-    y, e = [a.copy() for a in tr.y], [a.copy() for a in tr.e]
-    y[1][:, 0] = y[0][:, 0]  # a duplicated column
+    Y, E = tr.Y.copy(), tr.E.copy()
+    Y[:, 2] = Y[:, 0]  # a duplicated column: y_2_1 is y_1_1
     # columns equal but for the sign of zero: each keeps its own sign
-    e[0][:, 0] = 0.0
-    e[1][:, 0] = -0.0
-    e[2][:, 0] = 0.0
-    e[2][BLOCK_ROWS + 3, 0] = -0.0
-    tr = dataclasses.replace(tr, y=tuple(y), e=tuple(e))
-    arrays = [tr.times[:, None], *tr.y, *tr.e, *tr.w]
+    E[:, 0] = 0.0  # e_1_1
+    E[:, 2] = -0.0  # e_2_1
+    E[:, 4] = 0.0  # e_3_1
+    E[BLOCK_ROWS + 3, 4] = -0.0
+    tr = dataclasses.replace(tr, Y=Y, E=E)
+    arrays = [tr.times[:, None], tr.Y, tr.E, tr.W]
     lines = "".join(
         csv_rows([a[start:start + BLOCK_ROWS] for a in arrays])
         for start in range(0, len(tr.times), BLOCK_ROWS)

@@ -531,7 +531,7 @@ def test_solve_regulator_sensor_residuals(sensor_digraph, sensor_general):
 def test_steady_state_matches_ne(sensor_digraph, sensor_general):
     for s in (sensor_digraph, sensor_general):
         _, _, y_ss = steady_state(s.reg, s.cl, s.cl.v0)
-        assert np.max(np.abs(y_ss - s.y_star)) <= 1e-6
+        assert np.max(np.abs(y_ss - solve_ne(s.pg))) <= 1e-6
 
 
 def test_steady_state_isolated_reaches_target():
