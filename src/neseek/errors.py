@@ -26,7 +26,7 @@ class SynthesisError(NeseekError):
 
 
 class DomainError(NeseekError, ValueError):
-    """Operation applied outside its domain (wrong graph kind, singular D)."""
+    """Operation applied outside its domain (wrong graph kind, non-finite input)."""
 
 
 class AssumptionError(NeseekError):

@@ -24,8 +24,6 @@ __all__ = [
     "assemble_pseudo_gradient",
     "check_assumption_1",
     "solve_ne",
-    "partial_gradient",
-    "evaluate_cost",
     "cost_from_targets",
 ]
 
@@ -166,36 +164,6 @@ def solve_ne(pg):
             f"NE residual {residual:.3e} exceeds 1e-10 scaled bound"
         )
     return y_star
-
-
-def _agent_cost(game, i):
-    if not (1 <= i <= len(game.costs)):
-        raise DimensionError(f"agent index {i} out of range 1..{len(game.costs)}")
-    return game.costs[i - 1]
-
-
-def partial_gradient(game, i, y):
-    """e_i = (R_ii + R_ii') y_i + sum_j R_ij y_j + Q_ii'."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (game.offsets[-1],):
-        raise DimensionError(f"y must have {game.offsets[-1]} entries, got {y.shape}")
-    cost = _agent_cost(game, i)
-    e_i = (cost.R_ii + cost.R_ii.T) @ game.block(y, i) + cost.Q_ii
-    for j, R_ij in cost.R_ij.items():
-        e_i = e_i + R_ij @ game.block(y, j)
-    return e_i
-
-
-def evaluate_cost(game, i, y):
-    """Full quadratic value J_i(y), including q_i and the Q_ij terms."""
-    y = np.asarray(y, dtype=float)
-    cost = _agent_cost(game, i)
-    y_i = game.block(y, i)
-    J = float(y_i @ cost.R_ii @ y_i + cost.Q_ii @ y_i + cost.q_i)
-    for j in cost.R_ij:
-        y_j = game.block(y, j)
-        J += float(y_i @ cost.R_ij[j] @ y_j + y_j @ cost.Q_ij[j] @ y_j)
-    return J
 
 
 def cost_from_targets(targets, graph):

@@ -14,7 +14,7 @@ __all__ = ["CommGraph", "neighbors", "check_acyclic", "check_connected"]
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable communication graph on agents 1..N.
+    """Immutable communication graph on agents 1..N, N >= 1.
 
     ``edges`` holds ordered (source, sink) pairs; for an undirected graph
     the set must be symmetric (both orientations present).
@@ -25,8 +25,6 @@ class CommGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.agent_count < 1:
-            raise DimensionError("agent_count must be positive")
         edges = frozenset((int(j), int(i)) for j, i in self.edges)
         object.__setattr__(self, "edges", edges)
         for j, i in edges:

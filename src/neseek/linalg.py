@@ -18,7 +18,6 @@ from .errors import (
 
 __all__ = [
     "eigenvalues",
-    "is_hurwitz",
     "rank",
     "solve_linear",
     "solve_sylvester",
@@ -59,19 +58,6 @@ def eigenvalues(M):
     """
     M = _as_square(M)
     return np.linalg.eigvals(M)
-
-
-def is_hurwitz(M):
-    """Check whether all eigenvalues of ``M`` lie in the open left half-plane.
-
-    Returns
-    -------
-    (bool, float)
-        The verdict and the spectral abscissa (max real part).
-    """
-    M = _as_square(M)
-    abscissa = float(np.max(eigenvalues(M).real)) if M.size else -np.inf
-    return abscissa < 0.0, abscissa
 
 
 def rank(M):
@@ -317,8 +303,8 @@ def solve_care(A, B, Qw, Rw):
         )
     K = -Rw_inv_Bt @ P
 
-    ok, abscissa = is_hurwitz(A + B @ K)
-    if not ok:
+    abscissa = float(np.max(eigenvalues(A + B @ K).real))
+    if not abscissa < 0.0:
         raise SynthesisError(
             f"computed gain does not stabilize (abscissa {abscissa:.3e})"
         )

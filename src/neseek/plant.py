@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 
 __all__ = [
     "AgentPlant",
@@ -22,7 +22,6 @@ __all__ = [
     "check_assumption_2",
     "check_assumption_3",
     "check_assumption_4",
-    "check_scaled_rank",
     "sample_perturbation",
 ]
 
@@ -228,23 +227,6 @@ def check_assumption_4(plant, exo):
         if not _regulation_pencil_rank_ok(plant.A, plant.B, plant.C, lam)
     ]
     return not failing, failing
-
-
-def check_scaled_rank(plant, exo, D):
-    """Assumption-4 pencil with C replaced by D C, D nonsingular.
-
-    The rank is invariant under any nonsingular output scaling, which is
-    what licenses running the test with D = R_ii + R_ii'.
-    """
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    if D.shape != (plant.p, plant.p):
-        raise DimensionError(f"D must be {plant.p}x{plant.p}, got {D.shape}")
-    if linalg.rank(D) < plant.p:
-        raise DomainError("D must be nonsingular")
-    return all(
-        _regulation_pencil_rank_ok(plant.A, plant.B, D @ plant.C, lam)
-        for lam in _spec_with_zero(exo)
-    )
 
 
 def sample_perturbation(plant, scale, rng):

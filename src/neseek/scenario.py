@@ -38,7 +38,6 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "scenario_to_dict",
-    "save_scenario",
     "scenario_hash",
     "save_controllers",
     "load_controllers",
@@ -161,6 +160,16 @@ def _vector(v, where):
     return np.asarray(v, dtype=float)
 
 
+def _target(v, where):
+    """A cost target r_i; its cost's constant q_i = r_i'r_i must be finite too."""
+    r = _vector(v, where)
+    with np.errstate(over="ignore"):
+        q = float(r @ r)
+    if not q < np.inf:
+        raise ScenarioError(f"{where}: q_i = r_i'r_i overflows")
+    return r
+
+
 def _matrix(doc, where):
     m = _read(doc, where, {"shape": _pair, "data": _vector}, ("shape", "data"))
     (r, c), data = m["shape"], m["data"]
@@ -192,7 +201,7 @@ SCENARIO = {
     "exosystems": _list_of(_record({"S": _matrix, "w0": _vector},
                                    ("S", "w0"), Exosystem)),
     "cost": _record({
-        "targets": _list_of(_vector),
+        "targets": _list_of(_target),
         "blocks": _list_of(_record(
             {"R_ii": _matrix, "Q_ii": _vector, "q_i": _number,
              "R_ij": _coupling, "Q_ij": _coupling},
@@ -370,12 +379,6 @@ def load_scenario(path):
 
 def _canonical_dump(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def save_scenario(s, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def scenario_hash(s):

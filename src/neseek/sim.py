@@ -169,19 +169,17 @@ def _rk4_map(A_c, P_c, E_half, E_full, dt):
     return np.block([[top], [np.zeros((dv, dz)), E_full]])
 
 
-def propagate(cl, cfg, z0=None):
+def propagate(cl, cfg):
     """Yield the recorded ``(times, [z; v])`` of the stacked loop, one block at a time.
 
-    Blocks hold at most BLOCK_ROWS records; records follow one another by
+    The loop starts at ``cl.initial_state()`` and ``cl.v0``.  Blocks
+    hold at most BLOCK_ROWS records; records follow one another by
     powers of the RK4 step map, v advancing exactly.  A block is yielded
     only once its z-part is finite; otherwise DivergenceError names the
     first step whose state is non-finite, which is how an unstable
     assembly surfaces.  Only the current block and the record before it
     are held.  A horizon of more steps than an int64 holds raises DomainError.
     """
-    z0 = cl.initial_state() if z0 is None else np.asarray(z0, dtype=float)
-    if z0.shape != (cl.dim_z,):
-        raise DimensionError(f"z0 must have {cl.dim_z} entries, got {z0.shape}")
     if cfg.n_steps > np.iinfo(np.int64).max:
         raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_steps} steps, "
                           "more than an int64 can count")
@@ -191,7 +189,7 @@ def propagate(cl, cfg, z0=None):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
     # two powers at most: the stride's, and the last record's partial stride's
     power = functools.cache(lambda n: np.linalg.matrix_power(M, n))
-    x = np.concatenate([z0, cl.v0])
+    x = np.concatenate([cl.initial_state(), cl.v0])
     last = 0  # the step of the record before the block
     for start in range(0, cfg.n_records, BLOCK_ROWS):
         steps = cfg.record_step_range(start, min(start + BLOCK_ROWS, cfg.n_records))
@@ -234,13 +232,13 @@ def block_outputs(cl, X):
     return Z @ cl.C_out.T, Z @ cl.C_c.T + V @ cl.Q_c.T, w
 
 
-def simulate(cl, cfg, z0=None):
+def simulate(cl, cfg):
     """Integrate the stacked closed loop into one Trajectory; v is advanced exactly.
 
     Collects the blocks of ``propagate``, then takes the y, e and w of
     each block; raises its DivergenceError.
     """
-    times, X = zip(*propagate(cl, cfg, z0))
+    times, X = zip(*propagate(cl, cfg))
     Y, E, W = (np.concatenate(a) for a in zip(*(block_outputs(cl, block) for block in X)))
     return Trajectory(np.concatenate(times), np.concatenate(X)[:, :cl.dim_z], Y, E, W)
 

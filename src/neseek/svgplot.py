@@ -38,7 +38,9 @@ def _fmt_tick(v):
     if v == 0:
         return "0"
     if abs(v) >= 1e4 or abs(v) < 1e-3:
-        return f"{v:.0e}"
+        # as many mantissa digits as the tick has, so 1.5e+04 is not 2e+04
+        mantissa, exponent = f"{v:.12e}".split("e")
+        return mantissa.rstrip("0").rstrip(".") + "e" + exponent
     return f"{v:g}"
 
 
@@ -130,18 +132,13 @@ def _render(times, series, labels, title, y_label):
     yield "</svg>\n"
 
 
-def line_plot(times, series, labels, title, y_label, path=None):
-    """Render one plot with a polyline per series.
+def line_plot(times, series, labels, title, y_label, path):
+    """Write one plot with a polyline per series to ``path``, piece by piece.
 
     ``series`` is a list of 1-D arrays over the shared ``times`` axis.
-    Without ``path`` the SVG text is returned; with it the document is
-    written to that file piece by piece and None is returned.
     """
     pieces = _render(np.asarray(times, dtype=float),
                      [np.asarray(s, dtype=float) for s in series],
                      labels, title, y_label)
-    if path is None:
-        return "".join(pieces)
     with open(path, "w") as fh:
         fh.writelines(pieces)
-    return None

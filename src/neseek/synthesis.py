@@ -15,8 +15,7 @@ Rw_i of Rbar for digraph (acyclic) topologies, all of Rbar for general
 (connected) ones.  The stacked closed loop is per-agent blocks, agent-major
 ([x_i; xi_i; zeta_i] per agent), plus that error:
 zdot = A_c(mu) z + P_c(mu) v, e = Rbar C_out z + Q_c v, vdot = Shat v;
-stability, regulator-equation, and steady-state certificates are
-computed on it.
+the stability and regulator-equation certificates are computed on it.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +43,6 @@ __all__ = [
     "certify_stability",
     "worst_agent",
     "solve_regulator",
-    "steady_state",
 ]
 
 STRATEGIES = ("digraph", "general")
@@ -440,23 +438,3 @@ def solve_regulator(cl):
         X_c=X_c, residual_dyn=residual_dyn, residual_err=residual_err,
         scale_dyn=scale_dyn, scale_err=scale_err,
     )
-
-
-def steady_state(reg, cl, v):
-    """Steady state induced by exogenous vector v on the regulated subspace.
-
-    Returns stacked (x_ss, u_ss, y_ss); y_ss equals the game NE whenever
-    the constant channels of v are 1 and residual_err is (numerically)
-    zero, which cross-checks the synthesis against the equilibrium solve.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (cl.dim_v,):
-        raise DimensionError(f"v must have {cl.dim_v} entries, got {v.shape}")
-    z_ss = reg.X_c @ v
-    x_ss = np.concatenate([z_ss[sl] for sl in cl.x_slices])
-    y_ss = cl.C_out @ z_ss
-
-    u_ss = np.concatenate([
-        c.K @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
-    ])
-    return x_ss, u_ss, y_ss

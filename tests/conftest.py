@@ -1,5 +1,6 @@
 """Shared fixtures: the five-agent sensor-network scenario in both
-strategy variants, synthesized once per session."""
+strategy variants, synthesized once per session; and the oracles the
+tests check the library against, which no command runs."""
 
 import json
 from types import SimpleNamespace
@@ -7,8 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from neseek.errors import DimensionError
 from neseek.game import assemble_pseudo_gradient, cost_from_targets
 from neseek.graph import CommGraph
+from neseek.linalg import minimal_polynomial
 from neseek.plant import AgentPlant, Exosystem
 from neseek.synthesis import (
     SynthesisWeights,
@@ -143,3 +146,94 @@ def scenario_paths(tmp_path_factory):
         p.write_text(json.dumps(sensor_scenario_doc(strategy), indent=1))
         paths[strategy] = p
     return paths
+
+
+# oracles: a Hurwitz test, the definitional NE test, the internal-model
+# test and the invariant-subspace steady state
+
+
+def is_hurwitz(M):
+    """(verdict, spectral abscissa) of ``M``, from numpy's eigenvalues."""
+    abscissa = float(np.max(np.linalg.eigvals(M).real))
+    return abscissa < 0.0, abscissa
+
+
+def _agent_cost(game, i):
+    if not (1 <= i <= len(game.costs)):
+        raise DimensionError(f"agent index {i} out of range 1..{len(game.costs)}")
+    return game.costs[i - 1]
+
+
+def partial_gradient(game, i, y):
+    """e_i = (R_ii + R_ii') y_i + sum_j R_ij y_j + Q_ii'."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (game.offsets[-1],):
+        raise DimensionError(f"y must have {game.offsets[-1]} entries, got {y.shape}")
+    cost = _agent_cost(game, i)
+    e_i = (cost.R_ii + cost.R_ii.T) @ game.block(y, i) + cost.Q_ii
+    for j, R_ij in cost.R_ij.items():
+        e_i = e_i + R_ij @ game.block(y, j)
+    return e_i
+
+
+def evaluate_cost(game, i, y):
+    """Full quadratic value J_i(y), including q_i and the Q_ij terms."""
+    y = np.asarray(y, dtype=float)
+    cost = _agent_cost(game, i)
+    y_i = game.block(y, i)
+    J = float(y_i @ cost.R_ii @ y_i + cost.Q_ii @ y_i + cost.q_i)
+    for j in cost.R_ij:
+        y_j = game.block(y, j)
+        J += float(y_i @ cost.R_ij[j] @ y_j + y_j @ cost.Q_ij[j] @ y_j)
+    return J
+
+
+def _controllable(beta, sigma):
+    s = beta.shape[0]
+    krylov = np.hstack([np.linalg.matrix_power(beta, k) @ sigma for k in range(s)])
+    return np.linalg.matrix_rank(krylov) == s
+
+
+def verify_internal_model(G1, G2, S_tilde):
+    """Does (G1, G2) incorporate a p-copy internal model of S_tilde?
+
+    p is the column count of G2 and s the degree of
+    minimal_polynomial(S_tilde).  True iff the shapes fit and every
+    diagonal block's characteristic polynomial matches that polynomial
+    coefficient-wise within 1e-8 and every (beta, sigma) pair is
+    controllable.
+    """
+    want = minimal_polynomial(S_tilde)
+    s, p = want.size - 1, G2.shape[1]
+    if G1.shape != (p * s, p * s) or G2.shape != (p * s, p):
+        return False
+    for k in range(p):
+        rows = slice(k * s, (k + 1) * s)
+        beta, sigma = G1[rows, rows], G2[rows, k:k + 1]
+        # np.poly returns descending coefficients; compare ascending monic
+        char = np.poly(beta)[::-1]
+        if np.max(np.abs(char - want)) > 1e-8:
+            return False
+        if not _controllable(beta, sigma):
+            return False
+    return True
+
+
+def steady_state(reg, cl, v):
+    """Steady state induced by exogenous vector v on the regulated subspace.
+
+    Returns stacked (x_ss, u_ss, y_ss); y_ss equals the game NE whenever
+    the constant channels of v are 1 and residual_err is (numerically)
+    zero, which cross-checks the synthesis against the equilibrium solve.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape != (cl.dim_v,):
+        raise DimensionError(f"v must have {cl.dim_v} entries, got {v.shape}")
+    z_ss = reg.X_c @ v
+    x_ss = np.concatenate([z_ss[sl] for sl in cl.x_slices])
+    y_ss = cl.C_out @ z_ss
+
+    u_ss = np.concatenate([
+        c.K @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
+    ])
+    return x_ss, u_ss, y_ss

@@ -8,12 +8,12 @@ from neseek.game import (
     assemble_pseudo_gradient,
     check_assumption_1,
     cost_from_targets,
-    evaluate_cost,
-    partial_gradient,
     solve_ne,
 )
 from neseek.graph import CommGraph
 from neseek.internal_model import companion_pair
+
+from conftest import evaluate_cost, partial_gradient
 
 
 def two_agent_game(r=(1.0, 3.0)):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import verify_internal_model
 from neseek.errors import DomainError
-from neseek.internal_model import build_p_copy, companion_pair, verify_internal_model
+from neseek.internal_model import build_p_copy, companion_pair
 from neseek.linalg import minimal_polynomial
 
 OMEGA = np.pi / 10.0

@@ -10,10 +10,10 @@ from neseek.errors import (
     SingularMatrixError,
     SynthesisError,
 )
+from conftest import is_hurwitz
 from neseek.linalg import (
     eigenvalues,
     expm,
-    is_hurwitz,
     minimal_polynomial,
     rank,
     solve_care,
@@ -71,18 +71,6 @@ SHAPE_MISMATCHES = [
 def test_mismatched_shapes_raise_dimension_error(case, call, message):
     with pytest.raises(DimensionError, match=message):
         call()
-
-
-def test_is_hurwitz_stable():
-    ok, abscissa = is_hurwitz([[0.0, 1.0], [-2.0, -3.0]])
-    assert ok
-    assert abs(abscissa - (-1.0)) <= 1e-12
-
-
-def test_is_hurwitz_unstable():
-    ok, abscissa = is_hurwitz([[1.0]])
-    assert not ok
-    assert abscissa == pytest.approx(1.0)
 
 
 def test_rank_deficient():
@@ -239,6 +227,10 @@ def test_solve_sylvester_takes_the_callers_spectrum():
     # a spectrum that overlaps spec(B) trips the separation gate
     with pytest.raises(NonUniqueSolutionError):
         solve_sylvester(A, B, C, eig_a=[0.0, -2.0])
+    # one that misses an eigenvalue spec(A) shares with spec(B) passes the
+    # gate, and the singular shifted solve reports the overlap
+    with pytest.raises(NonUniqueSolutionError, match=r"I - A is singular \("):
+        solve_sylvester(np.zeros((1, 1)), B, np.ones((1, 1)), eig_a=[-1.0])
 
 
 def test_solve_care_matches_scipy():
@@ -328,6 +320,16 @@ def test_solve_care_hurwitz_postcondition_random():
         assert ok
 
 
+def test_solve_care_refuses_a_gain_that_does_not_stabilize(monkeypatch):
+    # the sign of -H spans the anti-stabilizing subspace: P = 1 - sqrt(2)
+    # solves the Riccati equation, but A + B K = sqrt(2) is unstable
+    sign = linalg._matrix_sign
+    monkeypatch.setattr(linalg, "_matrix_sign", lambda H: -sign(H))
+    with pytest.raises(SynthesisError,
+                       match=r"^computed gain does not stabilize \(abscissa 1\.414e\+00\)$"):
+        solve_care(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+
+
 def test_solve_care_imaginary_axis_hamiltonian():
     # Undetectable unstable mode: Qw = 0 leaves an axis eigenvalue pair.
     with pytest.raises(SynthesisError):
@@ -404,7 +406,7 @@ def test_expm_zero_and_empty():
 NAN = np.array([[np.nan]])
 NAN_INPUTS = [
     ("eigenvalues", lambda: eigenvalues(NAN)),
-    ("is_hurwitz", lambda: is_hurwitz(NAN)),
+    ("solve_care", lambda: solve_care(NAN, np.eye(1), np.eye(1), np.eye(1))),
     ("rank", lambda: rank(NAN)),
     ("solve_linear", lambda: solve_linear(NAN, np.ones(1))),
     ("solve_sylvester", lambda: solve_sylvester(NAN, np.eye(1), np.ones((1, 1)))),

@@ -3,14 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError, DomainError
+from neseek.errors import DimensionError
 from neseek.plant import (
     AgentPlant,
     Exosystem,
     check_assumption_2,
     check_assumption_3,
     check_assumption_4,
-    check_scaled_rank,
     sample_perturbation,
 )
 
@@ -182,11 +181,15 @@ def test_assumption_4_square_invertible_pencil():
         assert ok
 
 
+def scaled_a4(plant, exo, D):
+    """Assumption 4 with C replaced by D C: the pencil the synthesis designs on."""
+    return check_assumption_4(dataclasses.replace(plant, C=D @ plant.C), exo)[0]
+
+
 def test_scaled_rank_identity_matches_a4():
     plant = friction_plant()
     exo = Exosystem(S=ROT, w0=np.array([1.0, 0.0]))
-    assert check_scaled_rank(plant, exo, np.eye(1)) == \
-        check_assumption_4(plant, exo)[0]
+    assert scaled_a4(plant, exo, np.eye(1)) == check_assumption_4(plant, exo)[0]
 
 
 def test_scaled_rank_consensus_weight():
@@ -194,14 +197,15 @@ def test_scaled_rank_consensus_weight():
     # applies to each agent's own output.
     plant = friction_plant()
     exo = Exosystem(S=ROT, w0=np.array([1.0, 0.0]))
-    assert check_scaled_rank(plant, exo, 2.0 * 3.0 * np.eye(1))
+    assert scaled_a4(plant, exo, 2.0 * 3.0 * np.eye(1))
 
 
 def test_scaled_rank_rejects_singular_scale():
+    # the invariance needs D nonsingular: D = 0 drops the output rows' rank
     plant = friction_plant()
     exo = Exosystem(S=ROT, w0=np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        check_scaled_rank(plant, exo, np.zeros((1, 1)))
+    assert check_assumption_4(plant, exo)[0]
+    assert not scaled_a4(plant, exo, np.zeros((1, 1)))
 
 
 def test_scaled_rank_invariance_property():
@@ -214,7 +218,7 @@ def test_scaled_rank_invariance_property():
         D = rng.standard_normal((1, 1))
         while abs(D[0, 0]) < 1e-3:
             D = rng.standard_normal((1, 1))
-        assert check_scaled_rank(plant, exo, D)
+        assert scaled_a4(plant, exo, D)
 
 
 def test_perturbed_accessors_exact():

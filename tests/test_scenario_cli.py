@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import sensor_scenario_doc
 import neseek.cli
+import neseek.linalg
 import neseek.svgplot
 from neseek.cli import main
 from neseek.errors import ScenarioError, StaleControllerError
@@ -24,7 +26,6 @@ from neseek.scenario import (
     load_scenario,
     parse_scenario,
     save_controllers,
-    save_scenario,
     scenario_hash,
     scenario_to_dict,
 )
@@ -90,7 +91,8 @@ def write_doc(tmp_path, doc, name="scenario.json"):
 def test_parse_roundtrip(tmp_path):
     scn = parse_scenario(sensor_scenario_doc("digraph"))
     path = tmp_path / "s.json"
-    save_scenario(scn, path)
+    with open(path, "w") as fh:
+        json.dump(scenario_to_dict(scn), fh)
     again = load_scenario(path)
     assert again == scn
     assert scenario_hash(again) == scenario_hash(scn)
@@ -350,38 +352,39 @@ def test_load_controllers_check_order(tmp_path, sensor_bundle):
         load(lambda d: _set(d, ("agents", 0, "K1"), mat([[1.0]])))
 
 
+def plot_text(tmp_path, *args):
+    """The SVG document ``line_plot(*args)`` writes, read back."""
+    path = tmp_path / "plot.svg"
+    line_plot(*args, path=path)
+    return path.read_text()
+
+
 def test_svg_well_formed(tmp_path):
     t = np.linspace(0.0, 1.0, 50)
     series = [np.exp(-3 * t), np.abs(np.sin(8 * t)) + 1e-12]
-    svg = line_plot(t, series, labels=["a", "b"], title="demo",
-                    y_label="value")
-    root = ET.fromstring(svg)
+    root = ET.fromstring(plot_text(tmp_path, t, series, ["a", "b"], "demo", "value"))
     assert root.tag.endswith("svg")
     body = ET.tostring(root, encoding="unicode")
     assert "polyline" in body
     assert "demo" in body and "a" in body and "b" in body
-    # with a path the same document goes to the file, and nothing is returned
-    out = tmp_path / "plot.svg"
-    assert line_plot(t, series, labels=["a", "b"], title="demo",
-                     y_label="value", path=out) is None
-    assert out.read_text() == svg
 
 
 def test_svg_written_in_chunks_peaks_below_one_polyline(tmp_path, monkeypatch):
-    # 5 series of 6000 points in chunks of 64: the file is the returned
-    # document byte for byte, yet writing it never holds even one
-    # polyline's points text (the peak is flat in series length)
-    monkeypatch.setattr(neseek.svgplot, "CHUNK", 64)
+    # 5 series of 6000 points in chunks of 64: the file is the one written
+    # a whole polyline at a time, byte for byte, yet writing it never
+    # holds even one polyline's points text (the peak is flat in series length)
     t = np.linspace(0.0, 100.0, 6000)
     series = [np.exp(-k * t) * (1.5 + np.sin(7 * t)) for k in range(1, 6)]
     labels = [f"s{k}" for k in range(1, 6)]
-    text = line_plot(t, series, labels, "long", "v")
+    monkeypatch.setattr(neseek.svgplot, "CHUNK", len(t))
+    text = plot_text(tmp_path, t, series, labels, "long", "v")
     points = ET.fromstring(text).find("{http://www.w3.org/2000/svg}polyline").get("points")
     assert len(points.split(" ")) == len(t)
+    monkeypatch.setattr(neseek.svgplot, "CHUNK", 64)
     out = tmp_path / "long.svg"
     tracemalloc.start()
     try:
-        assert line_plot(t, series, labels, "long", "v", path=out) is None
+        line_plot(t, series, labels, "long", "v", path=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,14 +392,14 @@ def test_svg_written_in_chunks_peaks_below_one_polyline(tmp_path, monkeypatch):
     assert peak < len(points), (peak, len(points))
 
 
-def test_svg_clips_non_finite_and_overflowing_values():
+def test_svg_clips_non_finite_and_overflowing_values(tmp_path):
     # NaN, infinity and values past 1e308 sit on the ceiling, as zeros sit
     # on the floor: the axis spans 1e-16..1e308 and every point is drawn
     t = np.linspace(0.0, 1.0, 6)
     values = np.array([0.0, 1.0, 1.7e308, np.inf, -np.inf, np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        svg = line_plot(t, [values], labels=["x"], title="edge", y_label="v")
+        svg = plot_text(tmp_path, t, [values], ["x"], "edge", "v")
     root = ET.fromstring(svg)
     points = root.find("{http://www.w3.org/2000/svg}polyline").get("points").split(" ")
     ys = [float(p.split(",")[1]) for p in points]
@@ -406,31 +409,44 @@ def test_svg_clips_non_finite_and_overflowing_values():
     assert "1e-16" in ticks and "1e308" in ticks
 
 
-def test_svg_points_match_the_pair_formula():
+def test_svg_points_match_the_pair_formula(tmp_path):
     # one format call over interleaved coordinates gives the per-pair text,
     # rounding ties and signs included
     xs = [72.0, 72.005, 72.015, 100.125, 871.999]
     ys = [42.0, -0.004, 448.005, 1e-9, 447.995]
     assert _points(xs, ys) == " ".join("%.2f,%.2f" % pair for pair in zip(xs, ys))
     t = np.linspace(0.0, 3.0, 301)
-    svg = line_plot(t, [np.exp(-t)], labels=["a"], title="demo", y_label="v")
+    svg = plot_text(tmp_path, t, [np.exp(-t)], ["a"], "demo", "v")
     points = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}polyline").get("points")
     assert len(points.split(" ")) == len(t)
 
 
-@pytest.mark.parametrize("t_end, label", [(2e4, "1e+04"), (0.002, "5e-04")])
-def test_svg_time_ticks_far_from_one_use_exponents(t_end, label):
+def time_tick_labels(tmp_path, t_end):
+    """The time-axis tick labels of a plot over [0, t_end]."""
     t = np.linspace(0.0, t_end, 11)
-    svg = line_plot(t, [np.exp(-t / t_end)], labels=["a"], title="ticks", y_label="v")
-    ticks = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-    assert label in ticks
+    svg = plot_text(tmp_path, t, [np.exp(-t / t_end)], ["a"], "ticks", "v")
+    row = str(neseek.svgplot.HEIGHT - neseek.svgplot.MARGIN_B + 18)
+    return [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+            if el.get("y") == row]
 
 
-def test_svg_log_floor_handles_zeros():
+@pytest.mark.parametrize("t_end, label", [(2e4, "1e+04"), (0.002, "5e-04")])
+def test_svg_time_ticks_far_from_one_use_exponents(t_end, label, tmp_path):
+    assert label in time_tick_labels(tmp_path, t_end)
+
+
+@pytest.mark.parametrize("t_end, labels", [
+    (2e4, ["0", "5000", "1e+04", "1.5e+04", "2e+04"]),
+    (3.5e4, ["0", "5000", "1e+04", "1.5e+04", "2e+04", "2.5e+04", "3e+04", "3.5e+04"]),
+], ids=["0 to 2e4", "0 to 3.5e4"])
+def test_svg_time_ticks_at_and_above_1e4_read_apart(t_end, labels, tmp_path):
+    # one significant digit read 15000 as 2e+04, next to 20000
+    assert time_tick_labels(tmp_path, t_end) == labels
+
+
+def test_svg_log_floor_handles_zeros(tmp_path):
     t = np.linspace(0.0, 1.0, 20)
-    svg = line_plot(t, [np.zeros(20)], labels=["z"], title="zeros",
-                    y_label="gap")
-    ET.fromstring(svg)
+    ET.fromstring(plot_text(tmp_path, t, [np.zeros(20)], ["z"], "zeros", "gap"))
 
 
 def test_cli_check_digraph(tmp_path, capsys):
@@ -491,6 +507,12 @@ def test_cli_check_assumption_failures(tmp_path):
         "cost": {"targets": [[0.0]]},
     }
     assert main(["check", write_doc(tmp_path, doc, "a4.json")]) == 14
+
+    # A4: a plant with no states and no inputs; its pencil is empty and
+    # of rank 0, short of the output count
+    doc["agents"] = [{"A": mat(np.zeros((0, 0))), "B": mat(np.zeros((0, 0))),
+                      "C": mat(np.zeros((1, 0))), "x0": []}]
+    assert main(["check", write_doc(tmp_path, doc, "a4-empty.json")]) == 14
 
     # A5: directed cycle.
     doc = sensor_scenario_doc("digraph")
@@ -638,6 +660,27 @@ MALFORMED = [
      "Q_21 must be 2x2"),
     ("flat dA", ("agents", 0, "dA"), {"shape": [1, 16], "data": [0.0] * 16},
      "agents[1]: dA must have shape (4, 4)"),
+    ("non-square A", ("agents", 0, "A"), {"shape": [2, 8], "data": [0.0] * 16},
+     "agents[1]: A must be square, got (2, 8)"),
+    ("C of the wrong width", ("agents", 0, "C"), {"shape": [2, 3], "data": [0.0] * 6},
+     "agents[1]: C must have 4 columns, got (2, 3)"),
+    ("P of the wrong height", ("agents", 0, "P"), {"shape": [3, 2], "data": [0.0] * 6},
+     "agents[1]: P must have 4 rows, got (3, 2)"),
+    ("non-square S", ("exosystems", 0, "S"), {"shape": [1, 2], "data": [0.0, 1.0]},
+     "exosystems[1]: S must be square, got (1, 2)"),
+    ("non-square R_ii", ("cost", "blocks", 0, "R_ii"), {"shape": [2, 3], "data": [1.0] * 6},
+     "cost.blocks[1]: R_ii must be square and non-empty, got (2, 3)"),
+    ("short Q_ii", ("cost", "blocks", 0, "Q_ii"), [1.0],
+     "cost.blocks[1]: Q_ii must have 2 entries, got (1,)"),
+    ("four cost blocks for five agents", ("cost", "blocks", 4), DELETE,
+     "cost: 4 costs for 5 agents"),
+    ("coupling to a non-neighbor", ("cost", "blocks", 0, "R_ij", "5"),
+     {"shape": [2, 2], "data": [-2.0, 0.0, 0.0, -2.0]},
+     "cost: agent 1: coupling keys [2, 3, 5] must equal neighbor set [2, 3]"),
+    ("four targets for five agents", ("cost", "targets", 4), DELETE,
+     "cost: 4 targets for 5 agents"),
+    ("targets of unequal length", ("cost", "targets", 1), [1.0],
+     "cost: targets of coupled agents 1 and 2 must have equal length"),
 ]
 
 
@@ -663,6 +706,50 @@ def test_cli_malformed_scenario_exits_2(case, path, value, where, tmp_path,
         assert main(argv) == 2, (case, argv[0])
         assert where in capsys.readouterr().err, (case, argv[0])
     assert not ctrl.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_refuses_a_target_whose_constant_overflows(tmp_path, capsys):
+    # q_i = r_i'r_i of a 1e300 target is inf: refused at parse, with no
+    # numpy overflow warning first (check exited 0, ne 1 and synth 4)
+    doc = sensor_scenario_doc("digraph")
+    doc["cost"]["targets"][0][0] = 1e300
+    scenario = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "c.json"
+    for argv in (["check", scenario], ["ne", scenario],
+                 ["synth", scenario, "--out", str(ctrl)]):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: cost.targets[1]: q_i = r_i'r_i overflows"], argv[0]
+        assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [Path(scenario)]
+
+
+def test_cli_synth_refuses_a_gain_that_does_not_stabilize(tmp_path, capsys, monkeypatch):
+    # a planted fault: the sign of -H hands each Riccati solve its
+    # anti-stabilizing solution, which passes the residual gate but not
+    # the Hurwitz one
+    sign = neseek.linalg._matrix_sign
+    monkeypatch.setattr(neseek.linalg, "_matrix_sign", lambda H: -sign(H))
+    argv = _synth_argv(tmp_path, "digraph")
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: computed gain does not stabilize (abscissa "), err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_cli_module_runs_as_a_script(tmp_path, capsys, monkeypatch):
+    # python -m neseek.cli: the module's own entry exits with main's status
+    path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
+    monkeypatch.setattr(sys, "argv", ["neseek", "ne", path])
+    # run_module runs a fresh copy of the module, not the imported one
+    monkeypatch.delitem(sys.modules, "neseek.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("neseek.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("lambda_min = ")
 
 
 def test_cli_synth_gates_regulator_residuals(tmp_path, capsys, monkeypatch):

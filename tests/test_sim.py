@@ -47,10 +47,9 @@ from neseek.synthesis import (
     assemble_closed_loop,
     build_controller,
     certify_stability,
-    steady_state,
 )
 
-from conftest import _build, sensor_scenario_doc
+from conftest import _build, sensor_scenario_doc, steady_state
 from neseek.cli import main
 from neseek.scenario import load_controllers, load_scenario
 
@@ -58,11 +57,11 @@ OMEGA = np.pi / 10.0
 
 
 def toy_loop(a):
-    """Scalar closed loop z' = a z with a trivial single-agent game."""
+    """Scalar closed loop z' = a z, z(0) = 1, with a trivial single-agent game."""
     g = CommGraph(1, directed=True, edges=[])
     game = cost_from_targets([np.zeros(1)], g)
     plant = AgentPlant(A=np.array([[a]]), B=np.zeros((1, 1)),
-                       C=np.eye(1), P=np.zeros((1, 0)))
+                       C=np.eye(1), P=np.zeros((1, 0)), x0=np.ones(1))
     exo = Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0))
     return ClosedLoopSystem(
         strategy="general",
@@ -122,7 +121,7 @@ def test_sim_config_validation():
     # a whole-number float stride is kept as an int that simulate can use
     cfg = SimConfig(dt=1e-3, t_end=0.01, record_stride=2.0)
     assert type(cfg.record_stride) is int and cfg.record_stride == 2
-    assert len(simulate(toy_loop(-1.0), cfg, z0=np.array([1.0])).times) == 6
+    assert len(simulate(toy_loop(-1.0), cfg).times) == 6
     with pytest.raises(DomainError, match="record_stride '2' is not a positive integer"):
         SimConfig(dt=1e-3, t_end=0.01, record_stride="2")
     with pytest.raises(DomainError, match="dt must be positive and finite, got '0.1'"):
@@ -132,8 +131,7 @@ def test_sim_config_validation():
 
 
 def test_scalar_decay_matches_exponential():
-    tr = simulate(toy_loop(-1.0), SimConfig(dt=1e-3, t_end=1.0),
-                  z0=np.array([1.0]))
+    tr = simulate(toy_loop(-1.0), SimConfig(dt=1e-3, t_end=1.0))
     assert abs(tr.Z[-1, 0] - np.exp(-1.0)) <= 1e-6
 
 
@@ -141,8 +139,7 @@ def test_fourth_order_convergence():
     errors = []
     steps = [0.2, 0.1, 0.05, 0.025]
     for dt in steps:
-        tr = simulate(toy_loop(-1.0), SimConfig(dt=dt, t_end=1.0),
-                      z0=np.array([1.0]))
+        tr = simulate(toy_loop(-1.0), SimConfig(dt=dt, t_end=1.0))
         errors.append(abs(tr.Z[-1, 0] - np.exp(-1.0)))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert slope >= 3.5
@@ -150,8 +147,7 @@ def test_fourth_order_convergence():
 
 def test_divergence_reports_first_bad_time():
     with pytest.raises(DivergenceError) as err:
-        simulate(toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0),
-                 z0=np.array([1.0]))
+        simulate(toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0))
     assert err.value.t_bad is not None
     assert 0.0 < err.value.t_bad < 10.0
 
@@ -164,10 +160,9 @@ def test_overflowing_power_is_replayed_step_by_step():
         toy_loop(-1.0), A_c=np.diag([-1.0, 1000.0]), P_c=np.zeros((2, 1)),
         C_c=np.array([[1.0, 0.0]]), C_out=np.array([[1.0, 0.0]]),
     )
-    z0 = np.array([1.0, 0.0])
     for t_end in (2.0, 70.0):
-        strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000), z0=z0)
-        every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end), z0=z0)
+        strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000))
+        every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end))
         assert np.array_equal(strided.times, every.times[::1000])
         x = cl.x_slices[0]
         assert np.array_equal(strided.Z[:, x], every.Z[::1000, x])
@@ -181,7 +176,7 @@ def test_block_finiteness_check_reports_first_bad_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as err:
-            simulate(cl, cfg, z0=np.array([1.0]))
+            simulate(cl, cfg)
     # the same map applied one step at a time, tested after every step
     M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
     x = np.array([1.0, 1.0])
@@ -207,15 +202,6 @@ def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     assert np.array_equal(times, tr.times)
     assert np.array_equal(X[:, :cl.dim_z], tr.Z)
     assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
-
-
-@pytest.mark.parametrize("start", [lambda cl: np.zeros(3),
-                                   lambda cl: cl.initial_state()[None, :]],
-                         ids=["z0", "2-D z0"])
-def test_propagate_rejects_a_start_of_the_wrong_size(start, sensor_digraph):
-    cl = sensor_digraph.cl
-    with pytest.raises(DimensionError, match=f"^z0 must have {cl.dim_z} entries"):
-        next(propagate(cl, SimConfig(dt=1e-3, t_end=1e-3), z0=start(cl)))
 
 
 def first_block_peak(cl, cfg):
@@ -262,14 +248,13 @@ def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
 
 def simulate_error_time(cl, cfg):
     with pytest.raises(DivergenceError) as err:
-        simulate(cl, cfg, z0=np.array([1.0]))
+        simulate(cl, cfg)
     return err.value.t_bad
 
 
 def test_record_stride_times():
     tr = simulate(toy_loop(-1.0), SimConfig(dt=0.1, t_end=1.0,
-                                            record_stride=3),
-                  z0=np.array([1.0]))
+                                            record_stride=3))
     assert np.allclose(tr.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
 
 
@@ -367,8 +352,7 @@ def test_record_stride_invariance(sensor_digraph):
     for stride in (1, 7, 1000):
         with pytest.raises(DivergenceError) as err:
             simulate(toy_loop(100.0),
-                     SimConfig(dt=1e-3, t_end=10.0, record_stride=stride),
-                     z0=np.array([1.0]))
+                     SimConfig(dt=1e-3, t_end=10.0, record_stride=stride))
         t_bad.append(err.value.t_bad)
     assert t_bad[0] == t_bad[1] == t_bad[2]
     assert 7.0 < t_bad[0] < 7.2
@@ -577,9 +561,10 @@ def repr_lines(tr):
 
 def test_metrics_on_invariant_subspace(sensor_digraph):
     s = sensor_digraph
-    z0 = s.reg.X_c @ s.cl.v0
-    tr = simulate(s.cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10),
-                  z0=z0)
+    # started on the invariant subspace: one stand-in plant's x0 spans all of z
+    cl = dataclasses.replace(s.cl, x_slices=(slice(0, s.cl.dim_z),),
+                             plants=(SimpleNamespace(x0=s.reg.X_c @ s.cl.v0),))
+    tr = simulate(cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10))
     m = metrics(tr, s.cl)
     assert m["T_conv"] == 0.0
     assert m["final_output_gap"] <= 1e-9
@@ -588,7 +573,7 @@ def test_metrics_on_invariant_subspace(sensor_digraph):
 
 def test_metrics_diverging_trajectory():
     cl = toy_loop(3.0)
-    tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0), z0=np.array([1.0]))
+    tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0))
     m = metrics(tr, cl)
     assert m["T_conv"] is None
     assert m["final_output_gap"] > 1.0

@@ -16,6 +16,7 @@ draws from ``neseek.rng``, whose stream is compared with numpy's in
 """
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -211,3 +212,19 @@ def test_scenario_hash_falls_back_to_hashlib(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         _hashlib_digest(load_scenario(path)), "True"]
+
+
+def test_synth_with_builtin_sha256_blocked_writes_the_same_bundle(sensor_path, bundle_path,
+                                                                  tmp_path, monkeypatch):
+    # the fallback of the test above, in this process: a fresh import of
+    # neseek with the built-in modules blocked takes hashlib's sha256, and
+    # its synth writes the bundle the built-in digest gave
+    for name in [m for m in sys.modules if m == "neseek" or m.startswith("neseek.")]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    fresh = importlib.import_module("neseek.cli")
+    out = tmp_path / "ctrl.json"
+    assert fresh.main(["synth", str(sensor_path), "--out", str(out)]) == 0
+    assert sys.modules["neseek.scenario"].sha256 is hashlib.sha256
+    assert out.read_bytes() == bundle_path.read_bytes()

@@ -15,8 +15,8 @@ from neseek.errors import (
 )
 from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
 from neseek.graph import CommGraph, neighbors
-from neseek.internal_model import build_p_copy, verify_internal_model
-from neseek.linalg import eigenvalues, is_hurwitz
+from neseek.internal_model import build_p_copy
+from neseek.linalg import eigenvalues
 from neseek.plant import (
     AgentPlant,
     Exosystem,
@@ -34,7 +34,6 @@ from neseek.synthesis import (
     certify_stability,
     observer_gain,
     solve_regulator,
-    steady_state,
     worst_agent,
 )
 
@@ -45,7 +44,10 @@ from conftest import (
     SENSOR_C,
     SENSOR_P,
     SENSOR_S,
+    is_hurwitz,
     sensor_scenario_doc,
+    steady_state,
+    verify_internal_model,
 )
 from neseek.cli import main
 from neseek.scenario import load_controllers, load_scenario, parse_scenario
