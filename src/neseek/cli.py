@@ -167,7 +167,7 @@ def cmd_ne(path):
     return EXIT_OK
 
 
-def cmd_synth(path, out, strategy=None):
+def cmd_synth(path, out, strategy):
     _refuse_clobbering([("scenario file", path)], [("--out", out, "the bundle", out)])
     scn = load_scenario(path)
     strategy = strategy or scn.strategy
@@ -250,8 +250,7 @@ def _replacing(path):
         raise
 
 
-def cmd_sim(path, controllers_path, out, svg=None, t_end=None, dt=None,
-            perturb_scale=None, seed=0):
+def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
     for flag, value, (rule, ok) in (
         ("--dt", dt, POSITIVE_FINITE),
         ("--t-end", t_end, NON_NEGATIVE_FINITE),

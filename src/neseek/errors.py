@@ -44,7 +44,7 @@ class FirewallViolation(NeseekError):
 class DivergenceError(NeseekError):
     """Simulation state became non-finite."""
 
-    def __init__(self, message, t_bad=None):
+    def __init__(self, message, t_bad):
         super().__init__(message)
         self.t_bad = t_bad
 

@@ -5,7 +5,7 @@ j's output", i.e. j is a neighbor of i and y_j enters J_i.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 
@@ -22,7 +22,7 @@ class CommGraph:
 
     agent_count: int
     directed: bool
-    edges: frozenset = field(default_factory=frozenset)
+    edges: frozenset
 
     def __post_init__(self):
         edges = frozenset((int(j), int(i)) for j, i in self.edges)

@@ -130,7 +130,7 @@ def _complex_schur(M):
     return U, T
 
 
-def solve_sylvester(A, B, C, eig_a=None):
+def solve_sylvester(A, B, C, eig_a):
     """Solve ``X B - A X = C`` by shifted solves on a Schur form of ``B``.
 
     ``A`` is n x n, ``B`` is m x m, ``C`` and the solution are n x m.
@@ -144,9 +144,8 @@ def solve_sylvester(A, B, C, eig_a=None):
     depth of their block that share a shift are one multi-column solve,
     so identical blocks cost one factorization per shift.
 
-    The separation gate compares spec(A) with the diagonal of ``T``.
-    ``eig_a`` may pass the eigenvalues of ``A`` if the caller has them;
-    otherwise they are computed here.
+    The separation gate compares ``eig_a``, the eigenvalues of ``A``
+    that the caller already has, with the diagonal of ``T``.
 
     Raises
     ------
@@ -171,7 +170,6 @@ def solve_sylvester(A, B, C, eig_a=None):
         U[sl, sl], T[sl, sl] = forms[key]
 
     if n and m:
-        eig_a = eigenvalues(A) if eig_a is None else np.asarray(eig_a)
         sep = np.min(np.abs(eig_a[:, None] - np.diag(T)[None, :]))
         scale = max(1.0, _norm2_bound(A) + _norm2_bound(B))
         if sep <= 1e-9 * scale:

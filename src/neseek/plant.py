@@ -37,7 +37,7 @@ class AgentPlant:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    P: np.ndarray = None
+    P: np.ndarray
     dA: np.ndarray = None
     dB: np.ndarray = None
     dC: np.ndarray = None
@@ -55,10 +55,7 @@ class AgentPlant:
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         if C.shape[1] != n:
             raise DimensionError(f"C must have {n} columns, got {C.shape}")
-        P = self.P
-        if P is None:
-            P = np.zeros((n, 0))
-        P = np.atleast_2d(np.asarray(P, dtype=float))
+        P = np.atleast_2d(np.asarray(self.P, dtype=float))
         if P.shape[0] != n:
             raise DimensionError(f"P must have {n} rows, got {P.shape}")
         object.__setattr__(self, "A", A)

@@ -54,7 +54,7 @@ CONTROLLER_FIELDS = tuple(f.name for f in fields(Controller))
 CERTIFICATES = ("abscissa", "residual_dyn", "residual_err", "scale_dyn", "scale_err")
 
 
-def _read(doc, where, readers, required=()):
+def _read(doc, where, readers, required):
     """Read the object ``doc`` at path ``where`` (empty at the top level).
 
     Rejects a non-object, a missing ``required`` field and any field not

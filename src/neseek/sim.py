@@ -42,7 +42,7 @@ class SimConfig:
 
     dt: float
     t_end: float
-    record_stride: int = 1
+    record_stride: int
 
     def __post_init__(self):
         dt, t_end = self.dt, self.t_end
@@ -252,7 +252,7 @@ class NeighborView:
     structural: agent code literally cannot see non-neighbor data.
     """
 
-    def __init__(self, i, nbrs, y_all, cxi_all=None):
+    def __init__(self, i, nbrs, y_all, cxi_all):
         self._i = i
         self._nbrs = frozenset(nbrs)
         self._y = y_all

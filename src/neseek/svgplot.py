@@ -21,13 +21,16 @@ _FLOOR, _CEILING = 1e-16, 1e308
 # polyline points formatted per call
 CHUNK = 4096
 
+# most ticks on the time axis
+X_TICKS = 8
 
-def _linear_ticks(lo, hi, n=6):
-    raw = (hi - lo) / max(n - 1, 1)
+
+def _linear_ticks(lo, hi):
+    raw = (hi - lo) / (X_TICKS - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if (hi - lo) / step <= n - 1 + 1e-9:
+        if (hi - lo) / step <= X_TICKS - 1 + 1e-9:
             break
     first = np.ceil(lo / step) * step
     ticks = np.arange(first, hi + 0.5 * step, step)
@@ -94,7 +97,7 @@ def _render(times, series, labels, title, y_label):
             f'<text x="{MARGIN_L - 8}" y="{yy + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">1e{int(v)}</text>\n'
         )
-    for t in _linear_ticks(x_lo, x_hi, 8):
+    for t in _linear_ticks(x_lo, x_hi):
         xx = px(t)
         yield (
             f'<line x1="{xx:.2f}" y1="{MARGIN_T}" x2="{xx:.2f}" '

@@ -90,18 +90,6 @@ class Controller:
         return self.L.shape[1]
 
     @property
-    def m(self):
-        return self.K1.shape[0]
-
-    @property
-    def s(self):
-        return self.G1.shape[0] // self.p
-
-    @property
-    def K(self):
-        return np.hstack([self.K1, self.K2])
-
-    @property
     def ctrl_dim(self):
         return self.n + self.G1.shape[0]
 
@@ -128,11 +116,11 @@ class ClosedLoopSystem:
     ctrl_slices: tuple
     v_slices: tuple
     out_slices: tuple
-    topo_order: tuple = None
-    game: object = field(default=None, repr=False)
-    plants: tuple = field(default=None, repr=False)
-    exos: tuple = field(default=None, repr=False)
-    controllers: tuple = field(default=None, repr=False)
+    topo_order: tuple
+    game: object = field(repr=False)
+    plants: tuple = field(repr=False)
+    exos: tuple = field(repr=False)
+    controllers: tuple = field(repr=False)
 
     @property
     def dim_z(self):
@@ -182,35 +170,32 @@ def _weight(base_dim, scale):
     return float(scale) * np.eye(base_dim)
 
 
-def observer_gain(A, Cw, q_scale=1.0, r_scale=1.0):
+def observer_gain(A, Cw, weights):
     """Output-injection gain L with A - L Cw certified Hurwitz.
 
-    Solves the dual CARE on (A', Cw'), whose Hurwitz certificate on
-    A' - Cw' L' is the observer's.  Detectability of (A, Cw) is what's
-    required; it is checked first and a failing PBH eigenvalue is named
-    in the error.
+    Solves the dual CARE on (A', Cw') with the observer weights of
+    ``weights``; its Hurwitz certificate on A' - Cw' L' is the
+    observer's.  Detectability of (A, Cw) is what's required; it is
+    checked first and a failing PBH eigenvalue is named in the error.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Cw = np.atleast_2d(np.asarray(Cw, dtype=float))
     n = A.shape[0]
     bad = _pbh_witnesses(A, Cw, np.vstack)
     if bad:
         raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {bad[0]}")
-    K_dual = linalg.solve_care(A.T, Cw.T, _weight(n, q_scale), _weight(Cw.shape[0], r_scale))
+    K_dual = linalg.solve_care(A.T, Cw.T, _weight(n, weights.observer_q),
+                               _weight(Cw.shape[0], weights.observer_r))
     return -K_dual.T
 
 
-def augmented_stabilizer(A, B, Cw, G1, G2, q_state=1.0, q_im=1.0, r_scale=1.0):
+def augmented_stabilizer(A, B, Cw, G1, G2, weights):
     """Stabilizing gain [K1 K2] for the plant/internal-model cascade.
 
     The design pair is ([A 0; G2 Cw G1], [B; 0]); its stabilizability
     needs the transmission-zero-free condition at every eigenvalue of
-    G1, which is re-verified here before solving the CARE.  The CARE
-    certifies the augmented loop Hurwitz.
+    G1, which is re-verified here before solving the CARE with the
+    stabilizer weights of ``weights``.  The CARE certifies the augmented
+    loop Hurwitz.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Cw = np.atleast_2d(np.asarray(Cw, dtype=float))
     n, m = B.shape
     v = G1.shape[0]
 
@@ -226,19 +211,19 @@ def augmented_stabilizer(A, B, Cw, G1, G2, q_state=1.0, q_im=1.0, r_scale=1.0):
 
     A_aug = np.block([[A, np.zeros((n, v))], [G2 @ Cw, G1]])
     B_aug = np.vstack([B, np.zeros((v, m))])
-    Qw = np.block([[_weight(n, q_state), np.zeros((n, v))],
-                   [np.zeros((v, n)), _weight(v, q_im)]])
-    K = linalg.solve_care(A_aug, B_aug, Qw, _weight(m, r_scale))
+    Qw = np.block([[_weight(n, weights.stabilizer_q_state), np.zeros((n, v))],
+                   [np.zeros((v, n)), _weight(v, weights.stabilizer_q_im)]])
+    K = linalg.solve_care(A_aug, B_aug, Qw, _weight(m, weights.stabilizer_r))
     return K[:, :n], K[:, n:]
 
 
-def build_controller(plant, cost, exo, weights=None):
+def build_controller(plant, cost, exo, weights):
     """Per-agent gains, the same for both strategies.
 
     The observer gain, p-copy internal model and augmented stabilizer
-    are designed on the nominal plant with Rw = R_ii + R_ii'.
+    are designed on the nominal plant with Rw = R_ii + R_ii' and the
+    CARE weights of ``weights``.
     """
-    weights = weights or SynthesisWeights()
     bad = _pbh_witnesses(plant.A, plant.B, np.hstack)
     if bad:
         raise SynthesisError(f"(A, B) not stabilizable at eigenvalue {bad[0]}")
@@ -249,11 +234,8 @@ def build_controller(plant, cost, exo, weights=None):
         )
     Cw = Rw @ plant.C
     G1, G2 = build_p_copy(exo.S_tilde, plant.p)
-    L = observer_gain(plant.A, Cw, weights.observer_q, weights.observer_r)
-    K1, K2 = augmented_stabilizer(
-        plant.A, plant.B, Cw, G1, G2,
-        weights.stabilizer_q_state, weights.stabilizer_q_im, weights.stabilizer_r,
-    )
+    L = observer_gain(plant.A, Cw, weights)
+    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, weights)
     return Controller(L=L, G1=G1, G2=G2, K1=K1, K2=K2)
 
 

@@ -234,6 +234,6 @@ def steady_state(reg, cl, v):
     y_ss = cl.C_out @ z_ss
 
     u_ss = np.concatenate([
-        c.K @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
+        np.hstack([c.K1, c.K2]) @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
     ])
     return x_ss, u_ss, y_ss

@@ -5,7 +5,9 @@ Every name in a ``src/neseek`` module's ``__all__`` is used by
 use belongs with the tests.  The one exception is the documented
 reference loop, which the tests compare the stacked simulation with.
 Uses are found in the syntax tree: a name read or an attribute looked
-up, so neither a docstring nor an import alone counts.
+up, so neither a docstring nor an import alone counts.  The same holds
+one level down: every default is left out by some library call, and
+every property and method is read by the library.
 """
 
 import ast
@@ -71,3 +73,184 @@ def test_finder_sees_a_name_only_its_tests_use():
         "b": '"""f is documented here."""\nfrom .a import f\n',
     }
     assert unused_public_names(sources) == ["a.f"]
+
+
+# Every default and every property or method has a library caller.  A
+# default counts as used when some src/neseek call of its function or
+# class leaves it out; a call that splats ``*args`` or ``**kwargs`` may
+# pass anything and leaves nothing out.  A property or method counts as
+# used when src/neseek reads its name as an attribute of that class.
+
+# defaults for input that a scenario file may leave unset, which reaches
+# its class through a reader table, not through a call
+OUTSIDE_INPUT = {
+    # the synthesis section's CARE weights, each optional
+    "synthesis.SynthesisWeights": {"observer_q", "observer_r", "stabilizer_q_state",
+                                   "stabilizer_q_im", "stabilizer_r"},
+    # a cost block's constant and couplings, optional for an agent without neighbors
+    "game.LocalCost": {"q_i", "R_ij", "Q_ij"},
+    # an agent's perturbations and initial state, zero unless given
+    "plant.AgentPlant": {"dA", "dB", "dC", "dP", "x0"},
+}
+
+# read by perfbench/tracing.py, which records each loop's dimensions
+OUTSIDE_READERS = {"synthesis.ClosedLoopSystem.dim_v"}
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _has_default(f):
+    """Whether a dataclass field has a default; ``field(repr=False)`` has none."""
+    if isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in f.value.keywords)
+    return f.value is not None
+
+
+def signatures(trees):
+    """(owner, callee name, parameters, defaulted parameters) of each function and dataclass.
+
+    A method's ``self`` is dropped, and an ``__init__`` is called by its
+    class's name.
+    """
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                yield from (_function(f"{module}.{fn.name}", fn.name, fn, 0)
+                            for fn in ast.walk(node) if isinstance(fn, ast.FunctionDef))
+                continue
+            owner = f"{module}.{node.name}"
+            if _is_dataclass(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                yield (owner, node.name, [f.target.id for f in fields],
+                       [f.target.id for f in fields if _has_default(f)])
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield _function(owner, node.name, fn, 1)
+                elif isinstance(fn, ast.FunctionDef):
+                    yield _function(f"{owner}.{fn.name}", fn.name, fn, 1)
+
+
+def _function(owner, name, fn, skip):
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args][skip:]
+    defaulted = names[len(names) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return owner, name, names + [a.arg for a in args.kwonlyargs], defaulted
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def defaults(trees):
+    """``module.owner.parameter`` of every defaulted parameter and dataclass field."""
+    return [f"{owner}.{p}" for owner, _, _, defaulted in signatures(trees) for p in defaulted]
+
+
+def defaults_no_call_leaves_out(trees):
+    """Each default of ``defaults`` that every src/neseek call passes."""
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for owner, name, params, defaulted in signatures(trees):
+        mine = [c for c in calls if _callee(c) == name and not any(
+            isinstance(a, ast.Starred) for a in c.args) and all(k.arg for k in c.keywords)]
+        for p in defaulted:
+            if not any(len(c.args) <= params.index(p) and p not in {k.arg for k in c.keywords}
+                       for c in mine):
+                found.append(f"{owner}.{p}")
+    return found
+
+
+def _members(cls):
+    """Fields, class attributes, methods and ``self.x`` assignments of a class."""
+    names = set()
+    for s in cls.body:
+        if isinstance(s, ast.AnnAssign):
+            names.add(s.target.id)
+        elif isinstance(s, ast.Assign):
+            names.update(t.id for t in s.targets if isinstance(t, ast.Name))
+        elif isinstance(s, ast.FunctionDef):
+            names.add(s.name)
+            names.update(n.attr for n in ast.walk(s) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id == "self"
+                         and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def unread_members(trees):
+    """``module.class.name`` of each property or method src/neseek never reads.
+
+    A read ``x.name`` goes to the classes that can hold ``x``: ``self``
+    is its own class, and a variable name is each class that has every
+    attribute the package reads through that name.  Where no such class
+    has ``name`` (or the receiver is no plain name), any class with it.
+    """
+    classes = {f"{module}.{c.name}": c for module, tree in trees.items()
+               for c in tree.body if isinstance(c, ast.ClassDef)}
+    members = {qual: _members(cls) for qual, cls in classes.items()}
+    reads = []  # (receiver, attribute); self is its class, else a variable name or None
+    scopes = [(None, [s for s in tree.body if not isinstance(s, ast.ClassDef)])
+              for tree in trees.values()] + list(zip(classes, (c.body for c in classes.values())))
+    for owner, body in scopes:
+        for node in (n for s in body for n in ast.walk(s)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                base = node.value.id if isinstance(node.value, ast.Name) else None
+                reads.append((owner if base == "self" else base, node.attr))
+    through = {}
+    for receiver, attr in reads:
+        through.setdefault(receiver, set()).add(attr)
+    read = set()
+    for receiver, attr in reads:
+        holders = {q for q in members if attr in members[q]}
+        typed = {receiver} if receiver in members else {
+            q for q in holders if receiver and through[receiver] <= members[q]}
+        read.update(f"{q}.{attr}" for q in (typed & holders or holders))
+    return [f"{qual}.{fn.name}" for qual, cls in classes.items() for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+            and f"{qual}.{fn.name}" not in read]
+
+
+def package_trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_default_is_left_out_by_a_library_call():
+    trees = package_trees()
+    exempt = {f"{owner}.{f}" for owner, fs in OUTSIDE_INPUT.items() for f in fs}
+    assert exempt <= set(defaults(trees))
+    assert [d for d in defaults_no_call_leaves_out(trees) if d not in exempt] == []
+
+
+def test_every_property_and_method_is_read_by_the_library():
+    assert sorted(unread_members(package_trees())) == sorted(OUTSIDE_READERS)
+
+
+def test_finder_sees_a_default_no_call_leaves_out():
+    # f's b is always passed; g's c only by a splat; C's y by keyword
+    source = ("from dataclasses import dataclass\n"
+              "def f(a, b=1, c=2):\n    return a\n"
+              "def g(a, c=0):\n    return a\n"
+              "@dataclass\nclass C:\n    x: int\n    y: int = 0\n"
+              "f(1, 2)\nf(1, b=3)\nf(*(1,))\ng(**{'a': 1})\ng(1, 2)\nC(1, y=2)\n")
+    trees = {"a": ast.parse(source)}
+    assert sorted(defaults(trees)) == ["a.C.y", "a.f.b", "a.f.c", "a.g.c"]
+    assert sorted(defaults_no_call_leaves_out(trees)) == ["a.C.y", "a.f.b", "a.g.c"]
+
+
+def test_finder_sees_a_property_only_another_class_reads():
+    # plant.m reads Plant's m, not Gains' m; Gains.k is read through self
+    source = ("class Plant:\n    A = 0\n    @property\n    def m(self):\n        return 1\n"
+              "class Gains:\n    K1 = 0\n    @property\n    def m(self):\n        return self.k\n"
+              "    def k(self):\n        return 0\n"
+              "def use(plant, c):\n    return plant.A, plant.m, c.K1\n")
+    assert unread_members({"a": ast.parse(source)}) == ["a.Gains.m"]
+
+
+if __name__ == "__main__":
+    # the count tier-1's CI reports beside the line count
+    print(len(defaults(package_trees())))

@@ -59,7 +59,8 @@ def test_eigenvalues_rejects_nonsquare():
 
 
 SHAPE_MISMATCHES = [
-    ("solve_sylvester", lambda: solve_sylvester(-np.eye(2), np.zeros((3, 3)), np.ones((3, 2))),
+    ("solve_sylvester", lambda: solve_sylvester(-np.eye(2), np.zeros((3, 3)), np.ones((3, 2)),
+                                                eigenvalues(-np.eye(2))),
      r"^C must be 2x3, got \(3, 2\)$"),
     ("solve_care", lambda: solve_care(np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
      r"^inconsistent CARE dimensions: A \(2, 2\), B \(3, 1\)"),
@@ -133,7 +134,7 @@ def test_solve_linear_singular():
 def test_solve_sylvester_scalar():
     # X B - A X = C with A = [-1], B = [0]: X = -C.
     X = solve_sylvester(np.array([[-1.0]]), np.array([[0.0]]),
-                        np.array([[-1.0]]))
+                        np.array([[-1.0]]), eigenvalues([[-1.0]]))
     assert np.allclose(X, [[-1.0]], atol=1e-12)
 
 
@@ -141,14 +142,14 @@ def test_solve_sylvester_column():
     A = -np.eye(2)
     B = np.zeros((1, 1))
     C = np.array([[1.0], [2.0]])
-    X = solve_sylvester(A, B, C)
+    X = solve_sylvester(A, B, C, eigenvalues(A))
     assert np.allclose(X, C, atol=1e-12)
 
 
 def test_solve_sylvester_shared_spectrum():
     with pytest.raises(NonUniqueSolutionError):
         solve_sylvester(np.array([[0.0]]), np.array([[0.0]]),
-                        np.array([[1.0]]))
+                        np.array([[1.0]]), eigenvalues([[0.0]]))
 
 
 def test_solve_sylvester_residual_bound():
@@ -160,7 +161,7 @@ def test_solve_sylvester_residual_bound():
         A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
         B = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
         C = rng.standard_normal((n, m))
-        X = solve_sylvester(A, B, C)
+        X = solve_sylvester(A, B, C, eigenvalues(A))
         res = np.linalg.norm(X @ B - A @ X - C)
         bound = 1e-8 * (np.linalg.norm(A) + np.linalg.norm(B)
                         + np.linalg.norm(C))
@@ -184,7 +185,7 @@ def test_solve_sylvester_matches_kronecker_reference():
         A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
         B = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
         C = rng.standard_normal((n, m))
-        X = solve_sylvester(A, B, C)
+        X = solve_sylvester(A, B, C, eigenvalues(A))
         X_ref = _kronecker_sylvester(A, B, C)
         assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
 
@@ -212,7 +213,7 @@ def test_solve_sylvester_ramp_exosystem_matches_kronecker_reference():
         n = 9
         A = rng.standard_normal((n, n)) - 4.0 * np.eye(n)
         C = rng.standard_normal((n, m))
-        X = solve_sylvester(A, B, C)
+        X = solve_sylvester(A, B, C, eigenvalues(A))
         X_ref = _kronecker_sylvester(A, B, C)
         assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
         assert np.linalg.norm(X @ B - A @ X - C) <= 1e-12 * np.linalg.norm(C)
@@ -222,15 +223,15 @@ def test_solve_sylvester_takes_the_callers_spectrum():
     A = np.diag([-1.0, -2.0])
     B = np.zeros((1, 1))
     C = np.ones((2, 1))
-    assert np.allclose(solve_sylvester(A, B, C, eig_a=[-1.0, -2.0]),
+    assert np.allclose(solve_sylvester(A, B, C, eig_a=np.array([-1.0, -2.0])),
                        [[1.0], [0.5]], atol=1e-15)
     # a spectrum that overlaps spec(B) trips the separation gate
     with pytest.raises(NonUniqueSolutionError):
-        solve_sylvester(A, B, C, eig_a=[0.0, -2.0])
+        solve_sylvester(A, B, C, eig_a=np.array([0.0, -2.0]))
     # one that misses an eigenvalue spec(A) shares with spec(B) passes the
     # gate, and the singular shifted solve reports the overlap
     with pytest.raises(NonUniqueSolutionError, match=r"I - A is singular \("):
-        solve_sylvester(np.zeros((1, 1)), B, np.ones((1, 1)), eig_a=[-1.0])
+        solve_sylvester(np.zeros((1, 1)), B, np.ones((1, 1)), eig_a=np.array([-1.0]))
 
 
 def test_solve_care_matches_scipy():
@@ -409,7 +410,8 @@ NAN_INPUTS = [
     ("solve_care", lambda: solve_care(NAN, np.eye(1), np.eye(1), np.eye(1))),
     ("rank", lambda: rank(NAN)),
     ("solve_linear", lambda: solve_linear(NAN, np.ones(1))),
-    ("solve_sylvester", lambda: solve_sylvester(NAN, np.eye(1), np.ones((1, 1)))),
+    ("solve_sylvester", lambda: solve_sylvester(NAN, np.eye(1), np.ones((1, 1)),
+                                                np.array([-1.0]))),
     ("minimal_polynomial", lambda: minimal_polynomial(NAN)),
     ("expm", lambda: expm(NAN)),
 ]

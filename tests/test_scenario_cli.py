@@ -238,9 +238,10 @@ def test_controller_roundtrip(tmp_path, sensor_digraph, sensor_general):
             for name in CONTROLLER_FIELDS:
                 assert np.array_equal(getattr(c0, name), getattr(c1, name))
             # derived quantities come back from the stored gains
-            assert np.array_equal(c0.K, c1.K)
-            assert (c0.n, c0.m, c0.p, c0.s, c0.ctrl_dim) == \
-                (c1.n, c1.m, c1.p, c1.s, c1.ctrl_dim)
+            assert np.array_equal(np.hstack([c0.K1, c0.K2]), np.hstack([c1.K1, c1.K2]))
+            dims = [(c.n, c.K1.shape[0], c.p, c.G1.shape[0] // c.p, c.ctrl_dim)
+                    for c in (c0, c1)]
+            assert dims[0] == dims[1]
         # the gains and nothing the scenario already determines
         doc = json.loads(path.read_text())
         assert set(doc) == {"format", "strategy", "scenario_sha256",
@@ -1305,7 +1306,8 @@ def test_cli_sim_peak_memory_stays_below_one_record_array(tmp_path, capsys):
     bound = (scn.sim.n_steps + 1) * (cl.dim_z + cl.dim_v) * 8
     tracemalloc.start()
     try:
-        assert neseek.cli.cmd_sim(path, str(ctrl), str(tmp_path / "run.csv")) == 0
+        assert main(["sim", path, "--controllers", str(ctrl),
+                     "--out", str(tmp_path / "run.csv")]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -44,6 +44,7 @@ from neseek.sim import (
 )
 from neseek.synthesis import (
     ClosedLoopSystem,
+    SynthesisWeights,
     assemble_closed_loop,
     build_controller,
     certify_stability,
@@ -80,44 +81,45 @@ def toy_loop(a):
         plants=(plant,),
         exos=(exo,),
         controllers=(None,),
+        topo_order=None,
     )
 
 
 def test_sim_config_validation():
     with pytest.raises(DomainError):
-        SimConfig(dt=0.0, t_end=1.0)
+        SimConfig(dt=0.0, t_end=1.0, record_stride=1)
     with pytest.raises(DomainError):
-        SimConfig(dt=-1e-3, t_end=1.0)
+        SimConfig(dt=-1e-3, t_end=1.0, record_stride=1)
     with pytest.raises(DomainError):
-        SimConfig(dt=1e-3, t_end=1e-4)
+        SimConfig(dt=1e-3, t_end=1e-4, record_stride=1)
     with pytest.raises(DomainError):
         SimConfig(dt=1e-3, t_end=1.0, record_stride=0)
     with pytest.raises(DomainError):
         SimConfig(dt=1e-3, t_end=1.0, record_stride=1.5)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            SimConfig(dt=0.1, t_end=bad)
+            SimConfig(dt=0.1, t_end=bad, record_stride=1)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, t_end=1.0, record_stride=bad)
         with pytest.raises(DomainError, match="dt must be positive and finite"):
-            SimConfig(dt=bad, t_end=1.0)
+            SimConfig(dt=bad, t_end=1.0, record_stride=1)
     with pytest.raises(DomainError, match="t_end must be non-negative"):
-        SimConfig(dt=0.1, t_end=-0.1)
+        SimConfig(dt=0.1, t_end=-0.1, record_stride=1)
     with pytest.raises(DomainError, match="shorter than dt"):
-        SimConfig(dt=2.0, t_end=1.0)
+        SimConfig(dt=2.0, t_end=1.0, record_stride=1)
     # a horizon between steps is refused, naming the nearest one reached
     for dt, t_end, nearest in ((2.0, 5.0, "4"), (0.3, 1.0, "0.9"),
                                (1e-3, 1.0005, "1")):
         with pytest.raises(DomainError, match=f"nearest reachable t_end is {nearest}$"):
-            SimConfig(dt=dt, t_end=t_end)
+            SimConfig(dt=dt, t_end=t_end, record_stride=1)
     # a step count beyond float range names no nearest t_end
     for dt, t_end in ((1e-320, 100.0), (5e-324, 1.0), (1e-300, 1e300)):
         message = f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            SimConfig(dt=dt, t_end=t_end)
-    assert SimConfig(dt=0.1, t_end=0.0).n_steps == 0
-    assert SimConfig(dt=0.1, t_end=0.3).n_steps == 3
-    assert SimConfig(dt=1e-3, t_end=100.0).n_steps == 100_000
+            SimConfig(dt=dt, t_end=t_end, record_stride=1)
+    assert SimConfig(dt=0.1, t_end=0.0, record_stride=1).n_steps == 0
+    assert SimConfig(dt=0.1, t_end=0.3, record_stride=1).n_steps == 3
+    assert SimConfig(dt=1e-3, t_end=100.0, record_stride=1).n_steps == 100_000
     # a whole-number float stride is kept as an int that simulate can use
     cfg = SimConfig(dt=1e-3, t_end=0.01, record_stride=2.0)
     assert type(cfg.record_stride) is int and cfg.record_stride == 2
@@ -125,13 +127,13 @@ def test_sim_config_validation():
     with pytest.raises(DomainError, match="record_stride '2' is not a positive integer"):
         SimConfig(dt=1e-3, t_end=0.01, record_stride="2")
     with pytest.raises(DomainError, match="dt must be positive and finite, got '0.1'"):
-        SimConfig(dt="0.1", t_end=1.0)
+        SimConfig(dt="0.1", t_end=1.0, record_stride=1)
     with pytest.raises(DomainError, match="t_end must be non-negative and finite, got None"):
-        SimConfig(dt=0.1, t_end=None)
+        SimConfig(dt=0.1, t_end=None, record_stride=1)
 
 
 def test_scalar_decay_matches_exponential():
-    tr = simulate(toy_loop(-1.0), SimConfig(dt=1e-3, t_end=1.0))
+    tr = simulate(toy_loop(-1.0), SimConfig(dt=1e-3, t_end=1.0, record_stride=1))
     assert abs(tr.Z[-1, 0] - np.exp(-1.0)) <= 1e-6
 
 
@@ -139,7 +141,7 @@ def test_fourth_order_convergence():
     errors = []
     steps = [0.2, 0.1, 0.05, 0.025]
     for dt in steps:
-        tr = simulate(toy_loop(-1.0), SimConfig(dt=dt, t_end=1.0))
+        tr = simulate(toy_loop(-1.0), SimConfig(dt=dt, t_end=1.0, record_stride=1))
         errors.append(abs(tr.Z[-1, 0] - np.exp(-1.0)))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert slope >= 3.5
@@ -147,7 +149,7 @@ def test_fourth_order_convergence():
 
 def test_divergence_reports_first_bad_time():
     with pytest.raises(DivergenceError) as err:
-        simulate(toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0))
+        simulate(toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0, record_stride=1))
     assert err.value.t_bad is not None
     assert 0.0 < err.value.t_bad < 10.0
 
@@ -162,7 +164,7 @@ def test_overflowing_power_is_replayed_step_by_step():
     )
     for t_end in (2.0, 70.0):
         strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000))
-        every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end))
+        every = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1))
         assert np.array_equal(strided.times, every.times[::1000])
         x = cl.x_slices[0]
         assert np.array_equal(strided.Z[:, x], every.Z[::1000, x])
@@ -172,7 +174,7 @@ def test_overflowing_power_is_replayed_step_by_step():
 
 def test_block_finiteness_check_reports_first_bad_step():
     # e^(100 t) overflows near t = 7.1, inside a block of records
-    cl, cfg = toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0)
+    cl, cfg = toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0, record_stride=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as err:
@@ -192,7 +194,7 @@ def test_block_finiteness_check_reports_first_bad_step():
 @pytest.mark.parametrize("t_end, rows", [(0.0, 1), (0.063, 64), (0.064, 65), (0.128, 129)])
 def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     cl = sensor_digraph.cl
-    cfg = SimConfig(dt=1e-3, t_end=t_end)
+    cfg = SimConfig(dt=1e-3, t_end=t_end, record_stride=1)
     blocks = list(propagate(cl, cfg))
     assert [len(X) for _, X in blocks] == [
         min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)]
@@ -218,9 +220,9 @@ def test_first_block_memory_is_flat_in_the_record_count(sensor_digraph):
     # the record schedule is computed a block at a time: the first block
     # of 10^6 records costs what the first block of 10^4 does
     cl = sensor_digraph.cl
-    first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0))  # one-time allocations
-    small = first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0))
-    large = first_block_peak(cl, SimConfig(dt=1e-3, t_end=1000.0))
+    first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0, record_stride=1))  # one-time allocations
+    small = first_block_peak(cl, SimConfig(dt=1e-3, t_end=10.0, record_stride=1))
+    large = first_block_peak(cl, SimConfig(dt=1e-3, t_end=1000.0, record_stride=1))
     assert large <= 2 * small, (large, small)
 
 
@@ -228,7 +230,7 @@ def test_divergence_in_a_later_blocks_first_record():
     # the record holding the first non-finite step opens a block, so
     # its stride is replayed from the last record of the block before
     cl = toy_loop(100.0)
-    k = round(simulate_error_time(cl, SimConfig(dt=1e-3, t_end=10.0)) / 1e-3)
+    k = round(simulate_error_time(cl, SimConfig(dt=1e-3, t_end=10.0, record_stride=1)) / 1e-3)
     stride = next(s for s in range(2, 200) if -(-k // s) % BLOCK_ROWS == 0)
     cfg = SimConfig(dt=1e-3, t_end=10.0, record_stride=stride)
     assert simulate_error_time(cl, cfg) == k * 1e-3
@@ -238,7 +240,7 @@ def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
     # at dt 1 the certified loop's RK4 step map is unstable: the reference
     # loop's overflow is a DivergenceError too, not a numpy warning
     s = sensor_digraph
-    cfg = SimConfig(dt=1.0, t_end=2000.0)
+    cfg = SimConfig(dt=1.0, t_end=2000.0, record_stride=1)
     with pytest.raises(DivergenceError) as stacked:
         simulate(s.cl, cfg)
     with pytest.raises(DivergenceError) as distributed:
@@ -367,7 +369,7 @@ def test_record_stride_invariance(sensor_digraph):
 
 def test_neighbor_view_firewall():
     y_all = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
-    view = NeighborView(1, {2}, y_all)
+    view = NeighborView(1, {2}, y_all, None)
     assert np.array_equal(view.output(2), [2.0])
     with pytest.raises(FirewallViolation):
         view.output(3)
@@ -392,7 +394,7 @@ def test_distributed_single_agent_matches_stacked():
                     w0=np.array([1.0, 0.0]))
     from neseek.synthesis import build_controller
 
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
@@ -470,7 +472,7 @@ def _hetero_loop(strategy):
         for i in range(1, 5)
     )
     game = NetworkGame(graph=graph, costs=costs)
-    controllers = [build_controller(p, cost, exo)
+    controllers = [build_controller(p, cost, exo, SynthesisWeights())
                    for p, cost, exo in zip(plants, costs, exos)]
     return game, plants, exos, controllers
 
@@ -573,7 +575,7 @@ def test_metrics_on_invariant_subspace(sensor_digraph):
 
 def test_metrics_diverging_trajectory():
     cl = toy_loop(3.0)
-    tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0))
+    tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0, record_stride=1))
     m = metrics(tr, cl)
     assert m["T_conv"] is None
     assert m["final_output_gap"] > 1.0
@@ -685,7 +687,7 @@ def test_rk4_dt_limit_brackets_the_unit_radius(sensor_digraph):
 
 
 def test_csv_blocks_match_the_row_formula(sensor_digraph):
-    tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.7))
+    tr = simulate(sensor_digraph.cl, SimConfig(dt=1e-3, t_end=0.7, record_stride=1))
     assert len(tr.times) > 2 * BLOCK_ROWS and len(tr.times) % BLOCK_ROWS
     Y, E = tr.Y.copy(), tr.E.copy()
     Y[:, 2] = Y[:, 0]  # a duplicated column: y_2_1 is y_1_1

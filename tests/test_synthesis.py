@@ -87,7 +87,7 @@ def isolated_setup(target=(-1.0,), disturbed=True):
 
 
 def test_observer_gain_already_stable():
-    L = observer_gain(-np.eye(2), np.eye(2))
+    L = observer_gain(-np.eye(2), np.eye(2), SynthesisWeights())
     ok, _ = is_hurwitz(-np.eye(2) - L @ np.eye(2))
     assert ok
 
@@ -95,7 +95,7 @@ def test_observer_gain_already_stable():
 def test_observer_gain_axis_plant():
     plant = axis_plant()
     Cw = 4.0 * plant.C
-    L = observer_gain(plant.A, Cw)
+    L = observer_gain(plant.A, Cw, SynthesisWeights())
     ok, abscissa = is_hurwitz(plant.A - L @ Cw)
     assert ok
     assert abscissa < 0.0
@@ -103,7 +103,7 @@ def test_observer_gain_axis_plant():
 
 def test_observer_gain_undetectable():
     with pytest.raises(SynthesisError) as err:
-        observer_gain(np.eye(2), np.zeros((1, 2)))
+        observer_gain(np.eye(2), np.zeros((1, 2)), SynthesisWeights())
     assert "1" in str(err.value)
 
 
@@ -112,16 +112,16 @@ def test_observer_gain_agrees_with_assumption_3():
     # them as marginal and so must the observer design
     A = np.array([[-1.0, 2.0], [-1.0, 1.0]])
     Cw = np.zeros((1, 2))
-    res = check_assumption_3(AgentPlant(A=A, B=np.eye(2), C=Cw))
+    res = check_assumption_3(AgentPlant(A=A, B=np.eye(2), C=Cw, P=np.zeros((2, 0))))
     assert not res["detectable"]
     with pytest.raises(SynthesisError, match="not detectable"):
-        observer_gain(A, Cw)
+        observer_gain(A, Cw, SynthesisWeights())
 
 
 def test_augmented_stabilizer_scalar_integrator():
     K1, K2 = augmented_stabilizer(
         np.zeros((1, 1)), np.ones((1, 1)), 2.0 * np.ones((1, 1)),
-        np.zeros((1, 1)), np.ones((1, 1)),
+        np.zeros((1, 1)), np.ones((1, 1)), SynthesisWeights(),
     )
     closed = np.block([[K1, K2], [np.array([[2.0]]), np.zeros((1, 1))]])
     ok, _ = is_hurwitz(closed)
@@ -133,7 +133,7 @@ def test_augmented_stabilizer_axis_plant():
     Cw = 4.0 * plant.C
     S_tilde = Exosystem(S=ROT, w0=np.array([1.0, 0.0])).S_tilde
     G1, G2 = build_p_copy(S_tilde, plant.p)
-    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2)
+    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, SynthesisWeights())
     closed = np.block([
         [plant.A + plant.B @ K1, plant.B @ K2],
         [G2 @ Cw, G1],
@@ -147,21 +147,21 @@ def test_augmented_stabilizer_no_control_authority():
     with pytest.raises(SynthesisError) as err:
         augmented_stabilizer(
             np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
-            np.zeros((1, 1)), np.ones((1, 1)),
+            np.zeros((1, 1)), np.ones((1, 1)), SynthesisWeights(),
         )
     assert "0" in str(err.value)
 
 
 def test_digraph_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     # The controller state stacks the n-dimensional observer part and
     # the p*s internal model: 2 + 1*3 for one axis.
     assert c.ctrl_dim == 5
-    assert c.s == 3
+    assert c.G1.shape[0] // c.p == 3
     assert c.L.shape == (2, 1)
     assert c.G2.shape == (3, 1)
-    assert c.K.shape == (1, 5)
+    assert np.hstack([c.K1, c.K2]).shape == (1, 5)
 
 
 def test_digraph_template_fidelity():
@@ -170,7 +170,7 @@ def test_digraph_template_fidelity():
     game, plant, exo = isolated_setup()
     # The observer's plant copy is the nominal plant and Rw comes from
     # the cost; neither is stored in the controller.
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     n = plant.n
@@ -184,13 +184,12 @@ def test_digraph_template_fidelity():
     # eta reads e = Rw C x through M2 = [L; G2]
     M2 = np.vstack([c.L, c.G2])
     assert np.array_equal(cl.A_c[eta, x], M2 @ (Rw @ plant.C))
-    assert np.array_equal(cl.A_c[x, eta], plant.B @ c.K)
-    assert np.array_equal(c.K, np.hstack([c.K1, c.K2]))
+    assert np.array_equal(cl.A_c[x, eta], plant.B @ np.hstack([c.K1, c.K2]))
 
 
 def test_digraph_internal_model_embedded():
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     zeta = slice(cl.ctrl_slices[0].start + plant.n, cl.ctrl_slices[0].stop)
     assert verify_internal_model(cl.A_c[zeta, zeta], c.G2, exo.S_tilde)
@@ -198,7 +197,7 @@ def test_digraph_internal_model_embedded():
 
 def test_digraph_disturbance_free_form():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     # S-tilde = [0]: the internal model collapses to the integrator pair.
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
@@ -207,7 +206,7 @@ def test_digraph_disturbance_free_form():
 
 def test_general_controller_dimensions():
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     assert c.K1.shape == (1, 2)
     assert c.K2.shape == (1, 3)
     assert c.G1.shape == (3, 3)
@@ -216,7 +215,7 @@ def test_general_controller_dimensions():
 
 def test_general_disturbance_free_integrator_law():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     assert np.array_equal(c.G1, np.zeros((1, 1)))
     assert np.array_equal(c.G2, np.eye(1))
 
@@ -225,7 +224,7 @@ def test_strategies_share_gains():
     # A controller is exactly its five gains; one result assembles under
     # both strategies, which the closed loop records.
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     assert [f.name for f in dataclasses.fields(Controller)] == \
         ["L", "G1", "G2", "K1", "K2"]
     for kind in STRATEGIES:
@@ -238,7 +237,7 @@ def test_strategies_share_gains():
 
 def test_weights_override_changes_gains():
     game, plant, exo = isolated_setup()
-    base = build_controller(plant, game.costs[0], exo)
+    base = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     heavy = build_controller(
         plant, game.costs[0], exo, SynthesisWeights(observer_q=100.0)
     )
@@ -252,7 +251,7 @@ def test_cost_plant_dimension_mismatch():
     game, plant, exo = isolated_setup(target=(-1.0, 0.0))
     # Cost built for a 2-dimensional output, plant measures 1.
     with pytest.raises(DimensionError):
-        build_controller(plant, game.costs[0], exo)
+        build_controller(plant, game.costs[0], exo, SynthesisWeights())
 
 
 def test_build_controller_rejects_unstabilizable_plant():
@@ -262,7 +261,7 @@ def test_build_controller_rejects_unstabilizable_plant():
                        C=np.array([[1.0, 0.0]]), P=np.zeros((2, 0)))
     with pytest.raises(SynthesisError,
                        match=r"^\(A, B\) not stabilizable at eigenvalue 1\.0$"):
-        build_controller(plant, game.costs[0], exo)
+        build_controller(plant, game.costs[0], exo, SynthesisWeights())
 
 
 def test_assemble_rejects_cycle():
@@ -271,7 +270,7 @@ def test_assemble_rejects_cycle():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_controller(plants[i], game.costs[i], exos[i])
+        build_controller(plants[i], game.costs[i], exos[i], SynthesisWeights())
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -285,7 +284,7 @@ def test_assemble_rejects_disconnected():
     plants = [axis_plant(), axis_plant()]
     exos = [axis_exo() for _ in range(2)]
     controllers = [
-        build_controller(plants[i], game.costs[i], exos[i])
+        build_controller(plants[i], game.costs[i], exos[i], SynthesisWeights())
         for i in range(2)
     ]
     with pytest.raises(AssumptionError) as err:
@@ -295,7 +294,7 @@ def test_assemble_rejects_disconnected():
 
 def test_assemble_rejects_wrong_controller_kind():
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (plant,), (exo,), (c,), "centralized")
     assert "centralized" in str(err.value)
@@ -307,7 +306,7 @@ def test_assemble_rejects_wrong_controller_kind():
         C=np.hstack([plant.C, [[0.0]]]),
         P=np.vstack([plant.P, [[0.0, 0.0]]]),
     )
-    other = build_controller(wider, game.costs[0], exo)
+    other = build_controller(wider, game.costs[0], exo, SynthesisWeights())
     assert other.n == 3
     with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (plant,), (exo,), (other,), "digraph")
@@ -318,7 +317,7 @@ def test_assemble_rejects_disturbance_dimension_mismatch():
     game, plant, exo = isolated_setup()
     narrow = AgentPlant(A=plant.A, B=plant.B, C=plant.C,
                         P=np.array([[0.0], [1.0]]))
-    c = build_controller(narrow, game.costs[0], exo)
+    c = build_controller(narrow, game.costs[0], exo, SynthesisWeights())
     with pytest.raises(DimensionError) as err:
         assemble_closed_loop(game, (narrow,), (exo,), (c,), "digraph")
     assert "disturbance" in str(err.value)
@@ -327,7 +326,7 @@ def test_assemble_rejects_disturbance_dimension_mismatch():
 def test_assemble_rejects_output_dimension_mismatch():
     # the controller fits its p = 1 plant, but the game's cost is for p = 2
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     wide_game, _, _ = isolated_setup(target=(-1.0, 0.0))
     with pytest.raises(DimensionError, match=(
             r"^agent 1: plant has 1 outputs but its cost has output dimension 2$")):
@@ -370,7 +369,7 @@ def test_single_agent_block_matches_stacked(sensor_digraph):
     s = sensor_digraph
     g1 = CommGraph(1, directed=True, edges=[])
     game1 = cost_from_targets([np.array([-1.0, 0.0])], g1)
-    c1 = build_controller(s.plants[0], game1.costs[0], s.exos[0])
+    c1 = build_controller(s.plants[0], game1.costs[0], s.exos[0], SynthesisWeights())
     cl1 = assemble_closed_loop(game1, (s.plants[0],), (s.exos[0],),
                                (c1,), "digraph")
     k = cl1.dim_z
@@ -394,7 +393,7 @@ def test_dag_relabel_zero_pattern():
         plants = [axis_plant() for _ in range(n_agents)]
         exos = [axis_exo() for _ in range(n_agents)]
         controllers = [
-            build_controller(plants[i], game.costs[i], exos[i])
+            build_controller(plants[i], game.costs[i], exos[i], SynthesisWeights())
             for i in range(n_agents)
         ]
         cl = assemble_closed_loop(game, plants, exos, controllers, "digraph")
@@ -443,7 +442,7 @@ def test_certify_sensor_loops(sensor_digraph, sensor_general):
 
 def test_certify_spectral_split():
     game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     observer_part = eigenvalues(plant.A - c.L @ (Rw @ plant.C))
@@ -460,13 +459,13 @@ def test_certify_spectral_split():
 
 def test_certify_zeroed_gain_unstable():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     for kind in ("general", "digraph"):
-        # K = [K1 K2] is derived, so zeroing K1 and K2 zeroes it too
+        # u = K1 xi + K2 zeta: zeroing K1 and K2 zeroes the feedback
         dead = dataclasses.replace(
             c, K1=np.zeros_like(c.K1), K2=np.zeros_like(c.K2)
         )
-        assert not dead.K.any()
+        assert not np.hstack([dead.K1, dead.K2]).any()
         cl = assemble_closed_loop(game, (plant,), (exo,), (dead,), kind)
         ok, _ = certify_stability(cl)
         assert not ok
@@ -500,6 +499,11 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
+        topo_order=None,
+        game=None,
+        plants=None,
+        exos=None,
+        controllers=None,
     )
 
 
@@ -538,7 +542,7 @@ def test_steady_state_matches_ne(sensor_digraph, sensor_general):
 
 def test_steady_state_isolated_reaches_target():
     game, plant, exo = isolated_setup(disturbed=False)
-    c = build_controller(plant, game.costs[0], exo)
+    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     reg = solve_regulator(cl)
     x_ss, u_ss, y_ss = steady_state(reg, cl, cl.v0)
