@@ -44,7 +44,6 @@ from .scenario import load_controllers, load_scenario, save_controllers
 from .sim import rk4_dt_limit, rk4_radius, series_metrics, write_records
 from .svgplot import line_plot
 from .synthesis import (
-    STRATEGIES,
     assemble_closed_loop,
     build_controller,
     certify_stability,
@@ -92,12 +91,12 @@ def _verdict(ok):
     return "n/a" if ok is None else "PASS" if ok else "FAIL"
 
 
-def run_checks(scn, strategy):
+def run_checks(scn):
     """Evaluate every assumption; returns (report rows, failing numbers).
 
     Rows are (label, status, detail) with status PASS/FAIL/n-a; the
-    graph assumption not needed by ``strategy`` is reported n/a and
-    never fails the run.
+    graph assumption not needed by the scenario's strategy is reported
+    n/a and never fails the run.
     """
     a1_ok, lam_min = check_assumption_1(assemble_pseudo_gradient(scn.game))
     a2 = [f"agent {i}: {_fmt_eigs(offending)}"
@@ -109,7 +108,7 @@ def run_checks(scn, strategy):
     a4 = [f"agent {i} at {_fmt_eigs(failing)}"
           for i, (ok, failing) in enumerate(
               map(check_assumption_4, scn.plants, scn.exos), start=1) if not ok]
-    if strategy != "digraph":
+    if scn.strategy != "digraph":
         kind = check_connected(scn.graph)
         a5, a6 = (None, "digraph strategy only"), (kind != "disconnected", kind)
     elif scn.graph.directed:
@@ -133,7 +132,7 @@ def run_checks(scn, strategy):
 
 def cmd_check(path):
     scn = load_scenario(path)
-    rows, failures = run_checks(scn, scn.strategy)
+    rows, failures = run_checks(scn)
     width = max(len(r[0]) for r in rows)
     print(f"scenario: {scn.name or path} (strategy {scn.strategy})")
     for label, status, detail in rows:
@@ -167,11 +166,10 @@ def cmd_ne(path):
     return EXIT_OK
 
 
-def cmd_synth(path, out, strategy):
+def cmd_synth(path, out):
     _refuse_clobbering([("scenario file", path)], [("--out", out, "the bundle", out)])
     scn = load_scenario(path)
-    strategy = strategy or scn.strategy
-    _, failures = run_checks(scn, strategy)
+    _, failures = run_checks(scn)
     if failures:
         raise AssumptionError(
             failures[0],
@@ -181,7 +179,7 @@ def cmd_synth(path, out, strategy):
         build_controller(plant, cost, exo, scn.weights)
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
     ]
-    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, scn.strategy)
     ok, abscissa = certify_stability(cl)
     if not ok:
         agent = worst_agent(cl)
@@ -209,9 +207,9 @@ def cmd_synth(path, out, strategy):
         "scale_err": reg.scale_err,
     }
     with _replacing(out) as tmp:
-        save_controllers(tmp, scn, strategy, controllers, certificates)
+        save_controllers(tmp, scn, controllers, certificates)
     print(
-        f"synthesized {len(controllers)} {strategy} controllers: "
+        f"synthesized {len(controllers)} {scn.strategy} controllers: "
         f"abscissa={abscissa!r}, residual_err={reg.residual_err!r}"
     )
     print(f"wrote {out}")
@@ -370,9 +368,8 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize controllers + certificates")
     p.add_argument("scenario")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(run=lambda a: cmd_synth(a.scenario, a.out, a.strategy))
+    p.set_defaults(run=lambda a: cmd_synth(a.scenario, a.out))
 
     p = sub.add_parser("sim", help="simulate a synthesized closed loop")
     p.add_argument("scenario")

@@ -17,12 +17,12 @@ class SingularMatrixError(NeseekError):
     """A linear solve hit a (numerically) singular matrix."""
 
 
-class NonUniqueSolutionError(NeseekError):
-    """Sylvester spectra overlap: the equation has no unique solution."""
-
-
 class SynthesisError(NeseekError):
-    """Gain synthesis failed (detectability, stabilizability, or CARE)."""
+    """Gain synthesis failed (detectability, stabilizability, CARE, or regulator)."""
+
+
+class NonUniqueSolutionError(SynthesisError):
+    """Sylvester spectra overlap: the equation has no unique solution."""
 
 
 class DomainError(NeseekError, ValueError):

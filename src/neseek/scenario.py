@@ -386,7 +386,7 @@ def scenario_hash(s):
     return sha256(_canonical_dump(s.raw).encode()).hexdigest()
 
 
-def save_controllers(path, scenario, strategy, controllers, certificates):
+def save_controllers(path, scenario, controllers, certificates):
     """Write synthesized gains with their certificates and scenario digest."""
     agents = [
         {name: _mat_to_json(getattr(c, name)) for name in CONTROLLER_FIELDS}
@@ -394,7 +394,7 @@ def save_controllers(path, scenario, strategy, controllers, certificates):
     ]
     doc = {
         "format": CONTROLLER_FORMAT,
-        "strategy": strategy,
+        "strategy": scenario.strategy,
         "scenario_sha256": scenario_hash(scenario),
         "certificates": {k: float(v) for k, v in certificates.items()},
         "agents": agents,

@@ -229,7 +229,7 @@ def test_controller_roundtrip(tmp_path, sensor_digraph, sensor_general):
         certificates = {"abscissa": -0.5, "residual_dyn": 0.0,
                         "residual_err": 0.0, "scale_dyn": 1.0,
                         "scale_err": 1.0}
-        save_controllers(path, scn, s.strategy, s.controllers, certificates)
+        save_controllers(path, scn, s.controllers, certificates)
         bundle = load_controllers(path, scn)
         assert bundle["strategy"] == s.strategy
         assert bundle["certificates"] == certificates
@@ -566,6 +566,7 @@ def test_cli_synth_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["format"] == CONTROLLER_FORMAT
+    assert doc["strategy"] == "digraph"
     assert doc["certificates"]["abscissa"] < 0.0
     scn = load_scenario(path)
     assert doc["scenario_sha256"] == scenario_hash(scn)
@@ -850,16 +851,27 @@ def test_cli_sim_pipeline(tmp_path, capsys):
 
 
 def test_cli_sim_determinism(tmp_path, capsys):
-    path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
-    ctrl = tmp_path / "ctrl.json"
-    assert main(["synth", path, "--out", str(ctrl)]) == 0
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    for out in (a, b):
-        assert main(["sim", path, "--controllers", str(ctrl),
-                     "--out", str(out), "--t-end", "1.0"]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    # two runs of one bundle write the same bytes: at stride 100, and with
+    # every step recorded and both plots (1001 rows, the last of the 16 CSV
+    # blocks ragged)
+    for case, sim, extra, written, rows in (
+        ("strided", None, ["--t-end", "1.0"], ["csv"], 11),
+        ("dense", {"dt": 1e-2, "t_end": 10.0, "record_stride": 1}, ["--svg", "{run}.svg"],
+         ["csv", "errors.svg", "svg"], 1001),
+    ):
+        root = tmp_path / case
+        root.mkdir()
+        path = write_doc(root, sensor_scenario_doc("digraph", sim=sim))
+        ctrl = root / "ctrl.json"
+        assert main(["synth", path, "--out", str(ctrl)]) == 0
+        for run in ("a", "b"):
+            assert main(["sim", path, "--controllers", str(ctrl), "--out", str(root / f"{run}.csv"),
+                         *(arg.format(run=root / run) for arg in extra)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in root.glob("a.*")) == [f"a.{ext}" for ext in written]
+        for ext in written:
+            assert (root / f"a.{ext}").read_bytes() == (root / f"b.{ext}").read_bytes(), case
+        assert len((root / "a.csv").read_text().splitlines()) == 1 + rows, case
 
 
 def test_cli_sim_stale_controllers(tmp_path, capsys):
@@ -1077,7 +1089,10 @@ def test_cli_sim_bad_inputs_exit_2(case, extra, edit, where, sensor_bundle,
     rc = main(["sim", scenario, "--controllers", str(ctrl),
                "--out", str(out)] + extra)
     assert rc == 2, case
-    assert where in capsys.readouterr().err, case
+    err = capsys.readouterr().err
+    # the error is the only line: no abscissa or summary is printed
+    assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    assert where in err, case
     assert not out.exists()
 
 
@@ -1483,6 +1498,21 @@ def _no_internal_model_weight(doc):
     doc["synthesis"] = {"stabilizer_q_im": 0}
 
 
+def _mode_near_the_constant_one(doc):
+    # agent 1 gains a fifth state outside B, C and P: its mode at -2e-9
+    # passes the checks and the Hurwitz gate, but lies 2e-9 from the
+    # exosystem's constant mode, so the regulator equation is ill-posed
+    agent = doc["agents"][0]
+    A = np.zeros((5, 5))
+    A[:4, :4] = np.reshape(agent["A"]["data"], (4, 4))
+    A[4, 4] = -2e-9
+    agent["A"] = mat(A)
+    for name in ("B", "P"):
+        agent[name] = mat(np.vstack([np.reshape(agent[name]["data"], (4, 2)), np.zeros((1, 2))]))
+    agent["C"] = mat(np.hstack([np.reshape(agent["C"]["data"], (2, 4)), np.zeros((2, 1))]))
+    agent["x0"].append(0.0)
+
+
 def _general_bundle_read_as_digraph(tmp_path):
     argv = _synth_argv(tmp_path, "general")
     assert main(argv) == 0
@@ -1511,6 +1541,10 @@ CLI_OUTCOMES = [
     ("zero internal-model weight, general",
      lambda t: _synth_argv(t, "general", _no_internal_model_weight), 4,
      "error: no stabilizing Riccati solution: "),
+    ("regulator equation without a unique solution",
+     lambda t: _synth_argv(t, "digraph", _mode_near_the_constant_one), 4,
+     "error: spec(A) and spec(B) overlap (separation 2.000e-09); "
+     "the Sylvester equation has no unique solution"),
 ]
 
 
@@ -1524,6 +1558,17 @@ def test_cli_failure_prints_one_error_line(case, make_argv, status, line,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(line.format(tmp=tmp_path)), err
     assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_cli_synth_takes_its_strategy_from_the_scenario(tmp_path, capsys):
+    # the scenario's strategy field, which its digest covers, is the only choice
+    argv = _synth_argv(tmp_path, "digraph")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--strategy", "general"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --strategy general")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_cli_check_reports_digraph_strategy_on_undirected_graph(tmp_path, capsys):
@@ -1570,7 +1615,8 @@ def test_benchmark_tracer_records_every_layer(tmp_path):
             [sys.executable, str(root / "perfbench" / "tracing.py"), str(spans),
              command, scenario, *args],
             capture_output=True, text=True, cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+            env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                     PYTHONWARNINGS="error::RuntimeWarning"))
         assert proc.returncode == 0, proc.stderr
         traces[command] = json.loads(spans.read_text())
     for command, trace in traces.items():

@@ -1,7 +1,8 @@
 """SciPy stays out of every command: it is a test-only reference.
 
 ``check``, ``ne``, ``sim`` (with its SVG and perturbation options),
-``synth`` and an import of every neseek module run on numpy alone.  Each case
+``synth`` and an import of every neseek module run on numpy alone, as
+``synth`` and ``sim`` do on the general strategy's scenario.  Each case
 runs in a fresh interpreter, since the test process itself has SciPy
 loaded already; the commands run with SciPy blocked, so an import of it
 on their path fails instead of passing unseen.  ``synth``'s gains are
@@ -56,8 +57,10 @@ BLOCK_SCIPY = 'sys.modules["scipy"] = None\n'
 
 
 def _run(code):
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    # numpy's overflow and invalid-value warnings are errors, as in this process
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC),
+                                   PYTHONWARNINGS="error::RuntimeWarning"))
 
 
 def _loaded(body, name):
@@ -102,9 +105,9 @@ def test_probe_sees_scipy_when_loaded():
     assert _loaded("import scipy.linalg", "scipy")
 
 
-def _blocked_synth(sensor_path, out):
+def _blocked_synth(scenario_path, out):
     return _run(f"import sys\n{BLOCK_SCIPY}import neseek.cli\n"
-                f"sys.exit(neseek.cli.main(['synth', {str(sensor_path)!r}, "
+                f"sys.exit(neseek.cli.main(['synth', {str(scenario_path)!r}, "
                 f"'--out', {str(out)!r}]))")
 
 
@@ -114,6 +117,21 @@ def test_synth_with_scipy_blocked_writes_a_bundle(sensor_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert out.exists()
+
+
+def test_general_synth_and_sim_with_scipy_blocked(tmp_path):
+    # the general strategy, whose estimates read all of Rbar, on numpy alone too
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(sensor_scenario_doc("general")))
+    ctrl = tmp_path / "ctrl.json"
+    proc = _blocked_synth(path, ctrl)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    argv = ["sim", str(path), "--controllers", str(ctrl), "--t-end", "2",
+            "--out", str(tmp_path / "run.csv"), "--svg", str(tmp_path / "run.svg")]
+    assert not _loaded(BLOCK_SCIPY + f"import neseek.cli\nassert neseek.cli.main({argv!r}) == 0",
+                       "scipy")
+    assert (tmp_path / "run.errors.svg").exists()
 
 
 def test_synth_with_scipy_blocked_matches_scipy_gains(sensor_path, tmp_path):
