@@ -100,14 +100,14 @@ def run_checks(scn):
     """
     a1_ok, lam_min = check_assumption_1(assemble_pseudo_gradient(scn.game))
     a2 = [f"agent {i}: {_fmt_eigs(offending)}"
-          for i, exo in enumerate(scn.exos, start=1)
-          for offending in [check_assumption_2(exo)[1]] if offending]
-    a3 = [f"agent {i} not {prop} at {_fmt_eigs(res['witnesses'][prop])}"
+          for i, offending in enumerate(map(check_assumption_2, scn.exos), start=1)
+          if offending]
+    a3 = [f"agent {i} not {prop} at {_fmt_eigs(res[prop])}"
           for i, res in enumerate(map(check_assumption_3, scn.plants), start=1)
-          for prop in ("stabilizable", "detectable") if not res[prop]]
+          for prop in ("stabilizable", "detectable") if res[prop]]
     a4 = [f"agent {i} at {_fmt_eigs(failing)}"
-          for i, (ok, failing) in enumerate(
-              map(check_assumption_4, scn.plants, scn.exos), start=1) if not ok]
+          for i, failing in enumerate(
+              map(check_assumption_4, scn.plants, scn.exos), start=1) if failing]
     if scn.strategy != "digraph":
         kind = check_connected(scn.graph)
         a5, a6 = (None, "digraph strategy only"), (kind != "disconnected", kind)

@@ -18,7 +18,15 @@ class SingularMatrixError(NeseekError):
 
 
 class SynthesisError(NeseekError):
-    """Gain synthesis failed (detectability, stabilizability, CARE, or regulator)."""
+    """A design or certificate failed; the CLI's exit 4.
+
+    Raised by ``linalg.solve_care`` (no stabilizing Riccati solution, or
+    a gain that does not stabilize), by ``synthesis.build_controller``
+    (a plant failing A3 or A4), by ``synth`` (a closed loop not Hurwitz,
+    a regulator residual above its bound), as NonUniqueSolutionError by
+    the regulator solve, and by ``sim`` (an RK4 step map that does not
+    contract at ``--dt``).
+    """
 
 
 class NonUniqueSolutionError(SynthesisError):

@@ -144,15 +144,8 @@ class Exosystem:
 
 
 def check_assumption_2(exo):
-    """No exosystem eigenvalue may have negative real part.
-
-    Returns (bool, offending eigenvalues).
-    """
-    if exo.q == 0:
-        return True, []
-    eigs = linalg.eigenvalues(exo.S)
-    offending = [lam for lam in eigs if lam.real < -_EIG_TOL]
-    return not offending, offending
+    """The exosystem eigenvalues with negative real part: A2 holds when none."""
+    return [lam for lam in linalg.eigenvalues(exo.S) if lam.real < -_EIG_TOL]
 
 
 def _real_if_real(lam):
@@ -186,16 +179,11 @@ def _pbh_witnesses(A, M, stack):
 def check_assumption_3(plant):
     """PBH stabilizability and detectability of the nominal pair.
 
-    Returns a dict with keys ``stabilizable``, ``detectable``,
-    ``witnesses`` (the failing eigenvalues per property).
+    Returns the failing eigenvalues per property, under the keys
+    ``stabilizable`` and ``detectable``: A3 holds when both are empty.
     """
-    bad_stab = _pbh_witnesses(plant.A, plant.B, np.hstack)
-    bad_det = _pbh_witnesses(plant.A, plant.C, np.vstack)
-    return {
-        "stabilizable": not bad_stab,
-        "detectable": not bad_det,
-        "witnesses": {"stabilizable": bad_stab, "detectable": bad_det},
-    }
+    return {"stabilizable": _pbh_witnesses(plant.A, plant.B, np.hstack),
+            "detectable": _pbh_witnesses(plant.A, plant.C, np.vstack)}
 
 
 def _regulation_pencil_rank_ok(A, B, C, lam):
@@ -214,16 +202,9 @@ def _spec_with_zero(exo):
 
 
 def check_assumption_4(plant, exo):
-    """Transmission-zero-free condition at spec(S) plus {0}.
-
-    Returns (bool, failing lambda list).
-    """
-    failing = [
-        lam
-        for lam in _spec_with_zero(exo)
-        if not _regulation_pencil_rank_ok(plant.A, plant.B, plant.C, lam)
-    ]
-    return not failing, failing
+    """Eigenvalues of spec(S) plus {0} failing the rank condition: A4 holds when none."""
+    return [lam for lam in _spec_with_zero(exo)
+            if not _regulation_pencil_rank_ok(plant.A, plant.B, plant.C, lam)]
 
 
 def sample_perturbation(plant, scale, rng):

@@ -21,7 +21,7 @@ from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
 from .sim import SimConfig
-from .synthesis import STRATEGIES, Controller, SynthesisWeights, _gain_mismatch
+from .synthesis import STRATEGIES, Controller, SynthesisWeights, gain_mismatch
 
 # CPython's built-in sha256, the one hashlib falls back to: hashlib
 # itself loads OpenSSL, a few MB for one digest per command
@@ -434,7 +434,7 @@ def load_controllers(path, scenario):
             f"scenario has {scenario.agent_count}"
         )
     for i, (c, plant) in enumerate(zip(controllers, scenario.plants), start=1):
-        bad = _gain_mismatch(c, plant)
+        bad = gain_mismatch(c, plant)
         if bad:
             raise ScenarioError(f"{path}: agents[{i}].{bad}")
     return {"strategy": bundle["strategy"], "certificates": bundle["certificates"],

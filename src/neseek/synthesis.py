@@ -28,7 +28,7 @@ from .errors import AssumptionError, DimensionError, SynthesisError
 from .game import assemble_pseudo_gradient
 from .graph import check_acyclic, check_connected
 from .internal_model import build_p_copy
-from .plant import _pbh_witnesses, _regulation_pencil_rank_ok, _unique
+from .plant import check_assumption_3, check_assumption_4
 
 __all__ = [
     "STRATEGIES",
@@ -36,9 +36,8 @@ __all__ = [
     "Controller",
     "ClosedLoopSystem",
     "RegulatorSolution",
-    "observer_gain",
-    "augmented_stabilizer",
     "build_controller",
+    "gain_mismatch",
     "assemble_closed_loop",
     "certify_stability",
     "worst_agent",
@@ -170,45 +169,28 @@ def _weight(base_dim, scale):
     return float(scale) * np.eye(base_dim)
 
 
-def observer_gain(A, Cw, weights):
+def _observer_gain(A, Cw, weights):
     """Output-injection gain L with A - L Cw certified Hurwitz.
 
     Solves the dual CARE on (A', Cw') with the observer weights of
     ``weights``; its Hurwitz certificate on A' - Cw' L' is the
-    observer's.  Detectability of (A, Cw) is what's required; it is
-    checked first and a failing PBH eigenvalue is named in the error.
+    observer's.
     """
     n = A.shape[0]
-    bad = _pbh_witnesses(A, Cw, np.vstack)
-    if bad:
-        raise SynthesisError(f"(A, Cw) not detectable at eigenvalue {bad[0]}")
     K_dual = linalg.solve_care(A.T, Cw.T, _weight(n, weights.observer_q),
                                _weight(Cw.shape[0], weights.observer_r))
     return -K_dual.T
 
 
-def augmented_stabilizer(A, B, Cw, G1, G2, weights):
+def _augmented_stabilizer(A, B, Cw, G1, G2, weights):
     """Stabilizing gain [K1 K2] for the plant/internal-model cascade.
 
-    The design pair is ([A 0; G2 Cw G1], [B; 0]); its stabilizability
-    needs the transmission-zero-free condition at every eigenvalue of
-    G1, which is re-verified here before solving the CARE with the
-    stabilizer weights of ``weights``.  The CARE certifies the augmented
-    loop Hurwitz.
+    The design pair is ([A 0; G2 Cw G1], [B; 0]), stabilizable when the
+    plant meets A3 and A4; the CARE with the stabilizer weights of
+    ``weights`` certifies the augmented loop Hurwitz.
     """
     n, m = B.shape
     v = G1.shape[0]
-
-    failures = [
-        lam for lam in _unique(linalg.eigenvalues(G1))
-        if not _regulation_pencil_rank_ok(A, B, Cw, lam)
-    ]
-    if failures:
-        raise SynthesisError(
-            "rank condition fails at internal-model eigenvalue(s) "
-            + ", ".join(f"{lam:.6g}" for lam in failures)
-        )
-
     A_aug = np.block([[A, np.zeros((n, v))], [G2 @ Cw, G1]])
     B_aug = np.vstack([B, np.zeros((v, m))])
     Qw = np.block([[_weight(n, weights.stabilizer_q_state), np.zeros((n, v))],
@@ -222,11 +204,19 @@ def build_controller(plant, cost, exo, weights):
 
     The observer gain, p-copy internal model and augmented stabilizer
     are designed on the nominal plant with Rw = R_ii + R_ii' and the
-    CARE weights of ``weights``.
+    CARE weights of ``weights``.  A plant failing A3 or A4 is refused
+    first, by the checkers ``check`` runs: Rw is nonsingular, so (A, Rw C)
+    passes exactly when (A, C) does, and the eigenvalues of G1 are A4's
+    set spec(S) plus {0}.
     """
-    bad = _pbh_witnesses(plant.A, plant.B, np.hstack)
-    if bad:
-        raise SynthesisError(f"(A, B) not stabilizable at eigenvalue {bad[0]}")
+    a3 = check_assumption_3(plant)
+    for prop, pair in (("stabilizable", "(A, B)"), ("detectable", "(A, C)")):
+        if a3[prop]:
+            raise SynthesisError(f"{pair} not {prop} at eigenvalue {a3[prop][0]}")
+    failing = check_assumption_4(plant, exo)
+    if failing:
+        raise SynthesisError("rank condition fails at exosystem mode(s) "
+                             + ", ".join(f"{lam:.6g}" for lam in failing))
     Rw = cost.R_ii + cost.R_ii.T
     if Rw.shape[0] != plant.p:
         raise DimensionError(
@@ -234,8 +224,8 @@ def build_controller(plant, cost, exo, weights):
         )
     Cw = Rw @ plant.C
     G1, G2 = build_p_copy(exo.S_tilde, plant.p)
-    L = observer_gain(plant.A, Cw, weights)
-    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, weights)
+    L = _observer_gain(plant.A, Cw, weights)
+    K1, K2 = _augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, weights)
     return Controller(L=L, G1=G1, G2=G2, K1=K1, K2=K2)
 
 
@@ -243,7 +233,7 @@ def _offsets(dims):
     return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
 
-def _gain_mismatch(c, plant):
+def gain_mismatch(c, plant):
     """The first gain whose shape does not fit ``plant``, as a message, or None."""
     n, m, p, v = plant.n, plant.m, plant.p, c.G1.shape[0]
     for name, want in (("L", (n, p)), ("G1", (v, v)), ("G2", (v, p)),
@@ -343,7 +333,7 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
         raise DimensionError(f"unknown strategy kind {strategy_kind!r}")
 
     for i, (c, plant) in enumerate(zip(controllers, plants), start=1):
-        bad = _gain_mismatch(c, plant)
+        bad = gain_mismatch(c, plant)
         if bad:
             raise DimensionError(f"agent {i}: controller gain {bad}")
 

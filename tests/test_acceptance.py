@@ -200,7 +200,7 @@ def test_criterion_08_rank_invariance_suite():
     t0 = time.perf_counter()
     plants = sensor_plants()
     exos = sensor_exos()
-    ok = all(check_assumption_4(p, e)[0] for p, e in zip(plants, exos))
+    ok = not any(check_assumption_4(p, e) for p, e in zip(plants, exos))
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(100):
@@ -209,7 +209,7 @@ def test_criterion_08_rank_invariance_suite():
             D = rng.normal(size=(2, 2))
         for plant, exo in zip(plants, exos):
             # the A4 pencil with C replaced by D C
-            ok &= check_assumption_4(dataclasses.replace(plant, C=D @ plant.C), exo)[0]
+            ok &= not check_assumption_4(dataclasses.replace(plant, C=D @ plant.C), exo)
             checked += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0

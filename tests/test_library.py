@@ -7,7 +7,8 @@ reference loop, which the tests compare the stacked simulation with.
 Uses are found in the syntax tree: a name read or an attribute looked
 up, so neither a docstring nor an import alone counts.  The same holds
 one level down: every default is left out by some library call, and
-every property and method is read by the library.
+every property and method is read by the library.  And a module's
+private names stay its own: no module imports one from a sibling.
 """
 
 import ast
@@ -73,6 +74,32 @@ def test_finder_sees_a_name_only_its_tests_use():
         "b": '"""f is documented here."""\nfrom .a import f\n',
     }
     assert unused_public_names(sources) == ["a.f"]
+
+
+# A module's private names are its own: no src/neseek module imports a
+# ``_``-prefixed name from a sibling.  A helper two modules need is public.
+
+def private_imports(sources):
+    """``module: sibling._name`` of each private name imported from a sibling module."""
+    return [f"{module}: " + ".".join(filter(None, (node.module, alias.name)))
+            for module, text in sources.items() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "neseek")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == []
+
+
+def test_finder_sees_a_private_name_imported_from_a_sibling():
+    # public and standard-library names do not count, wherever they are
+    sources = {
+        "a": "from .b import f, _g\nfrom _sha2 import sha256\n",
+        "b": "def f():\n    from neseek.a import _h\n    from . import _c, d\n",
+    }
+    assert private_imports(sources) == ["a: b._g", "b: neseek.a._h", "b: _c"]
 
 
 # Every default and every property or method has a library caller.  A

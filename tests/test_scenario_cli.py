@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import importlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -752,6 +754,35 @@ def test_cli_module_runs_as_a_script(tmp_path, capsys, monkeypatch):
         runpy.run_module("neseek.cli", run_name="__main__")
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("lambda_min = ")
+
+
+def project_scripts():
+    """(name, module, attribute) of each ``[project.scripts]`` entry of pyproject.toml.
+
+    Read with a regex: ``tomllib`` is missing on Python 3.10.
+    """
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    lines = [ln for ln in table.group(1).splitlines() if ln.strip()]
+    entries = [re.fullmatch(r'([\w-]+) = "([\w.]+):(\w+)"', ln) for ln in lines]
+    assert all(entries), lines
+    return [e.groups() for e in entries]
+
+
+def test_project_scripts_name_importable_callables(tmp_path, capsys, monkeypatch):
+    # the installed neseek command of README's CLI section, called as its
+    # generated wrapper calls it: sys.exit of the entry with no arguments
+    scripts = project_scripts()
+    assert [name for name, _, _ in scripts] == ["neseek"]
+    path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
+    for name, module, attr in scripts:
+        entry = getattr(importlib.import_module(module), attr)
+        assert callable(entry)
+        monkeypatch.setattr(sys, "argv", [name, "ne", path])
+        with pytest.raises(SystemExit) as exit_:
+            sys.exit(entry())
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("lambda_min = ")
 
 
 def test_cli_synth_gates_regulator_residuals(tmp_path, capsys, monkeypatch):

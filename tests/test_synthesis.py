@@ -21,6 +21,7 @@ from neseek.plant import (
     AgentPlant,
     Exosystem,
     check_assumption_3,
+    check_assumption_4,
     sample_perturbation,
 )
 from neseek.synthesis import (
@@ -28,11 +29,11 @@ from neseek.synthesis import (
     ClosedLoopSystem,
     Controller,
     SynthesisWeights,
+    _augmented_stabilizer,
+    _observer_gain,
     assemble_closed_loop,
-    augmented_stabilizer,
     build_controller,
     certify_stability,
-    observer_gain,
     solve_regulator,
     worst_agent,
 )
@@ -87,7 +88,7 @@ def isolated_setup(target=(-1.0,), disturbed=True):
 
 
 def test_observer_gain_already_stable():
-    L = observer_gain(-np.eye(2), np.eye(2), SynthesisWeights())
+    L = _observer_gain(-np.eye(2), np.eye(2), SynthesisWeights())
     ok, _ = is_hurwitz(-np.eye(2) - L @ np.eye(2))
     assert ok
 
@@ -95,31 +96,48 @@ def test_observer_gain_already_stable():
 def test_observer_gain_axis_plant():
     plant = axis_plant()
     Cw = 4.0 * plant.C
-    L = observer_gain(plant.A, Cw, SynthesisWeights())
+    L = _observer_gain(plant.A, Cw, SynthesisWeights())
     ok, abscissa = is_hurwitz(plant.A - L @ Cw)
     assert ok
     assert abscissa < 0.0
 
 
+def undisturbed_setup(A, B, C):
+    """One agent with plant (A, B, C), no disturbance, and a scalar target."""
+    game, _, exo = isolated_setup(disturbed=False)
+    plant = AgentPlant(A=A, B=B, C=C, P=np.zeros((np.atleast_2d(A).shape[0], 0)))
+    return plant, game.costs[0], exo
+
+
 def test_observer_gain_undetectable():
-    with pytest.raises(SynthesisError) as err:
-        observer_gain(np.eye(2), np.zeros((1, 2)), SynthesisWeights())
-    assert "1" in str(err.value)
+    # the mode at 1 is unstable and C = 0 cannot see it
+    plant, cost, exo = undisturbed_setup(np.eye(2), np.eye(2), np.zeros((1, 2)))
+    with pytest.raises(SynthesisError,
+                       match=r"^\(A, C\) not detectable at eigenvalue 1\.0$"):
+        build_controller(plant, cost, exo, SynthesisWeights())
+    # called directly, the design is refused by the CARE's gates
+    with pytest.raises(SynthesisError,
+                       match=r"^no stabilizing Riccati solution: residual .* exceeds "):
+        _observer_gain(plant.A, plant.C, SynthesisWeights())
 
 
 def test_observer_gain_agrees_with_assumption_3():
     # eigenvalues +-1j come out with real part about -1e-16; A3 treats
-    # them as marginal and so must the observer design
+    # them as marginal and so must the synthesis, which runs the same check
     A = np.array([[-1.0, 2.0], [-1.0, 1.0]])
-    Cw = np.zeros((1, 2))
-    res = check_assumption_3(AgentPlant(A=A, B=np.eye(2), C=Cw, P=np.zeros((2, 0))))
-    assert not res["detectable"]
-    with pytest.raises(SynthesisError, match="not detectable"):
-        observer_gain(A, Cw, SynthesisWeights())
+    plant, cost, exo = undisturbed_setup(A, np.eye(2), np.zeros((1, 2)))
+    witnesses = check_assumption_3(plant)["detectable"]
+    assert witnesses
+    with pytest.raises(SynthesisError) as err:
+        build_controller(plant, cost, exo, SynthesisWeights())
+    assert str(err.value) == f"(A, C) not detectable at eigenvalue {witnesses[0]}"
+    with pytest.raises(SynthesisError,
+                       match=r"^no stabilizing Riccati solution: residual .* exceeds "):
+        _observer_gain(A, plant.C, SynthesisWeights())
 
 
 def test_augmented_stabilizer_scalar_integrator():
-    K1, K2 = augmented_stabilizer(
+    K1, K2 = _augmented_stabilizer(
         np.zeros((1, 1)), np.ones((1, 1)), 2.0 * np.ones((1, 1)),
         np.zeros((1, 1)), np.ones((1, 1)), SynthesisWeights(),
     )
@@ -133,7 +151,7 @@ def test_augmented_stabilizer_axis_plant():
     Cw = 4.0 * plant.C
     S_tilde = Exosystem(S=ROT, w0=np.array([1.0, 0.0])).S_tilde
     G1, G2 = build_p_copy(S_tilde, plant.p)
-    K1, K2 = augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, SynthesisWeights())
+    K1, K2 = _augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, SynthesisWeights())
     closed = np.block([
         [plant.A + plant.B @ K1, plant.B @ K2],
         [G2 @ Cw, G1],
@@ -144,12 +162,29 @@ def test_augmented_stabilizer_axis_plant():
 
 
 def test_augmented_stabilizer_no_control_authority():
-    with pytest.raises(SynthesisError) as err:
-        augmented_stabilizer(
+    # B = 0 cannot reach the integrator's mode at 0
+    plant, cost, exo = undisturbed_setup(0.0, 0.0, 1.0)
+    with pytest.raises(SynthesisError,
+                       match=r"^\(A, B\) not stabilizable at eigenvalue 0\.0$"):
+        build_controller(plant, cost, exo, SynthesisWeights())
+    # called directly, the design is refused by the CARE's gates
+    with pytest.raises(SynthesisError, match=r"^no stabilizing Riccati solution: "
+                                             r"singular sign iterate \(Singular matrix\)$"):
+        _augmented_stabilizer(
             np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
             np.zeros((1, 1)), np.ones((1, 1)), SynthesisWeights(),
         )
-    assert "0" in str(err.value)
+
+
+def test_build_controller_refuses_a_plant_failing_only_assumption_4():
+    # stable and so stabilizable and detectable, but C = 0 leaves the
+    # pencil rank-deficient at the constant channel's mode 0
+    plant, cost, exo = undisturbed_setup(-1.0, 1.0, 0.0)
+    assert check_assumption_3(plant) == {"stabilizable": [], "detectable": []}
+    assert np.allclose(check_assumption_4(plant, exo), [0.0])
+    with pytest.raises(SynthesisError,
+                       match=r"^rank condition fails at exosystem mode\(s\) 0\+0j$"):
+        build_controller(plant, cost, exo, SynthesisWeights())
 
 
 def test_digraph_controller_dimensions():
