@@ -45,10 +45,6 @@ class AssumptionError(NeseekError):
         self.number = number
 
 
-class FirewallViolation(NeseekError):
-    """An agent tried to read data from a non-neighbor."""
-
-
 class DivergenceError(NeseekError):
     """Simulation state became non-finite."""
 

@@ -153,27 +153,27 @@ def _real_if_real(lam):
 
 
 def _unique(lams):
-    """Values of ``lams`` as complex, dropping repeats within tolerance."""
+    """Values of ``lams`` in order, dropping repeats within tolerance of an earlier one."""
     unique = []
     for lam in lams:
         if not any(abs(lam - u) <= _EIG_TOL for u in unique):
-            unique.append(complex(lam))
+            unique.append(lam)
     return unique
 
 
 def _pbh_witnesses(A, M, stack):
-    """Eigenvalues lam of A with Re lam >= -tol failing the PBH test.
+    """Eigenvalues lam of A with Re lam >= -tol failing the PBH test, each once.
 
     The test is rank stack([A - lam I, M]) = n: ``np.hstack`` with
     M = B tests stabilizability, ``np.vstack`` with M = C detectability.
     Real eigenvalues are tested in real arithmetic.
     """
     n = A.shape[0]
-    return [
+    return _unique([
         lam for lam in linalg.eigenvalues(A)
         if lam.real >= -_EIG_TOL
         and linalg.rank(stack([A - _real_if_real(lam) * np.eye(n), M])) < n
-    ]
+    ])
 
 
 def check_assumption_3(plant):
@@ -198,7 +198,7 @@ def _regulation_pencil_rank_ok(A, B, C, lam):
 
 
 def _spec_with_zero(exo):
-    return _unique(list(linalg.eigenvalues(exo.S)) + [0.0])
+    return _unique([complex(lam) for lam in linalg.eigenvalues(exo.S)] + [0j])
 
 
 def check_assumption_4(plant, exo):

@@ -1,12 +1,9 @@
-"""Closed-loop trajectories: the stacked propagator and the per-agent reference loop.
+"""Closed-loop trajectories of the stacked loop, streamed to a CSV.
 
-Both paths take classic RK4 steps with the exogenous vector advanced by
-its exact matrix exponential.  The stacked path applies one RK4 step as
-a precomputed matrix on [z; v], and its powers between recorded samples;
-``propagate`` yields its records in blocks of BLOCK_ROWS, which
-``simulate`` collects and ``write_records`` streams to a CSV.  The
-distributed path runs the same stages agent by agent behind neighbor
-read gates and is the reference loop the stacked path is compared with.
+RK4 steps with the exogenous vector advanced by its exact matrix
+exponential, applied as one precomputed matrix on [z; v] and its powers
+between recorded samples.  ``propagate`` yields the records in blocks
+of BLOCK_ROWS, which ``write_records`` streams to a CSV.
 """
 
 import functools
@@ -15,21 +12,16 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, DomainError, FirewallViolation
+from .errors import DivergenceError, DomainError
 from .game import assemble_pseudo_gradient, solve_ne
-from .graph import neighbors
 from .linalg import expm
 
 __all__ = [
     "SimConfig",
-    "Trajectory",
-    "NeighborView",
     "rk4_radius",
     "rk4_dt_limit",
     "propagate",
     "block_outputs",
-    "simulate",
-    "simulate_distributed",
     "series_metrics",
     "csv_rows",
     "write_records",
@@ -78,29 +70,6 @@ class SimConfig:
         """Steps of records start..stop-1; record k is at ``min(k * stride, n_steps)``."""
         n, stride = self.n_steps, self.record_stride  # Python ints: k * stride is exact
         return np.array([min(k * stride, n) for k in range(start, stop)], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded series, one row per record, stacked agent-major.
-
-    ``Z`` is in the loop's z layout (``[x_i; xi_i; zeta_i]`` per agent),
-    ``Y`` and ``E`` in the game's output layout, and ``W`` holds each
-    agent's disturbance w_i in agent order; ``cl.x_slices``,
-    ``cl.ctrl_slices`` and ``cl.out_slices`` pick out one agent.
-    """
-
-    times: np.ndarray
-    Z: np.ndarray
-    Y: np.ndarray
-    E: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        for name in ("Z", "Y", "E", "W"):
-            if getattr(self, name).shape[0] != len(self.times):
-                raise DimensionError(f"{name} has {getattr(self, name).shape[0]} rows, "
-                                     f"times has {len(self.times)}")
 
 
 # records propagated and tested for finiteness at once, and CSV rows
@@ -230,151 +199,6 @@ def block_outputs(cl, X):
     Z, V = X[:, :cl.dim_z], X[:, cl.dim_z:]
     w = np.hstack([V[:, sl.start:sl.start + exo.q] for sl, exo in zip(cl.v_slices, cl.exos)])
     return Z @ cl.C_out.T, Z @ cl.C_c.T + V @ cl.Q_c.T, w
-
-
-def simulate(cl, cfg):
-    """Integrate the stacked closed loop into one Trajectory; v is advanced exactly.
-
-    Collects the blocks of ``propagate``, then takes the y, e and w of
-    each block; raises its DivergenceError.
-    """
-    times, X = zip(*propagate(cl, cfg))
-    Y, E, W = (np.concatenate(a) for a in zip(*(block_outputs(cl, block) for block in X)))
-    return Trajectory(np.concatenate(times), np.concatenate(X)[:, :cl.dim_z], Y, E, W)
-
-
-class NeighborView:
-    """Agent i's read gate for incoming data during one stage evaluation.
-
-    Only outputs (and, for the observer strategy, observer outputs
-    C_j xi_j) of declared neighbors are readable; any other index raises
-    FirewallViolation.  This is the information constraint made
-    structural: agent code literally cannot see non-neighbor data.
-    """
-
-    def __init__(self, i, nbrs, y_all, cxi_all):
-        self._i = i
-        self._nbrs = frozenset(nbrs)
-        self._y = y_all
-        self._cxi = cxi_all
-
-    def output(self, j):
-        if j not in self._nbrs:
-            raise FirewallViolation(
-                f"agent {self._i} read y_{j} but {j} is not a neighbor"
-            )
-        return self._y[j - 1]
-
-    def observer_output(self, j):
-        if j not in self._nbrs:
-            raise FirewallViolation(
-                f"agent {self._i} read C_{j} xi_{j} but {j} is not a neighbor"
-            )
-        if self._cxi is None:
-            raise FirewallViolation(
-                f"agent {self._i} read observer data outside the observer strategy"
-            )
-        return self._cxi[j - 1]
-
-
-def _agent_rate(plant, cost, c, view, observer_mode):
-    """Agent i's rate of ``s = [x_i; xi_i; zeta_i]``, with its matrices built once.
-
-    The rate reads the agent's own state, output and disturbance, and
-    its neighbors' outputs (for the general strategy also their
-    observer outputs) through ``view`` only.
-    """
-    n, p, v = plant.n, c.p, c.G1.shape[0]
-    Rw = cost.R_ii + cost.R_ii.T
-    couplings = [(j, cost.R_ij[j]) for j in sorted(cost.R_ij)]
-    # plant rows, observer rows (u = K1 xi + K2 zeta, and ehat's own
-    # term Rw C xi), internal-model rows
-    F = np.block([
-        [plant.A_mu, plant.B_mu @ c.K1, plant.B_mu @ c.K2],
-        [np.zeros((n, n)), plant.A + plant.B @ c.K1 - c.L @ Rw @ plant.C, plant.B @ c.K2],
-        [np.zeros((v, 2 * n)), c.G1],
-    ])
-    P = np.vstack([plant.P_mu, np.zeros((n + v, plant.q))])
-    H = np.vstack([np.zeros((n, p)), c.L, c.G2])  # e drives observer and internal model
-    # ehat has no affine term: it estimates only the output-dependent part;
-    # only the general strategy reads neighbors' observer outputs
-    obs = [(j, c.L @ R) for j, R in couplings] if observer_mode else []
-
-    def rate(s, w, y):
-        e = Rw @ y + cost.Q_ii
-        for j, R in couplings:
-            e = e + R @ view.output(j)
-        ds = F @ s + P @ w + H @ e
-        for j, LR in obs:
-            ds[n:2 * n] -= LR @ view.observer_output(j)
-        return ds
-
-    return rate
-
-
-def simulate_distributed(cl, cfg):
-    """Integrate the loop of ``cl`` agent by agent behind NeighborView read gates.
-
-    Reads the game, plants, exosystems, controllers and strategy that
-    ``assemble_closed_loop`` checked, never the matrices it built.
-    Agent i's state is ``[x_i; xi_i; zeta_i]``, started at its plant's
-    ``x0`` with zero controller state; its exosystem starts at ``w0``.
-    Each stage first broadcasts every agent's y_i (and C_i xi_i for the
-    general strategy), then evaluates each agent's rate from its own
-    state plus gated neighbor reads only.  Matches simulate() within
-    1e-9 per sample.
-    """
-    game, plants, exos, controllers = cl.game, cl.plants, cl.exos, cl.controllers
-    observer_mode = cl.strategy == "general"
-
-    # read gates over output buffers that every stage refills in place
-    ys = [None] * len(plants)
-    cxis = [None] * len(plants) if observer_mode else None
-    rates = [
-        _agent_rate(p, cost, c,
-                    NeighborView(i, neighbors(game.graph, i), ys, cxis), observer_mode)
-        for i, (p, cost, c) in enumerate(zip(plants, game.costs, controllers), start=1)
-    ]
-    ns = [p.n for p in plants]
-    C_mus = [p.C_mu for p in plants]
-    # exact per-agent exogenous steppers
-    E_halfs = [_exo_steppers(e.S, cfg.dt)[0] for e in exos]
-    E_fulls = [E @ E for E in E_halfs]
-
-    def stage(states, ws):
-        ys[:] = [C @ s[:n] for C, s, n in zip(C_mus, states, ns)]
-        if observer_mode:
-            cxis[:] = [p.C @ s[n:2 * n] for p, s, n in zip(plants, states, ns)]
-        return [f(s, w, y) for f, s, w, y in zip(rates, states, ws, ys)]
-
-    s = [np.concatenate([p.x0, np.zeros(c.ctrl_dim)]) for p, c in zip(plants, controllers)]
-    w = [e.w0 for e in exos]
-    records = [(np.concatenate(s), np.concatenate(w))]
-    dt, n_steps, stride = cfg.dt, cfg.n_steps, cfg.record_stride
-    for k in range(1, n_steps + 1):
-        # an overflowing step is reported by the finiteness test below
-        with np.errstate(over="ignore", invalid="ignore"):
-            wh = [E @ wi for E, wi in zip(E_halfs, w)]
-            wf = [E @ wi for E, wi in zip(E_fulls, w)]
-            r1 = stage(s, w)
-            r2 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r1)], wh)
-            r3 = stage([si + 0.5 * dt * ri for si, ri in zip(s, r2)], wh)
-            r4 = stage([si + dt * ri for si, ri in zip(s, r3)], wf)
-            s = [si + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                 for si, a, b, c, d in zip(s, r1, r2, r3, r4)]
-        w = wf
-        if not all(np.isfinite(si[:n]).all() for si, n in zip(s, ns)):
-            raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",
-                                  t_bad=k * dt)
-        if k % stride == 0 or k == n_steps:
-            records.append((np.concatenate(s), np.concatenate(w)))
-
-    Z, W = (np.array(a) for a in zip(*records))
-    offsets = np.cumsum([0] + [si.size for si in s])
-    Y = np.hstack([Z[:, o:o + n] @ C.T for o, n, C in zip(offsets, ns, C_mus)])
-    pg = assemble_pseudo_gradient(game)
-    return Trajectory(cfg.record_step_range(0, cfg.n_records) * dt,
-                      Z, Y, Y @ pg.Rbar.T + pg.Qbar, W)
 
 
 def series_metrics(times, gap, err, tol):

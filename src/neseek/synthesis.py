@@ -71,7 +71,7 @@ class Controller:
     (size n) followed by the p-copy internal model (size p*s).  The
     observer's plant copy is the agent's nominal (A, B, C), its error
     weight Rw = R_ii + R_ii' comes from the cost, and the strategy from
-    the closed loop, so none of them is stored here.
+    the scenario, so none of them is stored here.
     """
 
     L: np.ndarray
@@ -103,7 +103,6 @@ class ClosedLoopSystem:
     ``C_out`` maps z to the stacked output y through each plant's C_mu.
     """
 
-    strategy: str
     A_c: np.ndarray
     P_c: np.ndarray
     C_c: np.ndarray
@@ -119,7 +118,6 @@ class ClosedLoopSystem:
     game: object = field(repr=False)
     plants: tuple = field(repr=False)
     exos: tuple = field(repr=False)
-    controllers: tuple = field(repr=False)
 
     @property
     def dim_z(self):
@@ -350,11 +348,9 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
             )
 
     return ClosedLoopSystem(
-        strategy=strategy_kind,
         **_assemble(game, plants, exos, controllers, strategy_kind),
         topo_order=topo_order,
         game=game, plants=tuple(plants), exos=tuple(exos),
-        controllers=tuple(controllers),
     )
 
 

@@ -219,9 +219,11 @@ def verify_internal_model(G1, G2, S_tilde):
     return True
 
 
-def steady_state(reg, cl, v):
+def steady_state(reg, cl, controllers, v):
     """Steady state induced by exogenous vector v on the regulated subspace.
 
+    ``reg`` is the regulator solution of ``cl``, and ``controllers`` the
+    gains ``cl`` was assembled from, which give u = K1 xi + K2 zeta.
     Returns stacked (x_ss, u_ss, y_ss); y_ss equals the game NE whenever
     the constant channels of v are 1 and residual_err is (numerically)
     zero, which cross-checks the synthesis against the equilibrium solve.
@@ -234,6 +236,6 @@ def steady_state(reg, cl, v):
     y_ss = cl.C_out @ z_ss
 
     u_ss = np.concatenate([
-        np.hstack([c.K1, c.K2]) @ z_ss[sl] for c, sl in zip(cl.controllers, cl.ctrl_slices)
+        np.hstack([c.K1, c.K2]) @ z_ss[sl] for c, sl in zip(controllers, cl.ctrl_slices)
     ])
     return x_ss, u_ss, y_ss

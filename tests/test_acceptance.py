@@ -19,12 +19,13 @@ from conftest import (
     steady_state,
     verify_internal_model,
 )
+from reference_loop import simulate, simulate_distributed
 from neseek.cli import main
 from neseek.game import solve_ne
 from neseek.internal_model import build_p_copy
 from neseek.linalg import minimal_polynomial
 from neseek.plant import check_assumption_4, sample_perturbation
-from neseek.sim import SimConfig, simulate, simulate_distributed
+from neseek.sim import SimConfig
 from neseek.synthesis import assemble_closed_loop, certify_stability
 
 
@@ -224,7 +225,7 @@ def test_criterion_09_distributed_matches_stacked():
     for strategy in ("digraph", "general"):
         b = _build(strategy)
         tr_s = simulate(b.cl, cfg)
-        tr_d = simulate_distributed(b.cl, cfg)
+        tr_d = simulate_distributed(b.game, b.plants, b.exos, b.controllers, strategy, cfg)
         for field in ("Z", "Y", "E", "W"):
             dev = np.max(np.abs(getattr(tr_s, field) - getattr(tr_d, field)))
             worst = max(worst, float(dev))
@@ -239,7 +240,7 @@ def test_criterion_10_steady_state_cross_oracle():
     details = []
     for strategy in ("digraph", "general"):
         b = _build(strategy)
-        _, _, y_ss = steady_state(b.reg, b.cl, b.cl.v0)
+        _, _, y_ss = steady_state(b.reg, b.cl, b.controllers, b.cl.v0)
         gap = float(np.max(np.abs(y_ss - solve_ne(b.pg))))
         ok &= gap <= 1e-6
         details.append(f"{strategy} gap {gap:.2e}")

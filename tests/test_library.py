@@ -2,23 +2,19 @@
 
 Every name in a ``src/neseek`` module's ``__all__`` is used by
 ``src/neseek`` code outside its own definition; a name only the tests
-use belongs with the tests.  The one exception is the documented
-reference loop, which the tests compare the stacked simulation with.
-Uses are found in the syntax tree: a name read or an attribute looked
-up, so neither a docstring nor an import alone counts.  The same holds
-one level down: every default is left out by some library call, and
-every property and method is read by the library.  And a module's
-private names stay its own: no module imports one from a sibling.
+use belongs with the tests.  Uses are found in the syntax tree: a name
+read or an attribute looked up, so neither a docstring nor an import
+alone counts.  The same holds one level down: every default is left
+out by some library call, and every property and method is read by the
+library.  And a module's private names stay its own: no module imports
+one from a sibling, and the tests' reference loop imports none either.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "neseek"
-
-# the per-agent reference loop, its read gate, and the stacked
-# simulation and record it is compared in (README, "Library layout")
-REFERENCE_LOOP = {"simulate_distributed", "NeighborView", "simulate", "Trajectory"}
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "neseek"
 
 
 def public_names(tree):
@@ -55,14 +51,7 @@ def unused_public_names(sources):
 
 def test_every_public_name_is_used_by_the_library():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    unused = [name for name in unused_public_names(sources)
-              if name.split(".")[1] not in REFERENCE_LOOP]
-    assert unused == []
-
-
-def test_reference_loop_is_public_in_sim():
-    tree = ast.parse((PACKAGE / "sim.py").read_text())
-    assert REFERENCE_LOOP <= set(public_names(tree))
+    assert unused_public_names(sources) == []
 
 
 def test_finder_sees_a_name_only_its_tests_use():
@@ -100,6 +89,40 @@ def test_finder_sees_a_private_name_imported_from_a_sibling():
         "b": "def f():\n    from neseek.a import _h\n    from . import _c, d\n",
     }
     assert private_imports(sources) == ["a: b._g", "b: neseek.a._h", "b: _c"]
+
+
+# The per-agent reference loop in tests/reference_loop.py is an oracle
+# for the stacked loop that neseek.synthesis assembles: it builds its own
+# rates from the game, plants, exosystems and gains, so it imports
+# nothing from neseek.synthesis and no private library name.
+
+def synthesis_imports(text):
+    """Each name ``text`` imports from or as ``neseek.synthesis``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.split(".")[:2] == ["neseek", "synthesis"]]
+    return found
+
+
+def test_reference_loop_reuses_nothing_of_the_loop_it_checks():
+    text = (TESTS / "reference_loop.py").read_text()
+    assert private_imports({"reference_loop": text}) == []
+    assert synthesis_imports(text) == []
+
+
+def test_finder_sees_an_import_of_synthesis():
+    # a module, a name from it, and the module as a name of the package
+    text = ("import neseek.synthesis as s\nfrom neseek.synthesis import _assemble\n"
+            "from neseek import synthesis, sim\nfrom neseek.sim import propagate\n")
+    assert synthesis_imports(text) == [
+        "neseek.synthesis", "neseek.synthesis._assemble", "neseek.synthesis"]
 
 
 # Every default and every property or method has a library caller.  A

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import sensor_scenario_doc
+from reference_loop import simulate_distributed
 import neseek.cli
 import neseek.linalg
 import neseek.svgplot
 from neseek.cli import main
-from neseek.errors import ScenarioError, StaleControllerError
+from neseek.errors import ScenarioError, StaleControllerError, SynthesisError
 from neseek.scenario import (
     CONTROLLER_FIELDS,
     CONTROLLER_FORMAT,
@@ -31,8 +32,7 @@ from neseek.scenario import (
     scenario_hash,
     scenario_to_dict,
 )
-from neseek.sim import simulate_distributed
-from neseek.synthesis import assemble_closed_loop
+from neseek.synthesis import SynthesisWeights, assemble_closed_loop, build_controller
 from neseek.svgplot import _points, line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
@@ -528,6 +528,23 @@ def test_cli_check_assumption_failures(tmp_path):
     assert main(["check", write_doc(tmp_path, doc, "a6.json")]) == 16
 
 
+def test_cli_check_names_a_repeated_failing_mode_once(tmp_path, capsys):
+    # agent 1's double integrators with B = 0 fail the PBH test at the
+    # double eigenvalue 0, which A3 names once; the design refuses the
+    # plant naming the same first value
+    doc = sensor_scenario_doc("digraph")
+    doc["agents"][0]["B"] = mat(np.zeros((4, 2)))
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 13
+    a3 = [line for line in capsys.readouterr().out.splitlines() if " A3 " in line]
+    assert a3 == ["  A3 stabilizability and detectability            "
+                  "FAIL  agent 1 not stabilizable at 0+0j"]
+    scn = load_scenario(path)
+    with pytest.raises(SynthesisError,
+                       match=r"^\(A, B\) not stabilizable at eigenvalue 0\.0$"):
+        build_controller(scn.plants[0], scn.game.costs[0], scn.exos[0], SynthesisWeights())
+
+
 def test_cli_check_missing_file(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
@@ -1003,9 +1020,9 @@ def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
 
     scn = load_scenario(path)
     assert all(p.dA.any() and p.dC.any() for p in scn.plants)
-    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
-                              load_controllers(ctrl, scn)["controllers"], "general")
-    ref = simulate_distributed(cl, scn.sim)
+    controllers = load_controllers(ctrl, scn)["controllers"]
+    ref = simulate_distributed(scn.game, scn.plants, scn.exos, controllers, "general",
+                               scn.sim)
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     y = rows[:, 1:1 + ref.Y.shape[1]]
     assert np.allclose(rows[:, 0], ref.times, atol=1e-12)

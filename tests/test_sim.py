@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from neseek.errors import (
-    DimensionError,
-    DivergenceError,
-    DomainError,
-    FirewallViolation,
-)
+from neseek.errors import DimensionError, DivergenceError, DomainError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -28,9 +23,7 @@ from neseek.graph import CommGraph, neighbors
 from neseek.plant import AgentPlant, Exosystem, sample_perturbation
 from neseek.sim import (
     BLOCK_ROWS,
-    NeighborView,
     SimConfig,
-    Trajectory,
     _exo_steppers,
     _rk4_map,
     csv_rows,
@@ -38,8 +31,6 @@ from neseek.sim import (
     rk4_dt_limit,
     rk4_radius,
     series_metrics,
-    simulate,
-    simulate_distributed,
     write_records,
 )
 from neseek.synthesis import (
@@ -48,9 +39,17 @@ from neseek.synthesis import (
     assemble_closed_loop,
     build_controller,
     certify_stability,
+    solve_regulator,
 )
 
-from conftest import _build, sensor_scenario_doc, steady_state
+from conftest import _build, _mat, sensor_scenario_doc, steady_state
+from reference_loop import (
+    FirewallViolation,
+    NeighborView,
+    Trajectory,
+    simulate,
+    simulate_distributed,
+)
 from neseek.cli import main
 from neseek.scenario import load_controllers, load_scenario
 
@@ -65,7 +64,6 @@ def toy_loop(a):
                        C=np.eye(1), P=np.zeros((1, 0)), x0=np.ones(1))
     exo = Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0))
     return ClosedLoopSystem(
-        strategy="general",
         A_c=np.array([[a]]),
         P_c=np.zeros((1, 1)),
         C_c=np.array([[1.0]]),
@@ -80,7 +78,6 @@ def toy_loop(a):
         game=game,
         plants=(plant,),
         exos=(exo,),
-        controllers=(None,),
         topo_order=None,
     )
 
@@ -244,7 +241,7 @@ def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
     with pytest.raises(DivergenceError) as stacked:
         simulate(s.cl, cfg)
     with pytest.raises(DivergenceError) as distributed:
-        simulate_distributed(s.cl, cfg)
+        simulate_distributed(s.game, s.plants, s.exos, s.controllers, s.strategy, cfg)
     assert abs(stacked.value.t_bad - distributed.value.t_bad) <= cfg.dt
 
 
@@ -398,7 +395,7 @@ def test_distributed_single_agent_matches_stacked():
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(cl, cfg)
+    tr_dist = simulate_distributed(game, (plant,), (exo,), (c,), "digraph", cfg)
     # Same arithmetic, different loop organization: agreement to within
     # a few ulp of accumulated reordering.
     assert np.max(np.abs(tr_dist.Y - tr_stacked.Y)) <= 1e-12
@@ -411,7 +408,7 @@ def test_distributed_matches_stacked_sensor(strategy, sensor_digraph,
     s = sensor_digraph if strategy == "digraph" else sensor_general
     cfg = SimConfig(dt=1e-3, t_end=5.0, record_stride=100)
     tr_stacked = simulate(s.cl, cfg)
-    tr_dist = simulate_distributed(s.cl, cfg)
+    tr_dist = simulate_distributed(s.game, s.plants, s.exos, s.controllers, s.strategy, cfg)
     dy = np.max(np.abs(tr_dist.Y - tr_stacked.Y))
     de = np.max(np.abs(tr_dist.E - tr_stacked.E))
     assert dy <= 1e-9
@@ -501,7 +498,7 @@ def test_distributed_matches_stacked_heterogeneous(strategy, stride):
     assert certify_stability(cl)[0]
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=stride)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(cl, cfg)
+    tr_dist = simulate_distributed(game, plants, exos, controllers, strategy, cfg)
     assert np.array_equal(tr_dist.times, tr_stacked.times)
     assert tr_dist.times[-1] == 2.0
     for name in ("Z", "Y", "E", "W"):
@@ -520,11 +517,11 @@ def test_general_strategy_on_digraphs(edges, abscissa):
     s = _build("general", CommGraph(5, directed=True, edges=edges))
     ok, got = certify_stability(s.cl)
     assert ok and got == pytest.approx(abscissa, abs=1e-4)
-    _, _, y_ss = steady_state(s.reg, s.cl, s.cl.v0)
+    _, _, y_ss = steady_state(s.reg, s.cl, s.controllers, s.cl.v0)
     assert np.max(np.abs(y_ss - solve_ne(s.pg))) <= 1e-6
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(s.cl, cfg)
-    tr_dist = simulate_distributed(s.cl, cfg)
+    tr_dist = simulate_distributed(s.game, s.plants, s.exos, s.controllers, s.strategy, cfg)
     for field in ("Z", "Y", "E", "W"):
         assert np.max(np.abs(getattr(tr_stacked, field) - getattr(tr_dist, field))) <= 1e-9
 
@@ -540,9 +537,45 @@ def test_distributed_matches_stacked_perturbed(sensor_general):
                               "general")
     cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=50)
     tr_stacked = simulate(cl, cfg)
-    tr_dist = simulate_distributed(cl, cfg)
+    tr_dist = simulate_distributed(s.game, bumped, s.exos, s.controllers, "general", cfg)
     dy = np.max(np.abs(tr_dist.Y - tr_stacked.Y))
     assert dy <= 1e-9
+
+
+@pytest.mark.parametrize("strategy, abscissa", [
+    ("digraph", -0.6858), ("general", -0.3962),
+], ids=["digraph", "general"])
+def test_ramp_exosystem_end_to_end(strategy, abscissa, tmp_path, capsys):
+    # every agent's disturbance is a ramp: S is a Jordan block at 0, so
+    # the internal model holds a double integrator per output
+    doc = sensor_scenario_doc(strategy, sim={"dt": 1e-3, "t_end": 2.0,
+                                             "record_stride": 50})
+    for exo in doc["exosystems"]:
+        exo["S"], exo["w0"] = _mat([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.1]
+    path = tmp_path / "ramp.json"
+    path.write_text(json.dumps(doc))
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    assert main(["check", str(path)]) == 0
+    assert main(["synth", str(path), "--out", str(ctrl)]) == 0
+    assert main(["sim", str(path), "--controllers", str(ctrl), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    scn = load_scenario(path)
+    controllers = load_controllers(ctrl, scn)["controllers"]
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
+    ok, got = certify_stability(cl)
+    assert ok and got == pytest.approx(abscissa, abs=1e-4)
+    # the reference loop against the stacked path, as simulated and as sim wrote it
+    ref = simulate_distributed(scn.game, scn.plants, scn.exos, controllers, strategy,
+                               scn.sim)
+    tr = simulate(cl, scn.sim)
+    for name in ("Z", "Y", "E", "W"):
+        assert np.max(np.abs(getattr(ref, name) - getattr(tr, name))) <= 1e-9, name
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.max(np.abs(table[:, 1:1 + ref.Y.shape[1]] - ref.Y)) <= 1e-9
+    # on the regulated subspace the output is the NE, whatever the ramp's slope
+    _, _, y_ss = steady_state(solve_regulator(cl), cl, controllers, cl.v0)
+    assert np.max(np.abs(y_ss - solve_ne(assemble_pseudo_gradient(scn.game)))) <= 1e-6
 
 
 def norms(tr, cl):

@@ -256,16 +256,14 @@ def test_general_disturbance_free_integrator_law():
 
 
 def test_strategies_share_gains():
-    # A controller is exactly its five gains; one result assembles under
-    # both strategies, which the closed loop records.
+    # A controller is exactly its five gains; one result assembles and
+    # certifies under both strategies.
     game, plant, exo = isolated_setup()
     c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     assert [f.name for f in dataclasses.fields(Controller)] == \
         ["L", "G1", "G2", "K1", "K2"]
     for kind in STRATEGIES:
         cl = assemble_closed_loop(game, (plant,), (exo,), (c,), kind)
-        assert cl.strategy == kind
-        assert cl.controllers[0] is c
         ok, _ = certify_stability(cl)
         assert ok
 
@@ -388,7 +386,7 @@ def _misfit_K1(controllers, i):
     (lambda s: assemble_closed_loop(s.game, s.plants, s.exos, _misfit_K1(s.controllers, 2),
                                     "digraph"),
      r"^agent 2: controller gain K1: shape \(2, 3\), plant implies \(2, 4\)$"),
-    (lambda s: steady_state(s.reg, s.cl, s.cl.v0[:-1]),
+    (lambda s: steady_state(s.reg, s.cl, s.controllers, s.cl.v0[:-1]),
      r"^v must have \d+ entries, got \(\d+,\)$"),
 ], ids=["assemble: four plants for five agents", "assemble: six exosystems for five agents",
         "assemble: six controllers for five agents", "assemble: four controllers for five agents",
@@ -522,7 +520,6 @@ def test_certify_small_perturbation_stays_stable(sensor_digraph):
 
 def scalar_loop(A_c, P_c, C_c, Q_c):
     return ClosedLoopSystem(
-        strategy="general",
         A_c=np.array([[A_c]]),
         P_c=np.array([[P_c]]),
         C_c=np.array([[C_c]]),
@@ -538,7 +535,6 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         game=None,
         plants=None,
         exos=None,
-        controllers=None,
     )
 
 
@@ -571,7 +567,7 @@ def test_solve_regulator_sensor_residuals(sensor_digraph, sensor_general):
 
 def test_steady_state_matches_ne(sensor_digraph, sensor_general):
     for s in (sensor_digraph, sensor_general):
-        _, _, y_ss = steady_state(s.reg, s.cl, s.cl.v0)
+        _, _, y_ss = steady_state(s.reg, s.cl, s.controllers, s.cl.v0)
         assert np.max(np.abs(y_ss - solve_ne(s.pg))) <= 1e-6
 
 
@@ -580,7 +576,7 @@ def test_steady_state_isolated_reaches_target():
     c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     reg = solve_regulator(cl)
-    x_ss, u_ss, y_ss = steady_state(reg, cl, cl.v0)
+    x_ss, u_ss, y_ss = steady_state(reg, cl, (c,), cl.v0)
     assert np.allclose(y_ss, [-1.0], atol=1e-8)
     # Constant exogenous data: the steady state is an equilibrium.
     assert np.linalg.norm(plant.A @ x_ss + plant.B @ u_ss) <= 1e-8
@@ -592,7 +588,7 @@ def test_steady_state_dynamics_residual(sensor_digraph):
     s = sensor_digraph
     v = s.cl.v0
     z_dot = s.reg.X_c @ (s.cl.S_hat @ v)
-    x_ss, u_ss, _ = steady_state(s.reg, s.cl, v)
+    x_ss, u_ss, _ = steady_state(s.reg, s.cl, s.controllers, v)
     m = s.plants[0].m
     for i, plant in enumerate(s.plants):
         x_i = x_ss[4 * i:4 * (i + 1)]
@@ -644,7 +640,7 @@ def test_chain20_certifies(chain20, strategy):
     reg = solve_regulator(cl)
     assert reg.residual_dyn <= 1e-8 * reg.scale_dyn
     assert reg.residual_err <= 1e-8 * reg.scale_err
-    _, _, y_ss = steady_state(reg, cl, cl.v0)
+    _, _, y_ss = steady_state(reg, cl, controllers, cl.v0)
     y_star = solve_ne(assemble_pseudo_gradient(game))
     assert np.max(np.abs(y_ss - y_star)) <= 1e-6
 
