@@ -11,6 +11,13 @@ A command that fails raises a typed error; ``main`` alone prints its one
   1k  assumption k in 1..6 failed (11..16); lowest number wins
 ``check`` reports failing assumptions in its table instead, and exits
 1k with no ``error:`` line.
+
+Each input is checked once, where it enters: a scenario by
+``load_scenario``, the horizon (the scenario's ``sim`` section and the
+``--dt``/``--t-end`` flags) by ``SimConfig``, a controller bundle by
+``load_controllers``, and the assumptions by ``run_checks``.  The
+library behind them, ``assemble_closed_loop`` included, trusts what
+they let through.
 """
 
 import argparse
@@ -71,8 +78,7 @@ REGULATOR_REL_TOL = 1e-8
 # relative to max(1, |stored|)
 CERTIFICATE_REL_TOL = 1e-9
 
-# domains of the sim overrides: (rule, test)
-POSITIVE_FINITE = ("positive and finite", lambda v: 0 < v < math.inf)
+# domains of the sim flags that SimConfig does not hold: (rule, test)
 NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
 NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
 
@@ -250,8 +256,6 @@ def _replacing(path):
 
 def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
     for flag, value, (rule, ok) in (
-        ("--dt", dt, POSITIVE_FINITE),
-        ("--t-end", t_end, NON_NEGATIVE_FINITE),
         ("--perturb-scale", perturb_scale, NON_NEGATIVE_FINITE),
         ("--seed", seed, NON_NEGATIVE),
     ):
@@ -265,7 +269,6 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
                        writes)
     scn = load_scenario(path)
     bundle = load_controllers(controllers_path, scn)
-    strategy, controllers = bundle["strategy"], bundle["controllers"]
     overrides = {k: float(v) for k, v in (("dt", dt), ("t_end", t_end))
                  if v is not None}
     try:
@@ -281,7 +284,8 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
 
     # overflowing gains are reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        cl = assemble_closed_loop(scn.game, plants, scn.exos, controllers, strategy)
+        cl = assemble_closed_loop(scn.game, plants, scn.exos, bundle["controllers"],
+                                  scn.strategy)
     if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
         culprit = (f"{controllers_path}: gains" if perturb_scale is None else
                    f"--perturb-scale {perturb_scale!r} --seed {seed}: the perturbed plants")

@@ -9,7 +9,6 @@ The pair (G1, G2) is the model; s and p follow from the shapes.
 import numpy as np
 
 from . import linalg
-from .errors import DomainError
 
 __all__ = ["companion_pair", "build_p_copy"]
 
@@ -23,8 +22,6 @@ def companion_pair(minpoly):
     controllable by construction.
     """
     coeffs = np.asarray(minpoly, dtype=float).reshape(-1)
-    if not abs(coeffs[-1] - 1.0) <= 1e-12:
-        raise DomainError(f"polynomial must be monic, leading coefficient {coeffs[-1]}")
     s = coeffs.size - 1
     beta = np.zeros((s, s))
     if s > 1:

@@ -123,12 +123,6 @@ def _valid(read, ok, rule):
     return read_valid
 
 
-def _stride(v, where):
-    if not (_is_whole(v) and v >= 1):
-        raise ScenarioError(f"{where}: expected a positive integer, got {v!r}")
-    return int(v)
-
-
 def _instance(kind, noun):
     def read(v, where):
         if not isinstance(v, kind):
@@ -207,9 +201,10 @@ SCENARIO = {
              "R_ij": _coupling, "Q_ij": _coupling},
             ("R_ii", "Q_ii"), LocalCost)),
     }),
-    # fields missing from a scenario's sim section keep SIM_DEFAULTS
-    "sim": _record({"dt": _positive, "t_end": _non_negative,
-                    "record_stride": _stride}, make=partial(replace, SIM_DEFAULTS)),
+    # fields missing from a scenario's sim section keep SIM_DEFAULTS;
+    # SimConfig holds the horizon rules, for this section and sim's flags
+    "sim": _record(dict.fromkeys(("dt", "t_end", "record_stride"), _number),
+                   make=partial(replace, SIM_DEFAULTS)),
     # CARE weights: each R positive, each Q positive semidefinite
     "synthesis": _record({w: _positive if w.endswith("_r") else _non_negative
                           for w in asdict(SynthesisWeights())},
@@ -409,8 +404,10 @@ def load_controllers(path, scenario):
     """Read a controller file and check that it fits ``scenario``.
 
     In order: the file must parse (ScenarioError), carry this scenario's
-    digest (StaleControllerError), hold one controller per agent, and
-    every gain's shape must fit its agent's plant (ScenarioError).
+    digest (StaleControllerError), name the scenario's strategy, hold
+    one controller per agent, and every gain's shape must fit its
+    agent's plant (ScenarioError).  Returns the certificates and the
+    controllers; the strategy is the scenario's.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") not in READABLE_FORMATS:
@@ -428,6 +425,11 @@ def load_controllers(path, scenario):
             f"{path} was synthesized for a different "
             f"scenario (hash {got[:12]}.. != {want[:12]}..); re-run synth"
         )
+    if bundle["strategy"] != scenario.strategy:
+        raise ScenarioError(
+            f"{path}: strategy {bundle['strategy']!r} differs from "
+            f"the scenario's {scenario.strategy!r}"
+        )
     if len(controllers) != scenario.agent_count:
         raise ScenarioError(
             f"{path}: bundle has {len(controllers)} agents, "
@@ -437,5 +439,4 @@ def load_controllers(path, scenario):
         bad = gain_mismatch(c, plant)
         if bad:
             raise ScenarioError(f"{path}: agents[{i}].{bad}")
-    return {"strategy": bundle["strategy"], "certificates": bundle["certificates"],
-            "controllers": tuple(controllers)}
+    return {"certificates": bundle["certificates"], "controllers": tuple(controllers)}

@@ -211,8 +211,6 @@ def series_metrics(times, gap, err, tol):
     largest gap; the tail statistics cover the last 10% of samples.
     """
     K = len(times)
-    if K == 0:
-        raise DomainError("empty trajectory")
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(gap <= tol)))
     idx = np.argmax(suffix_ok) if suffix_ok.any() else None
     tail = max(1, K // 10)

@@ -24,9 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import AssumptionError, DimensionError, SynthesisError
+from .errors import SynthesisError
 from .game import assemble_pseudo_gradient
-from .graph import check_acyclic, check_connected
+from .graph import check_acyclic
 from .internal_model import build_p_copy
 from .plant import check_assumption_3, check_assumption_4
 
@@ -83,10 +83,6 @@ class Controller:
     @property
     def n(self):
         return self.L.shape[0]
-
-    @property
-    def p(self):
-        return self.L.shape[1]
 
     @property
     def ctrl_dim(self):
@@ -215,12 +211,7 @@ def build_controller(plant, cost, exo, weights):
     if failing:
         raise SynthesisError("rank condition fails at exosystem mode(s) "
                              + ", ".join(f"{lam:.6g}" for lam in failing))
-    Rw = cost.R_ii + cost.R_ii.T
-    if Rw.shape[0] != plant.p:
-        raise DimensionError(
-            f"cost output dimension {Rw.shape[0]} != plant output dimension {plant.p}"
-        )
-    Cw = Rw @ plant.C
+    Cw = (cost.R_ii + cost.R_ii.T) @ plant.C
     G1, G2 = build_p_copy(exo.S_tilde, plant.p)
     L = _observer_gain(plant.A, Cw, weights)
     K1, K2 = _augmented_stabilizer(plant.A, plant.B, Cw, G1, G2, weights)
@@ -304,49 +295,18 @@ def _assemble(game, plants, exos, controllers, strategy_kind):
 def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     """Stack plant + controller dynamics into one LTI closed loop.
 
-    ``strategy_kind`` is ``"digraph"`` or ``"general"``; the matching
-    graph assumption (5 or 6) is gated here, and every controller's
-    gains must fit its plant.  Plant blocks use each plant's actual
-    matrices ``A_mu, B_mu, C_mu, P_mu`` (nominal plus its stated
-    perturbation); observer blocks use the nominal ``A, B, C``.
+    ``strategy_kind`` is ``"digraph"`` or ``"general"``.  The inputs are
+    trusted: ``load_scenario`` fits the plants, exosystems and game
+    together, ``load_controllers`` the gains to their plants and the
+    scenario's strategy, and ``run_checks`` gates A5 and A6.  Plant
+    blocks use each plant's actual matrices ``A_mu, B_mu, C_mu, P_mu``
+    (nominal plus its stated perturbation); observer blocks use the
+    nominal ``A, B, C``.
     """
-    N = game.graph.agent_count
-    if not (len(plants) == len(exos) == len(controllers) == N):
-        raise DimensionError("plants, exosystems, controllers must match agent count")
-
     topo_order = None
     if strategy_kind == "digraph":
-        if not game.graph.directed:
-            raise AssumptionError(5, "strategy 'digraph' needs a directed graph")
-        ok, witness = check_acyclic(game.graph)
-        if not ok:
-            raise AssumptionError(
-                5, "communication digraph has a cycle: " + "->".join(map(str, witness))
-            )
-        topo_order = tuple(witness)
-    elif strategy_kind == "general":
-        if check_connected(game.graph) == "disconnected":
-            raise AssumptionError(6, "communication graph is disconnected")
-    else:
-        raise DimensionError(f"unknown strategy kind {strategy_kind!r}")
-
-    for i, (c, plant) in enumerate(zip(controllers, plants), start=1):
-        bad = gain_mismatch(c, plant)
-        if bad:
-            raise DimensionError(f"agent {i}: controller gain {bad}")
-
-    for i, (plant, exo, cost) in enumerate(zip(plants, exos, game.costs), start=1):
-        if plant.q != exo.q:
-            raise DimensionError(
-                f"agent {i}: plant has {plant.q} disturbance columns but "
-                f"exosystem dimension is {exo.q}"
-            )
-        if plant.p != cost.p:
-            raise DimensionError(
-                f"agent {i}: plant has {plant.p} outputs but its cost "
-                f"has output dimension {cost.p}"
-            )
-
+        ok, order = check_acyclic(game.graph)
+        topo_order = tuple(order) if ok else None
     return ClosedLoopSystem(
         **_assemble(game, plants, exos, controllers, strategy_kind),
         topo_order=topo_order,

@@ -100,7 +100,7 @@ def _agent_rate(plant, cost, c, view, observer_mode):
     its neighbors' outputs (for the general strategy also their
     observer outputs) through ``view`` only.
     """
-    n, p, v = plant.n, c.p, c.G1.shape[0]
+    n, p, v = plant.n, plant.p, c.G1.shape[0]
     Rw = cost.R_ii + cost.R_ii.T
     couplings = [(j, cost.R_ij[j]) for j in sorted(cost.R_ij)]
     # plant rows, observer rows (u = K1 xi + K2 zeta, and ehat's own

@@ -11,7 +11,6 @@ from neseek.game import (
     solve_ne,
 )
 from neseek.graph import CommGraph
-from neseek.internal_model import companion_pair
 
 from conftest import evaluate_cost, partial_gradient
 
@@ -295,8 +294,6 @@ def test_cost_from_targets_matches_quadratic_expansion():
 NAN_GATES = [
     ("R_ii with NaN symmetric part",
      lambda: LocalCost(R_ii=np.array([[np.nan]]), Q_ii=np.array([0.0]))),
-    ("NaN leading coefficient",
-     lambda: companion_pair([0.0, 1.0, np.nan])),
 ]
 
 

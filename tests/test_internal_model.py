@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import verify_internal_model
-from neseek.errors import DomainError
 from neseek.internal_model import build_p_copy, companion_pair
 from neseek.linalg import minimal_polynomial
 
@@ -36,11 +35,6 @@ def test_companion_double_chain():
     beta, sigma = companion_pair([0.0, 0.0, 1.0])
     assert np.array_equal(beta, [[0.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(sigma, [[0.0], [1.0]])
-
-
-def test_companion_rejects_non_monic():
-    with pytest.raises(DomainError):
-        companion_pair([1.0, 2.0, 3.0])
 
 
 def test_companion_controllable():

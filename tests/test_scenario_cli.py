@@ -233,15 +233,15 @@ def test_controller_roundtrip(tmp_path, sensor_digraph, sensor_general):
                         "scale_err": 1.0}
         save_controllers(path, scn, s.controllers, certificates)
         bundle = load_controllers(path, scn)
-        assert bundle["strategy"] == s.strategy
+        assert set(bundle) == {"certificates", "controllers"}
         assert bundle["certificates"] == certificates
-        for c0, c1 in zip(s.controllers, bundle["controllers"]):
+        for c0, c1, plant in zip(s.controllers, bundle["controllers"], scn.plants):
             assert type(c0) is type(c1)
             for name in CONTROLLER_FIELDS:
                 assert np.array_equal(getattr(c0, name), getattr(c1, name))
             # derived quantities come back from the stored gains
             assert np.array_equal(np.hstack([c0.K1, c0.K2]), np.hstack([c1.K1, c1.K2]))
-            dims = [(c.n, c.K1.shape[0], c.p, c.G1.shape[0] // c.p, c.ctrl_dim)
+            dims = [(c.n, c.K1.shape[0], c.G1.shape[0] // plant.p, c.ctrl_dim)
                     for c in (c0, c1)]
             assert dims[0] == dims[1]
         # the gains and nothing the scenario already determines
@@ -300,7 +300,6 @@ def test_controller_v1_bundle_still_loads(tmp_path, capsys):
                 json.dumps(convert(json.loads(v3.read_text()), scn)))
         new = load_controllers(v3, scn)
         for old in (load_controllers(b, scn) for b in bundles[1:]):
-            assert old["strategy"] == new["strategy"] == strategy
             assert old["certificates"] == new["certificates"]
             for c_new, c_old in zip(new["controllers"], old["controllers"]):
                 for name in CONTROLLER_FIELDS:
@@ -616,14 +615,16 @@ MALFORMED = [
     ("nan exosystem state", ("exosystems", 2, "w0", 1), float("nan"),
      "exosystems[3].w0"),
     ("non-numeric dt", ("sim", "dt"), "x", "sim.dt"),
-    ("negative dt", ("sim", "dt"), -1, "sim.dt"),
-    ("zero dt", ("sim", "dt"), 0, "sim.dt"),
+    ("negative dt", ("sim", "dt"), -1,
+     "sim: dt must be positive and finite, got -1.0"),
+    ("zero dt", ("sim", "dt"), 0, "sim: dt must be positive and finite, got 0.0"),
     ("infinite dt", ("sim", "dt"), float("inf"), "sim.dt"),
     ("non-numeric t_end", ("sim", "t_end"), "10", "sim.t_end"),
     ("nan t_end", ("sim", "t_end"), float("nan"), "sim.t_end"),
     ("fractional record_stride", ("sim", "record_stride"), 2.5,
-     "sim.record_stride"),
-    ("zero record_stride", ("sim", "record_stride"), 0, "sim.record_stride"),
+     "sim: record_stride 2.5 is not a positive integer"),
+    ("zero record_stride", ("sim", "record_stride"), 0,
+     "sim: record_stride 0.0 is not a positive integer"),
     ("boolean record_stride", ("sim", "record_stride"), True,
      "sim.record_stride"),
     ("t_end shorter than dt", ("sim", "t_end"), 0.0005,
@@ -632,6 +633,9 @@ MALFORMED = [
     ("t_end between steps", ("sim", "t_end"), 1.0005,
      "sim: t_end 1.0005 is not a whole number of dt 0.001 steps; "
      "the nearest reachable t_end is 1"),
+    ("disturbance columns beyond the exosystem", ("agents", 0, "P"),
+     {"shape": [4, 3], "data": [0.0] * 12},
+     "agents[1].P: 3 disturbance columns but exosystem has 2"),
     ("missing agents", ("agents",), DELETE,
      "top level: missing required field 'agents'"),
     ("empty agents", ("agents",), [], "agents: expected a non-empty list"),
@@ -869,11 +873,19 @@ def test_cli_synth_weights_rescue(tmp_path, capsys):
 
 
 def test_cli_synth_gate_failure(tmp_path, capsys):
-    doc = sensor_scenario_doc("digraph")
-    doc["graph"]["edges"].append([4, 1])
-    path = write_doc(tmp_path, doc)
-    assert main(["synth", path, "--out", str(tmp_path / "c.json")]) == 15
-    capsys.readouterr()
+    # run_checks gates the graph assumption of the scenario's strategy,
+    # A5 for a cyclic digraph and A6 for a disconnected general graph
+    cyclic = sensor_scenario_doc("digraph")
+    cyclic["graph"]["edges"].append([4, 1])
+    disconnected = sensor_scenario_doc("general")
+    disconnected["graph"]["edges"] = [[1, 2], [2, 1]]
+    for doc, status in ((cyclic, 15), (disconnected, 16)):
+        path = write_doc(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["synth", path, "--out", str(tmp_path / "c.json")]) == status
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: assumptions [{status - 10}] fail; run the check command for details"]
+        assert not (tmp_path / "c.json").exists()
 
 
 def test_cli_sim_pipeline(tmp_path, capsys):
@@ -1065,13 +1077,18 @@ def _overflowing_gain(doc):
 
 BAD_SIM_INPUTS = [
     # (case, extra sim argv, bundle edit, text expected in stderr)
-    ("nan t-end", ["--t-end", "nan"], None, "--t-end"),
-    ("infinite t-end", ["--t-end", "inf"], None, "--t-end"),
-    ("negative t-end", ["--t-end", "-1"], None, "--t-end"),
-    ("zero dt", ["--dt", "0"], None, "--dt"),
-    ("negative dt", ["--dt", "-1"], None, "--dt"),
-    ("nan dt", ["--dt", "nan"], None, "--dt"),
-    ("infinite dt", ["--dt", "inf"], None, "--dt"),
+    ("nan t-end", ["--t-end", "nan"], None,
+     "error: t_end must be non-negative and finite, got nan\n"),
+    ("infinite t-end", ["--t-end", "inf"], None,
+     "error: t_end must be non-negative and finite, got inf\n"),
+    ("negative t-end", ["--t-end", "-1"], None,
+     "error: t_end must be non-negative and finite, got -1.0\n"),
+    ("zero dt", ["--dt", "0"], None, "error: dt must be positive and finite, got 0.0\n"),
+    ("negative dt", ["--dt", "-1"], None,
+     "error: dt must be positive and finite, got -1.0\n"),
+    ("nan dt", ["--dt", "nan"], None, "error: dt must be positive and finite, got nan\n"),
+    ("infinite dt", ["--dt", "inf"], None,
+     "error: dt must be positive and finite, got inf\n"),
     ("t-end shorter than dt", ["--t-end", "0.0005"], None, "shorter than dt"),
     ("dt longer than t-end", ["--dt", "2"], None, "shorter than dt"),
     ("t-end between steps", ["--dt", "2", "--t-end", "5"], None,
@@ -1578,8 +1595,8 @@ CLI_OUTCOMES = [
     ("digraph strategy on undirected graph",
      lambda t: _synth_argv(t, "general", _as_digraph), 15,
      "error: assumptions [5] fail; run the check command for details"),
-    ("general bundle read as digraph", _general_bundle_read_as_digraph, 15,
-     "error: strategy 'digraph' needs a directed graph"),
+    ("general bundle read as digraph", _general_bundle_read_as_digraph, 2,
+     "error: {tmp}/c.json: strategy 'digraph' differs from the scenario's 'general'"),
     ("out into missing directory",
      lambda t: _synth_argv(t, "digraph", out="missing/c.json"), 1,
      "error: [Errno 2] No such file or directory: '{tmp}/missing/c.json'"),

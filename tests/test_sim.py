@@ -759,7 +759,7 @@ def test_cli_csv_matches_simulate_at_block_edges(t_end, stride, rows, tmp_path, 
     scn = load_scenario(path)
     bundle = load_controllers(ctrl, scn)
     cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
-                              bundle["controllers"], bundle["strategy"])
+                              bundle["controllers"], scn.strategy)
     cfg = dataclasses.replace(scn.sim, t_end=t_end)
     lines = out.read_text().splitlines()
     assert lines[1:] == repr_lines(simulate(cl, cfg))
@@ -770,7 +770,3 @@ def test_cli_csv_matches_simulate_at_block_edges(t_end, stride, rows, tmp_path, 
     dp = cl.C_out.shape[0]
     assert np.max(np.abs(table[:, 1:1 + dp] - Z_ref @ cl.C_out.T)) <= 1e-12
 
-
-def test_series_metrics_rejects_an_empty_series():
-    with pytest.raises(DomainError, match="empty trajectory"):
-        series_metrics(np.empty(0), np.empty(0), np.empty(0), tol=1e-3)

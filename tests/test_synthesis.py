@@ -5,10 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from neseek.errors import (
-    AssumptionError,
     DimensionError,
     NonUniqueSolutionError,
     SynthesisError,
@@ -193,7 +191,7 @@ def test_digraph_controller_dimensions():
     # The controller state stacks the n-dimensional observer part and
     # the p*s internal model: 2 + 1*3 for one axis.
     assert c.ctrl_dim == 5
-    assert c.G1.shape[0] // c.p == 3
+    assert c.G1.shape[0] // plant.p == 3
     assert c.L.shape == (2, 1)
     assert c.G2.shape == (3, 1)
     assert np.hstack([c.K1, c.K2]).shape == (1, 5)
@@ -280,11 +278,19 @@ def test_weights_override_changes_gains():
     assert ok
 
 
-def test_cost_plant_dimension_mismatch():
-    game, plant, exo = isolated_setup(target=(-1.0, 0.0))
-    # Cost built for a 2-dimensional output, plant measures 1.
-    with pytest.raises(DimensionError):
-        build_controller(plant, game.costs[0], exo, SynthesisWeights())
+def test_cost_plant_dimension_mismatch(tmp_path, capsys):
+    # a cost for two outputs on a plant that measures one is refused where
+    # the scenario is read; build_controller trusts its inputs
+    doc = sensor_scenario_doc("digraph")
+    doc["agents"][0]["C"] = {"shape": [1, 4], "data": [1.0, 0.0, 0.0, 0.0]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["check", str(path)], ["synth", str(path), "--out", str(tmp_path / "c.json")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: agents[1]: output dimension 1 does not match cost dimension 2"]
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_build_controller_rejects_unstabilizable_plant():
@@ -297,100 +303,10 @@ def test_build_controller_rejects_unstabilizable_plant():
         build_controller(plant, game.costs[0], exo, SynthesisWeights())
 
 
-def test_assemble_rejects_cycle():
-    g = CommGraph(2, directed=True, edges=[(1, 2), (2, 1)])
-    game = cost_from_targets([np.zeros(1), np.zeros(1)], g)
-    plants = [axis_plant(), axis_plant()]
-    exos = [axis_exo() for _ in range(2)]
-    controllers = [
-        build_controller(plants[i], game.costs[i], exos[i], SynthesisWeights())
-        for i in range(2)
-    ]
-    with pytest.raises(AssumptionError) as err:
-        assemble_closed_loop(game, plants, exos, controllers, "digraph")
-    assert err.value.number == 5
-
-
-def test_assemble_rejects_disconnected():
-    g = CommGraph(2, directed=False, edges=[])
-    game = cost_from_targets([np.zeros(1), np.zeros(1)], g)
-    plants = [axis_plant(), axis_plant()]
-    exos = [axis_exo() for _ in range(2)]
-    controllers = [
-        build_controller(plants[i], game.costs[i], exos[i], SynthesisWeights())
-        for i in range(2)
-    ]
-    with pytest.raises(AssumptionError) as err:
-        assemble_closed_loop(game, plants, exos, controllers, "general")
-    assert err.value.number == 6
-
-
-def test_assemble_rejects_wrong_controller_kind():
-    game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
-    with pytest.raises(DimensionError) as err:
-        assemble_closed_loop(game, (plant,), (exo,), (c,), "centralized")
-    assert "centralized" in str(err.value)
-    # gains designed for a three-state plant: the observer would have
-    # the wrong size, so assembly names the agent and the first gain
-    wider = AgentPlant(
-        A=scipy.linalg.block_diag(plant.A, [[-1.0]]),
-        B=np.vstack([plant.B, [[1.0]]]),
-        C=np.hstack([plant.C, [[0.0]]]),
-        P=np.vstack([plant.P, [[0.0, 0.0]]]),
-    )
-    other = build_controller(wider, game.costs[0], exo, SynthesisWeights())
-    assert other.n == 3
-    with pytest.raises(DimensionError) as err:
-        assemble_closed_loop(game, (plant,), (exo,), (other,), "digraph")
-    assert "agent 1" in str(err.value) and "L" in str(err.value)
-
-
-def test_assemble_rejects_disturbance_dimension_mismatch():
-    game, plant, exo = isolated_setup()
-    narrow = AgentPlant(A=plant.A, B=plant.B, C=plant.C,
-                        P=np.array([[0.0], [1.0]]))
-    c = build_controller(narrow, game.costs[0], exo, SynthesisWeights())
-    with pytest.raises(DimensionError) as err:
-        assemble_closed_loop(game, (narrow,), (exo,), (c,), "digraph")
-    assert "disturbance" in str(err.value)
-
-
-def test_assemble_rejects_output_dimension_mismatch():
-    # the controller fits its p = 1 plant, but the game's cost is for p = 2
-    game, plant, exo = isolated_setup()
-    c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
-    wide_game, _, _ = isolated_setup(target=(-1.0, 0.0))
-    with pytest.raises(DimensionError, match=(
-            r"^agent 1: plant has 1 outputs but its cost has output dimension 2$")):
-        assemble_closed_loop(wide_game, (plant,), (exo,), (c,), "digraph")
-
-
-def _misfit_K1(controllers, i):
-    """``controllers`` with agent i's K1 one column short."""
-    return [dataclasses.replace(c, K1=c.K1[:, :-1]) if k == i else c
-            for k, c in enumerate(controllers, start=1)]
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda s: assemble_closed_loop(s.game, s.plants[:4], s.exos, s.controllers, "digraph"),
-     "^plants, exosystems, controllers must match agent count$"),
-    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos + s.exos[:1], s.controllers,
-                                    "digraph"),
-     "^plants, exosystems, controllers must match agent count$"),
-    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos,
-                                    s.controllers + s.controllers[:1], "digraph"),
-     "^plants, exosystems, controllers must match agent count$"),
-    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos, s.controllers[:4], "digraph"),
-     "^plants, exosystems, controllers must match agent count$"),
-    (lambda s: assemble_closed_loop(s.game, s.plants, s.exos, _misfit_K1(s.controllers, 2),
-                                    "digraph"),
-     r"^agent 2: controller gain K1: shape \(2, 3\), plant implies \(2, 4\)$"),
     (lambda s: steady_state(s.reg, s.cl, s.controllers, s.cl.v0[:-1]),
      r"^v must have \d+ entries, got \(\d+,\)$"),
-], ids=["assemble: four plants for five agents", "assemble: six exosystems for five agents",
-        "assemble: six controllers for five agents", "assemble: four controllers for five agents",
-        "assemble: agent 2's K1 one column short", "steady_state: short v"])
+], ids=["steady_state: short v"])
 def test_loop_inputs_of_the_wrong_size(call, message, sensor_digraph):
     with pytest.raises(DimensionError, match=message):
         call(sensor_digraph)
