@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     AssumptionError,
-    DomainError,
     NeseekError,
     ScenarioError,
     StaleControllerError,
@@ -185,7 +184,7 @@ def cmd_synth(path, out):
         build_controller(plant, cost, exo, scn.weights)
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
     ]
-    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, scn.strategy)
+    cl = _assemble_finite(scn, scn.plants, controllers, f"{path}: the stated perturbations")
     ok, abscissa = certify_stability(cl)
     if not ok:
         agent = worst_agent(cl)
@@ -220,6 +219,18 @@ def cmd_synth(path, out):
     )
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _assemble_finite(scn, plants, controllers, culprit):
+    """The closed loop of ``plants`` under ``controllers``; ScenarioError
+    names ``culprit`` when its matrices overflow."""
+    # overflowing entries are reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl = assemble_closed_loop(scn.game, plants, scn.exos, controllers, scn.strategy)
+    if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
+        raise ScenarioError(f"{culprit} overflow the assembled closed loop "
+                            "(non-finite entries)")
+    return cl
 
 
 def _refuse_clobbering(inputs, writes):
@@ -271,10 +282,7 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
     bundle = load_controllers(controllers_path, scn)
     overrides = {k: float(v) for k, v in (("dt", dt), ("t_end", t_end))
                  if v is not None}
-    try:
-        cfg = dataclasses.replace(scn.sim, **overrides)
-    except DomainError as err:
-        raise ScenarioError(str(err)) from err
+    cfg = dataclasses.replace(scn.sim, **overrides)
 
     plants = scn.plants
     if perturb_scale is not None:
@@ -282,15 +290,9 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
         plants = tuple(dataclasses.replace(p, **sample_perturbation(p, perturb_scale, rng))
                        for p in plants)
 
-    # overflowing gains are reported by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        cl = assemble_closed_loop(scn.game, plants, scn.exos, bundle["controllers"],
-                                  scn.strategy)
-    if not (np.all(np.isfinite(cl.A_c)) and np.all(np.isfinite(cl.P_c))):
-        culprit = (f"{controllers_path}: gains" if perturb_scale is None else
-                   f"--perturb-scale {perturb_scale!r} --seed {seed}: the perturbed plants")
-        raise ScenarioError(f"{culprit} overflow the assembled closed loop "
-                            "(non-finite entries)")
+    culprit = (f"{controllers_path}: gains" if perturb_scale is None else
+               f"--perturb-scale {perturb_scale!r} --seed {seed}: the perturbed plants")
+    cl = _assemble_finite(scn, plants, bundle["controllers"], culprit)
     ok, abscissa = certify_stability(cl)
     print(f"closed-loop abscissa: {abscissa!r}"
           + ("" if ok else " (NOT Hurwitz)"), file=sys.stderr)

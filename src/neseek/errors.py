@@ -1,44 +1,42 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit status.
 
-Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them to distinct exit codes.
+``cli.EXIT_CODES`` maps each class to the CLI's exit status, so the
+status of a failure is read from its ``raise`` line: no caller converts
+one type into another.  A subclass exists only for an exit status of
+its own or for data its callers read.
 """
 
 
 class NeseekError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class; raised itself for an unexpected failure, the CLI's exit 1
+    (a singular solve, a non-finite matrix, a horizon too long to record)."""
 
 
-class DimensionError(NeseekError, ValueError):
-    """Matrix or vector shapes are inconsistent with the operation."""
+class ScenarioError(NeseekError, ValueError):
+    """A bad input, the CLI's exit 2: raised by the scenario and bundle
+    readers, by the constructors they call (``AgentPlant``, ``CommGraph``,
+    ``SimConfig`` and the rest) and by the CLI's flag and overflow gates."""
 
 
-class SingularMatrixError(NeseekError):
-    """A linear solve hit a (numerically) singular matrix."""
+class StaleControllerError(NeseekError):
+    """Controller file was synthesized from a different scenario; exit 3."""
 
 
 class SynthesisError(NeseekError):
     """A design or certificate failed; the CLI's exit 4.
 
     Raised by ``linalg.solve_care`` (no stabilizing Riccati solution, or
-    a gain that does not stabilize), by ``synthesis.build_controller``
-    (a plant failing A3 or A4), by ``synth`` (a closed loop not Hurwitz,
-    a regulator residual above its bound), as NonUniqueSolutionError by
-    the regulator solve, and by ``sim`` (an RK4 step map that does not
-    contract at ``--dt``).
+    a gain that does not stabilize), by ``linalg.solve_sylvester``
+    (overlapping spectra: no unique regulator solution), by
+    ``synthesis.build_controller`` (a plant failing A3 or A4), by
+    ``synth`` (a closed loop not Hurwitz, a regulator residual above its
+    bound) and by ``sim`` (an RK4 step map that does not contract at
+    ``--dt``).
     """
 
 
-class NonUniqueSolutionError(SynthesisError):
-    """Sylvester spectra overlap: the equation has no unique solution."""
-
-
-class DomainError(NeseekError, ValueError):
-    """Operation applied outside its domain (wrong graph kind, non-finite input)."""
-
-
 class AssumptionError(NeseekError):
-    """A required standing assumption fails for the chosen strategy."""
+    """A required standing assumption fails; exit 10 + ``number``."""
 
     def __init__(self, number, message):
         super().__init__(message)
@@ -46,16 +44,8 @@ class AssumptionError(NeseekError):
 
 
 class DivergenceError(NeseekError):
-    """Simulation state became non-finite."""
+    """Simulation state became non-finite at time ``t_bad``; exit 1."""
 
     def __init__(self, message, t_bad):
         super().__init__(message)
         self.t_bad = t_bad
-
-
-class ScenarioError(NeseekError, ValueError):
-    """Scenario or controller file failed to parse or validate."""
-
-
-class StaleControllerError(NeseekError):
-    """Controller file was synthesized from a different scenario."""

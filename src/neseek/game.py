@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, DomainError, SingularMatrixError
+from .errors import NeseekError, ScenarioError
 from .graph import CommGraph, neighbors
 
 __all__ = [
@@ -46,13 +46,13 @@ class LocalCost:
         R = np.atleast_2d(np.asarray(self.R_ii, dtype=float))
         p = R.shape[0]
         if R.shape != (p, p) or not p:
-            raise DimensionError(f"R_ii must be square and non-empty, got {R.shape}")
+            raise ScenarioError(f"R_ii must be square and non-empty, got {R.shape}")
         Q = np.asarray(self.Q_ii, dtype=float).reshape(-1)
         if Q.shape != (p,):
-            raise DimensionError(f"Q_ii must have {p} entries, got {Q.shape}")
+            raise ScenarioError(f"Q_ii must have {p} entries, got {Q.shape}")
         sym_min = np.min(np.linalg.eigvalsh(0.5 * (R + R.T)))
         if not sym_min > 0:
-            raise DomainError(
+            raise ScenarioError(
                 f"R_ii must have positive-definite symmetric part (min eig {sym_min:.3e})"
             )
         object.__setattr__(self, "R_ii", R)
@@ -86,13 +86,13 @@ class NetworkGame:
     def __post_init__(self):
         costs = tuple(self.costs)
         if len(costs) != self.graph.agent_count:
-            raise DimensionError(
+            raise ScenarioError(
                 f"{len(costs)} costs for {self.graph.agent_count} agents"
             )
         for i, cost in enumerate(costs, start=1):
             nbrs = neighbors(self.graph, i)
             if set(cost.R_ij) != nbrs or set(cost.Q_ij) != nbrs:
-                raise DimensionError(
+                raise ScenarioError(
                     f"agent {i}: coupling keys {sorted(cost.R_ij)} must equal "
                     f"neighbor set {sorted(nbrs)}"
                 )
@@ -101,7 +101,7 @@ class NetworkGame:
                 for name, M, shape in (("R", cost.R_ij[j], (cost.p, p_j)),
                                        ("Q", cost.Q_ij[j], (p_j, p_j))):
                     if M.shape != shape:
-                        raise DimensionError(
+                        raise ScenarioError(
                             f"{name}_{i}{j} must be {shape[0]}x{shape[1]}, got {M.shape}"
                         )
         object.__setattr__(self, "costs", costs)
@@ -160,7 +160,7 @@ def solve_ne(pg):
         residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
         scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
     if not (scale < np.inf and residual <= 1e-10 * scale):
-        raise SingularMatrixError(
+        raise NeseekError(
             f"NE residual {residual:.3e} exceeds 1e-10 scaled bound"
         )
     return y_star
@@ -175,7 +175,7 @@ def cost_from_targets(targets, graph):
     """
     targets = [np.asarray(r, dtype=float).reshape(-1) for r in targets]
     if len(targets) != graph.agent_count:
-        raise DimensionError(
+        raise ScenarioError(
             f"{len(targets)} targets for {graph.agent_count} agents"
         )
     costs = []
@@ -184,7 +184,7 @@ def cost_from_targets(targets, graph):
         nbrs = neighbors(graph, i)
         for j in nbrs:
             if targets[j - 1].size != p:
-                raise DimensionError(
+                raise ScenarioError(
                     f"targets of coupled agents {i} and {j} must have equal length"
                 )
         costs.append(

@@ -7,7 +7,7 @@ j's output", i.e. j is a neighbor of i and y_j enters J_i.
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DimensionError, DomainError
+from .errors import ScenarioError
 
 __all__ = ["CommGraph", "neighbors", "check_acyclic", "check_connected"]
 
@@ -29,21 +29,19 @@ class CommGraph:
         object.__setattr__(self, "edges", edges)
         for j, i in edges:
             if j == i:
-                raise DomainError(f"self-edge ({j},{i}) is not allowed")
+                raise ScenarioError(f"self-edge ({j},{i}) is not allowed")
             if not (1 <= j <= self.agent_count and 1 <= i <= self.agent_count):
-                raise DomainError(f"edge ({j},{i}) endpoint out of range 1..{self.agent_count}")
+                raise ScenarioError(f"edge ({j},{i}) endpoint out of range 1..{self.agent_count}")
         if not self.directed:
             for j, i in edges:
                 if (i, j) not in edges:
-                    raise DomainError(
+                    raise ScenarioError(
                         f"undirected graph needs symmetric edges; ({i},{j}) missing"
                     )
 
 
 def neighbors(g, i):
     """Neighbor set N_i = {j : (j, i) in edges}."""
-    if not (1 <= i <= g.agent_count):
-        raise DimensionError(f"agent index {i} out of range 1..{g.agent_count}")
     return {j for j, k in g.edges if k == i}
 
 
@@ -53,16 +51,9 @@ def check_acyclic(g):
     Returns ``(True, order)`` with a topological order (sources first;
     relabeling by it makes the closed-loop matrix block lower
     triangular), or ``(False, cycle)`` with one directed cycle as
-    witness.
-
-    Raises
-    ------
-    DomainError
-        If called on an undirected graph.
+    witness.  An undirected graph holds both orientations of each edge,
+    so any edge of it is a 2-cycle.
     """
-    if not g.directed:
-        raise DomainError("acyclicity is a digraph property; graph is undirected")
-
     succ = {i: [] for i in range(1, g.agent_count + 1)}
     indeg = {i: 0 for i in range(1, g.agent_count + 1)}
     for j, i in sorted(g.edges):

@@ -8,13 +8,7 @@ plain ``numpy.ndarray`` values and raise the typed errors from
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    DomainError,
-    NonUniqueSolutionError,
-    SingularMatrixError,
-    SynthesisError,
-)
+from .errors import NeseekError, SynthesisError
 
 __all__ = [
     "eigenvalues",
@@ -30,16 +24,14 @@ __all__ = [
 CARE_REL_TOL = 1e-8
 
 
-def _as_square(M, name="M"):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    return _finite(M, name)
+def _as_finite(M, name="M"):
+    """``M`` as a float array, refused when an entry is not finite."""
+    return _finite(np.asarray(M, dtype=float), name)
 
 
 def _finite(M, name):
     if not np.isfinite(M).all():
-        raise DomainError(f"{name} has non-finite entries")
+        raise NeseekError(f"{name} has non-finite entries")
     return M
 
 
@@ -56,7 +48,7 @@ def eigenvalues(M):
     (n,) complex ndarray
         All eigenvalues; non-real values come in conjugate pairs.
     """
-    M = _as_square(M)
+    M = _as_finite(M)
     return np.linalg.eigvals(M)
 
 
@@ -79,17 +71,17 @@ def solve_linear(A, b):
 
     Raises
     ------
-    SingularMatrixError
+    NeseekError
         If ``A`` is singular within working precision; the message
         states the condition estimate.
     """
-    A = _as_square(A, "A")
+    A = _as_finite(A, "A")
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= n * np.finfo(float).eps * s[0]:
         cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
-        raise SingularMatrixError(f"matrix is numerically singular (cond ~ {cond:.3e})")
+        raise NeseekError(f"matrix is numerically singular (cond ~ {cond:.3e})")
     return np.linalg.solve(A, b)
 
 
@@ -149,15 +141,13 @@ def solve_sylvester(A, B, C, eig_a):
 
     Raises
     ------
-    NonUniqueSolutionError
+    SynthesisError
         If the two spectra share an eigenvalue within tolerance.
     """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
+    A = _as_finite(A, "A")
+    B = _as_finite(B, "B")
     C = np.asarray(C, dtype=float)
     n, m = A.shape[0], B.shape[0]
-    if C.shape != (n, m):
-        raise DimensionError(f"C must be {n}x{m}, got {C.shape}")
 
     blocks = _diagonal_blocks(B)
     U = np.zeros((m, m), complex)
@@ -173,7 +163,7 @@ def solve_sylvester(A, B, C, eig_a):
         sep = np.min(np.abs(eig_a[:, None] - np.diag(T)[None, :]))
         scale = max(1.0, _norm2_bound(A) + _norm2_bound(B))
         if sep <= 1e-9 * scale:
-            raise NonUniqueSolutionError(
+            raise SynthesisError(
                 f"spec(A) and spec(B) overlap (separation {sep:.3e}); "
                 "the Sylvester equation has no unique solution"
             )
@@ -194,7 +184,7 @@ def solve_sylvester(A, B, C, eig_a):
                 else:
                     Y[:, group] = np.linalg.solve(shift * eye - A, rhs)
             except np.linalg.LinAlgError as exc:
-                raise NonUniqueSolutionError(
+                raise SynthesisError(
                     f"shifted matrix {shift:.6g} I - A is singular ({exc})"
                 ) from exc
     return (Y @ U.conj().T).real
@@ -266,16 +256,11 @@ def solve_care(A, B, Qw, Rw):
         eigenvalues on the imaginary axis), P fails the residual gate,
         or the computed gain fails the Hurwitz certificate.
     """
-    A = _as_square(A, "A")
+    A = _as_finite(A, "A")
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Qw = _as_square(np.asarray(Qw, dtype=float), "Qw")
-    Rw = _as_square(np.asarray(Rw, dtype=float), "Rw")
-    n, m = B.shape
-    if A.shape[0] != n or Qw.shape[0] != n or Rw.shape[0] != m:
-        raise DimensionError(
-            f"inconsistent CARE dimensions: A {A.shape}, B {B.shape}, "
-            f"Qw {Qw.shape}, Rw {Rw.shape}"
-        )
+    Qw = _as_finite(Qw, "Qw")
+    Rw = _as_finite(Rw, "Rw")
+    n = B.shape[0]
 
     try:
         Rw_inv_Bt = np.linalg.solve(Rw, B.T)
@@ -317,7 +302,7 @@ def expm(M):
     1.6e-23 relative) and squares s times (Moler & Van Loan 2003, SIAM
     Rev. 45(1); Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
     """
-    M = _as_square(M)
+    M = _as_finite(M)
     s = max(0, int(np.frexp(2.0 * np.abs(M).sum(axis=0).max(initial=0.0))[1]))
     X, I = M / 2.0**s, np.eye(M.shape[0])
     E = I
@@ -341,7 +326,7 @@ def minimal_polynomial(M):
         Coefficients in ascending order of power with trailing 1, i.e.
         ``[c_0, c_1, ..., c_{d-1}, 1.0]``.
     """
-    M = _as_square(M)
+    M = _as_finite(M)
     n = M.shape[0]
     norm_m = np.linalg.norm(M, 2)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError
+from .errors import ScenarioError
 
 __all__ = [
     "AgentPlant",
@@ -48,16 +48,16 @@ class AgentPlant:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         n = A.shape[0]
         if A.shape != (n, n):
-            raise DimensionError(f"A must be square, got {A.shape}")
+            raise ScenarioError(f"A must be square, got {A.shape}")
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         if B.ndim != 2 or B.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got {B.shape}")
+            raise ScenarioError(f"B must have {n} rows, got {B.shape}")
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         if C.shape[1] != n:
-            raise DimensionError(f"C must have {n} columns, got {C.shape}")
+            raise ScenarioError(f"C must have {n} columns, got {C.shape}")
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
         if P.shape[0] != n:
-            raise DimensionError(f"P must have {n} rows, got {P.shape}")
+            raise ScenarioError(f"P must have {n} rows, got {P.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -66,11 +66,11 @@ class AgentPlant:
             d = getattr(self, name)
             d = np.zeros_like(nominal) if d is None else np.asarray(d, dtype=float)
             if d.shape != nominal.shape:
-                raise DimensionError(f"{name} must have shape {nominal.shape}, got {d.shape}")
+                raise ScenarioError(f"{name} must have shape {nominal.shape}, got {d.shape}")
             object.__setattr__(self, name, d)
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape != (n,):
-            raise DimensionError(f"x0 must have {n} entries, got {x0.shape}")
+            raise ScenarioError(f"x0 must have {n} entries, got {x0.shape}")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -121,11 +121,11 @@ class Exosystem:
         else:
             S = np.atleast_2d(S)
             if S.shape[0] != S.shape[1]:
-                raise DimensionError(f"S must be square, got {S.shape}")
+                raise ScenarioError(f"S must be square, got {S.shape}")
         q = S.shape[0]
         w0 = np.asarray(self.w0, dtype=float).reshape(-1)
         if w0.shape != (q,):
-            raise DimensionError(f"w0 must have {q} entries, got {w0.shape}")
+            raise ScenarioError(f"w0 must have {q} entries, got {w0.shape}")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "w0", w0)
 

@@ -15,8 +15,6 @@ PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _seed_state(seed):
     """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints."""
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
     # 32-bit words, least significant first; 0 is one word
     entropy = [seed >> k & M32 for k in range(0, max(seed.bit_length(), 1), 32)]
     const = 0x43B0D7E5

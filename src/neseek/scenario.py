@@ -11,12 +11,12 @@ synthesized for different data.
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ScenarioError, StaleControllerError
+from .errors import ScenarioError, StaleControllerError
 from .game import LocalCost, NetworkGame, cost_from_targets
 from .graph import CommGraph
 from .plant import AgentPlant, Exosystem
@@ -77,10 +77,10 @@ def _read(doc, where, readers, required):
 
 
 def _build(make, where, **kw):
-    """``make(**kw)``, with a shape or domain error reported at ``where``."""
+    """``make(**kw)``, with the ScenarioError of a constructor reported at ``where``."""
     try:
         return make(**kw)
-    except (DimensionError, DomainError) as err:
+    except ScenarioError as err:
         raise ScenarioError(f"{where}: {err}") from err
 
 
@@ -235,7 +235,7 @@ def _mat_to_json(M):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario plus its canonical document for hashing/round-trip."""
+    """Parsed scenario; ``scenario_to_dict`` gives its canonical document."""
 
     name: str
     strategy: str
@@ -244,7 +244,6 @@ class Scenario:
     exos: tuple
     sim: SimConfig
     weights: SynthesisWeights
-    raw: dict = field(repr=False)
 
     @property
     def graph(self):
@@ -253,9 +252,6 @@ class Scenario:
     @property
     def agent_count(self):
         return self.game.graph.agent_count
-
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and self.raw == other.raw
 
 
 def parse_scenario(doc):
@@ -295,7 +291,7 @@ def parse_scenario(doc):
             )
     game = _build(NetworkGame, "cost", graph=graph, costs=costs)
 
-    scn = Scenario(
+    return Scenario(
         name=top.get("name", ""),
         strategy=top["strategy"],
         game=game,
@@ -303,10 +299,7 @@ def parse_scenario(doc):
         exos=tuple(exos),
         sim=top.get("sim", SIM_DEFAULTS),
         weights=top.get("synthesis", SynthesisWeights()),
-        raw={},
     )
-    object.__setattr__(scn, "raw", scenario_to_dict(scn))
-    return scn
 
 
 def scenario_to_dict(s):
@@ -378,7 +371,7 @@ def _canonical_dump(doc):
 
 def scenario_hash(s):
     """Content digest of the canonical document (hex sha256)."""
-    return sha256(_canonical_dump(s.raw).encode()).hexdigest()
+    return sha256(_canonical_dump(scenario_to_dict(s)).encode()).hexdigest()
 
 
 def save_controllers(path, scenario, controllers, certificates):

@@ -12,7 +12,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, NeseekError, ScenarioError
 from .game import assemble_pseudo_gradient, solve_ne
 from .linalg import expm
 
@@ -39,23 +39,23 @@ class SimConfig:
     def __post_init__(self):
         dt, t_end = self.dt, self.t_end
         if not (isinstance(dt, Real) and 0 < dt < np.inf):
-            raise DomainError(f"dt must be positive and finite, got {dt!r}")
+            raise ScenarioError(f"dt must be positive and finite, got {dt!r}")
         if not (isinstance(t_end, Real) and 0 <= t_end < np.inf):
-            raise DomainError(f"t_end must be non-negative and finite, got {t_end!r}")
+            raise ScenarioError(f"t_end must be non-negative and finite, got {t_end!r}")
         if 0 < t_end < dt:
-            raise DomainError(f"t_end {t_end!r} is shorter than dt {dt!r}")
+            raise ScenarioError(f"t_end {t_end!r} is shorter than dt {dt!r}")
         steps = t_end / dt
         if not steps < np.inf:
-            raise DomainError(f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count")
+            raise ScenarioError(f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count")
         nearest = float(np.rint(steps))
         if not abs(steps - nearest) <= 1e-9 * steps:
-            raise DomainError(
+            raise ScenarioError(
                 f"t_end {t_end!r} is not a whole number of dt {dt!r} steps; "
                 f"the nearest reachable t_end is {nearest * dt:.6g}"
             )
         stride = self.record_stride
         if not (isinstance(stride, Real) and 1 <= stride < np.inf and stride % 1 == 0):
-            raise DomainError(f"record_stride {stride!r} is not a positive integer")
+            raise ScenarioError(f"record_stride {stride!r} is not a positive integer")
         object.__setattr__(self, "record_stride", int(stride))
 
     @property
@@ -147,10 +147,10 @@ def propagate(cl, cfg):
     only once its z-part is finite; otherwise DivergenceError names the
     first step whose state is non-finite, which is how an unstable
     assembly surfaces.  Only the current block and the record before it
-    are held.  A horizon of more steps than an int64 holds raises DomainError.
+    are held.  A horizon of more steps than an int64 holds raises NeseekError.
     """
     if cfg.n_steps > np.iinfo(np.int64).max:
-        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_steps} steps, "
+        raise NeseekError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_steps} steps, "
                           "more than an int64 can count")
     dz = cl.dim_z
     # huge gains may overflow M itself; the replay below reports the step
@@ -252,14 +252,14 @@ def write_records(cl, cfg, fh):
     of ``propagate`` becomes its ``csv_rows``.  Only the series a summary
     or a plot reads are kept, as rows: times, ||y - y*||, ||e||, then
     each agent's ||e_i||.  Raises the DivergenceError of ``propagate``,
-    and DomainError when the kept rows cannot be allocated.
+    and NeseekError when the kept rows cannot be allocated.
     """
     y_star = solve_ne(assemble_pseudo_gradient(cl.game))
     # a horizon of more records than can be allocated fails before a record is taken
     try:
         kept = np.empty((3 + len(cl.out_slices), cfg.n_records))
     except (MemoryError, ValueError):
-        raise DomainError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_records} "
+        raise NeseekError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_records} "
                           "records, more than can be allocated") from None
     cols = ["t"]
     widths = [sl.stop - sl.start for sl in cl.out_slices]

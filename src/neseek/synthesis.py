@@ -350,10 +350,10 @@ def solve_regulator(cl):
     invariant subspace carries zero regulated error, which is the
     regulation certificate.
     """
-    X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c,
-                                 eig_a=np.concatenate(cl.spectra))
-    # overflowing norms read inf or NaN, which the certificate gates refuse
+    # an overflowing solution or norm reads inf or NaN, which the gates refuse
     with np.errstate(over="ignore", invalid="ignore"):
+        X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c,
+                                     eig_a=np.concatenate(cl.spectra))
         residual_dyn = float(np.linalg.norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
         residual_err = float(np.linalg.norm(cl.C_c @ X_c + cl.Q_c))
         norm_x = np.linalg.norm(X_c)

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError
 from neseek.game import assemble_pseudo_gradient, cost_from_targets
 from neseek.graph import CommGraph
 from neseek.linalg import minimal_polynomial
@@ -160,7 +159,7 @@ def is_hurwitz(M):
 
 def _agent_cost(game, i):
     if not (1 <= i <= len(game.costs)):
-        raise DimensionError(f"agent index {i} out of range 1..{len(game.costs)}")
+        raise ValueError(f"agent index {i} out of range 1..{len(game.costs)}")
     return game.costs[i - 1]
 
 
@@ -168,7 +167,7 @@ def partial_gradient(game, i, y):
     """e_i = (R_ii + R_ii') y_i + sum_j R_ij y_j + Q_ii'."""
     y = np.asarray(y, dtype=float)
     if y.shape != (game.offsets[-1],):
-        raise DimensionError(f"y must have {game.offsets[-1]} entries, got {y.shape}")
+        raise ValueError(f"y must have {game.offsets[-1]} entries, got {y.shape}")
     cost = _agent_cost(game, i)
     e_i = (cost.R_ii + cost.R_ii.T) @ game.block(y, i) + cost.Q_ii
     for j, R_ij in cost.R_ij.items():
@@ -230,7 +229,7 @@ def steady_state(reg, cl, controllers, v):
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape != (cl.dim_v,):
-        raise DimensionError(f"v must have {cl.dim_v} entries, got {v.shape}")
+        raise ValueError(f"v must have {cl.dim_v} entries, got {v.shape}")
     z_ss = reg.X_c @ v
     x_ss = np.concatenate([z_ss[sl] for sl in cl.x_slices])
     y_ss = cl.C_out @ z_ss

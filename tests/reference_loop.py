@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from neseek.errors import DimensionError, DivergenceError, NeseekError
+from neseek.errors import DivergenceError, NeseekError
 from neseek.game import assemble_pseudo_gradient
 from neseek.graph import neighbors
 from neseek.linalg import expm
@@ -40,8 +40,8 @@ class Trajectory:
     def __post_init__(self):
         for name in ("Z", "Y", "E", "W"):
             if getattr(self, name).shape[0] != len(self.times):
-                raise DimensionError(f"{name} has {getattr(self, name).shape[0]} rows, "
-                                     f"times has {len(self.times)}")
+                raise ValueError(f"{name} has {getattr(self, name).shape[0]} rows, "
+                                 f"times has {len(self.times)}")
 
 
 def simulate(cl, cfg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError, DomainError, SingularMatrixError
+from neseek.errors import NeseekError, ScenarioError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -147,7 +147,7 @@ def test_solve_ne_rejects_nan_residual():
     from neseek.game import PseudoGradientData
 
     pg = PseudoGradientData(Rbar=np.eye(2), Qbar=np.array([np.nan, 1.0]))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NeseekError, match="exceeds 1e-10 scaled bound"):
         solve_ne(pg)
 
 
@@ -156,7 +156,7 @@ def test_solve_ne_rejects_an_infinite_scale():
     from neseek.game import PseudoGradientData
 
     pg = PseudoGradientData(Rbar=1e308 * np.eye(2), Qbar=np.full(2, 1e308))
-    with pytest.raises(SingularMatrixError, match="exceeds 1e-10 scaled bound"):
+    with pytest.raises(NeseekError, match="exceeds 1e-10 scaled bound"):
         solve_ne(pg)
 
 
@@ -184,7 +184,7 @@ def test_partial_gradient_vanishes_at_ne():
 
 def test_partial_gradient_index_range():
     game = two_agent_game()
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"^agent index 3 out of range 1\.\.2$"):
         partial_gradient(game, 3, np.zeros(2))
 
 
@@ -299,5 +299,5 @@ NAN_GATES = [
 
 @pytest.mark.parametrize("case, build", NAN_GATES, ids=[c for c, _ in NAN_GATES])
 def test_nan_fails_validation_gates(case, build):
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError, match="positive-definite symmetric part"):
         build()

@@ -6,11 +6,13 @@ use belongs with the tests.  Uses are found in the syntax tree: a name
 read or an attribute looked up, so neither a docstring nor an import
 alone counts.  The same holds one level down: every default is left
 out by some library call, and every property and method is read by the
-library.  And a module's private names stay its own: no module imports
-one from a sibling, and the tests' reference loop imports none either.
+library.  A module's private names stay its own: no module imports one
+from a sibling, and the tests' reference loop imports none either.  And
+every raise names an error type that the CLI gives one exit status.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -299,6 +301,80 @@ def test_finder_sees_a_property_only_another_class_reads():
               "    def k(self):\n        return 0\n"
               "def use(plant, c):\n    return plant.A, plant.m, c.K1\n")
     assert unread_members({"a": ast.parse(source)}) == ["a.Gains.m"]
+
+
+
+# One error type per exit status.  Every ``raise X(...)`` in src/neseek
+# names a class of neseek.errors or an OSError subclass, so the CLI's
+# EXIT_CODES reads the status from the raise line itself; a bare
+# ``raise`` and ``raise type(err)(...)`` re-raise what was caught.  And
+# EXIT_CODES gives each neseek.errors class one status: some entry
+# matches it, and no entry for a base class comes before its own.
+
+def raised_names(text):
+    """(line, class name) of each ``raise`` in ``text`` that is not a re-raise."""
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if not isinstance(exc, ast.Call):  # raise type(err)(...) re-raises
+            yield node.lineno, exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def status_problems(classes, exit_codes):
+    """Each class ``exit_codes`` gives no status, or the status of a base listed first."""
+    found = []
+    for cls in classes:
+        kinds = [kind for kind, _ in exit_codes if issubclass(cls, kind)]
+        if not kinds:
+            found.append(f"{cls.__name__}: no status")
+        found += [f"{cls.__name__}: {kinds[0].__name__} listed before {k.__name__}"
+                  for k in kinds[1:] if issubclass(k, kinds[0])]
+    return found
+
+
+def error_classes():
+    from neseek import errors
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and cls.__module__ == errors.__name__]
+
+
+def test_every_raise_names_an_error_with_an_exit_status():
+    allowed = {cls.__name__ for cls in error_classes()} | {
+        name for name, cls in vars(builtins).items()
+        if isinstance(cls, type) and issubclass(cls, OSError)}
+    assert [f"{p.stem}:{line}: {name}" for p in sorted(PACKAGE.glob("*.py"))
+            for line, name in raised_names(p.read_text()) if name not in allowed] == []
+
+
+def test_exit_codes_give_every_error_class_one_status():
+    from neseek.cli import EXIT_CODES
+    classes = error_classes()
+    assert {cls.__name__ for cls in classes} == {
+        "NeseekError", "ScenarioError", "StaleControllerError", "SynthesisError",
+        "AssumptionError", "DivergenceError"}
+    assert status_problems(classes, EXIT_CODES) == []
+
+
+def test_finder_sees_a_raise_and_a_shadowed_status():
+    # a bare raise and type(err)(...) re-raise; a called or bare class does not
+    text = ("def f(err):\n    try:\n        g()\n    except OSError:\n        raise\n"
+            "    raise type(err)(1)\n\n"
+            "def g():\n    raise ValueError('x') from None\n\n"
+            "def h():\n    raise errors.ScenarioError\n")
+    assert list(raised_names(text)) == [(9, "ValueError"), (12, "ScenarioError")]
+
+    class Base(Exception):
+        pass
+
+    class Derived(Base):
+        pass
+
+    class Other(Exception):
+        pass
+
+    assert status_problems([Base, Derived, Other], ((Base, 1), (Derived, 2))) == [
+        "Derived: Base listed before Derived", "Other: no status"]
 
 
 if __name__ == "__main__":

@@ -3,13 +3,7 @@ import pytest
 import scipy.linalg
 
 from neseek import linalg
-from neseek.errors import (
-    DimensionError,
-    DomainError,
-    NonUniqueSolutionError,
-    SingularMatrixError,
-    SynthesisError,
-)
+from neseek.errors import NeseekError, SynthesisError
 from conftest import is_hurwitz
 from neseek.linalg import (
     eigenvalues,
@@ -51,27 +45,6 @@ def test_eigenvalues_block_diagonal_split():
     got = np.sort_complex(eigenvalues(M))
     want = np.sort_complex(np.concatenate([eigenvalues(A), eigenvalues(B)]))
     assert np.max(np.abs(got - want)) <= 1e-6
-
-
-def test_eigenvalues_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        eigenvalues(np.zeros((2, 3)))
-
-
-SHAPE_MISMATCHES = [
-    ("solve_sylvester", lambda: solve_sylvester(-np.eye(2), np.zeros((3, 3)), np.ones((3, 2)),
-                                                eigenvalues(-np.eye(2))),
-     r"^C must be 2x3, got \(3, 2\)$"),
-    ("solve_care", lambda: solve_care(np.eye(2), np.ones((3, 1)), np.eye(2), np.eye(1)),
-     r"^inconsistent CARE dimensions: A \(2, 2\), B \(3, 1\)"),
-]
-
-
-@pytest.mark.parametrize("case, call, message", SHAPE_MISMATCHES,
-                         ids=[c for c, _, _ in SHAPE_MISMATCHES])
-def test_mismatched_shapes_raise_dimension_error(case, call, message):
-    with pytest.raises(DimensionError, match=message):
-        call()
 
 
 def test_rank_deficient():
@@ -127,7 +100,7 @@ def test_solve_linear_exact():
 
 
 def test_solve_linear_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NeseekError, match="numerically singular"):
         solve_linear([[1.0, 1.0], [1.0, 1.0]], (1.0, 2.0))
 
 
@@ -147,7 +120,7 @@ def test_solve_sylvester_column():
 
 
 def test_solve_sylvester_shared_spectrum():
-    with pytest.raises(NonUniqueSolutionError):
+    with pytest.raises(SynthesisError, match="overlap"):
         solve_sylvester(np.array([[0.0]]), np.array([[0.0]]),
                         np.array([[1.0]]), eigenvalues([[0.0]]))
 
@@ -226,11 +199,11 @@ def test_solve_sylvester_takes_the_callers_spectrum():
     assert np.allclose(solve_sylvester(A, B, C, eig_a=np.array([-1.0, -2.0])),
                        [[1.0], [0.5]], atol=1e-15)
     # a spectrum that overlaps spec(B) trips the separation gate
-    with pytest.raises(NonUniqueSolutionError):
+    with pytest.raises(SynthesisError, match="overlap"):
         solve_sylvester(A, B, C, eig_a=np.array([0.0, -2.0]))
     # one that misses an eigenvalue spec(A) shares with spec(B) passes the
     # gate, and the singular shifted solve reports the overlap
-    with pytest.raises(NonUniqueSolutionError, match=r"I - A is singular \("):
+    with pytest.raises(SynthesisError, match=r"I - A is singular \("):
         solve_sylvester(np.zeros((1, 1)), B, np.ones((1, 1)), eig_a=np.array([-1.0]))
 
 
@@ -419,5 +392,5 @@ NAN_INPUTS = [
 
 @pytest.mark.parametrize("case, call", NAN_INPUTS, ids=[c for c, _ in NAN_INPUTS])
 def test_nan_input_raises_domain_error(case, call):
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(NeseekError, match="non-finite"):
         call()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from neseek.errors import DimensionError
+from neseek.errors import ScenarioError
 from neseek.plant import (
     AgentPlant,
     Exosystem,
@@ -38,7 +38,7 @@ def friction_plant():
 def test_start_state_of_the_wrong_size(make, message):
     # the start state lives on the plant and the exosystem, where both
     # integrators read it
-    with pytest.raises(DimensionError, match=message):
+    with pytest.raises(ScenarioError, match=message):
         make()
 
 
@@ -259,7 +259,7 @@ def test_sample_perturbation_deterministic_under_seed():
 
 
 def test_plant_shape_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ScenarioError, match=r"^B must have 2 rows, got \(3, 1\)$"):
         AgentPlant(
             A=np.zeros((2, 2)),
             B=np.zeros((3, 1)),

@@ -96,7 +96,7 @@ def test_parse_roundtrip(tmp_path):
     with open(path, "w") as fh:
         json.dump(scenario_to_dict(scn), fh)
     again = load_scenario(path)
-    assert again == scn
+    assert scenario_to_dict(again) == scenario_to_dict(scn)
     assert scenario_hash(again) == scenario_hash(scn)
 
 
@@ -104,9 +104,9 @@ def test_canonical_dict_is_fixed_point():
     scn = parse_scenario(sensor_scenario_doc("digraph"))
     # The targets shorthand expands; the canonical form uses blocks and
     # parses back to the same scenario.
-    assert "blocks" in scn.raw["cost"]
-    again = parse_scenario(scenario_to_dict(scn))
-    assert again == scn
+    doc = scenario_to_dict(scn)
+    assert "blocks" in doc["cost"]
+    assert scenario_to_dict(parse_scenario(doc)) == doc
 
 
 def test_hash_sensitivity():
@@ -469,6 +469,34 @@ def test_cli_check_general(tmp_path, capsys):
     assert "n/a" in out  # A5 does not apply
 
 
+@pytest.mark.parametrize("edges, kind", [
+    ([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]], "strongly-connected"),
+    ([[1, 2], [2, 3], [3, 4], [4, 5]], "weakly-connected"),
+    (sensor_scenario_doc("digraph")["graph"]["edges"], "weakly-connected"),
+], ids=["ring", "path", "sensor DAG"])
+def test_cli_general_strategy_on_a_connected_digraph(edges, kind, tmp_path, capsys):
+    # the general law needs only a connected graph, directed or not (A6)
+    doc = sensor_scenario_doc("general")
+    doc["graph"] = {"directed": True, "edges": edges}
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 0
+    assert re.search(rf"A6 connected graph +PASS  {kind}\n", capsys.readouterr().out)
+    assert main(["synth", path, "--out", str(tmp_path / "ctrl.json")]) == 0
+
+
+def test_cli_general_strategy_refuses_a_disconnected_digraph(tmp_path, capsys):
+    doc = sensor_scenario_doc("general")
+    doc["graph"] = {"directed": True, "edges": [[1, 2], [3, 4], [4, 5]]}
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 16
+    assert re.search(r"A6 connected graph +FAIL  disconnected\n", capsys.readouterr().out)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == 16
+    assert capsys.readouterr().err == (
+        "error: assumptions [6] fail; run the check command for details\n")
+    assert not ctrl.exists()
+
+
 def test_cli_check_assumption_failures(tmp_path):
     # A1: strongly coupled pair makes the symmetric part indefinite.
     doc = two_agent_doc(r_ij=-10.0)
@@ -594,6 +622,10 @@ def test_cli_synth_and_determinism(tmp_path, capsys):
 DELETE = object()
 
 
+class Raw(str):
+    """A value of _set written into the document's text as it is, unquoted."""
+
+
 def _set(doc, path, value):
     *head, last = path
     for key in head:
@@ -706,6 +738,25 @@ MALFORMED = [
      "cost: 4 targets for 5 agents"),
     ("targets of unequal length", ("cost", "targets", 1), [1.0],
      "cost: targets of coupled agents 1 and 2 must have equal length"),
+    ("self-edge", ("graph", "edges", 0), [1, 1], "graph: self-edge (1,1) is not allowed"),
+    ("edge endpoint out of range", ("graph", "edges", 0), [1, 6],
+     "graph: edge (1,6) endpoint out of range 1..5"),
+    ("asymmetric undirected edge", ("graph", "edges", 0), DELETE,
+     "graph: undirected graph needs symmetric edges; (1,2) missing"),
+    ("B of the wrong height", ("agents", 0, "B"), {"shape": [3, 2], "data": [0.0] * 6},
+     "agents[1]: B must have 4 rows, got (3, 2)"),
+    ("long x0", ("agents", 0, "x0"), [0.0] * 5, "agents[1]: x0 must have 4 entries, got (5,)"),
+    ("short w0", ("exosystems", 1, "w0"), [1.0], "exosystems[2]: w0 must have 2 entries, got (1,)"),
+    ("indefinite R_ii", ("cost", "blocks", 0, "R_ii"),
+     {"shape": [2, 2], "data": [1.0, 0.0, 0.0, -1.0]},
+     "cost.blocks[1]: R_ii must have positive-definite symmetric part (min eig -1.000e+00)"),
+    ("matrix data that does not fit its shape", ("agents", 0, "A", "data"), [0.0] * 15,
+     "agents[1].A: shape 4x4 needs 16 entries, got 15"),
+    ("four exosystems for five agents", ("exosystems", 4), DELETE,
+     "exosystems: expected one entry per agent (5)"),
+    ("both cost forms", ("cost", "blocks"), [],
+     "cost: needs exactly one of 'targets' or 'blocks'"),
+    ("JSON syntax error", ("agents", 1), Raw("[}"), "scenario.json: invalid JSON at line 1"),
 ]
 
 
@@ -721,10 +772,13 @@ def test_cli_malformed_scenario_exits_2(case, path, value, where, tmp_path,
     doc = sensor_scenario_doc(
         "general", sim={"dt": 1e-3, "t_end": 1.0, "record_stride": 10}
     )
-    if path[:2] == ("cost", "blocks"):
+    # a row that edits one cost block states the cost as blocks first
+    if path[:2] == ("cost", "blocks") and len(path) > 2:
         blocks_form(doc)
     _set(doc, path, value)
     scenario = write_doc(tmp_path, doc)
+    if isinstance(value, Raw):
+        Path(scenario).write_text(json.dumps(doc).replace(json.dumps(value), value))
     ctrl = tmp_path / "c.json"
     for argv in (["check", scenario], ["ne", scenario],
                  ["synth", scenario, "--out", str(ctrl)]):
@@ -1013,6 +1067,27 @@ def test_cli_synth_certifies_stated_perturbation(tmp_path, capsys):
     assert not ctrl.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["digraph", "general"])
+@pytest.mark.parametrize("key, shape, code, message", [
+    ("dC", (2, 4), 2, "error: {path}: the stated perturbations overflow the "
+                      "assembled closed loop (non-finite entries)"),
+    ("dP", (4, 2), 4, "error: regulator certificate fails: residual_dyn=nan "
+                      "exceeds 1e-08 * scale=nan"),
+], ids=["dC", "dP"])
+def test_cli_synth_refuses_an_overflowing_stated_perturbation(
+        key, shape, code, message, strategy, tmp_path, capsys):
+    # agent 1's stated 1e308 dC overflows the assembled loop, its dP only
+    # the regulator solve: either is one error line, with no numpy warning
+    doc = sensor_scenario_doc(strategy)
+    doc["agents"][0][key] = mat(np.full(shape, 1e308))
+    path = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == code
+    assert capsys.readouterr().err.splitlines() == [message.format(path=path)]
+    assert not ctrl.exists()
+
+
 def test_cli_sim_simulates_stated_perturbation(tmp_path, capsys):
     doc = sensor_scenario_doc(
         "general", sim={"dt": 1e-3, "t_end": 2.0, "record_stride": 50}
@@ -1137,6 +1212,8 @@ BAD_SIM_INPUTS = [
      "agents[1]: unknown field"),
     ("unknown top-level field", [], _edit_bundle(("bogus",), 1),
      "top level: unknown field"),
+    ("unknown format", [], _edit_bundle(("format",), "neseek-controllers-v9"),
+     "ctrl.json: not a neseek-controllers-v3 file"),
 ]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from neseek.errors import DimensionError, DivergenceError, DomainError
+from neseek.errors import DivergenceError, ScenarioError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -83,36 +83,36 @@ def toy_loop(a):
 
 
 def test_sim_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         SimConfig(dt=0.0, t_end=1.0, record_stride=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         SimConfig(dt=-1e-3, t_end=1.0, record_stride=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         SimConfig(dt=1e-3, t_end=1e-4, record_stride=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         SimConfig(dt=1e-3, t_end=1.0, record_stride=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         SimConfig(dt=1e-3, t_end=1.0, record_stride=1.5)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
+        with pytest.raises(ScenarioError):
             SimConfig(dt=0.1, t_end=bad, record_stride=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ScenarioError):
             SimConfig(dt=0.1, t_end=1.0, record_stride=bad)
-        with pytest.raises(DomainError, match="dt must be positive and finite"):
+        with pytest.raises(ScenarioError, match="dt must be positive and finite"):
             SimConfig(dt=bad, t_end=1.0, record_stride=1)
-    with pytest.raises(DomainError, match="t_end must be non-negative"):
+    with pytest.raises(ScenarioError, match="t_end must be non-negative"):
         SimConfig(dt=0.1, t_end=-0.1, record_stride=1)
-    with pytest.raises(DomainError, match="shorter than dt"):
+    with pytest.raises(ScenarioError, match="shorter than dt"):
         SimConfig(dt=2.0, t_end=1.0, record_stride=1)
     # a horizon between steps is refused, naming the nearest one reached
     for dt, t_end, nearest in ((2.0, 5.0, "4"), (0.3, 1.0, "0.9"),
                                (1e-3, 1.0005, "1")):
-        with pytest.raises(DomainError, match=f"nearest reachable t_end is {nearest}$"):
+        with pytest.raises(ScenarioError, match=f"nearest reachable t_end is {nearest}$"):
             SimConfig(dt=dt, t_end=t_end, record_stride=1)
     # a step count beyond float range names no nearest t_end
     for dt, t_end in ((1e-320, 100.0), (5e-324, 1.0), (1e-300, 1e300)):
         message = f"t_end {t_end!r} at dt {dt!r} is more steps than a float can count"
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             SimConfig(dt=dt, t_end=t_end, record_stride=1)
     assert SimConfig(dt=0.1, t_end=0.0, record_stride=1).n_steps == 0
     assert SimConfig(dt=0.1, t_end=0.3, record_stride=1).n_steps == 3
@@ -121,11 +121,11 @@ def test_sim_config_validation():
     cfg = SimConfig(dt=1e-3, t_end=0.01, record_stride=2.0)
     assert type(cfg.record_stride) is int and cfg.record_stride == 2
     assert len(simulate(toy_loop(-1.0), cfg).times) == 6
-    with pytest.raises(DomainError, match="record_stride '2' is not a positive integer"):
+    with pytest.raises(ScenarioError, match="record_stride '2' is not a positive integer"):
         SimConfig(dt=1e-3, t_end=0.01, record_stride="2")
-    with pytest.raises(DomainError, match="dt must be positive and finite, got '0.1'"):
+    with pytest.raises(ScenarioError, match="dt must be positive and finite, got '0.1'"):
         SimConfig(dt="0.1", t_end=1.0, record_stride=1)
-    with pytest.raises(DomainError, match="t_end must be non-negative and finite, got None"):
+    with pytest.raises(ScenarioError, match="t_end must be non-negative and finite, got None"):
         SimConfig(dt=0.1, t_end=None, record_stride=1)
 
 
@@ -262,7 +262,7 @@ def test_trajectory_length_validation():
     Trajectory(times=np.zeros(3), **rows)
     for name in rows:
         short = dict(rows, **{name: rows[name][:2]})
-        with pytest.raises(DimensionError, match=f"^{name} has 2 rows, times has 3$"):
+        with pytest.raises(ValueError, match=f"^{name} has 2 rows, times has 3$"):
             Trajectory(times=np.zeros(3), **short)
 
 
