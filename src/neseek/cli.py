@@ -185,13 +185,15 @@ def cmd_synth(path, out):
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
     ]
     cl = _assemble_finite(scn, scn.plants, controllers, f"{path}: the stated perturbations")
+    # a failing certificate names the stated perturbations, which no weight undoes
+    stated = _stated_perturbations(scn.plants)
     ok, abscissa = certify_stability(cl)
     if not ok:
         agent = worst_agent(cl)
         raise SynthesisError(
             f"closed loop not Hurwitz (abscissa {abscissa:.6g}"
-            + ("" if agent is None else f" at agent {agent}")
-            + "); adjust the synthesis weights in the scenario"
+            + ("" if agent is None else f" at agent {agent}") + ")"
+            + (stated or "; adjust the synthesis weights in the scenario")
         )
     reg = solve_regulator(cl)
     for name, residual, scale in (
@@ -201,7 +203,7 @@ def cmd_synth(path, out):
         # an infinite scale passes no residual
         if not (scale < math.inf and residual <= REGULATOR_REL_TOL * scale):
             raise SynthesisError(
-                f"regulator certificate fails: {name}={residual!r} "
+                f"regulator certificate fails{stated}: {name}={residual!r} "
                 f"exceeds {REGULATOR_REL_TOL:g} * scale={scale!r}"
             )
     certificates = {
@@ -219,6 +221,16 @@ def cmd_synth(path, out):
     )
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _stated_perturbations(plants):
+    """' with the stated perturbations of agent 1 (dA, dP), ...', or '' if none is stated."""
+    named = []
+    for i, plant in enumerate(plants, start=1):
+        keys = [k for k in ("dA", "dB", "dC", "dP") if getattr(plant, k).any()]
+        if keys:
+            named.append(f"agent {i} ({', '.join(keys)})")
+    return f" with the stated perturbations of {', '.join(named)}" if named else ""
 
 
 def _assemble_finite(scn, plants, controllers, culprit):

@@ -122,6 +122,15 @@ def _complex_schur(M):
     return U, T
 
 
+def _shifted(A, shift):
+    """``shift I - A`` in one new array, real or complex as ``shift`` is:
+    ``-A`` with ``shift`` added on its diagonal."""
+    M = np.negative(A, dtype=type(shift))
+    diag = np.arange(A.shape[0])
+    M[diag, diag] += shift
+    return M
+
+
 def solve_sylvester(A, B, C, eig_a):
     """Solve ``X B - A X = C`` by shifted solves on a Schur form of ``B``.
 
@@ -170,7 +179,6 @@ def solve_sylvester(A, B, C, eig_a):
 
     D = C @ U
     Y = np.zeros((n, m), complex)
-    eye = np.eye(n)
     for k in range(max((sl.stop - sl.start for sl in blocks), default=0)):
         cols = np.array([sl.start + k for sl in blocks if sl.stop - sl.start > k])
         R = D[:, cols] - Y @ T[:, cols]
@@ -178,11 +186,10 @@ def solve_sylvester(A, B, C, eig_a):
         for shift in dict.fromkeys(shifts.tolist()):
             group = cols[shifts == shift]
             rhs = R[:, shifts == shift]
+            real = shift.imag == 0 and not rhs.imag.any()
             try:
-                if shift.imag == 0 and not rhs.imag.any():
-                    Y[:, group] = np.linalg.solve(shift.real * eye - A, rhs.real)
-                else:
-                    Y[:, group] = np.linalg.solve(shift * eye - A, rhs)
+                Y[:, group] = np.linalg.solve(_shifted(A, shift.real if real else shift),
+                                              rhs.real if real else rhs)
             except np.linalg.LinAlgError as exc:
                 raise SynthesisError(
                     f"shifted matrix {shift:.6g} I - A is singular ({exc})"

@@ -125,17 +125,34 @@ def _rk4_map(A_c, P_c, E_half, E_full, dt):
 
     Each stage k_j is written as a linear map of [z; v], with v at the
     half and full step given exactly by E_half and E_full; the v-block
-    of the result is E_full and its lower-left block is zero.
+    of the result is E_full and its lower-left block is zero.  The z-rows
+    are ``[I 0] + dt/6 ((k1 + 2 k2 + 2 k3) + k4)``, summed in that order
+    in the result's own rows while the stages are formed one at a time:
+    besides the result, two dz x (dz + dv) buffers are held, the stage's
+    argument and the stage.
     """
     dz, dv = P_c.shape
-    ident = np.eye(dz, dz + dv)  # [I 0] picks z out of [z; v]
-    k1 = np.hstack([A_c, P_c])
-    P_half = np.hstack([np.zeros((dz, dz)), P_c @ E_half])
-    k2 = A_c @ (ident + 0.5 * dt * k1) + P_half
-    k3 = A_c @ (ident + 0.5 * dt * k2) + P_half
-    k4 = A_c @ (ident + dt * k3) + np.hstack([np.zeros((dz, dz)), P_c @ E_full])
-    top = ident + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.block([[top], [np.zeros((dv, dz)), E_full]])
+    M = np.zeros((dz + dv, dz + dv))
+    M[dz:, dz:] = E_full
+    acc = M[:dz]
+    acc[:, :dz], acc[:, dz:] = A_c, P_c  # k1
+    diag = np.arange(dz)
+    arg, k = np.empty_like(acc), np.empty_like(acc)
+    PE_half = P_c @ E_half
+    stages = ((0.5 * dt, PE_half), (0.5 * dt, PE_half), (dt, P_c @ E_full))
+    for j, (h, P_v) in enumerate(stages, start=1):
+        prev = acc if j == 1 else k  # k_j
+        np.multiply(prev, h, out=arg)
+        arg[diag, diag] += 1.0  # [I 0] + h k_j
+        if j > 1:  # k2 and k3 enter the sum twice
+            k *= 2.0
+            acc += k
+        np.matmul(A_c, arg, out=k)
+        k[:, dz:] += P_v  # k_{j+1}
+    acc += k  # k4
+    acc *= dt / 6.0
+    acc[diag, diag] += 1.0
+    return M
 
 
 def propagate(cl, cfg):

@@ -2,7 +2,9 @@
 strategy variants, synthesized once per session; and the oracles the
 tests check the library against, which no command runs."""
 
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from neseek.game import assemble_pseudo_gradient, cost_from_targets
 from neseek.graph import CommGraph
 from neseek.linalg import minimal_polynomial
 from neseek.plant import AgentPlant, Exosystem
+from neseek.scenario import parse_scenario
 from neseek.synthesis import (
     SynthesisWeights,
     assemble_closed_loop,
@@ -123,6 +126,24 @@ def _build(strategy, graph=None):
         pg=pg,
         reg=solve_regulator(cl),
     )
+
+
+def perfbench_scenarios():
+    """perfbench's seeded scenario generator, loaded read-only from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def chain_loop(n, strategy):
+    """The closed loop of perfbench's seed-1 ``chain(n)`` scenario under ``strategy``."""
+    scn = parse_scenario(perfbench_scenarios().chain(
+        n, strategy, 1, {"dt": 1e-3, "t_end": 5.0, "record_stride": 100}))
+    controllers = [build_controller(p, cost, e, scn.weights) for p, cost, e
+                   in zip(scn.plants, scn.game.costs, scn.exos)]
+    return assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, strategy)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -205,6 +207,28 @@ def test_solve_sylvester_takes_the_callers_spectrum():
     # gate, and the singular shifted solve reports the overlap
     with pytest.raises(SynthesisError, match=r"I - A is singular \("):
         solve_sylvester(np.zeros((1, 1)), B, np.ones((1, 1)), eig_a=np.array([-1.0]))
+
+
+@pytest.mark.parametrize("B, dtype", [(_rotation(OMEGA), complex), (np.zeros((1, 1)), float)],
+                         ids=["complex-shifts", "real-shift"])
+def test_solve_sylvester_holds_one_shifted_matrix_per_solve(B, dtype):
+    # each shifted solve allocates shift I - A once, as -A with the shift
+    # on its diagonal; forming it next to an n x n identity peaked at
+    # about 1.5 such matrices
+    rng = np.random.default_rng(41)
+    n = 300
+    A = rng.standard_normal((n, n)) / np.sqrt(n) - 3.0 * np.eye(n)
+    C = rng.standard_normal((n, B.shape[0]))
+    eig_a = eigenvalues(A)
+    tracemalloc.start()
+    try:
+        X = solve_sylvester(A, B, C, eig_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    shifted = n * n * np.dtype(dtype).itemsize
+    assert peak <= 1.25 * shifted, peak / shifted
+    assert np.linalg.norm(X @ B - A @ X - C) <= 1e-12 * np.linalg.norm(C)
 
 
 def test_solve_care_matches_scipy():

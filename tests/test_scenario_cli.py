@@ -1072,8 +1072,8 @@ def test_cli_synth_certifies_stated_perturbation(tmp_path, capsys):
 @pytest.mark.parametrize("key, shape, code, message", [
     ("dC", (2, 4), 2, "error: {path}: the stated perturbations overflow the "
                       "assembled closed loop (non-finite entries)"),
-    ("dP", (4, 2), 4, "error: regulator certificate fails: residual_dyn=nan "
-                      "exceeds 1e-08 * scale=nan"),
+    ("dP", (4, 2), 4, "error: regulator certificate fails with the stated perturbations "
+                      "of agent 1 (dP): residual_dyn=nan exceeds 1e-08 * scale=nan"),
 ], ids=["dC", "dP"])
 def test_cli_synth_refuses_an_overflowing_stated_perturbation(
         key, shape, code, message, strategy, tmp_path, capsys):
@@ -1085,6 +1085,32 @@ def test_cli_synth_refuses_an_overflowing_stated_perturbation(
     ctrl = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(ctrl)]) == code
     assert capsys.readouterr().err.splitlines() == [message.format(path=path)]
+    assert not ctrl.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["digraph", "general"])
+@pytest.mark.parametrize("key, shape, message", [
+    ("dA", (4, 4), r"closed loop not Hurwitz \(abscissa \S+{at}\) with the stated "
+                   r"perturbations of agent 1 \(dA\)"),
+    ("dP", (4, 2), r"regulator certificate fails with the stated perturbations of "
+                   r"agent 1 \(dP\): residual_dyn=nan exceeds 1e-08 \* scale=nan"),
+], ids=["dA", "dP"])
+def test_cli_synth_names_a_stated_perturbation_that_wrecks_the_loop(
+        key, shape, message, strategy, tmp_path, capsys):
+    # agent 1's stated 1e308 in one entry keeps the assembled loop finite
+    # but unstable (dA) or its regulator solve not finite (dP): the error
+    # names the perturbation, not the synthesis weights, which cannot undo it
+    doc = sensor_scenario_doc(strategy)
+    M = np.zeros(shape)
+    M[0, 0] = 1e308
+    doc["agents"][0][key] = mat(M)
+    path = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    at = " at agent 1" if strategy == "digraph" else ""
+    assert len(err) == 1 and re.fullmatch("error: " + message.format(at=at), err[0]), err
     assert not ctrl.exists()
 
 

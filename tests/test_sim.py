@@ -42,7 +42,7 @@ from neseek.synthesis import (
     solve_regulator,
 )
 
-from conftest import _build, _mat, sensor_scenario_doc, steady_state
+from conftest import _build, _mat, chain_loop, sensor_scenario_doc, steady_state
 from reference_loop import (
     FirewallViolation,
     NeighborView,
@@ -293,6 +293,31 @@ def test_exo_steppers_squaring_branch(sensor_digraph):
     assert np.allclose(E_half, scipy.linalg.expm(S_hat * (dt / 2.0)),
                        rtol=0.0, atol=1e-14)
     assert np.allclose(E_full, scipy.linalg.expm(S_hat * dt), rtol=0.0, atol=1e-14)
+
+
+def test_fast_exosystem_through_the_commands(tmp_path, capsys):
+    # at omega = 150 and dt = 0.01, ||S_hat dt / 2||_1 = 0.75 > 1/2, so
+    # sim's exosystem steppers take expm's squaring step
+    omega = 150.0
+    doc = sensor_scenario_doc("digraph",
+                              sim={"dt": 0.01, "t_end": 2.0, "record_stride": 1})
+    for exo in doc["exosystems"]:
+        exo["S"] = _mat([[0.0, omega], [-omega, 0.0]])
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    ctrl, out = tmp_path / "ctrl.json", tmp_path / "run.csv"
+    assert main(["check", str(path)]) == 0
+    assert main(["synth", str(path), "--out", str(ctrl)]) == 0
+    assert main(["sim", str(path), "--controllers", str(ctrl), "--out", str(out)]) == 0
+    capsys.readouterr()
+    header = out.read_text().splitlines()[0].split(", ")
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    t = table[:, 0]
+    assert len(t) == 201
+    for i in range(1, 6):
+        w = table[:, [header.index(f"w_{i}_1"), header.index(f"w_{i}_2")]]
+        assert np.max(np.abs(w - np.column_stack([np.cos(omega * t),
+                                                  -np.sin(omega * t)]))) <= 1e-12
 
 
 def test_disturbance_persists(sensor_digraph):
@@ -693,6 +718,51 @@ def test_rk4_radius_is_the_step_maps_z_block_radius(sensor_general):
         want = np.max(np.abs(np.linalg.eigvals(M[:dz, :dz])))
         got = rk4_radius(np.concatenate(cl.spectra), dt)
         assert abs(got - want) <= 1e-9 * want
+
+
+def _rk4_stage_formula(A_c, P_c, E_half, E_full, dt):
+    """The RK4 step map on [z; v] written out stage by stage, [I 0] included."""
+    dz, dv = P_c.shape
+    ident = np.eye(dz, dz + dv)
+    k1 = np.hstack([A_c, P_c])
+    P_half = np.hstack([np.zeros((dz, dz)), P_c @ E_half])
+    k2 = A_c @ (ident + 0.5 * dt * k1) + P_half
+    k3 = A_c @ (ident + 0.5 * dt * k2) + P_half
+    k4 = A_c @ (ident + dt * k3) + np.hstack([np.zeros((dz, dz)), P_c @ E_full])
+    top = ident + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.block([[top], [np.zeros((dv, dz)), E_full]])
+
+
+@pytest.mark.parametrize("loop", ["sensor_digraph", "sensor_general", "chain8-digraph",
+                                  "chain8-general"])
+@pytest.mark.parametrize("dt", [1e-3, 0.0123])
+def test_rk4_map_is_bitwise_the_stage_formula(loop, dt, request):
+    # the map summed in place keeps the formula's operations and their
+    # order: every entry has the same bits, signed zeros included
+    if loop.startswith("chain8"):
+        cl = chain_loop(8, loop.split("-")[1])
+    else:
+        cl = request.getfixturevalue(loop).cl
+    steppers = _exo_steppers(cl.S_hat, dt)
+    M = _rk4_map(cl.A_c, cl.P_c, *steppers, dt)
+    want = _rk4_stage_formula(cl.A_c, cl.P_c, *steppers, dt)
+    assert M.shape == want.shape and M.tobytes() == want.tobytes()
+
+
+def test_rk4_map_holds_a_few_stage_sized_buffers():
+    # the map itself, (dz + dv) / dz stage-sized arrays, plus the stage and
+    # its argument; the stage formula above peaks near 10 stage-sized arrays
+    cl = chain_loop(20, "digraph")
+    dz, dv = cl.P_c.shape
+    steppers = _exo_steppers(cl.S_hat, 1e-3)
+    tracemalloc.start()
+    try:
+        _rk4_map(cl.A_c, cl.P_c, *steppers, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stage = dz * (dz + dv) * np.dtype(float).itemsize
+    assert peak <= 4 * stage, peak / stage
 
 
 def test_rk4_dt_limit_real_axis():

@@ -1,7 +1,5 @@
 import dataclasses
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,13 +37,15 @@ from conftest import (
     SENSOR_C,
     SENSOR_P,
     SENSOR_S,
+    chain_loop,
     is_hurwitz,
+    perfbench_scenarios,
     sensor_scenario_doc,
     steady_state,
     verify_internal_model,
 )
 from neseek.cli import main
-from neseek.scenario import load_controllers, load_scenario, parse_scenario
+from neseek.scenario import load_controllers, load_scenario
 
 OMEGA = np.pi / 10.0
 ROT = np.array([[0.0, OMEGA], [-OMEGA, 0.0]])
@@ -557,15 +557,6 @@ def test_chain20_certifies(chain20, strategy):
     assert np.max(np.abs(y_ss - y_star)) <= 1e-6
 
 
-def _perfbench_scenarios():
-    """perfbench's seeded scenario generator, loaded read-only from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenarios", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _separated_abscissa(plant, cost, c):
     """Abscissa of one agent's loop by the separation principle.
 
@@ -586,8 +577,8 @@ def test_chain_digraph_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
     # The dense eigensolve of these block-triangular loops put their
     # abscissa at +0.046 (N = 70) and +0.191 (N = 100); each agent's
     # diagonal block is at -0.6163.
-    doc = _perfbench_scenarios().chain(n, "digraph", 1,
-                                      {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
+    doc = perfbench_scenarios().chain(n, "digraph", 1,
+                                     {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "ctrl.json"
@@ -629,16 +620,13 @@ def test_worst_agent_names_the_unstable_block(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["synth", str(path), "--out", str(tmp_path / "c.json")]) == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and " at agent 3); adjust the synthesis weights" in err[0], err
+    # the stated perturbation is named, not the weights, which cannot undo it
+    assert len(err) == 1 and err[0].endswith(
+        " at agent 3) with the stated perturbations of agent 3 (dA)"), err
 
 
 def test_chain100_general_regulator_residuals():
-    doc = _perfbench_scenarios().chain(100, "general", 1,
-                                      {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
-    scn = parse_scenario(doc)
-    controllers = [build_controller(p, cost, e, scn.weights) for p, cost, e
-                   in zip(scn.plants, scn.game.costs, scn.exos)]
-    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos, controllers, "general")
+    cl = chain_loop(100, "general")
     assert cl.A_c.shape == (1400, 1400) and cl.S_hat.shape == (300, 300)
     assert certify_stability(cl)[0]
     reg = solve_regulator(cl)
