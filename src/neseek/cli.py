@@ -189,10 +189,11 @@ def cmd_synth(path, out):
     stated = _stated_perturbations(scn.plants)
     ok, abscissa = certify_stability(cl)
     if not ok:
-        agent = worst_agent(cl)
+        agents = worst_agent(cl)
         raise SynthesisError(
             f"closed loop not Hurwitz (abscissa {abscissa:.6g}"
-            + ("" if agent is None else f" at agent {agent}") + ")"
+            + ("" if agents is None else " at agent" + "s" * (len(agents) > 1)
+               + " " + ", ".join(map(str, agents))) + ")"
             + (stated or "; adjust the synthesis weights in the scenario")
         )
     reg = solve_regulator(cl)

@@ -4,12 +4,12 @@ Agents are numbered 1..N.  An edge (j, i) means "agent i receives agent
 j's output", i.e. j is a neighbor of i and y_j enters J_i.
 """
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import ScenarioError
 
-__all__ = ["CommGraph", "neighbors", "check_acyclic", "check_connected"]
+__all__ = ["CommGraph", "neighbors", "check_acyclic", "strong_components", "check_connected"]
 
 
 @dataclass(frozen=True)
@@ -98,24 +98,44 @@ def check_acyclic(g):
     return False, cycle
 
 
-def _skeleton_adjacency(g):
-    adj = {i: set() for i in range(1, g.agent_count + 1)}
-    for j, i in g.edges:
-        adj[j].add(i)
-        adj[i].add(j)
-    return adj
+def strong_components(reads):
+    """Strongly connected components of the digraph ``i -> reads[i]`` on 0..n-1.
 
+    Tarjan's algorithm (1972) on explicit stacks.  Each component is a
+    sorted tuple, after every component it reaches.
+    """
+    n = len(reads)
+    # a node's index reads n once its component is found: it lowers no link
+    index, low, slot = [None] * n, [0] * n, [0] * n
+    stack, work, found, visits = [], [], [], count()
 
-def _reachable(start, adj):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    def visit(node):
+        index[node] = low[node] = next(visits)
+        slot[node] = len(stack)
+        stack.append(node)
+        work.append((node, iter(reads[node])))
+
+    for root in range(n):
+        if index[root] is None:
+            visit(root)
+        while work:
+            node, targets = work[-1]
+            for nxt in targets:
+                if index[nxt] is None:
+                    visit(nxt)
+                    break
+                low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component, stack[slot[node]:] = stack[slot[node]:], []
+                    for member in component:
+                        index[member] = n
+                    found.append(tuple(sorted(component)))
+    return found
 
 
 def check_connected(g):
@@ -123,21 +143,17 @@ def check_connected(g):
 
     Returns one of ``"disconnected"``, ``"connected-undirected"``,
     ``"weakly-connected"``, ``"strongly-connected"``.  Undirected graphs
-    only ever map to the first two; digraphs to the rest.
+    only ever map to the first two; digraphs to the rest.  The skeleton
+    holds every edge both ways, so its strong components are connected ones.
     """
-    n = g.agent_count
-    skeleton_ok = len(_reachable(1, _skeleton_adjacency(g))) == n
-
-    if not g.directed:
-        return "connected-undirected" if skeleton_ok else "disconnected"
-
-    if not skeleton_ok:
-        return "disconnected"
-    fwd = {i: set() for i in range(1, n + 1)}
-    bwd = {i: set() for i in range(1, n + 1)}
+    succ = [[] for _ in range(g.agent_count)]
+    skeleton = [[] for _ in range(g.agent_count)]
     for j, i in g.edges:
-        fwd[j].add(i)
-        bwd[i].add(j)
-    if len(_reachable(1, fwd)) == n and len(_reachable(1, bwd)) == n:
-        return "strongly-connected"
-    return "weakly-connected"
+        succ[j - 1].append(i - 1)
+        skeleton[j - 1].append(i - 1)
+        skeleton[i - 1].append(j - 1)
+    if len(strong_components(skeleton)) > 1:
+        return "disconnected"
+    if not g.directed:
+        return "connected-undirected"
+    return "strongly-connected" if len(strong_components(succ)) == 1 else "weakly-connected"

@@ -26,9 +26,8 @@ import numpy as np
 from . import linalg
 from .errors import SynthesisError
 from .game import assemble_pseudo_gradient
-from .graph import check_acyclic
+from .graph import strong_components
 from .internal_model import build_p_copy
-from .plant import check_assumption_3, check_assumption_4
 
 __all__ = [
     "STRATEGIES",
@@ -110,7 +109,6 @@ class ClosedLoopSystem:
     ctrl_slices: tuple
     v_slices: tuple
     out_slices: tuple
-    topo_order: tuple
     game: object = field(repr=False)
     plants: tuple = field(repr=False)
     exos: tuple = field(repr=False)
@@ -124,23 +122,35 @@ class ClosedLoopSystem:
         return self.S_hat.shape[0]
 
     @cached_property
-    def spectra(self):
-        """Eigenvalues of A_c, grouped by the diagonal blocks they come from.
+    def components(self):
+        """Agents (0-based) of the diagonal blocks of A_c's block-triangular form.
 
-        A digraph loop is block-triangular in ``topo_order``: agent i
-        reads only agents before it.  Its spectrum is then the union of
-        the spectra of the per-agent diagonal blocks [x_i; xi_i; zeta_i],
-        one array per agent in agent order, which avoids the dense
-        eigensolve whose error on the long chain of equal blocks exceeds
-        the stability margin.  Any other loop gives one array for the
-        whole A_c.  Computed once per loop.
+        Agent i reads agent j when A_c is nonzero on agent i's rows
+        [x_i; xi_i; zeta_i] and agent j's columns.  The blocks are the
+        strongly connected components of that relation, each after every
+        one it reads (Duff & Reid 1978), from exact zeros, whatever the strategy.
         """
-        blocks = [slice(x.start, c.stop)
-                  for x, c in zip(self.x_slices, self.ctrl_slices)]
-        if self.topo_order is not None and _block_triangular(
-                self.A_c, blocks, self.topo_order):
-            return tuple(linalg.eigenvalues(self.A_c[b, b]) for b in blocks)
-        return (linalg.eigenvalues(self.A_c),)
+        starts = [x.start for x in self.x_slices]
+        reads = np.logical_or.reduceat(
+            np.logical_or.reduceat(self.A_c != 0, starts, axis=0), starts, axis=1)
+        return tuple(strong_components([np.flatnonzero(row).tolist() for row in reads]))
+
+    @cached_property
+    def spectra(self):
+        """Eigenvalues of A_c, one array per block of ``components``, computed once.
+
+        A block of every agent is A_c itself.  A loop whose agents read no
+        cycle has a block per agent, avoiding the dense eigensolve whose
+        error on a long chain of equal blocks exceeds the stability margin.
+        """
+        bounds = [x.start for x in self.x_slices] + [self.dim_z]
+        spectra = []
+        for agents in self.components:
+            idx = np.concatenate([np.arange(bounds[a], bounds[a + 1]) for a in agents])
+            if idx.size == idx[-1] - idx[0] + 1:  # consecutive agents: a slice of A_c
+                idx = slice(idx[0], idx[-1] + 1)
+            spectra.append(linalg.eigenvalues(self.A_c[idx][:, idx]))
+        return tuple(spectra)
 
     def initial_state(self):
         """Plant states from x0, controller states zero."""
@@ -198,19 +208,11 @@ def build_controller(plant, cost, exo, weights):
 
     The observer gain, p-copy internal model and augmented stabilizer
     are designed on the nominal plant with Rw = R_ii + R_ii' and the
-    CARE weights of ``weights``.  A plant failing A3 or A4 is refused
-    first, by the checkers ``check`` runs: Rw is nonsingular, so (A, Rw C)
-    passes exactly when (A, C) does, and the eigenvalues of G1 are A4's
-    set spec(S) plus {0}.
+    CARE weights of ``weights``.  ``synth``'s ``run_checks`` refuses a plant
+    failing A3 or A4 first (Rw is nonsingular, so (A, Rw C) passes exactly
+    when (A, C) does, and G1's eigenvalues are A4's spec(S) plus {0}); a
+    direct call meets ``linalg.solve_care``'s gates.
     """
-    a3 = check_assumption_3(plant)
-    for prop, pair in (("stabilizable", "(A, B)"), ("detectable", "(A, C)")):
-        if a3[prop]:
-            raise SynthesisError(f"{pair} not {prop} at eigenvalue {a3[prop][0]}")
-    failing = check_assumption_4(plant, exo)
-    if failing:
-        raise SynthesisError("rank condition fails at exosystem mode(s) "
-                             + ", ".join(f"{lam:.6g}" for lam in failing))
     Cw = (cost.R_ii + cost.R_ii.T) @ plant.C
     G1, G2 = build_p_copy(exo.S_tilde, plant.p)
     L = _observer_gain(plant.A, Cw, weights)
@@ -233,9 +235,20 @@ def gain_mismatch(c, plant):
     return None
 
 
-def _assemble(game, plants, exos, controllers, strategy_kind):
-    """The module docstring's loop, agent-major: agent i owns z-block
-    [x_i; xi_i; zeta_i] and output rows out_i of e, C_c and Q_c."""
+def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
+    """Stack plant + controller dynamics into one LTI closed loop.
+
+    The loop is the module docstring's, agent-major: agent i owns z-block
+    [x_i; xi_i; zeta_i] and output rows out_i of e, C_c and Q_c.
+    ``strategy_kind``, ``"digraph"`` or ``"general"``, chooses ``R_hat``
+    only; the certificates read their block-triangular form from A_c
+    (``ClosedLoopSystem.components``).  The inputs are trusted:
+    ``load_scenario`` fits the plants, exosystems and game together,
+    ``load_controllers`` the gains to their plants and the scenario's
+    strategy, and ``run_checks`` gates A5 and A6.  Plant blocks use each
+    plant's actual ``A_mu, B_mu, C_mu, P_mu`` (nominal plus its stated
+    perturbation); observer blocks use the nominal ``A, B, C``.
+    """
     pg = assemble_pseudo_gradient(game)
     N = len(plants)
     z_off = _offsets([p.n + c.ctrl_dim for p, c in zip(plants, controllers)])
@@ -283,46 +296,14 @@ def _assemble(game, plants, exos, controllers, strategy_kind):
         S_hat[vi, vi] = exo.S_tilde
         v0[vi] = exo.v0
 
-    return dict(
+    return ClosedLoopSystem(
         A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
         x_slices=tuple(x_sl),
         ctrl_slices=tuple(slice(s.stop, z_off[i + 1]) for i, s in enumerate(x_sl)),
         v_slices=tuple(v_sl),
         out_slices=tuple(out_sl),
-    )
-
-
-def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
-    """Stack plant + controller dynamics into one LTI closed loop.
-
-    ``strategy_kind`` is ``"digraph"`` or ``"general"``.  The inputs are
-    trusted: ``load_scenario`` fits the plants, exosystems and game
-    together, ``load_controllers`` the gains to their plants and the
-    scenario's strategy, and ``run_checks`` gates A5 and A6.  Plant
-    blocks use each plant's actual matrices ``A_mu, B_mu, C_mu, P_mu``
-    (nominal plus its stated perturbation); observer blocks use the
-    nominal ``A, B, C``.
-    """
-    topo_order = None
-    if strategy_kind == "digraph":
-        ok, order = check_acyclic(game.graph)
-        topo_order = tuple(order) if ok else None
-    return ClosedLoopSystem(
-        **_assemble(game, plants, exos, controllers, strategy_kind),
-        topo_order=topo_order,
         game=game, plants=tuple(plants), exos=tuple(exos),
     )
-
-
-def _block_triangular(A, blocks, order):
-    """Whether each agent's block row of ``A`` is zero on every later agent's columns."""
-    later = np.zeros(A.shape[1], dtype=bool)
-    for i in reversed(order):
-        rows = blocks[i - 1]
-        if A[rows][:, later].any():
-            return False
-        later[rows] = True
-    return True
 
 
 def certify_stability(cl):
@@ -333,13 +314,13 @@ def certify_stability(cl):
 
 
 def worst_agent(cl):
-    """Agent (1-based) whose diagonal block has the largest abscissa.
-
-    None unless ``cl.spectra`` is split by agent (a digraph loop).
-    """
-    if len(cl.spectra) < 2:
+    """Agents (1-based) of the block of ``cl.spectra`` with the largest abscissa,
+    the lowest-numbered agent's of a tie; None when A_c is one block."""
+    if len(cl.components) < 2:
         return None
-    return 1 + int(np.argmax([np.max(e.real) for e in cl.spectra]))
+    blocks = sorted(zip(cl.components, cl.spectra), key=lambda block: block[0])
+    agents, _ = blocks[int(np.argmax([np.max(e.real) for _, e in blocks]))]
+    return tuple(a + 1 for a in agents)
 
 
 def solve_regulator(cl):

@@ -8,11 +8,12 @@ line of it does.  Such a statement is one that only the tests call,
 or a check that some earlier check makes unreachable from the command
 line.  Commands the tests start in a subprocess are not seen.
 
-The count is reported, not gated: it is the last line of the output.
-The tracer's own allocations count against the tests that bound
-memory with tracemalloc, so a test may fail here that passes without
-the tracer; the tests' exit status is printed and does not change
-this script's.
+The count is the last line of the output.  CI fails when it exceeds
+the ceiling in ``.github/workflows/tier1.yml``, which only goes down;
+this script's own exit status does not depend on it.  The tracer's own
+allocations count against the tests that bound memory with
+tracemalloc, so a test may fail here that passes without the tracer;
+the tests' exit status is printed and does not change this script's.
 
 Usage, from anywhere in a checkout:
 

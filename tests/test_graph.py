@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neseek.errors import ScenarioError
-from neseek.graph import CommGraph, check_acyclic, check_connected, neighbors
+from neseek.graph import CommGraph, check_acyclic, check_connected, neighbors, strong_components
 
 
 def adjacency(g):
@@ -170,3 +170,74 @@ def test_strong_implies_weak_on_random_digraphs():
             )
             assert check_connected(skeleton) != "disconnected"
     assert strong_seen > 0
+
+
+def reachability(reads):
+    """R[i, j]: j is reachable from i along ``i -> reads[i]``, i itself included."""
+    n = len(reads)
+    R = np.eye(n, dtype=bool)
+    for i, targets in enumerate(reads):
+        R[i, list(targets)] = True
+    for k in range(n):  # Warshall
+        R |= R[:, [k]] & R[[k], :]
+    return R
+
+
+def test_strong_components_match_mutual_reachability():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        reads = [np.flatnonzero(rng.random(n) < rng.random() * 0.5).tolist() for _ in range(n)]
+        found = strong_components(reads)
+        R = reachability(reads)
+        assert sorted(v for c in found for v in c) == list(range(n))
+        block = {v: k for k, c in enumerate(found) for v in c}
+        for c in found:
+            assert list(c) == sorted(c)
+        for i in range(n):
+            for j in range(n):
+                assert (block[i] == block[j]) == (R[i, j] and R[j, i])
+                # topological: a node reaches only its own and earlier blocks
+                assert not R[i, j] or block[j] <= block[i]
+
+
+@pytest.mark.parametrize("reads, found", [
+    ([], []),
+    ([[]], [(0,)]),
+    ([[0], [0, 1], [1, 3], [2]], [(0,), (1,), (2, 3)]),
+    ([[2], [0], [0], [1]], [(0, 2), (1,), (3,)]),
+], ids=["empty", "one node", "tail then cycle", "cycle then tail"])
+def test_strong_components_small(reads, found):
+    assert strong_components(reads) == found
+
+
+@pytest.mark.parametrize("reads", [
+    [[i + 1] for i in range(4999)] + [[]],
+    [[(i + 1) % 5000] for i in range(5000)],
+], ids=["path", "ring"])
+def test_strong_components_of_a_long_path_need_no_recursion(reads):
+    # the depth-first search runs 5000 nodes deep, past Python's recursion limit
+    found = strong_components(reads)
+    assert found == ([(i,) for i in reversed(range(5000))] if reads[-1] == []
+                     else [tuple(range(5000))])
+
+
+def test_connectivity_classes_match_reachability():
+    rng = np.random.default_rng(37)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        directed = bool(rng.integers(2))
+        edges = {(int(a), int(b)) for a, b in rng.integers(1, n + 1, (int(rng.integers(0, 12)), 2))
+                 if a != b}
+        if not directed:
+            edges |= {(b, a) for a, b in edges}
+        g = CommGraph(n, directed=directed, edges=edges)
+        reads = [[i - 1 for j, i in edges if j == k + 1] for k in range(n)]
+        skeleton = [[k for k in range(n) if k in r or j in reads[k]] for j, r in enumerate(reads)]
+        want = ("disconnected" if not reachability(skeleton).all() else
+                "connected-undirected" if not directed else
+                "strongly-connected" if reachability(reads).all() else "weakly-connected")
+        assert check_connected(g) == want
+        seen.add(want)
+    assert len(seen) == 4

@@ -1,11 +1,17 @@
 """neseek.rng draws numpy's ``default_rng(seed)`` stream, bit for bit."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from conftest import sensor_plants
+from conftest import sensor_plants, sensor_scenario_doc
+from neseek.cli import main
 from neseek.plant import sample_perturbation
 from neseek.rng import Generator
+from neseek.scenario import load_controllers, load_scenario
+from neseek.synthesis import assemble_closed_loop, certify_stability
 from test_sim import _hetero_loop
 
 # one 32-bit entropy word up to 2**32 - 1, two from 2**32, three past 2**64;
@@ -58,3 +64,24 @@ def test_sample_perturbation_is_the_same_under_both_generators(plants, seed):
         for name in got:
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_sim_draws_a_seed_of_five_entropy_words(tmp_path, capsys):
+    # 2**128 is five 32-bit words, one more than SeedSequence's pool
+    # holds; the fifth is mixed into every pool word
+    seed = 2**128
+    path, ctrl = tmp_path / "scenario.json", tmp_path / "ctrl.json"
+    path.write_text(json.dumps(sensor_scenario_doc(
+        "digraph", sim={"dt": 1e-3, "t_end": 0.1, "record_stride": 10})))
+    assert main(["synth", str(path), "--out", str(ctrl)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(path), "--controllers", str(ctrl), "--out", str(tmp_path / "run.csv"),
+                 "--perturb-scale", "0.02", "--seed", str(seed)]) == 0
+    printed = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("closed-loop abscissa: ")]
+    scn = load_scenario(path)
+    ref = np.random.default_rng(seed)
+    plants = [dataclasses.replace(p, **sample_perturbation(p, 0.02, ref)) for p in scn.plants]
+    cl = assemble_closed_loop(scn.game, plants, scn.exos,
+                              load_controllers(ctrl, scn)["controllers"], scn.strategy)
+    assert printed == [f"closed-loop abscissa: {certify_stability(cl)[1]!r}"]

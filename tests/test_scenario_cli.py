@@ -21,7 +21,7 @@ import neseek.cli
 import neseek.linalg
 import neseek.svgplot
 from neseek.cli import main
-from neseek.errors import ScenarioError, StaleControllerError, SynthesisError
+from neseek.errors import ScenarioError, StaleControllerError
 from neseek.scenario import (
     CONTROLLER_FIELDS,
     CONTROLLER_FORMAT,
@@ -32,7 +32,7 @@ from neseek.scenario import (
     scenario_hash,
     scenario_to_dict,
 )
-from neseek.synthesis import SynthesisWeights, assemble_closed_loop, build_controller
+from neseek.synthesis import assemble_closed_loop
 from neseek.svgplot import _points, line_plot
 
 AXIS_A = [[0.0, 1.0], [0.0, -0.2]]
@@ -451,6 +451,40 @@ def test_svg_log_floor_handles_zeros(tmp_path):
     ET.fromstring(plot_text(tmp_path, t, [np.zeros(20)], ["z"], "zeros", "gap"))
 
 
+def sim_svg_ticks(tmp_path, capsys, doc, *flags):
+    """(y tick labels, time tick labels) of each plot ``sim --svg`` draws for ``doc``."""
+    path = write_doc(tmp_path, doc)
+    ctrl, svg = tmp_path / "ctrl.json", tmp_path / "run.svg"
+    assert main(["synth", path, "--out", str(ctrl)]) == 0
+    assert main(["sim", path, "--controllers", str(ctrl), "--out", str(tmp_path / "run.csv"),
+                 "--svg", str(svg), *flags]) == 0
+    capsys.readouterr()
+    row = str(neseek.svgplot.HEIGHT - neseek.svgplot.MARGIN_B + 18)
+    ticks = []
+    for plot in (svg, tmp_path / "run.errors.svg"):
+        texts = list(ET.parse(plot).iter("{http://www.w3.org/2000/svg}text"))
+        ticks.append(([el.text for el in texts if el.get("text-anchor") == "end"],
+                      [el.text for el in texts if el.get("y") == row]))
+    return ticks
+
+
+def test_cli_sim_svg_time_ticks_below_1e_3(tmp_path, capsys):
+    doc = sensor_scenario_doc("digraph", sim={"dt": 1e-3, "t_end": 1.0, "record_stride": 1})
+    ticks = sim_svg_ticks(tmp_path, capsys, doc, "--t-end", "0.002", "--dt", "0.0001")
+    assert [t for _, t in ticks] == [["0", "5e-04", "0.001", "0.0015", "0.002"]] * 2
+
+
+def test_cli_sim_svg_of_a_loop_at_rest(tmp_path, capsys):
+    # zero targets, states and disturbances: every output gap and error
+    # is exactly 0, drawn on the floor of a one-decade axis
+    doc = sensor_scenario_doc("digraph", sim={"dt": 1e-2, "t_end": 1.0, "record_stride": 10})
+    for agent, exo in zip(doc["agents"], doc["exosystems"]):
+        agent["x0"], exo["w0"] = [0.0] * 4, [0.0, 0.0]
+    doc["cost"]["targets"] = [[0.0, 0.0]] * 5
+    ticks = sim_svg_ticks(tmp_path, capsys, doc)
+    assert [y for y, _ in ticks] == [["1e-16", "1e-15"]] * 2
+
+
 def test_cli_check_digraph(tmp_path, capsys):
     path = write_doc(tmp_path, sensor_scenario_doc("digraph"))
     assert main(["check", path]) == 0
@@ -557,8 +591,8 @@ def test_cli_check_assumption_failures(tmp_path):
 
 def test_cli_check_names_a_repeated_failing_mode_once(tmp_path, capsys):
     # agent 1's double integrators with B = 0 fail the PBH test at the
-    # double eigenvalue 0, which A3 names once; the design refuses the
-    # plant naming the same first value
+    # double eigenvalue 0, which A3 names once; synth refuses the plant
+    # by the same check and writes no bundle
     doc = sensor_scenario_doc("digraph")
     doc["agents"][0]["B"] = mat(np.zeros((4, 2)))
     path = write_doc(tmp_path, doc)
@@ -566,10 +600,11 @@ def test_cli_check_names_a_repeated_failing_mode_once(tmp_path, capsys):
     a3 = [line for line in capsys.readouterr().out.splitlines() if " A3 " in line]
     assert a3 == ["  A3 stabilizability and detectability            "
                   "FAIL  agent 1 not stabilizable at 0+0j"]
-    scn = load_scenario(path)
-    with pytest.raises(SynthesisError,
-                       match=r"^\(A, B\) not stabilizable at eigenvalue 0\.0$"):
-        build_controller(scn.plants[0], scn.game.costs[0], scn.exos[0], SynthesisWeights())
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(out)]) == 13
+    assert capsys.readouterr().err.splitlines() == [
+        "error: assumptions [3, 4] fail; run the check command for details"]
+    assert not out.exists()
 
 
 def test_cli_check_missing_file(tmp_path, capsys):

@@ -78,7 +78,6 @@ def toy_loop(a):
         game=game,
         plants=(plant,),
         exos=(exo,),
-        topo_order=None,
     )
 
 
@@ -536,9 +535,11 @@ def test_distributed_matches_stacked_heterogeneous(strategy, stride):
 
 @pytest.mark.parametrize("edges, abscissa", [
     ([(i, i % 5 + 1) for i in range(1, 6)], -0.0604),
-    ([(i, i + 1) for i in range(1, 5)], -0.8639),
+    ([(i, i + 1) for i in range(1, 5)], -0.8660),
 ], ids=["directed 5-ring", "directed path"])
 def test_general_strategy_on_digraphs(edges, abscissa):
+    # the path's loop is block-triangular by agent, and each agent's
+    # block is at -0.86603 (the dense eigensolve read -0.8639)
     s = _build("general", CommGraph(5, directed=True, edges=edges))
     ok, got = certify_stability(s.cl)
     assert ok and got == pytest.approx(abscissa, abs=1e-4)

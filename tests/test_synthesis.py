@@ -6,7 +6,7 @@ import pytest
 
 from neseek.errors import SynthesisError
 from neseek.game import assemble_pseudo_gradient, cost_from_targets, solve_ne
-from neseek.graph import CommGraph, neighbors
+from neseek.graph import CommGraph, check_acyclic, neighbors
 from neseek.internal_model import build_p_copy
 from neseek.linalg import eigenvalues
 from neseek.plant import (
@@ -37,6 +37,7 @@ from conftest import (
     SENSOR_C,
     SENSOR_P,
     SENSOR_S,
+    _mat,
     chain_loop,
     is_hurwitz,
     perfbench_scenarios,
@@ -103,31 +104,47 @@ def undisturbed_setup(A, B, C):
     return plant, game.costs[0], exo
 
 
+def synth_alone(tmp_path, capsys, plant):
+    """``synth``'s exit status and stderr lines on ``plant`` as the one,
+    undisturbed agent of a scenario; a refusal writes no bundle."""
+    doc = {"name": "alone", "strategy": "digraph",
+           "graph": {"directed": True, "edges": []},
+           "agents": [{"A": _mat(plant.A), "B": _mat(plant.B), "C": _mat(plant.C),
+                       "x0": [0.0] * plant.n}],
+           "exosystems": [{"S": _mat(np.zeros((0, 0))), "w0": []}],
+           "cost": {"targets": [[0.0] * plant.p]}}
+    path, out = tmp_path / "alone.json", tmp_path / "ctrl.json"
+    path.write_text(json.dumps(doc))
+    code = main(["synth", str(path), "--out", str(out)])
+    assert code == 0 or not out.exists()
+    return code, capsys.readouterr().err.splitlines()
+
+
 def test_observer_gain_undetectable():
-    # the mode at 1 is unstable and C = 0 cannot see it
+    # the mode at 1 is unstable and C = 0 cannot see it; synth refuses
+    # the plant by A3, and a direct call is refused by the CARE's gates
     plant, cost, exo = undisturbed_setup(np.eye(2), np.eye(2), np.zeros((1, 2)))
-    with pytest.raises(SynthesisError,
-                       match=r"^\(A, C\) not detectable at eigenvalue 1\.0$"):
-        build_controller(plant, cost, exo, SynthesisWeights())
-    # called directly, the design is refused by the CARE's gates
-    with pytest.raises(SynthesisError,
-                       match=r"^no stabilizing Riccati solution: residual .* exceeds "):
-        _observer_gain(plant.A, plant.C, SynthesisWeights())
+    for design in (lambda: build_controller(plant, cost, exo, SynthesisWeights()),
+                   lambda: _observer_gain(plant.A, plant.C, SynthesisWeights())):
+        with pytest.raises(SynthesisError,
+                           match=r"^no stabilizing Riccati solution: residual .* exceeds "):
+            design()
 
 
-def test_observer_gain_agrees_with_assumption_3():
+def test_observer_gain_agrees_with_assumption_3(tmp_path, capsys):
     # eigenvalues +-1j come out with real part about -1e-16; A3 treats
-    # them as marginal and so must the synthesis, which runs the same check
+    # them as marginal, so synth, which runs the same check, refuses the
+    # plant, and a direct call is refused by the CARE's gates
     A = np.array([[-1.0, 2.0], [-1.0, 1.0]])
     plant, cost, exo = undisturbed_setup(A, np.eye(2), np.zeros((1, 2)))
-    witnesses = check_assumption_3(plant)["detectable"]
-    assert witnesses
-    with pytest.raises(SynthesisError) as err:
-        build_controller(plant, cost, exo, SynthesisWeights())
-    assert str(err.value) == f"(A, C) not detectable at eigenvalue {witnesses[0]}"
-    with pytest.raises(SynthesisError,
-                       match=r"^no stabilizing Riccati solution: residual .* exceeds "):
-        _observer_gain(A, plant.C, SynthesisWeights())
+    assert check_assumption_3(plant)["detectable"]
+    assert synth_alone(tmp_path, capsys, plant) == (
+        13, ["error: assumptions [3, 4] fail; run the check command for details"])
+    for design in (lambda: build_controller(plant, cost, exo, SynthesisWeights()),
+                   lambda: _observer_gain(A, plant.C, SynthesisWeights())):
+        with pytest.raises(SynthesisError,
+                           match=r"^no stabilizing Riccati solution: residual .* exceeds "):
+            design()
 
 
 def test_augmented_stabilizer_scalar_integrator():
@@ -156,28 +173,30 @@ def test_augmented_stabilizer_axis_plant():
 
 
 def test_augmented_stabilizer_no_control_authority():
-    # B = 0 cannot reach the integrator's mode at 0
+    # B = 0 cannot reach the integrator's mode at 0; synth refuses the
+    # plant by A3, and a direct call is refused by the CARE's gates
     plant, cost, exo = undisturbed_setup(0.0, 0.0, 1.0)
-    with pytest.raises(SynthesisError,
-                       match=r"^\(A, B\) not stabilizable at eigenvalue 0\.0$"):
+    singular = r"^no stabilizing Riccati solution: singular sign iterate \(Singular matrix\)$"
+    with pytest.raises(SynthesisError, match=singular):
         build_controller(plant, cost, exo, SynthesisWeights())
-    # called directly, the design is refused by the CARE's gates
-    with pytest.raises(SynthesisError, match=r"^no stabilizing Riccati solution: "
-                                             r"singular sign iterate \(Singular matrix\)$"):
+    with pytest.raises(SynthesisError, match=singular):
         _augmented_stabilizer(
             np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
             np.zeros((1, 1)), np.ones((1, 1)), SynthesisWeights(),
         )
 
 
-def test_build_controller_refuses_a_plant_failing_only_assumption_4():
+def test_build_controller_refuses_a_plant_failing_only_assumption_4(tmp_path, capsys):
     # stable and so stabilizable and detectable, but C = 0 leaves the
     # pencil rank-deficient at the constant channel's mode 0
     plant, cost, exo = undisturbed_setup(-1.0, 1.0, 0.0)
     assert check_assumption_3(plant) == {"stabilizable": [], "detectable": []}
     assert np.allclose(check_assumption_4(plant, exo), [0.0])
-    with pytest.raises(SynthesisError,
-                       match=r"^rank condition fails at exosystem mode\(s\) 0\+0j$"):
+    assert synth_alone(tmp_path, capsys, plant) == (
+        14, ["error: assumptions [4] fail; run the check command for details"])
+    # called directly, the augmented pair has no stabilizing gain
+    with pytest.raises(SynthesisError, match=r"^no stabilizing Riccati solution: "
+                                             r"singular sign iterate \(Singular matrix\)$"):
         build_controller(plant, cost, exo, SynthesisWeights())
 
 
@@ -289,13 +308,16 @@ def test_cost_plant_dimension_mismatch(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_build_controller_rejects_unstabilizable_plant():
-    # the mode at +1 is unstable and the input cannot reach it
+def test_build_controller_rejects_unstabilizable_plant(tmp_path, capsys):
+    # the mode at +1 is unstable and the input cannot reach it: synth
+    # refuses the plant by A3, and a direct call by the CARE's gates
     game, _, exo = isolated_setup(disturbed=False)
     plant = AgentPlant(A=np.diag([1.0, -1.0]), B=np.array([[0.0], [1.0]]),
                        C=np.array([[1.0, 0.0]]), P=np.zeros((2, 0)))
-    with pytest.raises(SynthesisError,
-                       match=r"^\(A, B\) not stabilizable at eigenvalue 1\.0$"):
+    assert synth_alone(tmp_path, capsys, plant) == (
+        13, ["error: assumptions [3, 4] fail; run the check command for details"])
+    with pytest.raises(SynthesisError, match=r"^no stabilizing Riccati solution: "
+                                             r"singular sign iterate \(Singular matrix\)$"):
         build_controller(plant, game.costs[0], exo, SynthesisWeights())
 
 
@@ -344,7 +366,13 @@ def test_dag_relabel_zero_pattern():
         cl = assemble_closed_loop(game, plants, exos, controllers, "digraph")
         # z-blocks permuted by the topological order: everything above
         # the block diagonal must be exactly zero.
-        order = list(cl.topo_order)
+        ok, order = check_acyclic(g)
+        assert ok
+        # so the loop's own split is one block per agent, each after
+        # the agents it reads
+        assert sorted(cl.components) == [(i,) for i in range(n_agents)]
+        position = {agents[0] + 1: k for k, agents in enumerate(cl.components)}
+        assert all(position[j] < position[i] for j, i in edges)
         block = [
             slice(cl.x_slices[i].start,
                   cl.ctrl_slices[i].stop)
@@ -443,7 +471,6 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
-        topo_order=None,
         game=None,
         plants=None,
         exos=None,
@@ -572,13 +599,13 @@ def _separated_abscissa(plant, cost, c):
                np.max(eigenvalues(cascade).real))
 
 
-@pytest.mark.parametrize("n", [70, 100])
-def test_chain_digraph_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
-    # The dense eigensolve of these block-triangular loops put their
-    # abscissa at +0.046 (N = 70) and +0.191 (N = 100); each agent's
-    # diagonal block is at -0.6163.
-    doc = perfbench_scenarios().chain(n, "digraph", 1,
-                                     {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
+def synth_chain_dag(n, strategy, tmp_path, capsys):
+    """(stored abscissa, per-agent oracle) of ``synth`` on perfbench's
+    ``chain(n)`` DAG, directed, under ``strategy``."""
+    scenarios = perfbench_scenarios()
+    doc = scenarios.chain(n, strategy, 1, {"dt": 1e-3, "t_end": 5.0, "record_stride": 100})
+    doc["graph"] = {"directed": True,
+                    "edges": [list(e) for e in scenarios.chain_with_skips(n)]}
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "ctrl.json"
@@ -589,8 +616,28 @@ def test_chain_digraph_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
     controllers = load_controllers(out, scn)["controllers"]
     oracle = max(_separated_abscissa(p, cost, c) for p, cost, c
                  in zip(scn.plants, scn.game.costs, controllers))
+    return abscissa, oracle
+
+
+@pytest.mark.parametrize("n", [70, 100])
+def test_chain_digraph_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
+    # The dense eigensolve of these block-triangular loops put their
+    # abscissa at +0.046 (N = 70) and +0.191 (N = 100); each agent's
+    # diagonal block is at -0.6163.
+    abscissa, oracle = synth_chain_dag(n, "digraph", tmp_path, capsys)
     assert abs(abscissa - oracle) <= 1e-12
     assert round(abscissa, 4) == -0.6163
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_chain_dag_general_synth_certifies_by_agent_blocks(n, tmp_path, capsys):
+    # The general loop on the directed chain is block-triangular by agent
+    # too, read from A_c.  The dense eigensolve stored -0.8645, -0.8079
+    # and -0.7310 (N = 5, 20, 50); each agent's diagonal block is at
+    # -0.86603.
+    abscissa, oracle = synth_chain_dag(n, "general", tmp_path, capsys)
+    assert abs(abscissa - oracle) <= 1e-12
+    assert round(abscissa, 5) == -0.86603
 
 
 def test_digraph_spectra_split_by_agent(sensor_digraph, sensor_general):
@@ -602,13 +649,25 @@ def test_digraph_spectra_split_by_agent(sensor_digraph, sensor_general):
     # eigenvalues repeated across the five equal blocks by up to ~1e-4
     gap = np.abs(split[:, None] - dense[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-3
-    assert len(sensor_general.cl.spectra) == 1
+    # bitwise the per-agent slices, in agent order on this DAG
+    assert cl.components == tuple((i,) for i in range(5))
+    for e, x, c in zip(cl.spectra, cl.x_slices, cl.ctrl_slices):
+        assert e.tobytes() == eigenvalues(cl.A_c[x.start:c.stop, x.start:c.stop]).tobytes()
+    # the undirected general loop is one block, bitwise the dense spectrum
+    assert sensor_general.cl.components == (tuple(range(5)),)
+    assert sensor_general.cl.spectra[0].tobytes() == eigenvalues(sensor_general.cl.A_c).tobytes()
     assert worst_agent(sensor_general.cl) is None
-    # an entry above the block triangle voids the split: one dense spectrum
+    # agent 1 reading agent 5 closes the cycle 1 -> 3 -> 5 -> 1 of the
+    # DAG's edges 1 -> 3 and 3 -> 5: agents 1, 3 and 5 become one block,
+    # which is not a run of consecutive agents
     A_c = cl.A_c.copy()
-    first, last = cl.topo_order[0] - 1, cl.topo_order[-1] - 1
-    A_c[cl.x_slices[first].start, cl.x_slices[last].start] = 1e-3
-    assert len(dataclasses.replace(cl, A_c=A_c).spectra) == 1
+    A_c[cl.x_slices[0].start, cl.x_slices[4].start] = 1e-3
+    cycled = dataclasses.replace(cl, A_c=A_c)
+    assert cycled.components == ((0, 2, 4), (1,), (3,))
+    rows = np.r_[cl.x_slices[0].start:cl.ctrl_slices[0].stop,
+                 cl.x_slices[2].start:cl.ctrl_slices[2].stop,
+                 cl.x_slices[4].start:cl.ctrl_slices[4].stop]
+    assert cycled.spectra[0].tobytes() == eigenvalues(A_c[np.ix_(rows, rows)]).tobytes()
 
 
 def test_worst_agent_names_the_unstable_block(tmp_path, capsys):
@@ -623,6 +682,73 @@ def test_worst_agent_names_the_unstable_block(tmp_path, capsys):
     # the stated perturbation is named, not the weights, which cannot undo it
     assert len(err) == 1 and err[0].endswith(
         " at agent 3) with the stated perturbations of agent 3 (dA)"), err
+
+
+def cycle_and_tail_doc(edges):
+    """General-strategy scenario of four undisturbed one-axis agents on the
+    digraph ``edges``; each agent has its own damping and input gain, so
+    the loop's eigenvalues are simple and well apart."""
+    return {"name": "cycle-and-tail", "strategy": "general",
+            "graph": {"directed": True, "edges": edges},
+            "agents": [{"A": _mat([[0.0, 1.0], [0.0, -0.2 - 0.5 * k]]),
+                        "B": _mat([[0.0], [1.0 + k]]), "C": _mat([[1.0, 0.0]]),
+                        "x0": [float(k), 0.0]} for k in range(4)],
+            "exosystems": [{"S": _mat(np.zeros((0, 0))), "w0": []}] * 4,
+            "cost": {"targets": [[float(k)] for k in range(4)]}}
+
+
+@pytest.mark.parametrize("edges, components", [
+    ([[1, 2], [2, 1], [2, 3], [3, 4]], ((0, 1), (2,), (3,))),
+    ([[1, 3], [3, 1], [1, 2], [2, 4]], ((0, 2), (1,), (3,))),
+], ids=["consecutive cycle", "cycle of agents 1 and 3"])
+def test_general_loop_on_a_cycle_with_a_tail_splits_by_component(
+        edges, components, tmp_path, capsys):
+    # the 2-cycle is one diagonal block of A_c, and each tail agent one
+    path, out = tmp_path / "scenario.json", tmp_path / "ctrl.json"
+    path.write_text(json.dumps(cycle_and_tail_doc(edges)))
+    assert main(["synth", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    scn = load_scenario(path)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
+                              load_controllers(out, scn)["controllers"], "general")
+    assert cl.components == components
+    split, dense = np.concatenate(cl.spectra), eigenvalues(cl.A_c)
+    assert split.shape == dense.shape
+    gap = np.abs(split[:, None] - dense[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10
+    assert json.loads(out.read_text())["certificates"]["abscissa"] == certify_stability(cl)[1]
+
+
+@pytest.mark.parametrize("agent, named", [(1, "agents 1, 2"), (4, "agent 4")])
+def test_worst_agent_names_every_agent_of_the_unstable_block(agent, named, tmp_path, capsys):
+    # the stated dA turns the agent's damping into growth; its block is
+    # the 2-cycle {1, 2} or the tail agent 4
+    doc = cycle_and_tail_doc([[1, 2], [2, 1], [2, 3], [3, 4]])
+    doc["agents"][agent - 1]["dA"] = _mat([[0.0, 0.0], [0.0, 5.0]])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["synth", str(path), "--out", str(tmp_path / "c.json")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(
+        f" at {named}) with the stated perturbations of agent {agent} (dA)"), err
+
+
+def test_worst_agent_breaks_a_tie_by_the_lowest_agent():
+    # on the path 3 -> 2 -> 1 agent 2's block comes before agent 1's in
+    # topological order; both read one neighbor, so with the same stated
+    # dA their unstable blocks are equal and their abscissas tie
+    g = CommGraph(3, directed=True, edges=[(3, 2), (2, 1)])
+    game = cost_from_targets([np.zeros(1)] * 3, g)
+    plants = [dataclasses.replace(axis_plant(), dA=np.diag([0.0, 3.0] if i < 2 else [0.0, 0.0]))
+              for i in range(3)]
+    exos = [axis_exo()] * 3
+    controllers = [build_controller(p, cost, e, SynthesisWeights())
+                   for p, cost, e in zip(plants, game.costs, exos)]
+    cl = assemble_closed_loop(game, plants, exos, controllers, "digraph")
+    assert cl.components == ((2,), (1,), (0,))
+    abscissas = [np.max(e.real) for e in cl.spectra]
+    assert abscissas[1] == abscissas[2] > 0
+    assert worst_agent(cl) == (1,)
 
 
 def test_chain100_general_regulator_residuals():
