@@ -139,17 +139,15 @@ class ClosedLoopSystem:
     def spectra(self):
         """Eigenvalues of A_c, one array per block of ``components``, computed once.
 
-        A block of every agent is A_c itself.  A loop whose agents read no
-        cycle has a block per agent, avoiding the dense eigensolve whose
+        A block of every agent holds all of A_c.  A loop whose agents read
+        no cycle has a block per agent, avoiding the dense eigensolve whose
         error on a long chain of equal blocks exceeds the stability margin.
         """
         bounds = [x.start for x in self.x_slices] + [self.dim_z]
         spectra = []
         for agents in self.components:
             idx = np.concatenate([np.arange(bounds[a], bounds[a + 1]) for a in agents])
-            if idx.size == idx[-1] - idx[0] + 1:  # consecutive agents: a slice of A_c
-                idx = slice(idx[0], idx[-1] + 1)
-            spectra.append(linalg.eigenvalues(self.A_c[idx][:, idx]))
+            spectra.append(linalg.eigenvalues(self.A_c[np.ix_(idx, idx)]))
         return tuple(spectra)
 
     def initial_state(self):
@@ -210,8 +208,10 @@ def build_controller(plant, cost, exo, weights):
     are designed on the nominal plant with Rw = R_ii + R_ii' and the
     CARE weights of ``weights``.  ``synth``'s ``run_checks`` refuses a plant
     failing A3 or A4 first (Rw is nonsingular, so (A, Rw C) passes exactly
-    when (A, C) does, and G1's eigenvalues are A4's spec(S) plus {0}); a
-    direct call meets ``linalg.solve_care``'s gates.
+    when (A, C) does, and G1's eigenvalues are A4's spec(S) plus {0}).  A
+    direct call trusts its plant: ``linalg.solve_care``'s gates refuse the
+    unstable cases, but a mode that A3 or A4 flag at -1e-9 <= Re lam < 0
+    (``plant._EIG_TOL``) can still get a gain.
     """
     Cw = (cost.R_ii + cost.R_ii.T) @ plant.C
     G1, G2 = build_p_copy(exo.S_tilde, plant.p)
