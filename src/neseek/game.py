@@ -146,10 +146,13 @@ def check_assumption_1(pg):
     """Strong monotonicity of F: is (Rbar + Rbar')/2 positive definite?
 
     Returns (bool, lambda_min); lambda_min is the monotonicity modulus.
+    It must exceed ``linalg.singular_cut`` of Rbar, the cut at which
+    ``solve_ne`` would call Rbar singular: sigma_min(Rbar) >= lambda_min,
+    so a passing game has an NE that ``solve_ne`` can solve for.
     """
     sym = 0.5 * (pg.Rbar + pg.Rbar.T)
     lam_min = float(np.min(np.linalg.eigvalsh(sym)))
-    return lam_min > 0, lam_min
+    return lam_min > linalg.singular_cut(len(sym), np.linalg.norm(pg.Rbar, 2)), lam_min
 
 
 def solve_ne(pg):

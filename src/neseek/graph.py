@@ -45,57 +45,36 @@ def neighbors(g, i):
     return {j for j, k in g.edges if k == i}
 
 
+def _reads(n, edges):
+    """Predecessor lists on 0..n-1: ``reads[i - 1]`` holds j - 1 per edge (j, i)."""
+    reads = [[] for _ in range(n)]
+    for j, i in sorted(edges):
+        reads[i - 1].append(j - 1)
+    return reads
+
+
 def check_acyclic(g):
-    """Kahn's algorithm on a digraph.
+    """Assumption 5 read off ``strong_components`` of the digraph.
 
-    Returns ``(True, order)`` with a topological order (sources first;
-    relabeling by it makes the closed-loop matrix block lower
-    triangular), or ``(False, cycle)`` with one directed cycle as
-    witness.  An undirected graph holds both orientations of each edge,
-    so any edge of it is a 2-cycle.
+    Returns ``(True, order)`` when every component holds one agent: the
+    components' order is a topological one (sources first; relabeling by
+    it makes the closed-loop matrix block lower triangular).  Otherwise
+    returns ``(False, cycle)`` with one directed cycle as witness, found
+    inside the first component of more than one agent.  An undirected
+    graph holds both orientations of each edge, so any edge of it is a
+    2-cycle.
     """
-    succ = {i: [] for i in range(1, g.agent_count + 1)}
-    indeg = {i: 0 for i in range(1, g.agent_count + 1)}
-    for j, i in sorted(g.edges):
-        succ[j].append(i)
-        indeg[i] += 1
-
-    ready = sorted(i for i in indeg if indeg[i] == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        inserted = False
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-                inserted = True
-        if inserted:
-            ready.sort()
-
-    if len(order) == g.agent_count:
-        return True, order
-
-    # strip leftover nodes with no successor among the leftovers; a cycle
-    # always survives, and walking min-successors inside it must repeat
-    core = {i for i in indeg if indeg[i] > 0}
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(core):
-            if not any(n in core for n in succ[node]):
-                core.remove(node)
-                changed = True
-    seen = {}
-    path = []
-    node = min(core)
-    while node not in seen:
-        seen[node] = len(path)
+    reads = _reads(g.agent_count, g.edges)
+    found = strong_components(reads)
+    loop = next((set(c) for c in found if len(c) > 1), None)
+    if loop is None:
+        return True, [c[0] + 1 for c in found]
+    # a walk to the lowest predecessor in the component must repeat
+    path, node = [], min(loop)
+    while node not in path:
         path.append(node)
-        node = min(n for n in succ[node] if n in core)
-    cycle = path[seen[node]:] + [node]
-    return False, cycle
+        node = min(j for j in reads[node] if j in loop)
+    return False, [j + 1 for j in reversed(path[path.index(node):] + [node])]
 
 
 def strong_components(reads):
@@ -146,14 +125,10 @@ def check_connected(g):
     only ever map to the first two; digraphs to the rest.  The skeleton
     holds every edge both ways, so its strong components are connected ones.
     """
-    succ = [[] for _ in range(g.agent_count)]
-    skeleton = [[] for _ in range(g.agent_count)]
-    for j, i in g.edges:
-        succ[j - 1].append(i - 1)
-        skeleton[j - 1].append(i - 1)
-        skeleton[i - 1].append(j - 1)
+    skeleton = _reads(g.agent_count, g.edges | {(i, j) for j, i in g.edges})
     if len(strong_components(skeleton)) > 1:
         return "disconnected"
     if not g.directed:
         return "connected-undirected"
-    return "strongly-connected" if len(strong_components(succ)) == 1 else "weakly-connected"
+    reads = _reads(g.agent_count, g.edges)
+    return "strongly-connected" if len(strong_components(reads)) == 1 else "weakly-connected"

@@ -13,6 +13,7 @@ from .errors import NeseekError, SynthesisError
 __all__ = [
     "eigenvalues",
     "rank",
+    "singular_cut",
     "solve_linear",
     "solve_sylvester",
     "solve_care",
@@ -66,20 +67,25 @@ def rank(M):
     return int(np.count_nonzero(s > tol))
 
 
+def singular_cut(n, sigma_max):
+    """``n * eps * sigma_max``: an n x n matrix whose smallest singular value
+    is at or below this cut is singular within working precision."""
+    return n * np.finfo(float).eps * sigma_max
+
+
 def solve_linear(A, b):
     """Solve ``A x = b`` for nonsingular ``A``.
 
     Raises
     ------
     NeseekError
-        If ``A`` is singular within working precision; the message
-        states the condition estimate.
+        If ``A``'s smallest singular value is at or below
+        ``singular_cut``; the message states the condition estimate.
     """
     A = _as_finite(A, "A")
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= n * np.finfo(float).eps * s[0]:
+    if s[-1] <= singular_cut(A.shape[0], s[0]):
         cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
         raise NeseekError(f"matrix is numerically singular (cond ~ {cond:.3e})")
     return np.linalg.solve(A, b)

@@ -23,6 +23,13 @@ def random_dag(rng, n):
     return CommGraph(n, directed=True, edges=edges)
 
 
+def random_digraph(rng, n, p):
+    # Each ordered pair is an edge with probability p: cycles are common.
+    return CommGraph(n, directed=True, edges=[(a, b) for a in range(1, n + 1)
+                                              for b in range(1, n + 1)
+                                              if a != b and rng.random() < p])
+
+
 def test_neighbors_directed():
     g = CommGraph(4, directed=True, edges=[(1, 2), (1, 3)])
     assert neighbors(g, 2) == {1}
@@ -87,20 +94,31 @@ def test_acyclic_undirected_edge_is_a_two_cycle():
 
 def test_acyclic_iff_relabeled_strictly_lower_triangular():
     rng = np.random.default_rng(17)
-    for _ in range(50):
-        n = int(rng.integers(2, 13))
-        g = random_dag(rng, n)
-        ok, order = check_acyclic(g)
-        assert ok
+    graphs = [random_dag(rng, int(rng.integers(2, 13))) for _ in range(50)]
+    graphs += [random_digraph(rng, int(rng.integers(1, 10)), 0.2) for _ in range(200)]
+    verdicts = []
+    for g in graphs:
+        n = g.agent_count
+        ok, witness = check_acyclic(g)
+        # Warshall: an edge (j, i) closes a cycle exactly when i reaches j
+        R = reachability([[i - 1 for j, i in g.edges if j == k + 1] for k in range(n)])
+        assert ok == (not any(R[i - 1, j - 1] for j, i in g.edges))
+        verdicts.append(ok)
+        if not ok:
+            assert witness[0] == witness[-1] and len(set(witness)) == len(witness) - 1
+            assert all(step in g.edges for step in zip(witness, witness[1:]))
+            continue
+        assert sorted(witness) == list(range(1, n + 1))
         # Relabel agents by the topological order: receiving agents get
         # higher indices, so the adjacency becomes strictly lower
         # triangular (exact-zero pattern, not a tolerance test).
-        pos = {agent: k for k, agent in enumerate(order)}
+        pos = {agent: k for k, agent in enumerate(witness)}
         P = np.zeros((n, n))
         for agent, k in pos.items():
             P[k, agent - 1] = 1.0
         M = P @ adjacency(g) @ P.T
         assert np.array_equal(np.triu(M), np.zeros((n, n)))
+    assert all(verdicts[:50]) and not all(verdicts[50:])
 
 
 def test_cycle_detected_on_random_dag_plus_back_edge():
@@ -154,20 +172,12 @@ def test_strong_implies_weak_on_random_digraphs():
     strong_seen = 0
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        edges = []
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a != b and rng.random() < 0.35:
-                    edges.append((a, b))
-        g = CommGraph(n, directed=True, edges=edges)
+        g = random_digraph(rng, n, 0.35)
         verdict = check_connected(g)
         if verdict == "strongly-connected":
             strong_seen += 1
-            skeleton = CommGraph(
-                n, directed=True,
-                edges=list({(a, b) for a, b in edges}
-                           | {(b, a) for a, b in edges}),
-            )
+            skeleton = CommGraph(n, directed=True,
+                                 edges=g.edges | {(b, a) for a, b in g.edges})
             assert check_connected(skeleton) != "disconnected"
     assert strong_seen > 0
 

@@ -19,6 +19,7 @@ from conftest import sensor_scenario_doc
 from reference_loop import simulate_distributed
 import neseek.cli
 import neseek.linalg
+import neseek.sim
 import neseek.svgplot
 from neseek.cli import main
 from neseek.errors import ScenarioError, StaleControllerError
@@ -635,6 +636,29 @@ def test_cli_ne_refuses_without_monotonicity(tmp_path, capsys):
         b["R_ii"] = mat([[1.0]])
     assert main(["ne", write_doc(tmp_path, doc)]) == 11
     assert "monotone" in capsys.readouterr().err
+
+
+def test_cli_a1_refuses_a_pseudo_gradient_too_near_singular_to_solve(tmp_path, capsys):
+    # R_ii's symmetric part is positive definite, but its lambda_min of
+    # 2e-17 lies below the cut at which the NE solve calls Rbar singular:
+    # every command refuses the game by A1
+    doc = sensor_scenario_doc("digraph")
+    doc["graph"]["edges"] = []
+    for key in ("agents", "exosystems"):
+        doc[key] = doc[key][:1]
+    doc["cost"] = {"blocks": [{"R_ii": mat(np.diag([1.0, 1e-17])), "Q_ii": [1.0, 1.0],
+                               "q_i": 0.0, "R_ij": {}, "Q_ij": {}}]}
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 11
+    a1 = [line for line in capsys.readouterr().out.splitlines() if " A1 " in line]
+    assert a1 == ["  A1 pseudo-gradient strong monotonicity          FAIL  lambda_min=2e-17"]
+    assert main(["ne", path]) == 11
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pseudo-gradient not strongly monotone (lambda_min=2e-17); "
+        "no unique NE certificate"]
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(out)]) == 11
+    assert not out.exists()
 
 
 def test_cli_synth_and_determinism(tmp_path, capsys):
@@ -1393,6 +1417,34 @@ def test_cli_sim_svg_of_overflowing_norms(sensor_bundle, tmp_path, capsys):
             assert len(line.get("points").split(" ")) == 327
 
 
+def test_cli_sim_replays_a_record_whose_step_map_power_overflows(tmp_path):
+    # the loop of the tests above, recorded once at t = 32.7: the stride's
+    # power of the step map overflows, the state it maps stays finite, so
+    # the record is replayed one step at a time and written
+    doc = sensor_scenario_doc(
+        "digraph", sim={"dt": 1e-3, "t_end": 32.7, "record_stride": 32700})
+    path = write_doc(tmp_path, doc)
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(ctrl)]) == 0
+    bundle = json.loads(ctrl.read_text())
+    K1 = bundle["agents"][0]["K1"]
+    K1["data"] = [5.0 * abs(v) for v in K1["data"]]
+    ctrl.write_text(json.dumps(bundle))
+    scn = load_scenario(path)
+    cl = assemble_closed_loop(scn.game, scn.plants, scn.exos,
+                              load_controllers(ctrl, scn)["controllers"], "digraph")
+    M = neseek.sim._rk4_map(cl.A_c, cl.P_c, *neseek.sim._exo_steppers(cl.S_hat, 1e-3), 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.matrix_power(M, 32700)).all()
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sim", path, "--controllers", str(ctrl), "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape[0] == 2 and rows[1, 0] == 32.7
+    assert np.isfinite(rows).all() and np.abs(rows[1]).max() > 1e306
+
+
 def test_cli_sim_os_errors_name_the_out_path(sensor_bundle, tmp_path, capsys):
     # the CSV is written to a temporary file first, yet an error opening
     # or moving it names --out, and no temporary file is left
@@ -1761,6 +1813,15 @@ def test_cli_failure_prints_one_error_line(case, make_argv, status, line,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(line.format(tmp=tmp_path)), err
     assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_cli_check_passes_a_regulator_equation_synth_refuses(tmp_path, capsys):
+    # no assumption sees the mode 2e-9 from the constant one, which the
+    # regulator equation's overlap gate refuses (the CLI_OUTCOMES case)
+    doc = sensor_scenario_doc("digraph")
+    _mode_near_the_constant_one(doc)
+    assert main(["check", write_doc(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out.endswith("all applicable assumptions hold\n")
 
 
 def test_cli_synth_takes_its_strategy_from_the_scenario(tmp_path, capsys):
