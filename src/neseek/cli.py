@@ -103,7 +103,7 @@ def run_checks(scn):
     graph assumption not needed by the scenario's strategy is reported
     n/a and never fails the run.
     """
-    a1_ok, lam_min = check_assumption_1(assemble_pseudo_gradient(scn.game))
+    a1_ok, lam_min, cut = check_assumption_1(assemble_pseudo_gradient(scn.game))
     a2 = [f"agent {i}: {_fmt_eigs(offending)}"
           for i, offending in enumerate(map(check_assumption_2, scn.exos), start=1)
           if offending]
@@ -124,7 +124,7 @@ def run_checks(scn):
         a5, a6 = (False, "graph is undirected"), (None, "general strategy only")
     checks = [(k, label, _verdict(ok), detail) for k, label, ok, detail in (
         (1, "A1 pseudo-gradient strong monotonicity", a1_ok,
-         f"lambda_min={lam_min:.6g}"),
+         f"lambda_min={lam_min:.6g}, cut={cut:.3g}"),
         (2, "A2 disturbance persistence (no decaying modes)", not a2, "; ".join(a2)),
         (3, "A3 stabilizability and detectability", not a3, "; ".join(a3)),
         (4, "A4 rank condition at exosystem modes", not a4, "; ".join(a4)),
@@ -155,12 +155,12 @@ def cmd_check(path):
 def cmd_ne(path):
     scn = load_scenario(path)
     pg = assemble_pseudo_gradient(scn.game)
-    ok, lam_min = check_assumption_1(pg)
+    ok, lam_min, cut = check_assumption_1(pg)
     if not ok:
-        raise AssumptionError(
-            1, f"pseudo-gradient not strongly monotone "
-               f"(lambda_min={lam_min:.6g}); no unique NE certificate",
-        )
+        reason = (f"not strongly monotone (lambda_min={lam_min:.6g})" if not lam_min > 0
+                  else f"lambda_min={lam_min:.6g} is at or below the cut {cut:.3g} "
+                       "at which the NE solve calls Rbar singular")
+        raise AssumptionError(1, f"pseudo-gradient {reason}; no unique NE certificate")
     y_star = solve_ne(pg)
     residual = float(np.linalg.norm(pg.Rbar @ y_star + pg.Qbar))
     print(f"lambda_min = {lam_min!r}")
@@ -184,9 +184,10 @@ def cmd_synth(path, out):
         build_controller(plant, cost, exo, scn.weights)
         for plant, cost, exo in zip(scn.plants, scn.game.costs, scn.exos)
     ]
-    cl = _assemble_finite(scn, scn.plants, controllers, f"{path}: the stated perturbations")
     # a failing certificate names the stated perturbations, which no weight undoes
     stated = _stated_perturbations(scn.plants)
+    cl = _assemble_finite(scn, scn.plants, controllers, f"{path}: the " + (
+        "stated perturbations" if stated else "scenario's data"))
     ok, abscissa = certify_stability(cl)
     if not ok:
         agents = worst_agent(cl)
@@ -218,6 +219,7 @@ def cmd_synth(path, out):
         save_controllers(tmp, scn, controllers, certificates)
     print(
         f"synthesized {len(controllers)} {scn.strategy} controllers: "
+        f"dim_z={cl.dim_z}, dim_v={cl.dim_v}, "
         f"abscissa={abscissa!r}, residual_err={reg.residual_err!r}"
     )
     print(f"wrote {out}")

@@ -27,11 +27,9 @@ class SynthesisError(NeseekError):
 
     Raised by ``linalg.solve_care`` (no stabilizing Riccati solution, or
     a gain that does not stabilize), by ``linalg.solve_sylvester``
-    (overlapping spectra: no unique regulator solution), by
-    ``synthesis.build_controller`` (a plant failing A3 or A4), by
-    ``synth`` (a closed loop not Hurwitz, a regulator residual above its
-    bound) and by ``sim`` (an RK4 step map that does not contract at
-    ``--dt``).
+    (overlapping spectra: no unique regulator solution), by ``synth``
+    (a closed loop not Hurwitz, a regulator residual above its bound)
+    and by ``sim`` (an RK4 step map that does not contract at ``--dt``).
     """
 
 

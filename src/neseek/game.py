@@ -50,7 +50,11 @@ class LocalCost:
         Q = np.asarray(self.Q_ii, dtype=float).reshape(-1)
         if Q.shape != (p,):
             raise ScenarioError(f"Q_ii must have {p} entries, got {Q.shape}")
-        sym_min = np.min(np.linalg.eigvalsh(0.5 * (R + R.T)))
+        with np.errstate(over="ignore"):
+            Rw = R + R.T
+        if np.isinf(Rw).any():
+            raise ScenarioError("R_ii + R_ii' overflows")
+        sym_min = np.min(np.linalg.eigvalsh(0.5 * Rw))
         if not sym_min > 0:
             raise ScenarioError(
                 f"R_ii must have positive-definite symmetric part (min eig {sym_min:.3e})"
@@ -145,14 +149,16 @@ def assemble_pseudo_gradient(game):
 def check_assumption_1(pg):
     """Strong monotonicity of F: is (Rbar + Rbar')/2 positive definite?
 
-    Returns (bool, lambda_min); lambda_min is the monotonicity modulus.
-    It must exceed ``linalg.singular_cut`` of Rbar, the cut at which
-    ``solve_ne`` would call Rbar singular: sigma_min(Rbar) >= lambda_min,
-    so a passing game has an NE that ``solve_ne`` can solve for.
+    Returns (bool, lambda_min, cut); lambda_min is the monotonicity
+    modulus.  It must exceed ``cut``, ``linalg.singular_cut`` of Rbar, at
+    which ``solve_ne`` would call Rbar singular: sigma_min(Rbar) >=
+    lambda_min, so a passing game has an NE that ``solve_ne`` can solve
+    for.  Each half is scaled before the sum, which then cannot overflow.
     """
-    sym = 0.5 * (pg.Rbar + pg.Rbar.T)
+    sym = 0.5 * pg.Rbar + 0.5 * pg.Rbar.T
     lam_min = float(np.min(np.linalg.eigvalsh(sym)))
-    return lam_min > linalg.singular_cut(len(sym), np.linalg.norm(pg.Rbar, 2)), lam_min
+    cut = linalg.singular_cut(len(sym), np.linalg.norm(pg.Rbar, 2))
+    return lam_min > cut, lam_min, cut
 
 
 def solve_ne(pg):
@@ -163,9 +169,9 @@ def solve_ne(pg):
         residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
         scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
     if not (scale < np.inf and residual <= 1e-10 * scale):
-        raise NeseekError(
-            f"NE residual {residual:.3e} exceeds 1e-10 scaled bound"
-        )
+        raise NeseekError(f"NE residual {residual:.3e} " + (
+            "is not certified: the scale ||Rbar|| ||y*|| + ||Qbar|| of its bound overflows"
+            if scale == np.inf else "exceeds 1e-10 scaled bound"))
     return y_star
 
 

@@ -275,11 +275,10 @@ def solve_care(A, B, Qw, Rw):
     Rw = _as_finite(Rw, "Rw")
     n = B.shape[0]
 
-    try:
-        Rw_inv_Bt = np.linalg.solve(Rw, B.T)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError(NO_CARE + f"Rw is singular ({exc})") from exc
-    G = B @ Rw_inv_Bt
+    Rw_inv_Bt = np.linalg.solve(Rw, B.T)
+    # an overflowing G makes the sign iterate non-finite, which its gate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = B @ Rw_inv_Bt
     W = _matrix_sign(np.block([[A, -G], [-Qw, -A.T]]))
     I = np.eye(n)
     P = np.linalg.lstsq(np.vstack([W[:n, n:], W[n:, n:] + I]),

@@ -166,13 +166,14 @@ def _pbh_witnesses(A, M, stack):
 
     The test is rank stack([A - lam I, M]) = n: ``np.hstack`` with
     M = B tests stabilizability, ``np.vstack`` with M = C detectability.
-    Real eigenvalues are tested in real arithmetic.
+    Real eigenvalues are tested in real arithmetic.  ``lam I`` is a diagonal:
+    an overflowed eigenvalue leaves no ``0 * inf``, only a diagonal ``rank`` refuses.
     """
     n = A.shape[0]
     return _unique([
         lam for lam in linalg.eigenvalues(A)
         if lam.real >= -_EIG_TOL
-        and linalg.rank(stack([A - _real_if_real(lam) * np.eye(n), M])) < n
+        and linalg.rank(stack([A - np.diag([_real_if_real(lam)] * n), M])) < n
     ])
 
 
@@ -191,7 +192,7 @@ def _regulation_pencil_rank_ok(A, B, C, lam):
     n, m = B.shape
     p = C.shape[0]
     pencil = np.block([
-        [A - _real_if_real(lam) * np.eye(n), B],
+        [A - np.diag([_real_if_real(lam)] * n), B],
         [C, np.zeros((p, m))],
     ])
     return linalg.rank(pencil) == n + p

@@ -92,9 +92,9 @@ class Controller:
 class ClosedLoopSystem:
     """Stacked closed loop with per-agent index bookkeeping.
 
-    ``x_slices`` locate each agent's plant state inside z; ``ctrl_slices``
-    its controller state [xi_i; zeta_i], which directly follows x_i;
-    ``v_slices`` its extended exogenous block.
+    ``x_slices`` locate each agent's plant state inside z, which its
+    controller state [xi_i; zeta_i] directly follows up to the next
+    agent's; ``v_slices`` its extended exogenous block.
     ``C_out`` maps z to the stacked output y through each plant's C_mu.
     """
 
@@ -106,7 +106,6 @@ class ClosedLoopSystem:
     v0: np.ndarray
     C_out: np.ndarray
     x_slices: tuple
-    ctrl_slices: tuple
     v_slices: tuple
     out_slices: tuple
     game: object = field(repr=False)
@@ -299,7 +298,6 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     return ClosedLoopSystem(
         A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
         x_slices=tuple(x_sl),
-        ctrl_slices=tuple(slice(s.stop, z_off[i + 1]) for i, s in enumerate(x_sl)),
         v_slices=tuple(v_sl),
         out_slices=tuple(out_sl),
         game=game, plants=tuple(plants), exos=tuple(exos),

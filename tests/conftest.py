@@ -239,6 +239,13 @@ def verify_internal_model(G1, G2, S_tilde):
     return True
 
 
+def ctrl_slices(cl):
+    """Each agent's controller state [xi_i; zeta_i] inside z: from the end of
+    its plant state to the start of the next agent's."""
+    ends = [x.start for x in cl.x_slices[1:]] + [cl.dim_z]
+    return tuple(slice(x.stop, end) for x, end in zip(cl.x_slices, ends))
+
+
 def steady_state(reg, cl, controllers, v):
     """Steady state induced by exogenous vector v on the regulated subspace.
 
@@ -256,6 +263,6 @@ def steady_state(reg, cl, controllers, v):
     y_ss = cl.C_out @ z_ss
 
     u_ss = np.concatenate([
-        np.hstack([c.K1, c.K2]) @ z_ss[sl] for c, sl in zip(controllers, cl.ctrl_slices)
+        np.hstack([c.K1, c.K2]) @ z_ss[sl] for c, sl in zip(controllers, ctrl_slices(cl))
     ])
     return x_ss, u_ss, y_ss

@@ -27,8 +27,9 @@ class Trajectory:
 
     ``Z`` is in the loop's z layout (``[x_i; xi_i; zeta_i]`` per agent),
     ``Y`` and ``E`` in the game's output layout, and ``W`` holds each
-    agent's disturbance w_i in agent order; ``cl.x_slices``,
-    ``cl.ctrl_slices`` and ``cl.out_slices`` pick out one agent.
+    agent's disturbance w_i in agent order; ``cl.x_slices`` (with the
+    controller state up to the next agent's) and ``cl.out_slices`` pick
+    out one agent.
     """
 
     times: np.ndarray

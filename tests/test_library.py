@@ -145,10 +145,6 @@ OUTSIDE_INPUT = {
     "plant.AgentPlant": {"dA", "dB", "dC", "dP", "x0"},
 }
 
-# read by perfbench/tracing.py, which records each loop's dimensions
-OUTSIDE_READERS = {"synthesis.ClosedLoopSystem.dim_v"}
-
-
 def _is_dataclass(cls):
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
                for d in cls.decorator_list)
@@ -279,7 +275,7 @@ def test_every_default_is_left_out_by_a_library_call():
 
 
 def test_every_property_and_method_is_read_by_the_library():
-    assert sorted(unread_members(package_trees())) == sorted(OUTSIDE_READERS)
+    assert unread_members(package_trees()) == []
 
 
 def test_finder_sees_a_default_no_call_leaves_out():

@@ -278,11 +278,6 @@ def test_solve_care_undamped_modes_do_not_converge():
         solve_care(A, np.zeros((4, 1)), np.zeros((4, 4)), np.eye(1))
 
 
-def test_solve_care_singular_rw():
-    with pytest.raises(SynthesisError, match="^no stabilizing Riccati solution: "):
-        solve_care(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-
-
 def test_solve_care_scalar_integrator():
     K = solve_care(np.array([[0.0]]), np.array([[1.0]]),
                    np.array([[1.0]]), np.array([[1.0]]))

@@ -638,27 +638,127 @@ def test_cli_ne_refuses_without_monotonicity(tmp_path, capsys):
     assert "monotone" in capsys.readouterr().err
 
 
-def test_cli_a1_refuses_a_pseudo_gradient_too_near_singular_to_solve(tmp_path, capsys):
-    # R_ii's symmetric part is positive definite, but its lambda_min of
-    # 2e-17 lies below the cut at which the NE solve calls Rbar singular:
-    # every command refuses the game by A1
+def one_sensor_agent_doc(R_ii=np.eye(2), Q_ii=(1.0, 1.0)):
+    """The sensor network's agent 1 alone, with no edges and the cost block given."""
     doc = sensor_scenario_doc("digraph")
     doc["graph"]["edges"] = []
     for key in ("agents", "exosystems"):
         doc[key] = doc[key][:1]
-    doc["cost"] = {"blocks": [{"R_ii": mat(np.diag([1.0, 1e-17])), "Q_ii": [1.0, 1.0],
+    doc["cost"] = {"blocks": [{"R_ii": mat(R_ii), "Q_ii": list(Q_ii),
                                "q_i": 0.0, "R_ij": {}, "Q_ij": {}}]}
-    path = write_doc(tmp_path, doc)
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_a1_refuses_a_pseudo_gradient_too_near_singular_to_solve(tmp_path, capsys):
+    # R_ii's symmetric part is positive definite, but its lambda_min of
+    # 2e-17 lies below the cut at which the NE solve calls Rbar singular:
+    # every command refuses the game by A1, and check and ne name the cut
+    path = write_doc(tmp_path, one_sensor_agent_doc(R_ii=np.diag([1.0, 1e-17])))
     assert main(["check", path]) == 11
     a1 = [line for line in capsys.readouterr().out.splitlines() if " A1 " in line]
-    assert a1 == ["  A1 pseudo-gradient strong monotonicity          FAIL  lambda_min=2e-17"]
+    assert a1 == ["  A1 pseudo-gradient strong monotonicity          "
+                  "FAIL  lambda_min=2e-17, cut=8.88e-16"]
     assert main(["ne", path]) == 11
     assert capsys.readouterr().err.splitlines() == [
-        "error: pseudo-gradient not strongly monotone (lambda_min=2e-17); "
-        "no unique NE certificate"]
+        "error: pseudo-gradient lambda_min=2e-17 is at or below the cut 8.88e-16 "
+        "at which the NE solve calls Rbar singular; no unique NE certificate"]
     out = tmp_path / "ctrl.json"
     assert main(["synth", path, "--out", str(out)]) == 11
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_sim_refuses_a_singular_ne_solve(tmp_path, capsys):
+    # sim trusts a bundle whose digest matches, and runs no assumption
+    # check: a bundle synthesized for R_ii = I, stamped with the digest of
+    # the A1-failing game above, reaches the NE solve's singular refusal
+    good = write_doc(tmp_path, one_sensor_agent_doc(), "good.json")
+    bad = write_doc(tmp_path, one_sensor_agent_doc(R_ii=np.diag([1.0, 1e-17])), "bad.json")
+    ctrl = tmp_path / "ctrl.json"
+    assert main(["synth", good, "--out", str(ctrl)]) == 0
+    bundle = json.loads(ctrl.read_text())
+    bundle["scenario_sha256"] = scenario_hash(load_scenario(bad))
+    ctrl.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    csv = tmp_path / "run.csv"
+    assert main(["sim", bad, "--controllers", str(ctrl), "--out", str(csv)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: matrix is numerically singular (cond ~ 1.000e+17)"], err
+    assert not csv.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_ne_names_an_overflowing_residual_scale(tmp_path, capsys):
+    # A1 holds and y* = -Q_ii / 2 solves exactly, but ||Qbar|| overflows,
+    # so no finite bound certifies the residual
+    path = write_doc(tmp_path, one_sensor_agent_doc(Q_ii=(1e300, 1e300)))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["ne", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: NE residual 0.000e+00 is not certified: the scale "
+        "||Rbar|| ||y*|| + ||Qbar|| of its bound overflows"]
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_synth_names_the_scenario_data_of_an_overflowing_loop(tmp_path, capsys):
+    # no perturbation is stated: the cost's linear term overflows the loop
+    path = write_doc(tmp_path, one_sensor_agent_doc(Q_ii=(1.7e308, 1.7e308)))
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: the scenario's data overflow the assembled closed loop "
+        "(non-finite entries)"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_synth_a_large_cost_weight_prints_only_the_error(tmp_path, capsys):
+    # Cw = (R_ii + R_ii') C = 2e200 C: the observer's G = Cw' Cw / observer_r
+    # overflows, which the sign iteration's finiteness gate reports without
+    # a numpy warning
+    path = write_doc(tmp_path, one_sensor_agent_doc(R_ii=1e200 * np.eye(2)))
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no stabilizing Riccati solution: sign iterate is not finite"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_a1_fails_couplings_whose_symmetric_part_overflows(tmp_path, capsys):
+    # R_12 + R_21' overflows, but half of each does not: A1 fails with
+    # the modulus, where numpy's eigensolver used to raise
+    doc = sensor_scenario_doc("general")
+    blocks_form(doc)
+    doc["cost"]["blocks"][0]["R_ij"]["2"] = mat(1.7e308 * np.eye(2))
+    doc["cost"]["blocks"][1]["R_ij"]["1"] = mat(1.7e308 * np.eye(2))
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 11
+    a1 = [line for line in capsys.readouterr().out.splitlines() if " A1 " in line]
+    assert a1 == ["  A1 pseudo-gradient strong monotonicity          "
+                  "FAIL  lambda_min=-1.7e+308, cut=3.77e+293"]
+    assert main(["ne", path]) == 11
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pseudo-gradient not strongly monotone (lambda_min=-1.7e+308); "
+        "no unique NE certificate"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_check_refuses_a_plant_whose_spectrum_overflows(tmp_path, capsys):
+    # every entry of A is finite, but its eigenvalue 4e308 is not: the
+    # PBH matrix A - lam I is refused as non-finite, with no numpy warning
+    doc = one_sensor_agent_doc()
+    doc["agents"][0]["A"] = mat(np.full((4, 4), 1e308))
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: M has non-finite entries"]
+    assert captured.out == ""
 
 
 def test_cli_synth_and_determinism(tmp_path, capsys):
@@ -667,7 +767,10 @@ def test_cli_synth_and_determinism(tmp_path, capsys):
     out2 = tmp_path / "c2.json"
     assert main(["synth", path, "--out", str(out1)]) == 0
     assert main(["synth", path, "--out", str(out2)]) == 0
-    capsys.readouterr()
+    # five agents of [x_i; xi_i; zeta_i] = 4 + 4 + 2 * 3 states, and 2 + 1 exogenous
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("synthesized 5 digraph controllers: dim_z=70, dim_v=15, "
+                            "abscissa="), first
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["format"] == CONTROLLER_FORMAT
@@ -809,6 +912,9 @@ MALFORMED = [
     ("indefinite R_ii", ("cost", "blocks", 0, "R_ii"),
      {"shape": [2, 2], "data": [1.0, 0.0, 0.0, -1.0]},
      "cost.blocks[1]: R_ii must have positive-definite symmetric part (min eig -1.000e+00)"),
+    ("R_ii whose symmetric part overflows", ("cost", "blocks", 0, "R_ii"),
+     {"shape": [2, 2], "data": [1e308, 0.0, 0.0, 1e308]},
+     "cost.blocks[1]: R_ii + R_ii' overflows"),
     ("matrix data that does not fit its shape", ("agents", 0, "A", "data"), [0.0] * 15,
      "agents[1].A: shape 4x4 needs 16 entries, got 15"),
     ("four exosystems for five agents", ("exosystems", 4), DELETE,
@@ -824,6 +930,7 @@ def blocks_form(doc):
     doc["cost"] = scenario_to_dict(parse_scenario(doc))["cost"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case, path, value, where", MALFORMED,
                          ids=[m[0] for m in MALFORMED])
 def test_cli_malformed_scenario_exits_2(case, path, value, where, tmp_path,
@@ -842,7 +949,9 @@ def test_cli_malformed_scenario_exits_2(case, path, value, where, tmp_path,
     for argv in (["check", scenario], ["ne", scenario],
                  ["synth", scenario, "--out", str(ctrl)]):
         assert main(argv) == 2, (case, argv[0])
-        assert where in capsys.readouterr().err, (case, argv[0])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0], (
+            case, argv[0], err)
     assert not ctrl.exists()
 
 
@@ -952,13 +1061,20 @@ def test_cli_synth_refuses_an_infinite_regulator_scale(tmp_path, capsys, monkeyp
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("weights, start, end", [
     # the CARE scale overflows while its residual is finite
     ({"stabilizer_r": 1e-300},
      "error: no stabilizing Riccati solution: residual ", " exceeds 1e-08 * scale inf"),
     ({"observer_q": 1e300},
      "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
-], ids=["stabilizer_r 1e-300", "observer_q 1e300"])
+    # the least positive r: Rw = r I is nonsingular, but G = B Rw^-1 B' overflows
+    ({"stabilizer_r": 5e-324},
+     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
+    ({"observer_r": 5e-324},
+     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
+], ids=["stabilizer_r 1e-300", "observer_q 1e300", "stabilizer_r 5e-324",
+        "observer_r 5e-324"])
 def test_cli_synth_overflowing_weights_exit_4(weights, start, end, tmp_path, capsys):
     doc = sensor_scenario_doc("digraph")
     doc["synthesis"] = weights

@@ -72,7 +72,6 @@ def toy_loop(a):
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
-        ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
         game=game,

@@ -39,6 +39,7 @@ from conftest import (
     SENSOR_S,
     _mat,
     chain_loop,
+    ctrl_slices,
     is_hurwitz,
     perfbench_scenarios,
     sensor_scenario_doc,
@@ -222,7 +223,7 @@ def test_digraph_template_fidelity():
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
     Rw = game.costs[0].R_ii + game.costs[0].R_ii.T
     n = plant.n
-    x, eta = cl.x_slices[0], cl.ctrl_slices[0]
+    x, eta = cl.x_slices[0], ctrl_slices(cl)[0]
     M1 = cl.A_c[eta, eta]
     upper_left = plant.A + plant.B @ c.K1 - c.L @ (Rw @ plant.C)
     assert np.array_equal(M1[:n, :n], upper_left)
@@ -239,7 +240,7 @@ def test_digraph_internal_model_embedded():
     game, plant, exo = isolated_setup()
     c = build_controller(plant, game.costs[0], exo, SynthesisWeights())
     cl = assemble_closed_loop(game, (plant,), (exo,), (c,), "digraph")
-    zeta = slice(cl.ctrl_slices[0].start + plant.n, cl.ctrl_slices[0].stop)
+    zeta = slice(ctrl_slices(cl)[0].start + plant.n, ctrl_slices(cl)[0].stop)
     assert verify_internal_model(cl.A_c[zeta, zeta], c.G2, exo.S_tilde)
 
 
@@ -375,7 +376,7 @@ def test_dag_relabel_zero_pattern():
         assert all(position[j] < position[i] for j, i in edges)
         block = [
             slice(cl.x_slices[i].start,
-                  cl.ctrl_slices[i].stop)
+                  ctrl_slices(cl)[i].stop)
             for i in range(n_agents)
         ]
         for pos_i, agent_i in enumerate(order):
@@ -393,10 +394,10 @@ def test_strategies_differ_only_in_observer_coupling(sensor_digraph):
                                 "general")
     cl_d = s.cl
     for name in ("P_c", "C_c", "Q_c", "S_hat", "C_out", "v0", "x_slices",
-                 "ctrl_slices", "v_slices", "out_slices"):
+                 "v_slices", "out_slices"):
         assert np.array_equal(getattr(cl_g, name), getattr(cl_d, name))
     xi = [slice(sl.start, sl.start + c.n)
-          for sl, c in zip(cl_d.ctrl_slices, s.controllers)]
+          for sl, c in zip(ctrl_slices(cl_d), s.controllers)]
     expected = np.zeros_like(cl_d.A_c)
     for i, c in enumerate(s.controllers, start=1):
         for j in neighbors(s.game.graph, i):
@@ -468,7 +469,6 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
-        ctrl_slices=(slice(1, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
         game=None,
@@ -651,7 +651,7 @@ def test_digraph_spectra_split_by_agent(sensor_digraph, sensor_general):
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-3
     # bitwise the per-agent slices, in agent order on this DAG
     assert cl.components == tuple((i,) for i in range(5))
-    for e, x, c in zip(cl.spectra, cl.x_slices, cl.ctrl_slices):
+    for e, x, c in zip(cl.spectra, cl.x_slices, ctrl_slices(cl)):
         assert e.tobytes() == eigenvalues(cl.A_c[x.start:c.stop, x.start:c.stop]).tobytes()
     # the undirected general loop is one block, bitwise the dense spectrum
     assert sensor_general.cl.components == (tuple(range(5)),)
@@ -664,9 +664,9 @@ def test_digraph_spectra_split_by_agent(sensor_digraph, sensor_general):
     A_c[cl.x_slices[0].start, cl.x_slices[4].start] = 1e-3
     cycled = dataclasses.replace(cl, A_c=A_c)
     assert cycled.components == ((0, 2, 4), (1,), (3,))
-    rows = np.r_[cl.x_slices[0].start:cl.ctrl_slices[0].stop,
-                 cl.x_slices[2].start:cl.ctrl_slices[2].stop,
-                 cl.x_slices[4].start:cl.ctrl_slices[4].stop]
+    rows = np.r_[cl.x_slices[0].start:ctrl_slices(cl)[0].stop,
+                 cl.x_slices[2].start:ctrl_slices(cl)[2].stop,
+                 cl.x_slices[4].start:ctrl_slices(cl)[4].stop]
     assert cycled.spectra[0].tobytes() == eigenvalues(A_c[np.ix_(rows, rows)]).tobytes()
 
 
