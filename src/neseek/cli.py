@@ -39,6 +39,7 @@ from .errors import (
 )
 from .game import assemble_pseudo_gradient, check_assumption_1, solve_ne
 from .graph import check_acyclic, check_connected
+from .linalg import frobenius
 from .plant import (
     check_assumption_2,
     check_assumption_3,
@@ -162,7 +163,7 @@ def cmd_ne(path):
                        "at which the NE solve calls Rbar singular")
         raise AssumptionError(1, f"pseudo-gradient {reason}; no unique NE certificate")
     y_star = solve_ne(pg)
-    residual = float(np.linalg.norm(pg.Rbar @ y_star + pg.Qbar))
+    residual = float(frobenius(pg.Rbar @ y_star + pg.Qbar))
     print(f"lambda_min = {lam_min!r}")
     for i in range(1, scn.agent_count + 1):
         block = scn.game.block(y_star, i)
@@ -336,7 +337,8 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
     # failed run leaves none of the three
     with _replacing(out) as csv_tmp:
         with open(csv_tmp, "w") as fh:
-            times, gap, err, *err_series = write_records(cl, cfg, fh)
+            times, gap, err, *err_series = write_records(
+                cl, cfg, fh, solve_ne(assemble_pseudo_gradient(scn.game)))
         if svg is not None:
             labels = [f"||e_{i}||" for i in range(1, len(err_series) + 1)]
             with _replacing(svg) as gap_tmp, _replacing(err_path) as err_tmp:
@@ -354,6 +356,8 @@ def cmd_sim(path, controllers_path, out, svg, t_end, dt, perturb_scale, seed):
     print(
         "summary: T_conv="
         + (f"{t_conv:.6g}" if t_conv is not None else "none")
+        + f" peak_output_gap={metrics['peak_output_gap']:.6g}"
+        + f" t_peak={metrics['t_peak']:.6g}"
         + f" final_output_gap={metrics['final_output_gap']:.6g}"
         + f" max_error_tail={metrics['max_error_tail']:.6g}"
         + f" steady_oscillation={metrics['steady_oscillation']:.6g}",

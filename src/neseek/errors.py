@@ -9,7 +9,7 @@ its own or for data its callers read.
 
 class NeseekError(Exception):
     """Base class; raised itself for an unexpected failure, the CLI's exit 1
-    (a singular solve, a non-finite matrix, a horizon too long to record)."""
+    (a singular solve, a non-finite matrix or simulated state, a horizon too long to record)."""
 
 
 class ScenarioError(NeseekError, ValueError):
@@ -39,11 +39,3 @@ class AssumptionError(NeseekError):
     def __init__(self, number, message):
         super().__init__(message)
         self.number = number
-
-
-class DivergenceError(NeseekError):
-    """Simulation state became non-finite at time ``t_bad``; exit 1."""
-
-    def __init__(self, message, t_bad):
-        super().__init__(message)
-        self.t_bad = t_bad

@@ -166,8 +166,9 @@ def solve_ne(pg):
     y_star = linalg.solve_linear(pg.Rbar, -pg.Qbar)
     # an overflowing residual or scale fails the gate below
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(pg.Rbar @ y_star + pg.Qbar)
-        scale = np.linalg.norm(pg.Rbar) * np.linalg.norm(y_star) + np.linalg.norm(pg.Qbar)
+        residual = linalg.frobenius(pg.Rbar @ y_star + pg.Qbar)
+        scale = (linalg.frobenius(pg.Rbar) * linalg.frobenius(y_star)
+                 + linalg.frobenius(pg.Qbar))
     if not (scale < np.inf and residual <= 1e-10 * scale):
         raise NeseekError(f"NE residual {residual:.3e} " + (
             "is not certified: the scale ||Rbar|| ||y*|| + ||Qbar|| of its bound overflows"

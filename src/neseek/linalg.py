@@ -15,6 +15,7 @@ __all__ = [
     "rank",
     "singular_cut",
     "solve_linear",
+    "frobenius",
     "solve_sylvester",
     "solve_care",
     "expm",
@@ -89,6 +90,20 @@ def solve_linear(A, b):
         cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
         raise NeseekError(f"matrix is numerically singular (cond ~ {cond:.3e})")
     return np.linalg.solve(A, b)
+
+
+def frobenius(M):
+    """Frobenius norm of ``M``, finite wherever the norm itself is.
+
+    ``np.linalg.norm`` squares the entries, so it overflows on finite
+    entries above about 1.3e154; only then is ``M`` scaled by a power of
+    two, which is exact, before the norm is taken and scaled back.
+    """
+    norm = np.linalg.norm(M)
+    if norm == np.inf and np.isfinite(M).all():
+        exponent = np.frexp(np.max(np.abs(M)))[1]
+        norm = np.ldexp(np.linalg.norm(np.ldexp(M, -exponent)), exponent)
+    return norm
 
 
 def _norm2_bound(M):
@@ -287,10 +302,9 @@ def solve_care(A, B, Qw, Rw):
 
     # an overflowing residual or scale fails the gate below
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(A.T @ P + P @ A - P @ G @ P + Qw)
-        norm_p = np.linalg.norm(P)
-        scale = (2.0 * np.linalg.norm(A) * norm_p + np.linalg.norm(G) * norm_p**2
-                 + np.linalg.norm(Qw))
+        residual = frobenius(A.T @ P + P @ A - P @ G @ P + Qw)
+        norm_p = frobenius(P)
+        scale = 2.0 * frobenius(A) * norm_p + frobenius(G) * norm_p**2 + frobenius(Qw)
     if not (scale < np.inf and residual <= CARE_REL_TOL * scale):
         raise SynthesisError(
             NO_CARE + f"residual {residual:.3e} exceeds "

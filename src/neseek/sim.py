@@ -12,8 +12,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DivergenceError, NeseekError, ScenarioError
-from .game import assemble_pseudo_gradient, solve_ne
+from .errors import NeseekError, ScenarioError
 from .linalg import expm
 
 __all__ = [
@@ -158,13 +157,13 @@ def _rk4_map(A_c, P_c, E_half, E_full, dt):
 def propagate(cl, cfg):
     """Yield the recorded ``(times, [z; v])`` of the stacked loop, one block at a time.
 
-    The loop starts at ``cl.initial_state()`` and ``cl.v0``.  Blocks
-    hold at most BLOCK_ROWS records; records follow one another by
-    powers of the RK4 step map, v advancing exactly.  A block is yielded
-    only once its z-part is finite; otherwise DivergenceError names the
-    first step whose state is non-finite, which is how an unstable
-    assembly surfaces.  Only the current block and the record before it
-    are held.  A horizon of more steps than an int64 holds raises NeseekError.
+    The loop starts at ``cl.z0`` and ``cl.v0``.  Blocks hold at most
+    BLOCK_ROWS records; records follow one another by powers of the RK4
+    step map, v advancing exactly.  A block is yielded only once its
+    z-part is finite; otherwise NeseekError names the first step whose
+    state is non-finite, which is how an unstable assembly surfaces.
+    Only the current block and the record before it are held.  A horizon
+    of more steps than an int64 holds raises NeseekError too.
     """
     if cfg.n_steps > np.iinfo(np.int64).max:
         raise NeseekError(f"t_end {cfg.t_end!r} at dt {cfg.dt!r} is {cfg.n_steps} steps, "
@@ -175,7 +174,7 @@ def propagate(cl, cfg):
         M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
     # two powers at most: the stride's, and the last record's partial stride's
     power = functools.cache(lambda n: np.linalg.matrix_power(M, n))
-    x = np.concatenate([cl.initial_state(), cl.v0])
+    x = np.concatenate([cl.z0, cl.v0])
     last = 0  # the step of the record before the block
     for start in range(0, cfg.n_records, BLOCK_ROWS):
         steps = cfg.record_step_range(start, min(start + BLOCK_ROWS, cfg.n_records))
@@ -202,19 +201,17 @@ def propagate(cl, cfg):
                 for step in range(int(steps[r]) - jumps[r] + 1, int(steps[r]) + 1):
                     x = M @ x
                     if not np.isfinite(x[:dz]).all():
-                        raise DivergenceError(
-                            f"state became non-finite at t = {step * cfg.dt:.6g}",
-                            t_bad=step * cfg.dt,
-                        )
+                        raise NeseekError(
+                            f"state became non-finite at t = {step * cfg.dt:.6g}")
                 block[r] = x
                 r += 1
         yield steps * cfg.dt, block
 
 
 def block_outputs(cl, X):
-    """Stacked y, e and w of a block of ``[z; v]`` records."""
+    """Stacked y, e and w of a block of ``[z; v]`` records; w omits the constant channels."""
     Z, V = X[:, :cl.dim_z], X[:, cl.dim_z:]
-    w = np.hstack([V[:, sl.start:sl.start + exo.q] for sl, exo in zip(cl.v_slices, cl.exos)])
+    w = np.hstack([V[:, sl.start:sl.stop - 1] for sl in cl.v_slices])
     return Z @ cl.C_out.T, Z @ cl.C_c.T + V @ cl.Q_c.T, w
 
 
@@ -262,16 +259,15 @@ def csv_rows(arrays):
     return "".join(", ".join(row) + "\n" for row in zip(*columns))
 
 
-def write_records(cl, cfg, fh):
+def write_records(cl, cfg, fh, y_star):
     """Stream the stacked loop's records to ``fh`` as CSV; return the kept series.
 
     The header names t, then each agent's y, e and w columns; each block
     of ``propagate`` becomes its ``csv_rows``.  Only the series a summary
-    or a plot reads are kept, as rows: times, ||y - y*||, ||e||, then
-    each agent's ||e_i||.  Raises the DivergenceError of ``propagate``,
-    and NeseekError when the kept rows cannot be allocated.
+    or a plot reads are kept, as rows: times, ||y - y_star||, ||e||,
+    then each agent's ||e_i||.  Raises NeseekError as ``propagate``
+    does, and when the kept rows cannot be allocated.
     """
-    y_star = solve_ne(assemble_pseudo_gradient(cl.game))
     # a horizon of more records than can be allocated fails before a record is taken
     try:
         kept = np.empty((3 + len(cl.out_slices), cfg.n_records))
@@ -280,7 +276,8 @@ def write_records(cl, cfg, fh):
                           "records, more than can be allocated") from None
     cols = ["t"]
     widths = [sl.stop - sl.start for sl in cl.out_slices]
-    for name, ws in (("y", widths), ("e", widths), ("w", [exo.q for exo in cl.exos])):
+    w_widths = [sl.stop - sl.start - 1 for sl in cl.v_slices]
+    for name, ws in (("y", widths), ("e", widths), ("w", w_widths)):
         for i, width in enumerate(ws, start=1):
             cols.extend(f"{name}_{i}_{k + 1}" for k in range(width))
     fh.write(", ".join(cols) + "\n")

@@ -18,7 +18,7 @@ zdot = A_c(mu) z + P_c(mu) v, e = Rbar C_out z + Q_c v, vdot = Shat v;
 the stability and regulator-equation certificates are computed on it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,11 +90,12 @@ class Controller:
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    """Stacked closed loop with per-agent index bookkeeping.
+    """Stacked closed loop: matrices, start state ``[z0; v0]`` and per-agent slices.
 
     ``x_slices`` locate each agent's plant state inside z, which its
     controller state [xi_i; zeta_i] directly follows up to the next
-    agent's; ``v_slices`` its extended exogenous block.
+    agent's; ``v_slices`` its exogenous block [w_i; 1], the constant channel
+    last.  z0 holds each plant's x0 and zero controller states.
     ``C_out`` maps z to the stacked output y through each plant's C_mu.
     """
 
@@ -103,14 +104,12 @@ class ClosedLoopSystem:
     C_c: np.ndarray
     Q_c: np.ndarray
     S_hat: np.ndarray
+    z0: np.ndarray
     v0: np.ndarray
     C_out: np.ndarray
     x_slices: tuple
     v_slices: tuple
     out_slices: tuple
-    game: object = field(repr=False)
-    plants: tuple = field(repr=False)
-    exos: tuple = field(repr=False)
 
     @property
     def dim_z(self):
@@ -148,13 +147,6 @@ class ClosedLoopSystem:
             idx = np.concatenate([np.arange(bounds[a], bounds[a + 1]) for a in agents])
             spectra.append(linalg.eigenvalues(self.A_c[np.ix_(idx, idx)]))
         return tuple(spectra)
-
-    def initial_state(self):
-        """Plant states from x0, controller states zero."""
-        z0 = np.zeros(self.dim_z)
-        for plant, sl in zip(self.plants, self.x_slices):
-            z0[sl] = plant.x0
-        return z0
 
 
 @dataclass(frozen=True)
@@ -276,6 +268,7 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
     P_c = np.zeros((dz, dv))
     Q_c = np.zeros((dp, dv))
     S_hat = np.zeros((dv, dv))
+    z0 = np.zeros(dz)
     v0 = np.zeros(dv)
     for c, plant, exo, x, xi, zeta, out, vi in zip(
             controllers, plants, exos, x_sl, xi_sl, zeta_sl, out_sl, v_sl):
@@ -293,14 +286,14 @@ def assemble_closed_loop(game, plants, exos, controllers, strategy_kind):
         P_c[xi, vi] = c.L @ Q_c[out, vi]
         P_c[zeta, vi] = c.G2 @ Q_c[out, vi]
         S_hat[vi, vi] = exo.S_tilde
+        z0[x] = plant.x0
         v0[vi] = exo.v0
 
     return ClosedLoopSystem(
-        A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, v0=v0, C_out=C_out,
+        A_c=A_c, P_c=P_c, C_c=C_c, Q_c=Q_c, S_hat=S_hat, z0=z0, v0=v0, C_out=C_out,
         x_slices=tuple(x_sl),
         v_slices=tuple(v_sl),
         out_slices=tuple(out_sl),
-        game=game, plants=tuple(plants), exos=tuple(exos),
     )
 
 
@@ -333,14 +326,12 @@ def solve_regulator(cl):
     with np.errstate(over="ignore", invalid="ignore"):
         X_c = linalg.solve_sylvester(cl.A_c, cl.S_hat, cl.P_c,
                                      eig_a=np.concatenate(cl.spectra))
-        residual_dyn = float(np.linalg.norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
-        residual_err = float(np.linalg.norm(cl.C_c @ X_c + cl.Q_c))
-        norm_x = np.linalg.norm(X_c)
-        scale_dyn = float(
-            (np.linalg.norm(cl.A_c) + np.linalg.norm(cl.S_hat)) * norm_x
-            + np.linalg.norm(cl.P_c)
-        )
-        scale_err = float(np.linalg.norm(cl.C_c) * norm_x + np.linalg.norm(cl.Q_c))
+        norm = linalg.frobenius
+        residual_dyn = float(norm(X_c @ cl.S_hat - cl.A_c @ X_c - cl.P_c))
+        residual_err = float(norm(cl.C_c @ X_c + cl.Q_c))
+        norm_x = norm(X_c)
+        scale_dyn = float((norm(cl.A_c) + norm(cl.S_hat)) * norm_x + norm(cl.P_c))
+        scale_err = float(norm(cl.C_c) * norm_x + norm(cl.Q_c))
     return RegulatorSolution(
         X_c=X_c, residual_dyn=residual_dyn, residual_err=residual_err,
         scale_dyn=scale_dyn, scale_err=scale_err,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from neseek.errors import DivergenceError, NeseekError
+from neseek.errors import NeseekError
 from neseek.game import assemble_pseudo_gradient
 from neseek.graph import neighbors
 from neseek.linalg import expm
@@ -49,7 +49,7 @@ def simulate(cl, cfg):
     """Integrate the stacked closed loop into one Trajectory; v is advanced exactly.
 
     Collects the blocks of ``propagate``, then takes the y, e and w of
-    each block; raises its DivergenceError.
+    each block; raises the NeseekError of a state that became non-finite.
     """
     times, X = zip(*propagate(cl, cfg))
     Y, E, W = (np.concatenate(a) for a in zip(*(block_outputs(cl, block) for block in X)))
@@ -179,8 +179,7 @@ def simulate_distributed(game, plants, exos, controllers, strategy, cfg):
                  for si, a, b, c, d in zip(s, r1, r2, r3, r4)]
         w = wf
         if not all(np.isfinite(si[:n]).all() for si, n in zip(s, ns)):
-            raise DivergenceError(f"state became non-finite at t = {k * dt:.6g}",
-                                  t_bad=k * dt)
+            raise NeseekError(f"state became non-finite at t = {k * dt:.6g}")
         if k % stride == 0 or k == n_steps:
             records.append((np.concatenate(s), np.concatenate(w)))
 

@@ -7,7 +7,8 @@ read or an attribute looked up, so neither a docstring nor an import
 alone counts.  The same holds one level down: every default is left
 out by some library call, and every property and method is read by the
 library.  A module's private names stay its own: no module imports one
-from a sibling, and the tests' reference loop imports none either.  And
+from a sibling, and the tests' reference loop imports none either;
+``neseek.sim`` imports nothing of the modules that build the loop.  And
 every raise names an error type that the CLI gives one exit status.
 """
 
@@ -96,35 +97,57 @@ def test_finder_sees_a_private_name_imported_from_a_sibling():
 # The per-agent reference loop in tests/reference_loop.py is an oracle
 # for the stacked loop that neseek.synthesis assembles: it builds its own
 # rates from the game, plants, exosystems and gains, so it imports
-# nothing from neseek.synthesis and no private library name.
+# nothing from neseek.synthesis and no private library name.  And
+# neseek.sim runs on the assembled loop alone: it imports nothing of the
+# modules that build the loop or read the scenario.
 
-def synthesis_imports(text):
-    """Each name ``text`` imports from or as ``neseek.synthesis``, in source order."""
+def neseek_imports(text, modules):
+    """Each name ``text`` imports from or as ``neseek.<module>`` for one of
+    ``modules``, in source order; ``from .x`` reads as ``from neseek.x``."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            module = ".".join(filter(None, ["neseek" if node.level else None, node.module]))
+            names = [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
         found += [name for name in names
-                  if name.split(".")[:2] == ["neseek", "synthesis"]]
+                  if name.split(".")[:2] in [["neseek", m] for m in modules]]
     return found
 
 
 def test_reference_loop_reuses_nothing_of_the_loop_it_checks():
     text = (TESTS / "reference_loop.py").read_text()
     assert private_imports({"reference_loop": text}) == []
-    assert synthesis_imports(text) == []
+    assert neseek_imports(text, {"synthesis"}) == []
 
 
 def test_finder_sees_an_import_of_synthesis():
     # a module, a name from it, and the module as a name of the package
     text = ("import neseek.synthesis as s\nfrom neseek.synthesis import _assemble\n"
             "from neseek import synthesis, sim\nfrom neseek.sim import propagate\n")
-    assert synthesis_imports(text) == [
+    assert neseek_imports(text, {"synthesis"}) == [
         "neseek.synthesis", "neseek.synthesis._assemble", "neseek.synthesis"]
+
+
+LOOP_BUILDERS = {"game", "plant", "synthesis", "scenario"}
+
+
+def test_sim_runs_on_the_assembled_loop_alone():
+    assert neseek_imports((PACKAGE / "sim.py").read_text(), LOOP_BUILDERS) == []
+
+
+def test_finder_sees_a_relative_import_of_a_loop_builder():
+    # a name from a sibling, a sibling as a name of the package, and an
+    # absolute import; errors and linalg are not loop builders
+    text = ("from .errors import NeseekError\nfrom .game import solve_ne\n"
+            "from . import plant, linalg\nimport neseek.scenario\n"
+            "def f():\n    from .synthesis import ClosedLoopSystem\n")
+    assert neseek_imports(text, LOOP_BUILDERS) == [
+        "neseek.game.solve_ne", "neseek.plant", "neseek.scenario",
+        "neseek.synthesis.ClosedLoopSystem"]
 
 
 # Every default and every property or method has a library caller.  A
@@ -348,7 +371,7 @@ def test_exit_codes_give_every_error_class_one_status():
     classes = error_classes()
     assert {cls.__name__ for cls in classes} == {
         "NeseekError", "ScenarioError", "StaleControllerError", "SynthesisError",
-        "AssumptionError", "DivergenceError"}
+        "AssumptionError"}
     assert status_problems(classes, EXIT_CODES) == []
 
 

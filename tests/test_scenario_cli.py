@@ -691,9 +691,9 @@ def test_cli_sim_refuses_a_singular_ne_solve(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_ne_names_an_overflowing_residual_scale(tmp_path, capsys):
-    # A1 holds and y* = -Q_ii / 2 solves exactly, but ||Qbar|| overflows,
-    # so no finite bound certifies the residual
-    path = write_doc(tmp_path, one_sensor_agent_doc(Q_ii=(1e300, 1e300)))
+    # A1 holds and y* = -Q_ii / 2 solves exactly, but ||Rbar|| ||y*||
+    # exceeds the float range, so no finite bound certifies the residual
+    path = write_doc(tmp_path, one_sensor_agent_doc(Q_ii=(1.7e308, 1.7e308)))
     assert main(["check", path]) == 0
     capsys.readouterr()
     assert main(["ne", path]) == 1
@@ -702,6 +702,27 @@ def test_cli_ne_names_an_overflowing_residual_scale(tmp_path, capsys):
         "error: NE residual 0.000e+00 is not certified: the scale "
         "||Rbar|| ||y*|| + ||Qbar|| of its bound overflows"]
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [1e160, 1e300])
+def test_cli_ne_and_synth_certify_a_game_whose_squares_overflow(q, tmp_path, capsys):
+    # every entry and every norm is finite, but squaring an entry above
+    # about 1.3e154 overflows: the certificate norms are taken rescaled
+    path = write_doc(tmp_path, one_sensor_agent_doc(Q_ii=(q, q)))
+    assert main(["ne", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [f"y*_1 = [{-q / 2!r}, {-q / 2!r}]",
+                                            "residual = 0.0"]
+    assert captured.err == ""
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    certificates = json.loads(out.read_text())["certificates"]
+    for name in ("dyn", "err"):
+        scale = certificates[f"scale_{name}"]
+        assert np.isfinite(scale)
+        assert certificates[f"residual_{name}"] <= neseek.cli.REGULATOR_REL_TOL * scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1062,26 +1083,24 @@ def test_cli_synth_refuses_an_infinite_regulator_scale(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("weights, start, end", [
-    # the CARE scale overflows while its residual is finite
+@pytest.mark.parametrize("weights, pattern", [
+    # G = B Rw^-1 B' has entries of 1e300, whose squares overflow, yet the
+    # CARE scale is finite and the residual exceeds its bound
     ({"stabilizer_r": 1e-300},
-     "error: no stabilizing Riccati solution: residual ", " exceeds 1e-08 * scale inf"),
-    ({"observer_q": 1e300},
-     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
+     r"no stabilizing Riccati solution: residual \S+ exceeds 1e-08 \* scale (?!inf)\S+"),
+    ({"observer_q": 1e300}, "no stabilizing Riccati solution: sign iterate is not finite"),
     # the least positive r: Rw = r I is nonsingular, but G = B Rw^-1 B' overflows
-    ({"stabilizer_r": 5e-324},
-     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
-    ({"observer_r": 5e-324},
-     "error: no stabilizing Riccati solution: sign iterate is not finite", ""),
+    ({"stabilizer_r": 5e-324}, "no stabilizing Riccati solution: sign iterate is not finite"),
+    ({"observer_r": 5e-324}, "no stabilizing Riccati solution: sign iterate is not finite"),
 ], ids=["stabilizer_r 1e-300", "observer_q 1e300", "stabilizer_r 5e-324",
         "observer_r 5e-324"])
-def test_cli_synth_overflowing_weights_exit_4(weights, start, end, tmp_path, capsys):
+def test_cli_synth_overflowing_weights_exit_4(weights, pattern, tmp_path, capsys):
     doc = sensor_scenario_doc("digraph")
     doc["synthesis"] = weights
     out = tmp_path / "c.json"
     assert main(["synth", write_doc(tmp_path, doc), "--out", str(out)]) == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(start) and err[0].endswith(end), err
+    assert len(err) == 1 and re.fullmatch("error: " + pattern, err[0]), err
     assert not out.exists()
 
 

@@ -5,13 +5,12 @@ import json
 import re
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from neseek.errors import DivergenceError, ScenarioError
+from neseek.errors import NeseekError, ScenarioError
 from neseek.game import (
     LocalCost,
     NetworkGame,
@@ -57,27 +56,27 @@ OMEGA = np.pi / 10.0
 
 
 def toy_loop(a):
-    """Scalar closed loop z' = a z, z(0) = 1, with a trivial single-agent game."""
-    g = CommGraph(1, directed=True, edges=[])
-    game = cost_from_targets([np.zeros(1)], g)
-    plant = AgentPlant(A=np.array([[a]]), B=np.zeros((1, 1)),
-                       C=np.eye(1), P=np.zeros((1, 0)), x0=np.ones(1))
-    exo = Exosystem(S=np.zeros((0, 0)), w0=np.zeros(0))
+    """Scalar closed loop z' = a z, z(0) = 1, of one agent with no disturbance."""
     return ClosedLoopSystem(
         A_c=np.array([[a]]),
         P_c=np.zeros((1, 1)),
         C_c=np.array([[1.0]]),
         Q_c=np.zeros((1, 1)),
         S_hat=np.array([[0.0]]),
+        z0=np.ones(1),
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
-        game=game,
-        plants=(plant,),
-        exos=(exo,),
     )
+
+
+def nonfinite_time(err):
+    """The time named by the NeseekError of a state that became non-finite."""
+    match = re.fullmatch(r"state became non-finite at t = (\S+)", str(err.value))
+    assert match, str(err.value)
+    return float(match.group(1))
 
 
 def test_sim_config_validation():
@@ -143,10 +142,9 @@ def test_fourth_order_convergence():
 
 
 def test_divergence_reports_first_bad_time():
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(NeseekError) as err:
         simulate(toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0, record_stride=1))
-    assert err.value.t_bad is not None
-    assert 0.0 < err.value.t_bad < 10.0
+    assert 0.0 < nonfinite_time(err) < 10.0
 
 
 def test_overflowing_power_is_replayed_step_by_step():
@@ -155,7 +153,7 @@ def test_overflowing_power_is_replayed_step_by_step():
     # t_end 70 the second block's first record is replayed too
     cl = dataclasses.replace(
         toy_loop(-1.0), A_c=np.diag([-1.0, 1000.0]), P_c=np.zeros((2, 1)),
-        C_c=np.array([[1.0, 0.0]]), C_out=np.array([[1.0, 0.0]]),
+        C_c=np.array([[1.0, 0.0]]), C_out=np.array([[1.0, 0.0]]), z0=np.array([1.0, 0.0]),
     )
     for t_end in (2.0, 70.0):
         strided = simulate(cl, SimConfig(dt=1e-3, t_end=t_end, record_stride=1000))
@@ -172,7 +170,7 @@ def test_block_finiteness_check_reports_first_bad_step():
     cl, cfg = toy_loop(100.0), SimConfig(dt=1e-3, t_end=10.0, record_stride=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(NeseekError) as err:
             simulate(cl, cfg)
     # the same map applied one step at a time, tested after every step
     M = _rk4_map(cl.A_c, cl.P_c, *_exo_steppers(cl.S_hat, cfg.dt), cfg.dt)
@@ -183,7 +181,7 @@ def test_block_finiteness_check_reports_first_bad_step():
             if not np.isfinite(x[:1]).all():
                 break
     assert 0 < k % BLOCK_ROWS < BLOCK_ROWS - 1
-    assert err.value.t_bad == k * cfg.dt
+    assert str(err.value) == f"state became non-finite at t = {k * cfg.dt:.6g}"
 
 
 @pytest.mark.parametrize("t_end, rows", [(0.0, 1), (0.063, 64), (0.064, 65), (0.128, 129)])
@@ -198,7 +196,7 @@ def test_propagate_yields_blocks_of_the_records(t_end, rows, sensor_digraph):
     tr = simulate(cl, cfg)
     assert np.array_equal(times, tr.times)
     assert np.array_equal(X[:, :cl.dim_z], tr.Z)
-    assert np.array_equal(X[0], np.concatenate([cl.initial_state(), cl.v0]))
+    assert np.array_equal(X[0], np.concatenate([cl.z0, cl.v0]))
 
 
 def first_block_peak(cl, cfg):
@@ -228,25 +226,25 @@ def test_divergence_in_a_later_blocks_first_record():
     k = round(simulate_error_time(cl, SimConfig(dt=1e-3, t_end=10.0, record_stride=1)) / 1e-3)
     stride = next(s for s in range(2, 200) if -(-k // s) % BLOCK_ROWS == 0)
     cfg = SimConfig(dt=1e-3, t_end=10.0, record_stride=stride)
-    assert simulate_error_time(cl, cfg) == k * 1e-3
+    assert round(simulate_error_time(cl, cfg) / 1e-3) == k
 
 
 def test_both_integrators_report_an_unstable_step_map(sensor_digraph):
     # at dt 1 the certified loop's RK4 step map is unstable: the reference
-    # loop's overflow is a DivergenceError too, not a numpy warning
+    # loop's overflow is the same NeseekError, not a numpy warning
     s = sensor_digraph
     cfg = SimConfig(dt=1.0, t_end=2000.0, record_stride=1)
-    with pytest.raises(DivergenceError) as stacked:
+    with pytest.raises(NeseekError) as stacked:
         simulate(s.cl, cfg)
-    with pytest.raises(DivergenceError) as distributed:
+    with pytest.raises(NeseekError) as distributed:
         simulate_distributed(s.game, s.plants, s.exos, s.controllers, s.strategy, cfg)
-    assert abs(stacked.value.t_bad - distributed.value.t_bad) <= cfg.dt
+    assert abs(nonfinite_time(stacked) - nonfinite_time(distributed)) <= cfg.dt
 
 
 def simulate_error_time(cl, cfg):
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(NeseekError) as err:
         simulate(cl, cfg)
-    return err.value.t_bad
+    return nonfinite_time(err)
 
 
 def test_record_stride_times():
@@ -330,7 +328,7 @@ def reference_rk4(cl, dt, n_steps, stride):
     E_half = scipy.linalg.expm(cl.S_hat * (dt / 2.0))
     E_full = E_half @ E_half
     A, P = cl.A_c, cl.P_c
-    z, v = cl.initial_state(), cl.v0
+    z, v = cl.z0, cl.v0
     rows = [z]
     for k in range(1, n_steps + 1):
         vh, vf = E_half @ v, E_full @ v
@@ -347,17 +345,15 @@ def reference_rk4(cl, dt, n_steps, stride):
 
 def test_constant_channel_stays_one(sensor_digraph):
     cl = sensor_digraph.cl
-    # widen each agent's recorded w to its whole extended block [w; 1]
-    wide = dataclasses.replace(cl, exos=tuple(
-        SimpleNamespace(q=sl.stop - sl.start) for sl in cl.v_slices
-    ))
     # 2000 steps at stride 70 also applies a final partial stride
-    tr = simulate(wide, SimConfig(dt=1e-3, t_end=2.0, record_stride=70))
-    assert tr.times[-1] == pytest.approx(2.0)
-    # the widened W is all of v, so each agent's last column is its channel
-    assert tr.W.shape == (len(tr.times), cl.dim_v)
-    for sl in cl.v_slices:
-        assert np.array_equal(tr.W[:, sl.stop - 1], np.ones(len(tr.times)))
+    cfg = SimConfig(dt=1e-3, t_end=2.0, record_stride=70)
+    times, X = (np.concatenate(a) for a in zip(*propagate(cl, cfg)))
+    assert times[-1] == pytest.approx(2.0)
+    # each agent's last v entry is its channel, which the recorded w leaves out
+    channels = [sl.stop - 1 for sl in cl.v_slices]
+    V = X[:, cl.dim_z:]
+    assert np.array_equal(V[:, channels], np.ones((len(times), len(channels))))
+    assert np.array_equal(simulate(cl, cfg).W, np.delete(V, channels, axis=1))
 
 
 @pytest.mark.parametrize("stride", [100, 300])  # 300 ends on a partial stride
@@ -372,10 +368,10 @@ def test_propagator_matches_reference_loop(stride, sensor_digraph):
 def test_record_stride_invariance(sensor_digraph):
     t_bad = []
     for stride in (1, 7, 1000):
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(NeseekError) as err:
             simulate(toy_loop(100.0),
                      SimConfig(dt=1e-3, t_end=10.0, record_stride=stride))
-        t_bad.append(err.value.t_bad)
+        t_bad.append(nonfinite_time(err))
     assert t_bad[0] == t_bad[1] == t_bad[2]
     assert 7.0 < t_bad[0] < 7.2
 
@@ -500,14 +496,20 @@ def _hetero_loop(strategy):
 def test_assembled_exosystem_is_the_agents_extensions(sensor_digraph):
     # S_hat and v0 are the block diagonal and the concatenation of the
     # agents' S_tilde and v0, bit for bit: q = 0, constant and rotating
-    # exosystems, and the sensor network's five equal rotations
-    game, plants, exos, controllers = _hetero_loop("general")
-    for cl in (assemble_closed_loop(game, plants, exos, controllers, "general"),
-               sensor_digraph.cl):
+    # exosystems, and the sensor network's five equal rotations; z0 holds
+    # each plant's x0 and zero controller states
+    game, *agents = _hetero_loop("general")
+    s = sensor_digraph
+    for cl, (plants, exos, controllers) in (
+            (assemble_closed_loop(game, *agents, "general"), agents),
+            (s.cl, (s.plants, s.exos, s.controllers))):
         assert cl.S_hat.tobytes() == scipy.linalg.block_diag(
-            *(exo.S_tilde for exo in cl.exos)).tobytes()
-        assert cl.v0.tobytes() == np.concatenate([exo.v0 for exo in cl.exos]).tobytes()
-        assert [sl.stop - sl.start for sl in cl.v_slices] == [exo.q + 1 for exo in cl.exos]
+            *(exo.S_tilde for exo in exos)).tobytes()
+        assert cl.v0.tobytes() == np.concatenate([exo.v0 for exo in exos]).tobytes()
+        assert [sl.stop - sl.start for sl in cl.v_slices] == [exo.q + 1 for exo in exos]
+        assert cl.z0.tobytes() == np.concatenate([
+            np.concatenate([p.x0, np.zeros(c.ctrl_dim)])
+            for p, c in zip(plants, controllers)]).tobytes()
 
 
 # 2000 steps at stride 70 end on a partial stride of 40
@@ -603,14 +605,13 @@ def test_ramp_exosystem_end_to_end(strategy, abscissa, tmp_path, capsys):
     assert np.max(np.abs(y_ss - solve_ne(assemble_pseudo_gradient(scn.game)))) <= 1e-6
 
 
-def norms(tr, cl):
-    """Output gap ||y - y*|| and stacked error norm ||e|| of a Trajectory of ``cl``."""
-    gap = np.linalg.norm(tr.Y - solve_ne(assemble_pseudo_gradient(cl.game)), axis=1)
-    return gap, np.linalg.norm(tr.E, axis=1)
+def norms(tr, y_star):
+    """Output gap ||y - y*|| and stacked error norm ||e|| of a Trajectory."""
+    return np.linalg.norm(tr.Y - y_star, axis=1), np.linalg.norm(tr.E, axis=1)
 
 
-def metrics(tr, cl, tol=1e-3):
-    return series_metrics(tr.times, *norms(tr, cl), tol)
+def metrics(tr, y_star, tol=1e-3):
+    return series_metrics(tr.times, *norms(tr, y_star), tol)
 
 
 def repr_lines(tr):
@@ -621,11 +622,10 @@ def repr_lines(tr):
 
 def test_metrics_on_invariant_subspace(sensor_digraph):
     s = sensor_digraph
-    # started on the invariant subspace: one stand-in plant's x0 spans all of z
-    cl = dataclasses.replace(s.cl, x_slices=(slice(0, s.cl.dim_z),),
-                             plants=(SimpleNamespace(x0=s.reg.X_c @ s.cl.v0),))
+    # started on the invariant subspace
+    cl = dataclasses.replace(s.cl, z0=s.reg.X_c @ s.cl.v0)
     tr = simulate(cl, SimConfig(dt=1e-3, t_end=5.0, record_stride=10))
-    m = metrics(tr, s.cl)
+    m = metrics(tr, solve_ne(s.pg))
     assert m["T_conv"] == 0.0
     assert m["final_output_gap"] <= 1e-9
     assert m["steady_oscillation"] <= 1e-9
@@ -634,7 +634,7 @@ def test_metrics_on_invariant_subspace(sensor_digraph):
 def test_metrics_diverging_trajectory():
     cl = toy_loop(3.0)
     tr = simulate(cl, SimConfig(dt=1e-3, t_end=3.0, record_stride=1))
-    m = metrics(tr, cl)
+    m = metrics(tr, np.zeros(1))  # the game of target 0 has y* = 0
     assert m["T_conv"] is None
     assert m["final_output_gap"] > 1.0
 
@@ -642,7 +642,7 @@ def test_metrics_diverging_trajectory():
 def test_metrics_sensor_run(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=40.0, record_stride=100))
-    m = metrics(tr, sensor_digraph.cl)
+    m = metrics(tr, solve_ne(sensor_digraph.pg))
     assert m["T_conv"] is not None
     assert 0.0 < m["T_conv"] < 40.0
     assert m["final_output_gap"] < 1e-3
@@ -652,8 +652,9 @@ def test_metrics_sensor_run(sensor_digraph):
 def test_metrics_peak_gap(sensor_digraph):
     tr = simulate(sensor_digraph.cl,
                   SimConfig(dt=1e-3, t_end=20.0, record_stride=10))
-    m = metrics(tr, sensor_digraph.cl)
-    gap, _ = norms(tr, sensor_digraph.cl)
+    y_star = solve_ne(sensor_digraph.pg)
+    m = metrics(tr, y_star)
+    gap, _ = norms(tr, y_star)
     assert m["peak_output_gap"] == np.max(gap)
     assert m["peak_output_gap"] >= gap[0]
     assert m["t_peak"] in tr.times
@@ -672,7 +673,7 @@ def test_metrics_of_an_overflowed_tail(bad):
 def test_csv_header_and_roundtrip(sensor_digraph):
     cfg = SimConfig(dt=1e-3, t_end=1.0, record_stride=200)
     fh = io.StringIO()
-    write_records(sensor_digraph.cl, cfg, fh)
+    write_records(sensor_digraph.cl, cfg, fh, solve_ne(sensor_digraph.pg))
     tr = simulate(sensor_digraph.cl, cfg)
     text = fh.getvalue().splitlines()
     header = text[0].split(", ")
@@ -697,11 +698,11 @@ def test_csv_header_and_roundtrip(sensor_digraph):
 @pytest.mark.parametrize("t_end, stride", [(0.0, 1), (0.7, 1), (5.0, 10)])
 def test_kept_series_are_the_trajectory_norms(t_end, stride, sensor_digraph):
     # the series sim summarizes and plots, bitwise those of simulate's Trajectory
-    cl = sensor_digraph.cl
+    cl, y_star = sensor_digraph.cl, solve_ne(sensor_digraph.pg)
     cfg = SimConfig(dt=1e-3, t_end=t_end, record_stride=stride)
-    times, gap, err, *err_i = write_records(cl, cfg, io.StringIO())
+    times, gap, err, *err_i = write_records(cl, cfg, io.StringIO(), y_star)
     tr = simulate(cl, cfg)
-    want_gap, want_err = norms(tr, cl)
+    want_gap, want_err = norms(tr, y_star)
     assert times.tobytes() == tr.times.tobytes()
     assert gap.tobytes() == want_gap.tobytes()
     assert err.tobytes() == want_err.tobytes()

@@ -466,14 +466,12 @@ def scalar_loop(A_c, P_c, C_c, Q_c):
         C_c=np.array([[C_c]]),
         Q_c=np.array([[Q_c]]),
         S_hat=np.array([[0.0]]),
+        z0=np.zeros(1),
         v0=np.array([1.0]),
         C_out=np.array([[1.0]]),
         x_slices=(slice(0, 1),),
         v_slices=(slice(0, 1),),
         out_slices=(slice(0, 1),),
-        game=None,
-        plants=None,
-        exos=None,
     )
 
 
